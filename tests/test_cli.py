@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, diagnostics, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -298,3 +299,129 @@ def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert rc == 4
     assert "failed verification at stage 1" in capsys.readouterr().err
     assert not (tmp_path / "certificate.json").exists()
+
+
+# ------------------------------------------------------------ golden outputs
+
+# SHA-256 of every output file for pinned configs. The configs use
+# composition operators only (no kernel matmul), so the digests do not
+# depend on the BLAS build. A change to any digest is a change to the
+# CLI's deterministic output format or arithmetic.
+README_AVERAGE = {
+    "schema": 1,
+    "seed": 11,
+    "space": {"atoms": 4},
+    "operator": {"kind": "composition", "map": [1, 2, 3, 0],
+                 "measure_preserving": True},
+    "function": {"re": [1, 0, 0, 0]},
+    "checkpoints": {"geometric": 64},
+    "probes": [0],
+}
+README_SWEEP = {
+    "schema": 1,
+    "seed": 2,
+    "system": {"order": 256, "step": 1},
+    "function": {"character": 2},
+    "probes": [0, 17, 101],
+    "lambda_grid": 128,
+    "checkpoints": {"geometric": 10000},
+}
+GOLDEN_CONFIGS = {
+    "readme-average": ("average", README_AVERAGE),
+    "readme-sweep": ("wiener-wintner", README_SWEEP),
+    "rearrange": ("rearrange", {
+        "schema": 1, "seed": 21,
+        "space": {"weights": [0.5, 1.0, 2.0, 0.25, 1.5, 1.0]},
+        "function": {"random": {"kind": "nonnegative", "scale": 3.0}},
+    }),
+    "norms": ("norms", {
+        "schema": 1, "seed": 22,
+        "space": {"atoms": 40, "weight": 0.125},
+        "function": {"random": {"kind": "complex", "scale": 2.0}},
+        "orlicz": {"power": 2.5, "tol": 1e-12},
+        "lorentz": {"knots": [0.0, 1.0, 3.0], "slopes": [2.0, 1.0, 0.25]},
+    }),
+    "ds-check": ("ds-check", {
+        "schema": 1, "seed": 23,
+        "space": {"weights": [1.0, 2.0, 1.0, 0.5]},
+        "operator": {"kind": "composition", "map": [1, 1, 3, 0],
+                     "mult_re": [0.5, -1.0, 0.0, 0.25],
+                     "mult_im": [0.5, 0.0, 1.0, 0.0]},
+    }),
+    "weighted-average": ("weighted-average", {
+        "schema": 1, "seed": 24,
+        "space": {"atoms": 12},
+        "operator": {"kind": "composition",
+                     "map": [3, 7, 1, 0, 11, 2, 9, 4, 6, 10, 5, 8],
+                     "mult_re": [1, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1, 1],
+                     "measure_preserving": True},
+        "function": {"random": {"kind": "real"}},
+        "weight": {"kind": "lambda_power", "lambda_re": 0.6, "lambda_im": 0.8},
+        "checkpoints": {"geometric": 300},
+        "probes": [0, 5, 11],
+    }),
+    "return-times": ("return-times", {
+        "schema": 1, "seed": 25,
+        "system": {"order": 7, "step": 3},
+        "function": {"random": {"kind": "complex"}},
+        "second_system": {"order": 5, "step": 2},
+        "second_function": {"random": {"kind": "real", "scale": 0.5}},
+        "probes": [[0, 0], [6, 4], [3, 1]],
+        "checkpoints": {"geometric": 500},
+    }),
+}
+GOLDEN_DIGESTS = {
+    "counterexample": {
+        "certificate.json":
+            "ccad646aa69ec4817885c0db89597d5bc15b86a4c287ca51019d1bb103b9945d",
+        "traces.csv":
+            "f26ce52de999ea2eb51401fa7c4d48e080debd6c058eb75b247d04ce5de561cf",
+    },
+    "ds-check": {
+        "ds_report.json":
+            "c1c4ee0d9e53048a66c3d59c8142327bd054e1982c121960ae498030c3e4a538",
+    },
+    "norms": {
+        "norms.json":
+            "ea8b716ede086fd5d2ff651d64187c85ac6f396ac878b7fe17771d8ae85bb4be",
+    },
+    "readme-average": {
+        "averages.csv":
+            "646111c819784fe893d3103b338fa1514fe24aa8ecb6e460caf5fd183b3ed6bb",
+    },
+    "readme-sweep": {
+        "sweep.csv":
+            "c534385effd7c90fef0397772bea7dd8ac49fb20b6d83d939705c962dc25367d",
+    },
+    "rearrange": {
+        "rearrangement.csv":
+            "629c3e4ac5bc75f194b7ea4a5b89c3d7c62536d4ac73ac1de73d303aa656c9f5",
+    },
+    "return-times": {
+        "product.csv":
+            "850cf98381e40f50f385db97ba63206ae0aca7576cc09ca0aa9dcdf4f81ed024",
+    },
+    "weighted-average": {
+        "averages.csv":
+            "130d81a1d75a5ab8008f3abe7dd5a4f40d7decd0dbe9e3e26bebe9fc4ad897ba",
+    },
+}
+
+
+def _golden_outputs(tmp_path, case):
+    if case == "counterexample":
+        argv = ["counterexample", "--stages", "6", "--grid", "10"]
+    else:
+        command, cfg = GOLDEN_CONFIGS[case]
+        argv = [command, write_cfg(tmp_path, "cfg.json", cfg)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output-dir", str(out)]) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_golden_output_digests(tmp_path, case):
+    assert _golden_outputs(tmp_path, case) == GOLDEN_DIGESTS[case]

@@ -9,12 +9,12 @@ sampled along lacunary times.
 
 import os as _os
 
-# honor a single knob for BLAS thread pools; must happen before numpy loads
-_threads = _os.environ.get("ERGOSYM_THREADS")
-if _threads is not None:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os
+# pin BLAS thread pools to ERGOSYM_THREADS (default 1) unless they are set
+# already; single-threaded BLAS keeps runs bit-reproducible. Must happen
+# before numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, _os.environ.get("ERGOSYM_THREADS", "1"))
+del _os, _var
 
 from .averaging import (
     AveragingReport,

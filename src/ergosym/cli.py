@@ -6,6 +6,10 @@ wiener-wintner, return-times, counterexample. Configs carry a versioned
 seed, and identical configs produce byte-identical outputs. Exit codes:
 0 success, 2 validation error, 3 budget exhausted, 4 internal consistency
 failure.
+
+Each config is decoded once, by `_decode`, into a `Plan` that the
+command's runner executes; `validate` is the diagnostics view of the same
+pass.
 """
 
 from __future__ import annotations
@@ -13,21 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import averaging, divergence, formats
-from .errors import (
-    BudgetError,
-    ConsistencyError,
-    InputError,
-    NumericError,
-    WindowError,
-)
+from .errors import BudgetError, ConsistencyError, InputError, NumericError
 from .formats import SCHEMA_VERSION, atomic_write_text
-from .operators import ds_certificate
+from .operators import Operator, ds_certificate
 from .return_times import (
     RESONANCE_TOL,
     PointSystem,
@@ -39,6 +38,7 @@ from .return_times import (
 from .rng import SplitMix64
 from .spaces import (
     LorentzWeight,
+    MeasurableFunction,
     OrliczFunction,
     Rearrangement,
     lorentz_norm,
@@ -46,27 +46,56 @@ from .spaces import (
     norm,
     rearrangement,
 )
-from .weights import validate_bound
+from .weights import WeightSequence, validate_bound
 
-_CONFIG_COMMANDS = (
-    "rearrange",
-    "norms",
-    "ds-check",
-    "average",
-    "weighted-average",
-    "wiener-wintner",
-    "return-times",
-)
+# config command -> (key under "outputs", default output file name)
+_OUTPUTS = {
+    "rearrange": ("rearrangement", "rearrangement.csv"),
+    "norms": ("norms", "norms.json"),
+    "ds-check": ("ds_report", "ds_report.json"),
+    "average": ("averages", "averages.csv"),
+    "weighted-average": ("averages", "averages.csv"),
+    "wiener-wintner": ("sweep", "sweep.csv"),
+    "return-times": ("product", "product.csv"),
+}
 
-# window auto-growth for `counterexample` without --window
-_AUTO_WINDOW_START = 64
+# width of the constant profile for `counterexample` without --window; the
+# greedy search's candidate cap (divergence.DEFAULT_MAX_CANDIDATE) always
+# stops it before the window runs out
 _AUTO_WINDOW_CAP = 1 << 22
+
+# what a decoder raises on a malformed spec
+_DECODE_ERRORS = (InputError, LookupError, TypeError, ValueError, ArithmeticError)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A config decoded for one command: everything its runner needs."""
+
+    seed: int
+    output: str  # file name under --output-dir
+    operator: Operator | None = None
+    function: MeasurableFunction | None = None
+    second_function: MeasurableFunction | None = None
+    system: PointSystem | None = None
+    second_system: PointSystem | None = None
+    weight: WeightSequence | None = None
+    checkpoints: tuple[int, ...] = ()
+    probes: tuple = ()
+    budget: int = averaging.DEFAULT_BUDGET
+    full: bool = True  # "mode": "full" keeps every average, "probes" only probes
+    lambda_grid: int = 0
+    # (character, step) when f is a character of the rotation: the closed-form
+    # oracle applies
+    rotation: tuple[int, int] | None = None
+    orlicz: tuple[OrliczFunction, float] | None = None  # (phi, tol)
+    lorentz: LorentzWeight | None = None
 
 
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read config {path}: {e}") from e
     try:
         cfg = json.loads(text)
@@ -74,15 +103,24 @@ def load_config(path) -> dict:
         raise InputError(
             f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError:
+        raise InputError("config nests too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     return cfg
 
 
-def _checkpoints_from(cfg) -> tuple[int, ...]:
-    spec = cfg.get("checkpoints")
-    if spec is None:
-        raise InputError("missing 'checkpoints'")
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive(x) -> int:
+    if not _is_int(x) or x < 1:
+        raise InputError("must be a positive integer")
+    return x
+
+
+def _checkpoints(spec) -> tuple[int, ...]:
     if isinstance(spec, dict):
         if "geometric" not in spec:
             raise InputError("checkpoint objects must carry 'geometric'")
@@ -90,238 +128,215 @@ def _checkpoints_from(cfg) -> tuple[int, ...]:
     return averaging._validated_checkpoints(spec)
 
 
-def _system_from(obj) -> PointSystem:
-    if not isinstance(obj, dict) or "order" not in obj:
+def _system(spec) -> PointSystem:
+    if not isinstance(spec, dict) or "order" not in spec:
         raise InputError("system spec needs an 'order'")
     return PointSystem.cyclic(
-        int(obj["order"]), int(obj.get("step", 1)), float(obj.get("weight", 1.0))
+        int(spec["order"]), int(spec.get("step", 1)), float(spec.get("weight", 1.0))
     )
+
+
+def _probes(spec, *orders) -> tuple:
+    """Probe atoms in range(order), or (omega, y) pairs for two orders."""
+    if not isinstance(spec, list):
+        raise InputError("probes must be a list")
+
+    def atom(p, n):
+        if not _is_int(p) or not 0 <= p < n:
+            raise InputError("probe atom out of range")
+        return p
+
+    if len(orders) == 1:
+        return tuple(atom(p, orders[0]) for p in spec)
+    if any(not isinstance(p, list) or len(p) != 2 for p in spec):
+        raise InputError("probes must be [omega, y] pairs")
+    return tuple((atom(a, orders[0]), atom(b, orders[1])) for a, b in spec)
+
+
+def _orlicz(spec) -> tuple[OrliczFunction, float]:
+    if not isinstance(spec, dict) or "power" not in spec:
+        raise InputError("orlicz spec needs a 'power'")
+    tol = float(spec.get("tol", 1e-10))
+    if not 0.0 < tol < float("inf"):
+        raise InputError("tol must be positive and finite")
+    return OrliczFunction.power(float(spec["power"])), tol
+
+
+def _lorentz(spec) -> LorentzWeight:
+    if isinstance(spec, dict) and "capped" in spec:
+        return LorentzWeight.capped(float(spec["capped"]))
+    if not isinstance(spec, dict) or "knots" not in spec or "slopes" not in spec:
+        raise InputError("lorentz spec needs 'capped', or 'knots' and 'slopes'")
+    return LorentzWeight(
+        np.asarray(spec["knots"], dtype=float), np.asarray(spec["slopes"], dtype=float)
+    )
+
+
+def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
+    """Decode a config for `command` in one pass.
+
+    Returns the plan and no diagnostics, or None and every diagnostic the
+    config raises. Random functions are drawn from one SplitMix64(seed), in
+    config order: `function` before `second_function`.
+    """
+    diags: list[str] = []
+
+    def attempt(label, decode, *args):
+        try:
+            return decode(*args)
+        except _DECODE_ERRORS as e:
+            diags.append(f"{label}: {e}")
+            return None
+
+    def need(key, decode, *deps):
+        """Decode a required key; skipped when a spec it depends on failed."""
+        if key not in cfg:
+            diags.append(f"missing {key!r}")
+        elif all(d is not None for d in deps):
+            return attempt(key, decode, cfg[key], *deps)
+        return None
+
+    if cfg.get("schema") != SCHEMA_VERSION:
+        diags.append(f"schema must be {SCHEMA_VERSION}, got {cfg.get('schema')!r}")
+    seed = cfg.get("seed", 0)
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        diags.append("seed must be a 64-bit integer")
+        seed = 0
+    rng = SplitMix64(seed)
+    key, output = _OUTPUTS[command]
+    outputs = cfg.get("outputs", {})
+    if isinstance(outputs, dict):
+        output = outputs.get(key, output)
+    if not isinstance(output, str) or Path(output).name in ("", ".."):
+        diags.append(f"outputs: {key!r} must be a file name")
+    plan: dict = {"seed": seed, "output": output}
+
+    if command in ("wiener-wintner", "return-times"):
+        keys = [("system", "function")]
+        if command == "return-times":
+            keys.append(("second_system", "second_function"))
+        orders = []
+        for sys_key, f_key in keys:
+            system = plan[sys_key] = need(sys_key, _system)
+            space = getattr(system, "space", None)
+            plan[f_key] = need(f_key, formats.function_from_json, space, rng)
+            orders.append(getattr(space, "n_atoms", None))
+        plan["probes"] = need("probes", _probes, *orders)
+        if plan["probes"] == ():
+            diags.append("missing 'probes'")
+    elif command in ("ds-check", "average", "weighted-average"):
+        op = cfg.get("operator")
+        if isinstance(op, dict) and op.get("kind") == "counterexample":
+            # the operator carries its own grid-cell space
+            plan["operator"] = attempt("operator", formats.operator_from_json, op, None)
+            space = getattr(plan["operator"], "space", None)
+        else:
+            space = need("space", formats.space_from_json)
+            plan["operator"] = need("operator", formats.operator_from_json, space)
+    else:
+        space = need("space", formats.space_from_json)
+
+    if command in ("rearrange", "norms", "average", "weighted-average"):
+        plan["function"] = need("function", formats.function_from_json, space, rng)
+
+    if command == "norms":
+        for name, decode in (("orlicz", _orlicz), ("lorentz", _lorentz)):
+            if name in cfg:
+                plan[name] = attempt(name, decode, cfg[name])
+
+    if command in ("average", "weighted-average"):
+        if space is not None:
+            plan["probes"] = attempt(
+                "probes", _probes, cfg.get("probes", [0]), space.n_atoms
+            )
+        mode = cfg.get("mode", "full")
+        if mode not in ("full", "probes"):
+            diags.append(f"mode must be 'full' or 'probes', got {mode!r}")
+        plan["full"] = mode == "full"
+
+    if command == "weighted-average":
+        w = plan["weight"] = need("weight", formats.weight_from_json)
+        if w is not None and not validate_bound(
+            w, w.table.size if w.kind == "explicit" else 64
+        ):
+            diags.append("weight: materialized values exceed the declared bound")
+
+    if command in ("average", "weighted-average", "wiener-wintner", "return-times"):
+        plan["checkpoints"] = need("checkpoints", _checkpoints)
+        plan["budget"] = attempt(
+            "max_iterations",
+            _positive,
+            cfg.get("max_iterations", averaging.DEFAULT_BUDGET),
+        )
+
+    if command == "wiener-wintner":
+        plan["lambda_grid"] = need("lambda_grid", _positive)
+        spec = cfg.get("function")
+        if plan["function"] is not None and "character" in spec:
+            # rotation model: the runner adds closed-form oracle columns
+            character = attempt("function", int, spec["character"])
+            plan["rotation"] = (character, int(cfg["system"].get("step", 1)))
+
+    return (None, diags) if diags else (Plan(**plan), [])
 
 
 def validate(cfg: dict, command: str) -> list[str]:
     """Collect config diagnostics for a subcommand without running it."""
-    diags: list[str] = []
-    if cfg.get("schema") != SCHEMA_VERSION:
-        diags.append(f"schema must be {SCHEMA_VERSION}, got {cfg.get('schema')!r}")
-    if not isinstance(cfg.get("seed", 0), int):
-        diags.append("seed must be a 64-bit integer")
-    rng = SplitMix64(cfg.get("seed", 0) if isinstance(cfg.get("seed", 0), int) else 0)
-
-    def attempt(label, fn):
-        try:
-            return fn()
-        except (InputError, KeyError, TypeError, ValueError) as e:
-            diags.append(f"{label}: {e}")
-            return None
-
-    space = None
-    op_spec = cfg.get("operator")
-    op_is_cx = isinstance(op_spec, dict) and op_spec.get("kind") == "counterexample"
-    needs_operator = command in ("ds-check", "average", "weighted-average")
-
-    if needs_operator and "operator" not in cfg:
-        diags.append("missing 'operator'")
-
-    if command in ("rearrange", "norms", "average", "weighted-average", "ds-check"):
-        if "space" in cfg:
-            space = attempt("space", lambda: formats.space_from_json(cfg["space"]))
-        elif not (needs_operator and op_is_cx) and command != "ds-check":
-            diags.append("missing 'space'")
-        elif command == "ds-check" and "operator" in cfg and not op_is_cx:
-            diags.append("missing 'space'")
-
-    if needs_operator and "operator" in cfg:
-        if op_is_cx:
-            # the operator carries its own grid-cell space
-            T = attempt("operator", lambda: formats.operator_from_json(op_spec, None))
-            if T is not None and space is None:
-                space = T.space
-        elif space is not None:
-            attempt("operator", lambda: formats.operator_from_json(op_spec, space))
-
-    if command in ("rearrange", "norms", "average", "weighted-average"):
-        if "function" not in cfg:
-            diags.append("missing 'function'")
-        elif space is not None:
-            attempt(
-                "function", lambda: formats.function_from_json(cfg["function"], space, rng)
-            )
-
-    if command in ("average", "weighted-average"):
-        attempt("checkpoints", lambda: _checkpoints_from(cfg))
-        if space is not None:
-            probes = cfg.get("probes", [0])
-            if any(
-                not isinstance(p, int) or p < 0 or p >= space.n_atoms for p in probes
-            ):
-                diags.append("probes: probe atom out of range")
-
-    if command == "weighted-average":
-        if "weight" not in cfg:
-            diags.append("missing 'weight'")
-        else:
-            w = attempt("weight", lambda: formats.weight_from_json(cfg["weight"]))
-            if w is not None:
-                prefix = w.table.size if w.kind == "explicit" else 64
-                if not validate_bound(w, prefix):
-                    diags.append(
-                        "weight: materialized values exceed the declared bound"
-                    )
-
-    if command in ("wiener-wintner", "return-times"):
-        sysa = attempt("system", lambda: _system_from(cfg.get("system")))
-        if sysa is not None and "function" in cfg:
-            attempt(
-                "function",
-                lambda: formats.function_from_json(cfg["function"], sysa.space, rng),
-            )
-        elif "function" not in cfg:
-            diags.append("missing 'function'")
-        attempt("checkpoints", lambda: _checkpoints_from(cfg))
-
-    if command == "wiener-wintner":
-        if int(cfg.get("lambda_grid", 0)) < 1:
-            diags.append("lambda_grid must be a positive integer")
-        if "probes" not in cfg or not cfg["probes"]:
-            diags.append("missing 'probes'")
-
-    if command == "return-times":
-        sysb = attempt("second_system", lambda: _system_from(cfg.get("second_system")))
-        if sysb is not None and "second_function" in cfg:
-            attempt(
-                "second_function",
-                lambda: formats.function_from_json(
-                    cfg["second_function"], sysb.space, rng
-                ),
-            )
-        elif "second_function" not in cfg:
-            diags.append("missing 'second_function'")
-        if "probes" not in cfg or not cfg["probes"]:
-            diags.append("missing 'probes'")
-
-    return diags
+    return _decode(cfg, command)[1]
 
 
-def _outpath(args, cfg: dict, key: str, default: str) -> Path:
-    name = default
-    outputs = cfg.get("outputs", {})
-    if isinstance(outputs, dict) and key in outputs:
-        name = str(outputs[key])
-    return Path(args.output_dir) / name
+# Each runner executes a plan and returns its output files, name -> text.
 
 
-def _run_rearrange(args, cfg):
-    seed = cfg.get("seed", 0)
-    rng = SplitMix64(seed)
-    space = formats.space_from_json(cfg["space"])
-    f = formats.function_from_json(cfg["function"], space, rng)
-    r = rearrangement(f)
-    atomic_write_text(
-        _outpath(args, cfg, "rearrangement", "rearrangement.csv"),
-        formats.rearrangement_csv(r, seed),
-    )
-    return 0
+def _run_rearrange(args, plan: Plan) -> dict[str, str]:
+    return {plan.output: formats.rearrangement_csv(rearrangement(plan.function), plan.seed)}
 
 
-def _run_norms(args, cfg):
-    seed = cfg.get("seed", 0)
-    rng = SplitMix64(seed)
-    space = formats.space_from_json(cfg["space"])
-    f = formats.function_from_json(cfg["function"], space, rng)
+def _run_norms(args, plan: Plan) -> dict[str, str]:
+    f = plan.function
     payload = {
         "L1": norm(f, "L1"),
         "Linf": norm(f, "Linf"),
         "L1plusLinf": norm(f, "L1plusLinf"),
         "L1capLinf": norm(f, "L1capLinf"),
     }
-    if "orlicz" in cfg:
-        spec = cfg["orlicz"]
-        if "power" not in spec:
-            raise InputError("orlicz spec needs a 'power'")
-        phi = OrliczFunction.power(float(spec["power"]))
-        payload["luxemburg"] = luxemburg_norm(f, phi, float(spec.get("tol", 1e-10)))
-    if "lorentz" in cfg:
-        spec = cfg["lorentz"]
-        if "capped" in spec:
-            w = LorentzWeight.capped(float(spec["capped"]))
-        else:
-            w = LorentzWeight(
-                np.asarray(spec["knots"], dtype=float),
-                np.asarray(spec["slopes"], dtype=float),
-            )
-        payload["lorentz"] = lorentz_norm(f, w)
-    atomic_write_text(
-        _outpath(args, cfg, "norms", "norms.json"), formats.json_report(payload, seed)
-    )
-    return 0
+    if plan.orlicz is not None:
+        payload["luxemburg"] = luxemburg_norm(f, *plan.orlicz)
+    if plan.lorentz is not None:
+        payload["lorentz"] = lorentz_norm(f, plan.lorentz)
+    return {plan.output: formats.json_report(payload, plan.seed)}
 
 
-def _run_ds_check(args, cfg):
-    seed = cfg.get("seed", 0)
-    op_spec = cfg["operator"]
-    space = None
-    if not (isinstance(op_spec, dict) and op_spec.get("kind") == "counterexample"):
-        space = formats.space_from_json(cfg["space"])
-    T = formats.operator_from_json(op_spec, space)
-    rep = ds_certificate(T)
-    atomic_write_text(
-        _outpath(args, cfg, "ds_report", "ds_report.json"),
-        formats.json_report(formats.ds_report_payload(rep), seed),
-    )
-    return 0
+def _run_ds_check(args, plan: Plan) -> dict[str, str]:
+    payload = formats.ds_report_payload(ds_certificate(plan.operator))
+    return {plan.output: formats.json_report(payload, plan.seed)}
 
 
-def _run_average(args, cfg, use_weights: bool):
-    seed = cfg.get("seed", 0)
-    rng = SplitMix64(seed)
-    op_spec = cfg["operator"]
-    if isinstance(op_spec, dict) and op_spec.get("kind") == "counterexample":
-        T = formats.operator_from_json(op_spec, None)
-        space = T.space
-    else:
-        space = formats.space_from_json(cfg["space"])
-        T = formats.operator_from_json(op_spec, space)
-    f = formats.function_from_json(cfg["function"], space, rng)
-    cps = _checkpoints_from(cfg)
-    probes = tuple(cfg.get("probes", [0]))
-    budget = int(cfg.get("max_iterations", averaging.DEFAULT_BUDGET))
-    full = cfg.get("mode", "full") == "full"
-    if use_weights:
-        beta = formats.weight_from_json(cfg["weight"])
+def _run_average(args, plan: Plan) -> dict[str, str]:
+    T, f, cps, probes = plan.operator, plan.function, plan.checkpoints, plan.probes
+    if plan.weight is not None:
         report = averaging.weighted(
-            T, f, beta, cps, probes, store_averages=full, max_iterations=budget
+            T, f, plan.weight, cps, probes, plan.full, plan.budget
         )
     else:
-        report = averaging.cesaro(
-            T, f, cps, probes, store_averages=full, max_iterations=budget
-        )
-    if full:
+        report = averaging.cesaro(T, f, cps, probes, plan.full, plan.budget)
+    if plan.full:
         averaging.majorization_trace(report, f)
-    atomic_write_text(
-        _outpath(args, cfg, "averages", "averages.csv"),
-        formats.averaging_csv(report, seed),
+    return {plan.output: formats.averaging_csv(report, plan.seed)}
+
+
+def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
+    probes, grid, cps = plan.probes, plan.lambda_grid, plan.checkpoints
+    sweep = wiener_wintner_sweep(
+        plan.system, plan.function, probes, grid, cps, plan.budget
     )
-    return 0
-
-
-def _run_wiener_wintner(args, cfg):
-    seed = cfg.get("seed", 0)
-    rng = SplitMix64(seed)
-    system = _system_from(cfg["system"])
-    f = formats.function_from_json(cfg["function"], system.space, rng)
-    probes = tuple(int(p) for p in cfg["probes"])
-    grid = int(cfg["lambda_grid"])
-    cps = _checkpoints_from(cfg)
-    budget = int(cfg.get("max_iterations", averaging.DEFAULT_BUDGET))
-    sweep = wiener_wintner_sweep(system, f, probes, grid, cps, budget)
 
     oracle = None
     resonant = None
-    if isinstance(cfg["function"], dict) and "character" in cfg["function"]:
+    if plan.rotation is not None:
         # rotation model: the closed form applies, emit oracle columns
-        order = system.space.n_atoms
-        c = int(cfg["function"]["character"])
-        step = int(cfg["system"].get("step", 1))
+        order = plan.system.space.n_atoms
+        c, step = plan.rotation
         rho = Fraction(c * step, order)
         oracle = np.empty_like(sweep.averages)
         resonant = []
@@ -336,62 +351,27 @@ def _run_wiener_wintner(args, cfg):
                     oracle[j, pi, ci] = rotation_closed_form(
                         rho, lam_phase, float(omega), n
                     )
-    atomic_write_text(
-        _outpath(args, cfg, "sweep", "sweep.csv"),
-        formats.sweep_csv(sweep, seed, oracle, resonant),
+    return {plan.output: formats.sweep_csv(sweep, plan.seed, oracle, resonant)}
+
+
+def _run_return_times(args, plan: Plan) -> dict[str, str]:
+    report = product_average(
+        plan.system, plan.function, plan.second_system, plan.second_function,
+        plan.probes, plan.checkpoints, plan.budget,
     )
-    return 0
+    return {plan.output: formats.product_csv(report, plan.seed)}
 
 
-def _run_return_times(args, cfg):
-    seed = cfg.get("seed", 0)
-    rng = SplitMix64(seed)
-    sys_a = _system_from(cfg["system"])
-    f = formats.function_from_json(cfg["function"], sys_a.space, rng)
-    sys_b = _system_from(cfg["second_system"])
-    g = formats.function_from_json(cfg["second_function"], sys_b.space, rng)
-    probes = [(int(a), int(b)) for a, b in cfg["probes"]]
-    cps = _checkpoints_from(cfg)
-    budget = int(cfg.get("max_iterations", averaging.DEFAULT_BUDGET))
-    report = product_average(sys_a, f, sys_b, g, probes, cps, budget)
-    atomic_write_text(
-        _outpath(args, cfg, "product", "product.csv"),
-        formats.product_csv(report, seed),
-    )
-    return 0
-
-
-def _run_counterexample(args, cfg):
-    seed = (cfg or {}).get("seed", 0)
-    if cfg and "space" in cfg and "function" in cfg:
-        rng = SplitMix64(seed)
-        space = formats.space_from_json(cfg["space"])
-        f = formats.function_from_json(cfg["function"], space, rng)
-        rearr = rearrangement(f)
-        cert = divergence.construct_certificate(
-            rearr, args.eps, args.stages, args.margin, args.grid
-        )
-    elif args.window > 0:
-        rearr = Rearrangement(np.array([0.0, float(args.window)]), np.array([1.0]))
-        cert = divergence.construct_certificate(
-            rearr, args.eps, args.stages, args.margin, args.grid
-        )
+def _run_counterexample(args, plan: Plan | None) -> dict[str, str]:
+    if plan is not None:
+        rearr = rearrangement(plan.function)
     else:
-        # constant profile: grow the window until the greedy search fits
-        window = _AUTO_WINDOW_START
-        while True:
-            rearr = Rearrangement(np.array([0.0, float(window)]), np.array([1.0]))
-            try:
-                cert = divergence.construct_certificate(
-                    rearr, args.eps, args.stages, args.margin, args.grid
-                )
-                break
-            except WindowError:
-                window *= 4
-                if window > _AUTO_WINDOW_CAP:
-                    raise BudgetError(
-                        f"window growth exceeded {_AUTO_WINDOW_CAP} unit cells"
-                    ) from None
+        # constant profile f = 1, searched in one pass
+        width = args.window or _AUTO_WINDOW_CAP
+        rearr = Rearrangement(np.array([0.0, float(width)]), np.array([1.0]))
+    cert = divergence.construct_certificate(
+        rearr, args.eps, args.stages, args.margin, args.grid
+    )
     result = divergence.verify_certificate(cert, rearr)
     if not result.ok:
         raise ConsistencyError(
@@ -399,13 +379,12 @@ def _run_counterexample(args, cfg):
         )
     ts = divergence.probe_points(cert.eps, cert.grid)
     traces = divergence.direct_averages(rearr, cert.breakpoints, ts, cert.breakpoints)
-    outdir = Path(args.output_dir)
-    atomic_write_text(
-        outdir / "certificate.json",
-        formats.json_report(formats.certificate_payload(cert, result), seed),
-    )
-    atomic_write_text(outdir / "traces.csv", formats.traces_csv(ts, cert.breakpoints, traces, seed))
-    return 0
+    seed = 0 if plan is None else plan.seed
+    return {
+        "certificate.json":
+            formats.json_report(formats.certificate_payload(cert, result), seed),
+        "traces.csv": formats.traces_csv(ts, cert.breakpoints, traces, seed),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ergodic averaging experiments on atomic measure spaces",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _CONFIG_COMMANDS:
+    for name in _OUTPUTS:
         sp = sub.add_parser(name)
         sp.add_argument("config", help="path to a JSON experiment config")
         sp.add_argument("--output-dir", default=".")
@@ -424,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     cx.add_argument("--stages", type=int, default=3)
     cx.add_argument("--margin", type=float, default=0.0)
     cx.add_argument("--grid", type=int, default=10)
-    cx.add_argument("--window", type=int, default=0, help="0 = grow automatically")
+    cx.add_argument("--window", type=int, default=0, help="0 = 2^22 unit cells")
     cx.add_argument("--output-dir", default=".")
     return p
 
@@ -433,32 +412,27 @@ _RUNNERS = {
     "rearrange": _run_rearrange,
     "norms": _run_norms,
     "ds-check": _run_ds_check,
+    "average": _run_average,
+    "weighted-average": _run_average,
     "wiener-wintner": _run_wiener_wintner,
     "return-times": _run_return_times,
+    "counterexample": _run_counterexample,
 }
 
 
 def run(args) -> int:
-    if args.command == "counterexample":
-        cfg = load_config(args.config) if args.config else None
-        if cfg is not None:
-            diags = validate(cfg, "rearrange")  # profile config: space+function
-            if diags:
-                for d in diags:
-                    print(f"config: {d}", file=sys.stderr)
-                return 2
-        return _run_counterexample(args, cfg)
-    cfg = load_config(args.config)
-    diags = validate(cfg, args.command)
-    if diags:
-        for d in diags:
-            print(f"config: {d}", file=sys.stderr)
-        return 2
-    if args.command == "average":
-        return _run_average(args, cfg, use_weights=False)
-    if args.command == "weighted-average":
-        return _run_average(args, cfg, use_weights=True)
-    return _RUNNERS[args.command](args, cfg)
+    plan = None
+    if args.config:  # optional for counterexample
+        # a counterexample profile config is decoded like a rearrange config
+        command = "rearrange" if args.command == "counterexample" else args.command
+        plan, diags = _decode(load_config(args.config), command)
+        if diags:
+            for d in diags:
+                print(f"config: {d}", file=sys.stderr)
+            return 2
+    for name, text in _RUNNERS[args.command](args, plan).items():
+        atomic_write_text(Path(args.output_dir) / name, text)
+    return 0
 
 
 def main(argv=None) -> int:

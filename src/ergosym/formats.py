@@ -103,6 +103,8 @@ def function_from_json(
         if rng is None:
             raise InputError("random functions need a seeded generator")
         spec = obj["random"]
+        if not isinstance(spec, dict):
+            raise InputError("random function spec must be an object")
         kind = spec.get("kind", "complex")
         scale = float(spec.get("scale", 1.0))
         u = np.array(rng.uniforms(2 * n))
@@ -138,7 +140,10 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
             raise InputError("'matrix_re' and 'matrix_im' must match in shape")
         return KernelOperator(re + 1j * im, space)
     if kind == "composition":
-        pm = np.asarray(obj["map"], dtype=int)
+        raw = np.asarray(obj["map"], dtype=float)
+        if not np.all((raw == np.trunc(raw)) & (np.abs(raw) < 2.0**63)):
+            raise InputError("composition map entries must be atom indices")
+        pm = raw.astype(int)
         if "mult_re" in obj or "mult_im" in obj:
             mult = _complex_array(
                 {"re": obj.get("mult_re", [1.0] * pm.size),
@@ -174,6 +179,8 @@ def weight_from_json(obj) -> WeightSequence:
     if kind == "trig_poly":
         terms = []
         for t in obj.get("terms", []):
+            if not isinstance(t, dict):
+                raise InputError("trig_poly terms must be objects")
             z = complex(float(t.get("z_re", 0.0)), float(t.get("z_im", 0.0)))
             if "phase_num" in t and "phase_den" in t:
                 terms.append(

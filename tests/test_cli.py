@@ -1,10 +1,21 @@
 """End-to-end command-line runs: exit codes, diagnostics, determinism."""
 
+import copy
+import functools
 import hashlib
 import json
+import operator
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ergosym
 from ergosym import cli
 from ergosym.divergence import VerificationResult
 
@@ -229,6 +240,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_unparsable_config_exits_2(tmp_path, capsys, raw):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    assert cli.main(["rearrange", str(p), "--output-dir", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_validation_collects_all_diagnostics(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad.json", {
         "schema": 2,
@@ -425,3 +445,151 @@ def _golden_outputs(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
 def test_golden_output_digests(tmp_path, case):
     assert _golden_outputs(tmp_path, case) == GOLDEN_DIGESTS[case]
+
+
+# ------------------------------------------------------- malformed configs
+
+SMALL_SWEEP = {
+    "schema": 1, "seed": 2,
+    "system": {"order": 8, "step": 1},
+    "function": {"character": 2},
+    "probes": [0],
+    "lambda_grid": 8,
+    "checkpoints": [1, 8],
+}
+
+
+def _with(base, **changes):
+    cfg = copy.deepcopy(base)
+    cfg.update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("average", _with(README_AVERAGE, probes=3)),
+    ("average", _with(README_AVERAGE, max_iterations="lots")),
+    ("wiener-wintner", _with(SMALL_SWEEP, lambda_grid="x")),
+    ("return-times", _with(GOLDEN_CONFIGS["return-times"][1], probes=[0])),
+    ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz=3)),
+    ("norms", _with(GOLDEN_CONFIGS["norms"][1], lorentz={"knots": [0]})),
+    ("average", _with(README_AVERAGE, function={"random": "x"})),
+    ("average", _with(README_AVERAGE, operator={**README_AVERAGE["operator"],
+                                                "map": [1.5, 2, 3, 0]})),
+    ("average", _with(README_AVERAGE, seed=2**80)),
+    ("average", _with(README_AVERAGE, seed=-1)),
+    ("average", _with(README_AVERAGE, seed=True)),
+    ("average", _with(README_AVERAGE, mode="fast")),
+    ("wiener-wintner", _with(SMALL_SWEEP, probes=[0, 8])),
+    ("return-times", _with(GOLDEN_CONFIGS["return-times"][1], probes=[[0, 5]])),
+    ("weighted-average", _with(GOLDEN_CONFIGS["weighted-average"][1],
+                               weight={"kind": "trig_poly", "terms": [3]})),
+    ("average", _with(README_AVERAGE, outputs={"averages": ""})),
+], ids=[
+    "probes-int", "max-iterations-str", "lambda-grid-str", "rt-probes-flat",
+    "orlicz-int", "lorentz-no-slopes", "random-str", "map-fractional",
+    "seed-80-bit", "seed-negative", "seed-bool", "mode-fast",
+    "ww-probe-range", "rt-probe-range", "trig-term-int", "output-name-empty",
+])
+def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 2
+    assert any(ln.startswith("config: ") for ln in capsys.readouterr().err.splitlines())
+    assert not out.exists()
+
+
+def test_validate_is_empty_for_valid_configs():
+    for command, cfg in GOLDEN_CONFIGS.values():
+        assert cli.validate(cfg, command) == []
+
+
+# ------------------------------------------------------ mutated configs
+
+# Mutated integers and floats stay within this bound wherever they size an
+# array (atoms, orders, checkpoints, lambda_grid). The cap steps around a
+# known defect: the Wiener-Wintner sweep allocates a lambda_grid x n table,
+# which at the default budget of 1e6 iterations needs more than 8 GB, and a
+# sweep to 1e6 checkpoints has been OOM-killed. The cap is not evidence that
+# large inputs are safe.
+SIZE_CAP = 128
+SIZE_KEYS = {"atoms", "order", "checkpoints", "geometric", "lambda_grid"}
+
+MUTATION_BASES = [
+    *GOLDEN_CONFIGS.values(),
+    ("rearrange", _with(GOLDEN_CONFIGS["rearrange"][1],
+                        outputs={"rearrangement": "mu.csv"})),
+    ("counterexample", {"schema": 1, "seed": 9, "space": {"atoms": 32},
+                        "function": {"ones": True}}),
+]
+
+
+def _paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _paths(val, prefix + (key,))
+
+
+def _values(sized: bool):
+    if sized:
+        num = st.one_of(st.integers(-2, SIZE_CAP), st.floats(-2.0, SIZE_CAP))
+    else:
+        num = st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from([2**31, 2**63, 2**64, -(2**64), 10**30, 10**400]),
+            st.floats(),
+        )
+    scalar = st.one_of(num, st.booleans(), st.none(),
+                       st.sampled_from(["", "x", "full", "probes", "1"]))
+    return st.one_of(scalar, st.lists(scalar, max_size=4),
+                     st.dictionaries(st.sampled_from(["re", "kind", "x"]), scalar,
+                                     max_size=2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_configs_exit_with_documented_codes(data):
+    command, base = data.draw(st.sampled_from(MUTATION_BASES))
+    cfg = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], cfg)
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            sized = any(k in SIZE_KEYS for k in path)
+            parent[path[-1]] = data.draw(_values(sized))
+    with tempfile.TemporaryDirectory() as d:
+        cfg_path = Path(d) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, str(cfg_path), "--output-dir", str(Path(d) / "out")]
+        assert cli.main(argv) in (0, 2, 3, 4)
+
+
+# ------------------------------------------------------------ thread pins
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ("1", "1", "1")),
+    ({"ERGOSYM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2"}, ("3", "2", "3")),
+])
+def test_import_pins_blas_threads(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in THREAD_VARS and k != "ERGOSYM_THREADS"}
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(preset)
+    code = f"import os, ergosym; print(*(os.environ[v] for v in {THREAD_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert tuple(out.split()) == expected

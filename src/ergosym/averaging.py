@@ -4,7 +4,9 @@ Averages a_n = (1/n) sum_{k<n} beta_k T^k f are computed in a single pass:
 one operator application per step, one running Kahan-compensated sum, and a
 report row at each requested checkpoint. Nothing is recomputed and operator
 powers are never materialized, so memory stays at a few state vectors even
-for long horizons.
+for long horizons. A probe-only run without norms on a composition operator
+follows just the probe atoms' orbits, so its cost does not grow with the
+number of atoms.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, CapabilityError, InputError
-from .operators import Operator
+from .operators import CompositionOperator, Operator
 from .spaces import MAJORIZATION_TOL, MeasurableFunction, majorizes
 from .weights import WeightSequence
 
@@ -51,7 +53,8 @@ class AveragingReport:
 
     `averages` is populated in full mode only; probe-only runs keep just the
     probe columns (norms are still exact, they are read off the running sum
-    at checkpoint time). `weight_bound` is the normalization constant
+    at checkpoint time). Runs with `norms=False` leave `l1_norms` and
+    `linf_norms` as None. `weight_bound` is the normalization constant
     M = max(1, sup_k |beta_k|) for weighted runs, None for plain Cesaro.
     `majorized` is filled by `majorization_trace`.
     """
@@ -59,8 +62,8 @@ class AveragingReport:
     checkpoints: tuple[int, ...]
     probes: tuple[int, ...]
     probe_values: np.ndarray
-    l1_norms: np.ndarray
-    linf_norms: np.ndarray
+    l1_norms: np.ndarray | None
+    linf_norms: np.ndarray | None
     averages: tuple[MeasurableFunction, ...] | None = None
     weight_bound: float | None = None
     majorized: tuple[bool, ...] | None = None
@@ -70,7 +73,32 @@ class AveragingReport:
         return self.averages is not None
 
 
-def _stream(T, f, checkpoints, beta, probes, store_averages, max_iterations):
+def _full_orbit(T, f, steps):
+    """T^k f for k < steps, one operator application per step."""
+    g = f.values
+    for k in range(steps):
+        yield g
+        if k + 1 < steps:
+            g = T.apply_values(g)
+
+
+def _probe_orbit(T, f, probes, steps):
+    """(T^k f)_i at the probe atoms i for k < steps, T a composition.
+
+    (T^k f)_i = m_i m_{s(i)} ... m_{s^{k-1}(i)} f[s^k(i)] for point map s
+    and multiplier m, so each step follows one orbit per probe: O(probes)
+    work however many atoms the space has.
+    """
+    pos = np.array(probes, dtype=np.intp)
+    prod = np.ones(pos.size, dtype=complex)
+    for k in range(steps):
+        yield prod * f.values[pos]
+        if k + 1 < steps:
+            prod = prod * T.multiplier[pos]
+            pos = T.point_map[pos]
+
+
+def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iterations):
     cps = _validated_checkpoints(checkpoints)
     if cps[-1] > max_iterations:
         raise BudgetError(
@@ -90,39 +118,50 @@ def _stream(T, f, checkpoints, beta, probes, store_averages, max_iterations):
         betas = beta.values(cps[-1])
         weight_bound = max(1.0, float(np.max(np.abs(betas))))
 
+    # probe-orbit lane: nothing but the probe atoms is ever read
+    lane = not (store_averages or norms) and isinstance(T, CompositionOperator)
+    if lane:
+        orbit = _probe_orbit(T, f, probes, cps[-1])
+        width = len(probes)
+    else:
+        orbit = _full_orbit(T, f, cps[-1])
+        width = n_atoms
+    select = np.array(probes, dtype=np.intp)
+
     w = T.space.weights
-    g = f.values.astype(complex, copy=True)
-    total = np.zeros(n_atoms, dtype=complex)
-    comp = np.zeros(n_atoms, dtype=complex)
+    # Kahan state and step buffers, updated in place; total and t swap
+    total, comp, y, t = (np.zeros(width, dtype=complex) for _ in range(4))
+    term = np.empty(width, dtype=complex) if betas is not None else None
 
     probe_rows, l1s, linfs, avgs = [], [], [], []
     ptr = 0
-    for k in range(cps[-1]):
-        term = g if betas is None else betas[k] * g
+    for k, g in enumerate(orbit):
+        if betas is not None:
+            g = np.multiply(betas[k], g, out=term)
         # Kahan step: the compensation vector carries the lost low bits
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        np.subtract(g, comp, out=y)
+        np.add(total, y, out=t)
+        np.subtract(t, total, out=comp)
+        np.subtract(comp, y, out=comp)
+        total, t = t, total
         n = k + 1
         if n == cps[ptr]:
             a = total / n
-            mags = np.abs(a)
-            l1s.append(float(np.sum(w * mags)))
-            linfs.append(float(np.max(mags)))
-            probe_rows.append(a[list(probes)] if probes else np.zeros(0, complex))
+            probe_rows.append(a if lane else a[select])
+            if norms:
+                mags = np.abs(a)
+                l1s.append(float(np.sum(w * mags)))
+                linfs.append(float(np.max(mags)))
             if store_averages:
                 avgs.append(MeasurableFunction(a, T.space))
             ptr += 1
-        if n < cps[-1]:
-            g = T.apply_values(g)
 
     return AveragingReport(
         checkpoints=cps,
         probes=probes,
         probe_values=np.array(probe_rows),
-        l1_norms=np.array(l1s),
-        linf_norms=np.array(linfs),
+        l1_norms=np.array(l1s) if norms else None,
+        linf_norms=np.array(linfs) if norms else None,
         averages=tuple(avgs) if store_averages else None,
         weight_bound=weight_bound,
     )
@@ -135,14 +174,18 @@ def cesaro(
     probes=(),
     store_averages: bool = True,
     max_iterations: int = DEFAULT_BUDGET,
+    norms: bool = True,
 ) -> AveragingReport:
     """Plain Cesaro averages (1/n) sum_{k<n} T^k f at the checkpoints.
 
     T should be a certified or declared DS operator for the norm and
     majorization guarantees to mean anything; the run itself only needs
-    apply().
+    apply(). With `store_averages=False` and `norms=False` only the probe
+    columns are computed; the report's norms are then None.
     """
-    return _stream(T, f, checkpoints, None, probes, store_averages, max_iterations)
+    return _stream(
+        T, f, checkpoints, None, probes, store_averages, norms, max_iterations
+    )
 
 
 def weighted(
@@ -153,6 +196,7 @@ def weighted(
     probes=(),
     store_averages: bool = True,
     max_iterations: int = DEFAULT_BUDGET,
+    norms: bool = True,
 ) -> AveragingReport:
     """Weighted averages (1/n) sum_{k<n} beta_k T^k f.
 
@@ -160,7 +204,9 @@ def weighted(
     majorization trace compares a_n / M against f, which is the contraction
     statement that survives unbounded-looking weights.
     """
-    return _stream(T, f, checkpoints, beta, probes, store_averages, max_iterations)
+    return _stream(
+        T, f, checkpoints, beta, probes, store_averages, norms, max_iterations
+    )
 
 
 def oscillation(report: AveragingReport, probe: int, window) -> float:

@@ -378,12 +378,11 @@ def _run_counterexample(args, plan: Plan | None) -> dict[str, str]:
             f"fresh certificate failed verification at stage {result.failed_stage}"
         )
     ts = divergence.probe_points(cert.eps, cert.grid)
-    traces = divergence.direct_averages(rearr, cert.breakpoints, ts, cert.breakpoints)
     seed = 0 if plan is None else plan.seed
     return {
         "certificate.json":
             formats.json_report(formats.certificate_payload(cert, result), seed),
-        "traces.csv": formats.traces_csv(ts, cert.breakpoints, traces, seed),
+        "traces.csv": formats.traces_csv(ts, cert.breakpoints, result.direct, seed),
     }
 
 

@@ -14,8 +14,7 @@ disagreement beyond tolerance is a consistency failure, not a soft miss.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +29,10 @@ STRICT_TOL = 1e-12
 CROSS_TOL = 1e-9
 # greedy search cap on candidate breakpoints
 DEFAULT_MAX_CANDIDATE = 200_000
+# terms k per block of the search and the direct formula
+BLOCK = 4096
+# cap on a block's cells (terms x probes), so fine grids stay bounded
+BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,18 @@ class DivergenceCertificate:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """Verdict, per-stage margins and pipeline deviation of a certificate.
+
+    `direct` holds the direct-formula averages at every breakpoint and
+    probe (rows, columns) that the streamed values were cross-checked
+    against; it is carried for the traces output, not reported.
+    """
+
     ok: bool
     stage_margins: tuple[float, ...]
     max_deviation: float
     failed_stage: int | None = None
+    direct: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -77,26 +88,48 @@ def probe_points(eps: float, grid: int) -> np.ndarray:
     return ts
 
 
+def _block_terms(n_probes: int) -> int:
+    return max(1, min(BLOCK, BLOCK_CELLS // n_probes))
+
+
+def _running_totals(rearr: Rearrangement, ts, ks, signs, total) -> np.ndarray:
+    """Rows total + sum_{k0 <= k' <= k} sign_k' mu(ts + k') for k in ks.
+
+    ks is a run of consecutive terms starting at k0 and signs broadcasts
+    against (len(ks), len(ts)). The cumulative sum adds one term at a time
+    in order, so every row equals the running total of a term-by-term loop.
+    """
+    block = signs * rearr.values_at(ts + ks[:, None])
+    block[0] += total
+    return np.cumsum(block, axis=0)
+
+
 def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
     """a_n(t) = (1/n) sum_{k<n} sign_k mu(t + k) evaluated directly.
 
     sign_k = (-1)^(number of breakpoints <= k). This is the closed-form
-    reference pipeline; the operator stream must reproduce it.
+    reference pipeline; the operator stream must reproduce it. The terms
+    are summed in blocks of consecutive k.
     """
-    bps = sorted(int(b) for b in breakpoints)
+    bps = np.sort(np.array([int(b) for b in breakpoints], dtype=np.int64))
     ts = np.asarray(ts, dtype=float)
     ns = [int(n) for n in ns]
     if any(b <= a for a, b in zip(ns, ns[1:])) or (ns and ns[0] < 1):
         raise InputError("evaluation points n must be strictly increasing, >= 1")
     out = np.empty((len(ns), ts.size))
+    if not ns:
+        return out
+    wanted = np.array(ns, dtype=np.int64)
     total = np.zeros(ts.size)
-    ptr = 0
-    for k in range(ns[-1]):
-        sign = -1.0 if bisect_right(bps, k) % 2 else 1.0
-        total += sign * rearr.values_at(ts + k)
-        if ptr < len(ns) and k + 1 == ns[ptr]:
-            out[ptr] = total / (k + 1)
-            ptr += 1
+    step = _block_terms(ts.size)
+    for k0 in range(0, ns[-1], step):
+        ks = np.arange(k0, min(k0 + step, ns[-1]))
+        flips = np.searchsorted(bps, ks, side="right") % 2
+        signs = np.where(flips == 1, -1.0, 1.0)[:, None]
+        sums = _running_totals(rearr, ts, ks, signs, total)
+        total = sums[-1]
+        hit = (wanted > k0) & (wanted <= ks[-1] + 1)
+        out[hit] = sums[wanted[hit] - 1 - k0] / wanted[hit][:, None]
     return out
 
 
@@ -135,32 +168,43 @@ def construct_certificate(
     bps = [1]
     total = a1.copy()
     n = 1
+    step = _block_terms(ts.size)
     for j in range(2, stages + 1):
         sign = -1.0 if (j - 1) % 2 else 1.0
         negative = j % 2 == 0
         thr = 0.5 + margin
         while True:
-            k = n  # index of the next term
-            if tmax + k >= t_m:
-                raise WindowError(
-                    f"profile window {t_m} too short: stage {j} needs terms "
-                    f"past t = {tmax + k}"
-                )
-            if n + 1 > max_candidate:
+            ks = np.arange(n, n + step)  # indices of the next terms
+            # the first candidate past the window or the budget ends the block
+            refused = (tmax + ks >= t_m) | (ks + 1 > max_candidate)
+            stop = int(np.argmax(refused)) if refused.any() else step
+            if stop > 0:
+                sums = _running_totals(rearr, ts, ks[:stop], sign, total)
+                avgs = sums / (ks[:stop] + 1)[:, None]
+                if negative:
+                    worsts = np.max(avgs, axis=1)
+                    crossed = worsts < -thr - STRICT_TOL
+                else:
+                    worsts = np.min(avgs, axis=1)
+                    crossed = worsts > thr + STRICT_TOL
+                if crossed.any():
+                    r = int(np.argmax(crossed))
+                    n = int(ks[r]) + 1
+                    total = sums[r]
+                    worst = float(worsts[r])
+                    break
+                total = sums[-1]
+                n += stop
+            if stop < step:
+                k = int(ks[stop])
+                if tmax + k >= t_m:
+                    raise WindowError(
+                        f"profile window {t_m} too short: stage {j} needs terms "
+                        f"past t = {tmax + k}"
+                    )
                 raise BudgetError(
                     f"stage {j} threshold not reached within {max_candidate} terms"
                 )
-            total += sign * rearr.values_at(ts + k)
-            n += 1
-            a = total / n
-            if negative:
-                worst = float(np.max(a))
-                if worst < -thr - STRICT_TOL:
-                    break
-            else:
-                worst = float(np.min(a))
-                if worst > thr + STRICT_TOL:
-                    break
         bps.append(n)
         side = "<-1/2" if negative else ">1/2"
         base_margin = (-worst - 0.5) if negative else (worst - 0.5)
@@ -200,7 +244,7 @@ def verify_certificate(
     ts = probe_points(cert.eps, cert.grid)
     probe_atoms = [int(round(t / h - 0.5)) for t in ts]
     report = cesaro(T, profile, checkpoints=bps, probes=probe_atoms,
-                    store_averages=False)
+                    store_averages=False, norms=False)
     streamed = report.probe_values.real
     direct = direct_averages(rearr, bps, ts, bps)
     max_dev = float(np.max(np.abs(report.probe_values - direct)))
@@ -230,4 +274,4 @@ def verify_certificate(
         if not stage_ok and ok:
             ok = False
             failed = idx + 1
-    return VerificationResult(ok, tuple(margins), max_dev, failed)
+    return VerificationResult(ok, tuple(margins), max_dev, failed, direct)

@@ -166,6 +166,59 @@ def test_probe_only_mode_skips_averages():
         majorization_trace(rep, f)
 
 
+# ------------------------------------------------------------ probe-orbit lane
+
+
+def test_probe_lane_signed_shift_bitwise():
+    # multipliers are +-1 and 0, so both lanes multiply exactly
+    T = signed_shift_operator([1, 5, 17, 53], grid=4, window=60)
+    rng = np.random.default_rng(59)
+    f = MeasurableFunction(1.0 + rng.random(T.space.n_atoms), T.space)
+    probes = (0, 1, 3, 100, 230, T.space.n_atoms - 1)  # the last ones absorb
+    cps = (1, 5, 17, 53)
+    full = cesaro(T, f, cps, probes=probes, store_averages=False)
+    lane = cesaro(T, f, cps, probes=probes, store_averages=False, norms=False)
+    assert np.array_equal(lane.probe_values, full.probe_values)
+    assert lane.l1_norms is None and lane.linf_norms is None
+    assert lane.averages is None
+    assert full.l1_norms is not None and full.linf_norms is not None
+
+
+@pytest.mark.parametrize("bijective", [True, False])
+def test_probe_lane_matches_full_on_random_compositions(bijective):
+    rng = np.random.default_rng(60 + bijective)
+    for _ in range(10):
+        n = int(rng.integers(2, 40))
+        sp = unit_space(n)
+        pm = rng.permutation(n) if bijective else rng.integers(0, n, n)
+        mult = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+        T = CompositionOperator(pm, mult, sp)
+        f = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), sp)
+        probes = tuple(int(p) for p in rng.integers(0, n, 3))
+        cps = sorted(set(int(x) for x in rng.integers(1, 300, size=4)))
+        beta = WeightSequence.lambda_power(np.exp(2j * np.pi * rng.uniform()))
+        for run in (
+            lambda **kw: cesaro(T, f, cps, probes=probes, **kw),
+            lambda **kw: weighted(T, f, beta, cps, probes=probes, **kw),
+        ):
+            full = run()
+            lane = run(store_averages=False, norms=False)
+            assert lane.l1_norms is None
+            assert lane.probe_values.shape == full.probe_values.shape
+            assert np.max(np.abs(lane.probe_values - full.probe_values)) <= 1e-12
+
+
+def test_kernel_without_norms_matches_full_mode():
+    rng = np.random.default_rng(62)
+    T = random_ds_kernel(rng, 9)
+    f = MeasurableFunction(rng.normal(size=9) + 1j * rng.normal(size=9), T.space)
+    full = cesaro(T, f, (1, 4, 30), probes=(2, 7))
+    bare = cesaro(T, f, (1, 4, 30), probes=(2, 7), store_averages=False,
+                  norms=False)
+    assert np.array_equal(bare.probe_values, full.probe_values)
+    assert bare.l1_norms is None and bare.linf_norms is None
+
+
 # ------------------------------------------------------------------ weighted
 
 

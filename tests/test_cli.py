@@ -194,6 +194,27 @@ def test_counterexample_profile_config(tmp_path):
     assert cert["seed"] == 9
 
 
+def test_counterexample_last_reachable_stage(tmp_path, capsys):
+    # verification is linear in n_11 = 118097; at quadratic cost this run
+    # would take about half an hour
+    assert cli.main([
+        "counterexample", "--stages", "11", "--grid", "10",
+        "--output-dir", str(tmp_path),
+    ]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verified"] is True
+    assert cert["breakpoints"] == [
+        1, 5, 17, 53, 161, 485, 1457, 4373, 13121, 39365, 118097
+    ]
+    # stage 12 needs n = 354293, past the 200000-term candidate cap
+    rc = cli.main([
+        "counterexample", "--stages", "12", "--grid", "10",
+        "--output-dir", str(tmp_path / "s12"),
+    ])
+    assert rc == 3
+    assert "stage 12 threshold not reached" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- determinism
 
 

@@ -19,6 +19,7 @@ from ergosym import (
     signed_shift_operator,
     verify_certificate,
 )
+from ergosym import divergence
 from oracles import brute_counterexample_average, greedy_breakpoints
 
 # confirmed by the standalone greedy oracle (see test_frozen_* below)
@@ -163,6 +164,136 @@ def test_greedy_minimality_decrement_breaks_stage():
             assert np.max(vals) >= -0.5 - 1e-12
         else:
             assert np.min(vals) <= 0.5 + 1e-12
+
+
+# ------------------------------------------------------------------ blocking
+
+
+def scalar_search(rearr, eps, stages, grid, max_candidate):
+    """Term-by-term greedy search: the reference the blocked search matches.
+
+    Returns (breakpoints, worst values) or the exception the search raises.
+    """
+    ts = probe_points(eps, grid)
+    t_m = rearr.support_measure
+    tmax = float(ts[-1])
+    total = rearr.values_at(ts).copy()
+    bps, worsts = [1], [float(np.min(total))]
+    n = 1
+    for j in range(2, stages + 1):
+        sign = -1.0 if (j - 1) % 2 else 1.0
+        while True:
+            k = n
+            if tmax + k >= t_m:
+                return WindowError(
+                    f"profile window {t_m} too short: stage {j} needs terms "
+                    f"past t = {tmax + k}"
+                )
+            if n + 1 > max_candidate:
+                return BudgetError(
+                    f"stage {j} threshold not reached within {max_candidate} terms"
+                )
+            total += sign * rearr.values_at(ts + k)
+            n += 1
+            a = total / n
+            if j % 2 == 0 and float(np.max(a)) < -0.5 - 1e-12:
+                worsts.append(float(np.max(a)))
+                break
+            if j % 2 == 1 and float(np.min(a)) > 0.5 + 1e-12:
+                worsts.append(float(np.min(a)))
+                break
+        bps.append(n)
+    return tuple(bps), tuple(worsts)
+
+
+def blocked_search(rearr, eps, stages, grid, max_candidate):
+    try:
+        cert = construct_certificate(
+            rearr, eps, stages, grid=grid, max_candidate=max_candidate
+        )
+    except (WindowError, BudgetError) as exc:
+        return exc
+    return cert.breakpoints, tuple(s.worst_value for s in cert.stages)
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+# Stage 7 of the constant profile searches k = 485..1456 and crosses at the
+# last of them, 971 terms into the stage. The block sizes put that candidate
+# at the first (1, 971), a middle (1943, the default) or the last (3, 243)
+# term of a block.
+@pytest.mark.parametrize("block", [1, 3, 243, 971, 1943, None])
+def test_blocked_search_refuses_at_the_scalar_candidate(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(divergence, "BLOCK", block)
+    k_cross = ONES_BREAKPOINTS_J6[-1] + 971
+    cases = [
+        # (window, max_candidate): the crossing candidate allowed or refused
+        (k_cross + 1.0, 10**6),
+        (k_cross + 0.9, 10**6),
+        (1 << 20, k_cross + 1),
+        (1 << 20, k_cross),
+        # refused at the first candidate of the stage
+        (ONES_BREAKPOINTS_J6[-1] + 0.9, 10**6),
+        (1 << 20, ONES_BREAKPOINTS_J6[-1]),
+    ]
+    outcomes = []
+    for window, cap in cases:
+        prof = Rearrangement(np.array([0.0, window]), np.array([1.0]))
+        want = scalar_search(prof, 0.1, 7, 10, cap)
+        got = blocked_search(prof, 0.1, 7, 10, cap)
+        assert same_outcome(got, want), (window, cap, got, want)
+        outcomes.append(type(want).__name__)
+    assert outcomes == ["tuple", "WindowError", "tuple", "BudgetError",
+                        "WindowError", "BudgetError"]
+
+
+@pytest.mark.parametrize("block", [1, 5, None])
+def test_blocked_search_matches_scalar_on_varied_profiles(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(divergence, "BLOCK", block)
+    rng = np.random.default_rng(91)
+    cases = [(variant_profile(64), 0.1, 4, 10)]
+    for grid in (1, 3, 7):
+        vals = np.sort(1.0 + rng.random(200))[::-1]
+        cases.append((Rearrangement(np.arange(201.0), vals), 0.2, 8, grid))
+    for prof, eps, stages, grid in cases:
+        want = scalar_search(prof, eps, stages, grid, 10**6)
+        assert len(want[0]) == stages
+        assert same_outcome(blocked_search(prof, eps, stages, grid, 10**6), want)
+
+
+def scalar_direct(rearr, bps, ts, ns):
+    """Term-by-term direct formula: the reference for the blocked one."""
+    out = np.empty((len(ns), ts.size))
+    total = np.zeros(ts.size)
+    ptr = 0
+    for k in range(ns[-1]):
+        sign = -1.0 if sum(b <= k for b in bps) % 2 else 1.0
+        total += sign * rearr.values_at(ts + k)
+        if k + 1 == ns[ptr]:
+            out[ptr] = total / (k + 1)
+            ptr += 1
+    return out
+
+
+@pytest.mark.parametrize("block", [3, None])
+def test_blocked_direct_averages_bitwise(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(divergence, "BLOCK", block)
+    rng = np.random.default_rng(92)
+    prof = Rearrangement(np.arange(10_001.0),
+                         np.sort(1.0 + rng.random(10_000))[::-1])
+    ts = probe_points(0.1, 7)
+    bps = [1, 5, 17, 53, 161, 485, 1457, 4373]
+    ns = [1, 2, 3, 4, 5, 6, 17, 4095, 4096, 4097, 8192, 9999]
+    got = direct_averages(prof, bps, ts, ns)
+    want = scalar_direct(prof, bps, ts, ns)
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- direct formula

@@ -31,8 +31,7 @@ from .return_times import (
     RESONANCE_TOL,
     PointSystem,
     product_average,
-    rotation_closed_form,
-    rotation_q,
+    _cycles,
     wiener_wintner_sweep,
 )
 from .rng import SplitMix64
@@ -334,23 +333,26 @@ def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
     oracle = None
     resonant = None
     if plan.rotation is not None:
-        # rotation model: the closed form applies, emit oracle columns
+        # rotation model: the closed form applies, emit oracle columns.
+        # rotation_closed_form term by term, with its exact phases hoisted
         order = plan.system.space.n_atoms
         c, step = plan.rotation
         rho = Fraction(c * step, order)
+        fronts = [_cycles(float(Fraction(c * w, order))) for w in probes]
         oracle = np.empty_like(sweep.averages)
         resonant = []
         for j in range(grid):
-            lam_phase = Fraction(j, grid)
-            q, _ = rotation_q(rho, lam_phase)
+            q_phase = (Fraction(j, grid) + rho) % 1
+            q = _cycles(float(q_phase))
             if abs(1.0 - q) < RESONANCE_TOL:
                 resonant.append(j)
-            for pi, w in enumerate(probes):
-                omega = Fraction(c * w, order)
-                for ci, n in enumerate(cps):
-                    oracle[j, pi, ci] = rotation_closed_form(
-                        rho, lam_phase, float(omega), n
-                    )
+            if q_phase == 0:
+                oracle[j] = np.array(fronts)[:, None]
+                continue
+            for ci, n in enumerate(cps):
+                qn = _cycles(float((n * q_phase) % 1))
+                for pi, front in enumerate(fronts):
+                    oracle[j, pi, ci] = front * (1.0 - qn) / (n * (1.0 - q))
     return {plan.output: formats.sweep_csv(sweep, plan.seed, oracle, resonant)}
 
 

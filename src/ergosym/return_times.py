@@ -20,7 +20,6 @@ import numpy as np
 from .averaging import DEFAULT_BUDGET, _validated_checkpoints
 from .errors import BudgetError, InputError
 from .spaces import AtomicMeasureSpace, MeasurableFunction
-from .weights import UNIT_TOL, unit_powers_matrix
 
 # |1 - q| below this flags a resonant grid point (slow geometric decay)
 RESONANCE_TOL = 1e-6
@@ -56,16 +55,20 @@ class PointSystem:
         return cls(space, tau, label)
 
     def orbit(self, start: int, n: int) -> np.ndarray:
-        """Atom indices tau^k(start) for k < n."""
+        """Atom indices tau^k(start) for k < n.
+
+        tau is a bijection, so the orbit is periodic: walk the cycle through
+        `start` once (at most n steps) and tile it out to n terms.
+        """
         if start < 0 or start >= self.space.n_atoms:
             raise InputError("orbit start out of range")
-        pos = np.empty(n, dtype=int)
-        p = int(start)
-        tau = self.tau
-        for k in range(n):
-            pos[k] = p
-            p = int(tau[p])
-        return pos
+        start = int(start)
+        cycle = [start]
+        p = int(self.tau[start])
+        while p != start and len(cycle) < n:
+            cycle.append(p)
+            p = int(self.tau[p])
+        return np.resize(np.array(cycle, dtype=int), n)
 
 
 @dataclass(eq=False)
@@ -137,8 +140,17 @@ def wiener_wintner_sweep(
     max_iterations: int = DEFAULT_BUDGET,
 ) -> SweepResult:
     """Sweep (1/n) sum_{k<n} lam^k f(tau^k w) over the G-point unit-circle
-    grid; a single orbit traversal per probe feeds all per-lambda
-    accumulators."""
+    grid lam_j = exp(2 pi i j / G).
+
+    Since lam_j^k depends on k only through r = k mod G, the twisted sum up
+    to n is sum_r S_r lam_j^r with S_r the sum of the orbit samples whose
+    index k < n has k = r (mod G): an inverse DFT of the residue sums.
+    One orbit traversal per probe folds the samples between consecutive
+    checkpoints into residue bins; a running sum over the checkpoint
+    segments and one batched inverse FFT give every checkpoint. The phases
+    are exact integers mod G; time is O(n + C G log G) and memory
+    O(n + C G) per probe, for C checkpoints.
+    """
     cps = _validated_checkpoints(checkpoints)
     if cps[-1] > max_iterations:
         raise BudgetError(
@@ -153,16 +165,21 @@ def wiener_wintner_sweep(
         raise InputError("need at least one probe")
     g = int(grid_size)
     lams = np.exp(2j * pi * np.arange(g) / g)
-    assert np.max(np.abs(np.abs(lams) - 1.0)) <= UNIT_TOL
-    n_max = cps[-1]
-    powers = unit_powers_matrix(lams, n_max)
-    idx = np.array(cps) - 1
+    n_max, n_cps = cps[-1], len(cps)
+    # bin of term k: (index of its checkpoint segment) * G + k mod G
+    bins = np.arange(n_max)
+    np.remainder(bins, g, out=bins)
+    bins += np.repeat(np.arange(n_cps) * g, np.diff(cps, prepend=0))
     ns = np.array(cps, dtype=float)
-    avgs = np.empty((g, len(probes), len(cps)), dtype=complex)
+    avgs = np.empty((g, len(probes), n_cps), dtype=complex)
     for p, start in enumerate(probes):
         fo = f.values[system.orbit(start, n_max)]
-        csum = np.cumsum(powers * fo[np.newaxis, :], axis=1)
-        avgs[:, p, :] = csum[:, idx] / ns
+        sums = np.empty(n_cps * g, dtype=complex)
+        sums.real = np.bincount(bins, fo.real, n_cps * g)
+        sums.imag = np.bincount(bins, fo.imag, n_cps * g)
+        sums = np.cumsum(sums.reshape(n_cps, g), axis=0)
+        # unnormalised inverse DFT: sum_r S_r exp(2 pi i j r / G)
+        avgs[:, p, :] = np.fft.ifft(sums, axis=1, norm="forward").T / ns
     osc = np.maximum(
         avgs.real.max(axis=2) - avgs.real.min(axis=2),
         avgs.imag.max(axis=2) - avgs.imag.min(axis=2),

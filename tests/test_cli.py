@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergosym
-from ergosym import cli
+from ergosym import cli, rotation_closed_form
+from ergosym.averaging import DEFAULT_BUDGET
 from ergosym.divergence import VerificationResult
 
 
@@ -138,16 +140,24 @@ def test_wiener_wintner_emits_oracle_and_resonance(tmp_path):
         "schema": 1, "seed": 2,
         "system": {"order": 8, "step": 1},
         "function": {"character": 2},
-        "probes": [0],
+        "probes": [0, 3],
         "lambda_grid": 8,
-        "checkpoints": [1, 8, 64],
+        "checkpoints": [1, 8, 64, 100],
     })
     assert cli.main(["wiener-wintner", cfg, "--output-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "# schema=1 seed=2 resonant_lambdas=6"
     assert lines[1].endswith(",oracle_re,oracle_im,abs_err")
+    assert len(lines) == 2 + 8 * 2 * 4
     for ln in lines[2:]:
-        assert float(ln.split(",")[-1]) <= 1e-9
+        j, _, _, w, n, _, _, o_re, o_im, err = ln.split(",")
+        assert float(err) <= 1e-9
+        # the oracle columns are the scalar closed form, to the last bit
+        want = rotation_closed_form(
+            Fraction(2, 8), Fraction(int(j), 8), float(Fraction(2 * int(w), 8)),
+            int(n),
+        )
+        assert (o_re, o_im) == (repr(want.real), repr(want.imag))
 
 
 def test_return_times_product(tmp_path):
@@ -526,14 +536,15 @@ def test_validate_is_empty_for_valid_configs():
 
 # ------------------------------------------------------ mutated configs
 
-# Mutated integers and floats stay within this bound wherever they size an
-# array (atoms, orders, checkpoints, lambda_grid). The cap steps around a
-# known defect: the Wiener-Wintner sweep allocates a lambda_grid x n table,
-# which at the default budget of 1e6 iterations needs more than 8 GB, and a
-# sweep to 1e6 checkpoints has been OOM-killed. The cap is not evidence that
-# large inputs are safe.
+# Where a mutated integer or float sizes an array it stays within a cap.
+# Horizon keys (checkpoints, geometric) range up to the default iteration
+# budget of 1e6, which every command must handle in bounded memory. Atom
+# counts, orders and the lambda grid stay at 128 to keep the 80 examples
+# quick; they are not a memory limit.
+HORIZON_CAP = DEFAULT_BUDGET
 SIZE_CAP = 128
-SIZE_KEYS = {"atoms", "order", "checkpoints", "geometric", "lambda_grid"}
+SIZE_CAPS = {"checkpoints": HORIZON_CAP, "geometric": HORIZON_CAP,
+             "atoms": SIZE_CAP, "order": SIZE_CAP, "lambda_grid": SIZE_CAP}
 
 MUTATION_BASES = [
     *GOLDEN_CONFIGS.values(),
@@ -556,9 +567,9 @@ def _paths(obj, prefix=()):
         yield from _paths(val, prefix + (key,))
 
 
-def _values(sized: bool):
-    if sized:
-        num = st.one_of(st.integers(-2, SIZE_CAP), st.floats(-2.0, SIZE_CAP))
+def _values(cap: int | None):
+    if cap is not None:
+        num = st.one_of(st.integers(-2, cap), st.floats(-2.0, cap))
     else:
         num = st.one_of(
             st.integers(-3, 3),
@@ -586,8 +597,8 @@ def test_mutated_configs_exit_with_documented_codes(data):
         if data.draw(st.booleans()):
             del parent[path[-1]]
         else:
-            sized = any(k in SIZE_KEYS for k in path)
-            parent[path[-1]] = data.draw(_values(sized))
+            caps = [SIZE_CAPS[k] for k in path if k in SIZE_CAPS]
+            parent[path[-1]] = data.draw(_values(min(caps, default=None)))
     with tempfile.TemporaryDirectory() as d:
         cfg_path = Path(d) / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

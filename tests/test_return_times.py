@@ -1,6 +1,7 @@
 """Product (return-times) averages and unit-circle sweeps."""
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 from math import gcd, pi
 
@@ -18,6 +19,7 @@ from ergosym import (
     product_average,
     rotation_closed_form,
     rotation_q,
+    geometric_checkpoints,
     weighted,
     wiener_wintner_sweep,
 )
@@ -36,6 +38,40 @@ def test_cyclic_orbit():
     sys_ = PointSystem.cyclic(5, step=2)
     orbit = sys_.orbit(1, 6)
     assert list(orbit) == [1, 3, 0, 2, 4, 1]
+
+
+def cycles_system(lengths, rng):
+    """Uniform atoms permuted by a random bijection with the given cycle
+    lengths, the atoms of each cycle shuffled across the whole set."""
+    atoms = rng.permutation(sum(lengths))
+    tau = np.empty(atoms.size, dtype=int)
+    at = 0
+    for m in lengths:
+        cyc = atoms[at : at + m]
+        tau[cyc] = np.roll(cyc, -1)
+        at += m
+    return PointSystem(AtomicMeasureSpace(np.ones(atoms.size)), tau)
+
+
+def step_orbit(tau, start, n):
+    pos = []
+    p = start
+    for _ in range(n):
+        pos.append(p)
+        p = int(tau[p])
+    return pos
+
+
+def test_orbit_matches_step_loop_on_multicycle_bijections():
+    rng = np.random.default_rng(85)
+    for _ in range(10):
+        lengths = [int(m) for m in rng.integers(1, 40, size=int(rng.integers(1, 6)))]
+        sys_ = cycles_system(lengths, rng)
+        for start in rng.integers(0, sys_.space.n_atoms, size=3):
+            for n in (0, 1, 2, 7, 39, 40, 41, 250):
+                orbit = sys_.orbit(int(start), n)
+                assert orbit.dtype == np.dtype(int)
+                assert orbit.tolist() == step_orbit(sys_.tau, int(start), n)
 
 
 def test_point_system_requires_bijection():
@@ -165,9 +201,57 @@ def test_sweep_matches_rotation_closed_form():
                 assert abs(sweep.averages[j, pi_, ci] - want) <= 1e-9
 
 
+def direct_twisted_sums(tau, values, start, grid, n_max):
+    """Running sums sum_{k<n} lam_j^k f(tau^k w), n = 1..n_max, with the
+    exact phases exp(2 pi i ((j k) mod G) / G); shape (G, n_max)."""
+    x = values[step_orbit(tau, start, n_max)]
+    jk = np.outer(np.arange(grid), np.arange(n_max)) % grid
+    return np.cumsum(np.exp(2j * pi * jk / grid) * x, axis=1)
+
+
+@pytest.mark.parametrize("grid", [1, 7, 128, 300])
+def test_sweep_matches_direct_sum_with_exact_phases(grid):
+    # cycles of length 13, 5, 1 and 23 on shuffled atoms; checkpoints off
+    # the grid size and the cycle lengths, and G = 300 > n_max
+    rng = np.random.default_rng(86 + grid)
+    sys_ = cycles_system([13, 5, 1, 23], rng)
+    n_atoms = sys_.space.n_atoms
+    f = MeasurableFunction(
+        rng.normal(size=n_atoms) + 1j * rng.normal(size=n_atoms), sys_.space
+    )
+    cps = (1, 2, 6, 11, 30, 129, 200, 257)
+    probes = tuple(int(p) for p in rng.choice(n_atoms, 4, replace=False))
+    sweep = wiener_wintner_sweep(sys_, f, probes, grid, cps)
+    assert sweep.averages.shape == (grid, len(probes), len(cps))
+    idx = np.array(cps) - 1
+    for p, start in enumerate(probes):
+        want = direct_twisted_sums(sys_.tau, f.values, start, grid, cps[-1])
+        got = sweep.averages[:, p, :] * np.array(cps)
+        assert np.max(np.abs(got - want[:, idx])) <= 1e-12
+
+
+def test_sweep_memory_is_bounded_at_default_budget():
+    # G = 128 at the default budget of 1e6 terms: a G x n table alone would
+    # take 2 GB
+    sys_ = PointSystem.cyclic(256)
+    f = character(sys_.space, 2)
+    cps = geometric_checkpoints(1_000_000)
+    tracemalloc.start()
+    try:
+        sweep = wiener_wintner_sweep(sys_, f, (0, 17, 101), 128, cps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"sweep peaked at {peak / 2**20:.1f} MiB"
+    assert sweep.averages.shape == (128, 3, len(cps))
+    # lambda_127 = exp(-2 pi i / 128) cancels the character's rotation, so
+    # the average stays at f(0) = 1
+    assert abs(sweep.averages[127, 0, -1] - 1.0) <= 1e-9
+
+
 def test_sweep_equals_weighted_lambda_power():
-    # the sweep and the general weighted engine share one powers kernel,
-    # so per-lambda outputs agree to the last bit or near it
+    # the sweep's folded DFT and the weighted engine's power weights are
+    # independent routes to the same twisted averages
     order = 24
     sys_ = PointSystem.cyclic(order)
     rng = np.random.default_rng(82)

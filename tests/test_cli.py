@@ -442,7 +442,7 @@ GOLDEN_DIGESTS = {
     },
     "readme-sweep": {
         "sweep.csv":
-            "c534385effd7c90fef0397772bea7dd8ac49fb20b6d83d939705c962dc25367d",
+            "6072ab1ec045ee129cc8b5b4c91260c5a25a2691cdef0c325cb1cb8bae9d8fba",
     },
     "rearrange": {
         "rearrangement.csv":

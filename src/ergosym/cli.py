@@ -334,7 +334,8 @@ def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
     resonant = None
     if plan.rotation is not None:
         # rotation model: the closed form applies, emit oracle columns.
-        # rotation_closed_form term by term, with its exact phases hoisted
+        # These are rotation_closed_form's values to the last bit, with
+        # each exact phase computed once rather than once per entry.
         order = plan.system.space.n_atoms
         c, step = plan.rotation
         rho = Fraction(c * step, order)

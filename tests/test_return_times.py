@@ -16,10 +16,10 @@ from ergosym import (
     MeasurableFunction,
     PointSystem,
     WeightSequence,
+    geometric_checkpoints,
     product_average,
     rotation_closed_form,
     rotation_q,
-    geometric_checkpoints,
     weighted,
     wiener_wintner_sweep,
 )

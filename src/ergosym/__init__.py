@@ -74,7 +74,6 @@ from .spaces import (
     OrliczFunction,
     Rearrangement,
     decompose,
-    hl_integral,
     lorentz_norm,
     luxemburg_norm,
     majorizes,
@@ -88,7 +87,6 @@ from .weights import (
     WeightSequence,
     besicovitch_deviation,
     dft_interpolant,
-    eval_weight,
     limsup_deviation,
     unit_powers,
     unit_powers_matrix,
@@ -136,9 +134,7 @@ __all__ = [
     "dft_interpolant",
     "direct_averages",
     "ds_certificate",
-    "eval_weight",
     "geometric_checkpoints",
-    "hl_integral",
     "limsup_deviation",
     "linear_modulus",
     "lorentz_norm",

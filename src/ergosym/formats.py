@@ -133,12 +133,8 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
     if space is None:
         raise InputError(f"operator kind {kind!r} needs a space")
     if kind == "kernel":
-        re = np.asarray(obj["matrix_re"], dtype=float)
-        im_raw = obj.get("matrix_im")
-        im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
-        if re.shape != im.shape:
-            raise InputError("'matrix_re' and 'matrix_im' must match in shape")
-        return KernelOperator(re + 1j * im, space)
+        matrix = _complex_array({"re": obj["matrix_re"], "im": obj.get("matrix_im")})
+        return KernelOperator(matrix, space)
     if kind == "composition":
         raw = np.asarray(obj["map"], dtype=float)
         if not np.all((raw == np.trunc(raw)) & (np.abs(raw) < 2.0**63)):

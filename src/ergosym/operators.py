@@ -23,6 +23,16 @@ DS_TOL = 1e-12
 DOMINATION_TOL = 1e-9
 
 
+def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None:
+    """Require an in-range point map to be a bijection matching weights
+    within 1e-12 (relative to the largest weight, floored at 1)."""
+    if np.unique(pm).size != pm.size:
+        raise InputError("measure-preserving map must be a bijection")
+    w = space.weights
+    if np.max(np.abs(w[pm] - w)) > 1e-12 * max(1.0, float(np.max(w))):
+        raise InputError("measure-preserving map must match weights")
+
+
 @dataclass(eq=False)
 class KernelOperator:
     """Dense kernel operator (Tf)_i = sum_j K[i, j] f_j."""
@@ -70,11 +80,7 @@ class CompositionOperator:
         if np.any(np.abs(mult) > 1.0 + DS_TOL):
             raise InputError("multiplier magnitudes must stay within 1")
         if self.measure_preserving:
-            if np.unique(pm).size != n:
-                raise InputError("measure-preserving map must be a bijection")
-            w = self.space.weights
-            if np.max(np.abs(w[pm] - w)) > 1e-12 * max(1.0, float(np.max(w))):
-                raise InputError("measure-preserving map must match weights")
+            _check_measure_preserving(pm, self.space)
         self.point_map = pm
         self.multiplier = mult
 
@@ -123,10 +129,8 @@ def _contraction_sums(T: Operator) -> tuple[float, float]:
     return float(np.max(col_mass / w)), float(np.max(m))
 
 
-def ds_certificate(T: Operator, space: AtomicMeasureSpace | None = None) -> DSReport:
+def ds_certificate(T: Operator) -> DSReport:
     """Exact L1/Linf contraction certificate for a kernel or composition."""
-    if space is not None and not T.space.is_compatible(space):
-        raise InputError("operator is not bound to the given space")
     col, row = _contraction_sums(T)
     return DSReport(
         l1_ok=col <= 1.0 + DS_TOL,
@@ -149,15 +153,13 @@ def linear_modulus(T: Operator) -> Operator:
     )
 
 
-def adjoint(T: KernelOperator, space: AtomicMeasureSpace | None = None) -> KernelOperator:
+def adjoint(T: KernelOperator) -> KernelOperator:
     """Adjoint for the weighted pairing <u, v> = sum_i w_i u_i conj(v_i).
 
     K*[j, i] = conj(K[i, j]) * w_i / w_j; applying it twice returns K.
     """
     if not isinstance(T, KernelOperator):
         raise InputError("adjoints are provided for kernel operators")
-    if space is not None and not T.space.is_compatible(space):
-        raise InputError("operator is not bound to the given space")
     w = T.space.weights
     k_adj = np.conj(T.matrix).T * (w[np.newaxis, :] / w[:, np.newaxis])
     return KernelOperator(k_adj, T.space)
@@ -208,12 +210,10 @@ def modulus_domination_check(
     return DominationResult(min_slack >= -tol, min_slack, where)
 
 
-def adjoint_modulus_commutation(
-    T: KernelOperator, space: AtomicMeasureSpace | None = None, tol: float = DS_TOL
-) -> bool:
+def adjoint_modulus_commutation(T: KernelOperator, tol: float = DS_TOL) -> bool:
     """Check |T*| == |T|* entrywise within tol."""
-    lhs = linear_modulus(adjoint(T, space)).matrix
-    rhs = adjoint(linear_modulus(T), space).matrix
+    lhs = linear_modulus(adjoint(T)).matrix
+    rhs = adjoint(linear_modulus(T)).matrix
     return float(np.max(np.abs(lhs - rhs))) <= tol
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .averaging import DEFAULT_BUDGET, _validated_checkpoints
 from .errors import BudgetError, InputError
+from .operators import _check_measure_preserving
 from .spaces import AtomicMeasureSpace, MeasurableFunction
 
 # |1 - q| below this flags a resonant grid point (slow geometric decay)
@@ -31,28 +32,25 @@ class PointSystem:
 
     space: AtomicMeasureSpace
     tau: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.tau, dtype=int)
         n = self.space.n_atoms
         if t.shape != (n,):
             raise InputError("tau needs one image per atom")
-        if np.any(t < 0) or np.any(t >= n) or np.unique(t).size != n:
-            raise InputError("tau must be a bijection of the atom set")
-        w = self.space.weights
-        if np.max(np.abs(w[t] - w)) > 1e-12 * max(1.0, float(np.max(w))):
-            raise InputError("tau must preserve atom weights")
+        if np.any(t < 0) or np.any(t >= n):
+            raise InputError("tau leaves the atom set")
+        _check_measure_preserving(t, self.space)
         self.tau = t
 
     @classmethod
-    def cyclic(cls, order: int, step: int = 1, weight: float = 1.0, label: str = ""):
+    def cyclic(cls, order: int, step: int = 1, weight: float = 1.0):
         """Cyclic shift i -> i + step (mod order) on uniform atoms."""
         if order < 1:
             raise InputError("cyclic systems need at least one atom")
         space = AtomicMeasureSpace.uniform(order, weight)
         tau = (np.arange(order) + step) % order
-        return cls(space, tau, label)
+        return cls(space, tau)
 
     def orbit(self, start: int, n: int) -> np.ndarray:
         """Atom indices tau^k(start) for k < n.

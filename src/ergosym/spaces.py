@@ -158,16 +158,8 @@ class Rearrangement:
     def support_measure(self) -> float:
         return float(self.breakpoints[-1])
 
-    def value_at(self, t: float) -> float:
-        """Plateau value mu_t at a single point t >= 0."""
-        if t < 0:
-            raise InputError("rearrangements are defined on t >= 0")
-        if self.plateaus.size == 0 or t >= self.breakpoints[-1]:
-            return 0.0
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return float(self.plateaus[i])
-
     def values_at(self, t) -> np.ndarray:
+        """Plateau values mu_t at points t >= 0; zero past the support."""
         t = np.asarray(t, dtype=float)
         if self.plateaus.size == 0:
             return np.zeros_like(t)
@@ -210,11 +202,6 @@ def rearrangement(f: MeasurableFunction) -> Rearrangement:
     lengths = lengths[keep][::-1]
     bp = np.concatenate(([0.0], np.cumsum(lengths)))
     return Rearrangement(bp, vals)
-
-
-def hl_integral(r: Rearrangement, s: float) -> float:
-    """Hardy-Littlewood partial integral of a rearrangement over [0, s)."""
-    return r.integral(s)
 
 
 @dataclass(frozen=True)
@@ -436,7 +423,7 @@ def r_mu_tail(f: MeasurableFunction, t0: float) -> float:
     Queries at or beyond the total measure return 0 and raise
     TruncationWarning, since the answer is only window-relative there.
     """
-    if t0 < 0:
+    if not t0 >= 0:  # also rejects NaN
         raise InputError("tail queries need t0 >= 0")
     if t0 >= f.space.total_measure:
         warnings.warn(
@@ -445,7 +432,7 @@ def r_mu_tail(f: MeasurableFunction, t0: float) -> float:
             stacklevel=2,
         )
         return 0.0
-    return rearrangement(f).value_at(t0)
+    return float(rearrangement(f).values_at(t0))
 
 
 def decompose(f: MeasurableFunction, eps: float):

@@ -28,17 +28,15 @@ UNIT_TOL = 1e-12
 RENORM_EVERY = 1024
 
 
-def unit_powers_matrix(
-    lams: np.ndarray, n: int, renorm_every: int = RENORM_EVERY
-) -> np.ndarray:
+def unit_powers_matrix(lams: np.ndarray, n: int) -> np.ndarray:
     """Rows of lam^k, k < n, for several unimodular lam at once."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     out = np.empty((lams.size, n), dtype=complex)
     if n == 0:
         return out
     base = np.ones(lams.size, dtype=complex)
-    for start in range(0, n, renorm_every):
-        m = min(renorm_every, n - start)
+    for start in range(0, n, RENORM_EVERY):
+        m = min(RENORM_EVERY, n - start)
         out[:, start] = base
         if m > 1:
             out[:, start + 1 : start + m] = base[:, None] * np.cumprod(
@@ -49,9 +47,9 @@ def unit_powers_matrix(
     return out
 
 
-def unit_powers(lam: complex, n: int, renorm_every: int = RENORM_EVERY) -> np.ndarray:
+def unit_powers(lam: complex, n: int) -> np.ndarray:
     """lam^k for k < n with periodic magnitude renormalization."""
-    return unit_powers_matrix(np.array([lam]), n, renorm_every)[0]
+    return unit_powers_matrix(np.array([lam]), n)[0]
 
 
 @dataclass(frozen=True)
@@ -92,19 +90,6 @@ class TrigPolynomial:
         """Triangle-inequality bound sum_j |z_j| on |P(k)|."""
         return float(sum(abs(t.coefficient) for t in self.terms))
 
-    def evaluate(self, k: int) -> complex:
-        if k < 0:
-            raise InputError("trig polynomials are evaluated at k >= 0")
-        total = 0j
-        for t in self.terms:
-            if t.phase is not None:
-                den = t.phase.denominator
-                r = (t.phase.numerator * k) % den
-                total += t.coefficient * np.exp(2j * pi * r / den)
-            else:
-                total += t.coefficient * t.frequency**k
-        return complex(total)
-
     def values(self, n: int) -> np.ndarray:
         """P(k) for k < n; exact phase reduction where available."""
         out = np.zeros(n, dtype=complex)
@@ -119,16 +104,16 @@ class TrigPolynomial:
         return out
 
 
-_KINDS = ("constant", "periodic", "trig_poly", "lambda_power", "explicit")
+_KINDS = ("periodic", "trig_poly", "lambda_power", "explicit")
 
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Bounded sequence k -> beta_k with a declared bound C.
 
-    Kinds: constant, periodic (repeating list), trig_poly, lambda_power
-    (beta_k = lam^k, |lam| = 1), explicit (finite list; evaluation past the
-    end is a range error).
+    Kinds: periodic (repeating list; `constant` builds period 1), trig_poly,
+    lambda_power (beta_k = lam^k, |lam| = 1), explicit (finite list;
+    evaluation past the end is a range error).
     """
 
     kind: str
@@ -145,7 +130,8 @@ class WeightSequence:
 
     @classmethod
     def constant(cls, c: complex):
-        return cls("constant", abs(c), table=np.array([c], dtype=complex))
+        """beta_k = c, a periodic sequence of period 1."""
+        return cls("periodic", abs(c), table=np.array([c], dtype=complex))
 
     @classmethod
     def periodic(cls, vals):
@@ -179,8 +165,6 @@ class WeightSequence:
         """Materialize beta_k for k < n."""
         if n < 0:
             raise InputError("cannot materialize a negative prefix")
-        if self.kind == "constant":
-            return np.full(n, self.table[0])
         if self.kind == "periodic":
             reps = -(-n // self.table.size)
             return np.tile(self.table, reps)[:n]
@@ -194,23 +178,6 @@ class WeightSequence:
                 f"{self.table.size}"
             )
         return self.table[:n].copy()
-
-
-def eval_weight(w: WeightSequence, k: int) -> complex:
-    """Single weight beta_k."""
-    if k < 0:
-        raise InputError("weights are indexed by k >= 0")
-    if w.kind == "constant":
-        return complex(w.table[0])
-    if w.kind == "periodic":
-        return complex(w.table[k % w.table.size])
-    if w.kind == "trig_poly":
-        return w.poly.evaluate(k)
-    if w.kind == "lambda_power":
-        return complex(w.values(k + 1)[k])
-    if k >= w.table.size:
-        raise InputError(f"explicit weight list exhausted at k={k}")
-    return complex(w.table[k])
 
 
 def validate_bound(w: WeightSequence, n: int) -> bool:

@@ -540,7 +540,10 @@ def test_validate_is_empty_for_valid_configs():
 # Horizon keys (checkpoints, geometric) range up to the default iteration
 # budget of 1e6, which every command must handle in bounded memory. Atom
 # counts, orders and the lambda grid stay at 128 to keep the 80 examples
-# quick; they are not a memory limit.
+# quick; they are not a memory limit. Sized keys are a small share of all
+# paths, so about half the mutations overwrite one of them, drawing the cap
+# itself and in-range positive integers besides arbitrary values; otherwise
+# few examples would reach a valid config at a large horizon.
 HORIZON_CAP = DEFAULT_BUDGET
 SIZE_CAP = 128
 SIZE_CAPS = {"checkpoints": HORIZON_CAP, "geometric": HORIZON_CAP,
@@ -578,9 +581,12 @@ def _values(cap: int | None):
         )
     scalar = st.one_of(num, st.booleans(), st.none(),
                        st.sampled_from(["", "x", "full", "probes", "1"]))
-    return st.one_of(scalar, st.lists(scalar, max_size=4),
-                     st.dictionaries(st.sampled_from(["re", "kind", "x"]), scalar,
-                                     max_size=2))
+    values = st.one_of(scalar, st.lists(scalar, max_size=4),
+                       st.dictionaries(st.sampled_from(["re", "kind", "x"]), scalar,
+                                       max_size=2))
+    if cap is None:
+        return values
+    return st.one_of(st.just(cap), st.integers(1, cap), values)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -592,9 +598,13 @@ def test_mutated_configs_exit_with_documented_codes(data):
         paths = list(_paths(cfg))
         if not paths:
             break
-        path = data.draw(st.sampled_from(paths))
+        sized = [p for p in paths if SIZE_CAPS.keys() & set(p)]
+        if sized and data.draw(st.booleans()):
+            path, delete = data.draw(st.sampled_from(sized)), False
+        else:
+            path, delete = data.draw(st.sampled_from(paths)), data.draw(st.booleans())
         parent = functools.reduce(operator.getitem, path[:-1], cfg)
-        if data.draw(st.booleans()):
+        if delete:
             del parent[path[-1]]
         else:
             caps = [SIZE_CAPS[k] for k in path if k in SIZE_CAPS]
@@ -604,6 +614,18 @@ def test_mutated_configs_exit_with_documented_codes(data):
         cfg_path.write_text(json.dumps(cfg))
         argv = [command, str(cfg_path), "--output-dir", str(Path(d) / "out")]
         assert cli.main(argv) in (0, 2, 3, 4)
+
+
+# --------------------------------------------------------- public names
+
+
+def test_public_names_resolve_once():
+    names = ergosym.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(ergosym, name)
+    for gone in ("eval_weight", "hl_integral"):
+        assert gone not in names and not hasattr(ergosym, gone)
 
 
 # ------------------------------------------------------------ thread pins

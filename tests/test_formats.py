@@ -10,7 +10,6 @@ import pytest
 
 from ergosym import (
     AtomicMeasureSpace,
-    eval_weight,
     CompositionOperator,
     InputError,
     KernelOperator,
@@ -142,13 +141,13 @@ def test_operator_from_json_errors():
 def test_weight_from_json_kinds():
     w = weight_from_json({"kind": "lambda_power", "lambda_re": 0.0,
                           "lambda_im": 1.0})
-    assert eval_weight(w, 3) == pytest.approx(-1j)
+    assert w.values(4)[3] == pytest.approx(-1j)
     p = weight_from_json({"kind": "periodic", "re": [1, -1]})
-    assert eval_weight(p, 5) == -1.0
+    assert p.values(6)[5] == -1.0
     c = weight_from_json({"kind": "constant", "re": 2.0})
-    assert eval_weight(c, 10) == 2.0
+    assert c.values(11)[10] == 2.0
     e = weight_from_json({"kind": "explicit", "re": [0.5, 2.0], "bound": 1.0})
-    assert eval_weight(e, 1) == 2.0 and e.bound == 1.0
+    assert e.values(2)[1] == 2.0 and e.bound == 1.0
 
 
 def test_weight_from_json_trig_poly_exact_phase():
@@ -158,11 +157,11 @@ def test_weight_from_json_trig_poly_exact_phase():
     )
     term = w.poly.terms[0]
     assert term.phase == Fraction(1, 6)
-    assert eval_weight(w, 6) == pytest.approx(1.0, abs=1e-15)
+    assert w.values(7)[6] == pytest.approx(1.0, abs=1e-15)
     v = weight_from_json(
         {"kind": "trig_poly", "terms": [{"z_re": 2.0, "lam_re": -1.0}]}
     )
-    assert eval_weight(v, 3) == pytest.approx(-2.0)
+    assert v.values(4)[3] == pytest.approx(-2.0)
 
 
 def test_weight_from_json_unknown_kind():

@@ -12,12 +12,12 @@ from ergosym import (
     WeightSequence,
     besicovitch_deviation,
     dft_interpolant,
-    eval_weight,
     limsup_deviation,
     unit_powers,
     unit_powers_matrix,
     validate_bound,
 )
+from ergosym.weights import RENORM_EVERY
 
 
 # ---------------------------------------------------------------- evaluation
@@ -25,52 +25,70 @@ from ergosym import (
 
 def test_eval_constant():
     w = WeightSequence.constant(1.0)
+    vals = w.values(1001)
     for k in (0, 3, 1000):
-        assert eval_weight(w, k) == 1.0 + 0j
+        assert vals[k] == 1.0 + 0j
 
 
 def test_eval_periodic_parity():
     w = WeightSequence.periodic(np.array([1.0, -1.0]))
-    assert eval_weight(w, 7) == -1.0 + 0j
-    assert eval_weight(w, 8) == 1.0 + 0j
+    assert w.values(8)[7] == -1.0 + 0j
+    assert w.values(9)[8] == 1.0 + 0j
 
 
 def test_eval_trig_poly_power():
     p = TrigPolynomial((TrigTerm(2.0 + 0j, 1j),))
     w = WeightSequence.trig_poly(p)
-    assert eval_weight(w, 3) == pytest.approx(-2j, abs=1e-12)
+    assert w.values(4)[3] == pytest.approx(-2j, abs=1e-12)
 
 
 def test_eval_lambda_power():
     w = WeightSequence.lambda_power(1j)
-    assert eval_weight(w, 5) == pytest.approx(1j, abs=1e-14)
+    assert w.values(6)[5] == pytest.approx(1j, abs=1e-14)
 
 
 def test_eval_explicit_and_exhaustion():
     w = WeightSequence.explicit(np.array([0.5, 2.0]))
-    assert eval_weight(w, 1) == 2.0 + 0j
+    assert w.values(2)[1] == 2.0 + 0j
     with pytest.raises(InputError):
-        eval_weight(w, 2)
+        w.values(3)[2]
     with pytest.raises(InputError):
         w.values(3)
 
 
-def test_eval_negative_index():
-    with pytest.raises(InputError):
-        eval_weight(WeightSequence.constant(1.0), -1)
-
-
-def test_values_matches_eval():
+def test_values_prefixes_are_bitwise_stable():
+    # one evaluator per kind: a shorter prefix must be the same bits as the
+    # start of a longer one, across the lambda^k renormalization boundary
+    free = TrigTerm(0.5 - 2j, np.exp(2j * np.pi * 0.123456789))
+    exact = TrigTerm.from_phase(1j, Fraction(3, 7))
+    n = 2 * RENORM_EVERY + 5
     specs = [
         WeightSequence.constant(2.0 - 1j),
         WeightSequence.periodic(np.array([1.0, 0.0, -1.0])),
+        WeightSequence.explicit(np.arange(n) * (1.0 - 0.5j)),
         WeightSequence.lambda_power(np.exp(0.7j)),
+        WeightSequence.trig_poly(TrigPolynomial((free, exact))),
         WeightSequence.trig_poly(dft_interpolant(np.array([1.0, 1j, -1.0]))),
     ]
     for w in specs:
-        vals = w.values(40)
-        for k in (0, 1, 17, 39):
-            assert vals[k] == pytest.approx(eval_weight(w, k), abs=1e-12)
+        full = w.values(n)
+        assert full.shape == (n,)
+        for m in (0, 1, 17, RENORM_EVERY - 1, RENORM_EVERY, RENORM_EVERY + 1,
+                  2 * RENORM_EVERY, n):
+            assert w.values(m).tobytes() == full[:m].tobytes()
+        with pytest.raises(InputError):
+            w.values(-1)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1j, 0.6 + 0.8j])
+def test_lambda_power_is_unit_powers_bitwise(lam):
+    # lambda^k keeps its own branch: routing it through a trig polynomial
+    # with coefficient 1+0j would flip the sign of zero imaginary parts
+    n = 5000
+    vals = WeightSequence.lambda_power(lam).values(n)
+    assert vals.tobytes() == unit_powers(lam, n).tobytes()
+    if lam in (-1.0, -1j):
+        assert np.any(np.signbit(vals.imag) & (vals.imag == 0))
 
 
 def test_lambda_power_requires_unit_modulus():
@@ -181,8 +199,9 @@ def test_dft_p2_alternating_by_hand():
     assert coeffs[0][0] == pytest.approx(0.0, abs=1e-15)
     assert coeffs[1][0] == pytest.approx(1.0, abs=1e-15)
     assert coeffs[1][1] == pytest.approx(-1.0, abs=1e-15)
+    vals = p.values(10)
     for k in range(10):
-        assert p.evaluate(k) == pytest.approx((-1.0) ** k, abs=1e-14)
+        assert vals[k] == pytest.approx((-1.0) ** k, abs=1e-14)
 
 
 def test_dft_p4_single_mode():
@@ -191,8 +210,9 @@ def test_dft_p4_single_mode():
     assert len(nonzero) == 1
     assert nonzero[0].coefficient == pytest.approx(1.0 + 0j, abs=1e-14)
     assert nonzero[0].frequency == pytest.approx(1j, abs=1e-14)
+    vals = p.values(12)
     for k in range(12):
-        assert p.evaluate(k) == pytest.approx(1j**k, abs=1e-13)
+        assert vals[k] == pytest.approx(1j**k, abs=1e-13)
 
 
 def test_dft_reproduction_long_horizon():

@@ -47,6 +47,16 @@ def _validated_checkpoints(checkpoints) -> tuple[int, ...]:
     return cps
 
 
+def _horizon(checkpoints, max_iterations: int) -> tuple[int, ...]:
+    """Validated checkpoints whose last one fits the iteration budget."""
+    cps = _validated_checkpoints(checkpoints)
+    if cps[-1] > max_iterations:
+        raise BudgetError(
+            f"last checkpoint {cps[-1]} exceeds the iteration budget {max_iterations}"
+        )
+    return cps
+
+
 @dataclass(eq=False)
 class AveragingReport:
     """Per-checkpoint averages, norms, and probe values.
@@ -99,12 +109,7 @@ def _probe_orbit(T, f, probes, steps):
 
 
 def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iterations):
-    cps = _validated_checkpoints(checkpoints)
-    if cps[-1] > max_iterations:
-        raise BudgetError(
-            f"last checkpoint {cps[-1]} exceeds the iteration budget "
-            f"{max_iterations}"
-        )
+    cps = _horizon(checkpoints, max_iterations)
     if not T.space.is_compatible(f.space):
         raise InputError("operator and function live on different spaces")
     n_atoms = T.space.n_atoms

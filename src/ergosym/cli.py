@@ -4,8 +4,8 @@ Subcommands: rearrange, norms, ds-check, average, weighted-average,
 wiener-wintner, return-times, counterexample. Configs carry a versioned
 "schema": 1 field and a single 64-bit seed; every output header records the
 seed, and identical configs produce byte-identical outputs. Exit codes:
-0 success, 2 validation error, 3 budget exhausted, 4 internal consistency
-failure.
+0 success, 2 validation error, 3 budget exhausted or out of memory, 4
+internal consistency failure.
 
 Each config is decoded once, by `_decode`, into a `Plan` that the
 command's runner executes; `validate` is the diagnostics view of the same
@@ -30,8 +30,9 @@ from .operators import Operator, ds_certificate
 from .return_times import (
     RESONANCE_TOL,
     PointSystem,
-    product_average,
     _cycles,
+    _rotation_table,
+    product_average,
     wiener_wintner_sweep,
 )
 from .rng import SplitMix64
@@ -344,16 +345,9 @@ def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
         resonant = []
         for j in range(grid):
             q_phase = (Fraction(j, grid) + rho) % 1
-            q = _cycles(float(q_phase))
-            if abs(1.0 - q) < RESONANCE_TOL:
+            if abs(1.0 - _cycles(float(q_phase))) < RESONANCE_TOL:
                 resonant.append(j)
-            if q_phase == 0:
-                oracle[j] = np.array(fronts)[:, None]
-                continue
-            for ci, n in enumerate(cps):
-                qn = _cycles(float((n * q_phase) % 1))
-                for pi, front in enumerate(fronts):
-                    oracle[j, pi, ci] = front * (1.0 - qn) / (n * (1.0 - q))
+            oracle[j] = _rotation_table(q_phase, fronts, cps)
     return {plan.output: formats.sweep_csv(sweep, plan.seed, oracle, resonant)}
 
 
@@ -446,6 +440,9 @@ def main(argv=None) -> int:
         return 2
     except (BudgetError, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; reduce the config's sizes", file=sys.stderr)
         return 3
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
 The CLI maps these onto exit statuses: InputError and its subclasses
-(including WindowError and CapabilityError) exit 2, BudgetError and
-NumericError exit 3, ConsistencyError exits 4.
+(including WindowError and CapabilityError) exit 2, BudgetError,
+NumericError and Python's MemoryError exit 3, ConsistencyError exits 4.
 """
 
 

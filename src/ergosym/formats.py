@@ -107,7 +107,7 @@ def function_from_json(
             raise InputError("random function spec must be an object")
         kind = spec.get("kind", "complex")
         scale = float(spec.get("scale", 1.0))
-        u = np.array(rng.uniforms(2 * n))
+        u = rng.uniforms(2 * n)
         if kind == "complex":
             v = (2 * u[:n] - 1) + 1j * (2 * u[n:] - 1)
         elif kind == "real":

@@ -17,8 +17,8 @@ from math import pi
 
 import numpy as np
 
-from .averaging import DEFAULT_BUDGET, _validated_checkpoints
-from .errors import BudgetError, InputError
+from .averaging import DEFAULT_BUDGET, _horizon
+from .errors import InputError
 from .operators import _check_measure_preserving
 from .spaces import AtomicMeasureSpace, MeasurableFunction
 
@@ -89,11 +89,7 @@ def product_average(
 ) -> ProductAverageReport:
     """Averages (1/n) sum_{k<n} f(tau^k w) g(phi^k y) at the checkpoints,
     for each probe pair (w, y). One orbit traversal per system per probe."""
-    cps = _validated_checkpoints(checkpoints)
-    if cps[-1] > max_iterations:
-        raise BudgetError(
-            f"last checkpoint {cps[-1]} exceeds the iteration budget {max_iterations}"
-        )
+    cps = _horizon(checkpoints, max_iterations)
     if not system_a.space.is_compatible(f.space):
         raise InputError("f must live on the first system's space")
     if not system_b.space.is_compatible(g.space):
@@ -149,11 +145,7 @@ def wiener_wintner_sweep(
     are exact integers mod G; time is O(n + C G log G) and memory
     O(n + C G) per probe, for C checkpoints.
     """
-    cps = _validated_checkpoints(checkpoints)
-    if cps[-1] > max_iterations:
-        raise BudgetError(
-            f"last checkpoint {cps[-1]} exceeds the iteration budget {max_iterations}"
-        )
+    cps = _horizon(checkpoints, max_iterations)
     if not system.space.is_compatible(f.space):
         raise InputError("f must live on the system's space")
     if grid_size < 1:
@@ -213,6 +205,20 @@ def rotation_q(rho, lam):
     return q, q == 1.0 + 0j
 
 
+def _rotation_table(q_phase: Fraction, fronts, ns) -> np.ndarray:
+    """front (1 - q^n) / (n (1 - q)) per front (rows) and n (columns) for
+    q = e^{2 pi i q_phase}, q_phase exact in cycles; the front at q == 1."""
+    if q_phase == 0:
+        return np.repeat(np.array(fronts)[:, None], len(ns), axis=1)
+    out = np.empty((len(fronts), len(ns)), dtype=complex)
+    q = _cycles(float(q_phase))
+    for c, n in enumerate(ns):
+        qn = _cycles(float((n * q_phase) % 1))
+        for p, front in enumerate(fronts):
+            out[p, c] = front * (1.0 - qn) / (n * (1.0 - q))
+    return out
+
+
 def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     """Closed form of (1/n) sum_{k<n} lam^k e^{2 pi i (omega + k rho)}.
 
@@ -228,13 +234,8 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     front = _cycles(float(omega_phase))
     if isinstance(lam, (Fraction, int, tuple)):
         q_phase = (_as_fraction(lam) + rho) % 1
-        if q_phase == 0:
-            return front
-        q = _cycles(float(q_phase))
-        qn = _cycles(float((n * q_phase) % 1))
-    else:
-        q, resonant = rotation_q(rho, lam)
-        if resonant:
-            return front
-        qn = q**n
-    return front * (1.0 - qn) / (n * (1.0 - q))
+        return complex(_rotation_table(q_phase, [front], [n])[0, 0])
+    q, resonant = rotation_q(rho, lam)
+    if resonant:
+        return front
+    return front * (1.0 - q**n) / (n * (1.0 - q))

@@ -7,26 +7,24 @@ platform or library version, so runs with the same config are byte-identical.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """64-bit SplitMix generator; `uniform` yields doubles in [0, 1)."""
+    """64-bit SplitMix generator; `uniforms` yields doubles in [0, 1)."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        # top 53 bits -> dyadic rational in [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniforms(self, n: int) -> list[float]:
-        return [self.uniform() for _ in range(n)]
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n doubles: top 53 bits of mixed state + k gamma, k = 1..n."""
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + k * np.uint64(_GAMMA)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)) * 2.0**-53

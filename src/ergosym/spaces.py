@@ -29,6 +29,12 @@ EXACT_TOL = 1e-12
 _MAX_BRACKET_STEPS = 200
 
 
+def _piece(edges: np.ndarray, t, pieces: int) -> np.ndarray:
+    """Index i of the piece [edges[i], edges[i+1]) holding each t, clipped
+    to the first and last of `pieces` pieces."""
+    return np.clip(np.searchsorted(edges, t, side="right") - 1, 0, pieces - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class AtomicMeasureSpace:
     """Finite weighted atom set.
@@ -101,20 +107,6 @@ class MeasurableFunction:
         v[np.asarray(atoms, dtype=int)] = 1.0
         return cls(v, space)
 
-    def __add__(self, other):
-        if not isinstance(other, MeasurableFunction):
-            return NotImplemented
-        if not self.space.is_compatible(other.space):
-            raise InputError("cannot add functions on incompatible spaces")
-        return MeasurableFunction(self.values + other.values, self.space)
-
-    def __sub__(self, other):
-        if not isinstance(other, MeasurableFunction):
-            return NotImplemented
-        if not self.space.is_compatible(other.space):
-            raise InputError("cannot subtract functions on incompatible spaces")
-        return MeasurableFunction(self.values - other.values, self.space)
-
     def __mul__(self, c):
         if not isinstance(c, (int, float, complex)):
             return NotImplemented
@@ -161,14 +153,11 @@ class Rearrangement:
     def values_at(self, t) -> np.ndarray:
         """Plateau values mu_t at points t >= 0; zero past the support."""
         t = np.asarray(t, dtype=float)
+        if not np.all(t >= 0):  # also rejects NaN
+            raise InputError("rearrangement values need t >= 0")
         if self.plateaus.size == 0:
             return np.zeros_like(t)
-        i = np.clip(
-            np.searchsorted(self.breakpoints, t, side="right") - 1,
-            0,
-            self.plateaus.size - 1,
-        )
-        out = self.plateaus[i]
+        out = self.plateaus[_piece(self.breakpoints, t, self.plateaus.size)]
         return np.where(t >= self.breakpoints[-1], 0.0, out)
 
     def integral(self, s: float) -> float:
@@ -183,7 +172,7 @@ class Rearrangement:
         if self.plateaus.size == 0:
             return np.zeros_like(s)
         bp, pl, prefix = self.breakpoints, self.plateaus, self._prefix
-        i = np.clip(np.searchsorted(bp, s, side="right") - 1, 0, pl.size - 1)
+        i = _piece(bp, s, pl.size)
         inside = prefix[i] + pl[i] * (s - bp[i])
         return np.where(s >= bp[-1], prefix[-1], inside)
 
@@ -264,10 +253,7 @@ def norm(f: MeasurableFunction, which: str) -> float:
     if key == "linf":
         return float(np.max(np.abs(f.values)))
     if key == "l1pluslinf":
-        r = rearrangement(f)
-        if r.plateaus.size == 0:
-            return 0.0
-        return r.integral(1.0)
+        return rearrangement(f).integral(1.0)
     if key == "l1caplinf":
         return max(norm(f, "L1"), norm(f, "Linf"))
     raise InputError(f"unknown norm {which!r}")
@@ -277,23 +263,22 @@ def norm(f: MeasurableFunction, which: str) -> float:
 class OrliczFunction:
     """Convex Orlicz function: phi(0) = 0, positive somewhere on (0, inf).
 
-    `evaluate` must accept numpy arrays. Convexity and the positivity ray
-    are spot-checked at construction on a fixed grid.
+    `evaluate` must accept numpy arrays. Convexity and positivity are
+    spot-checked at construction on a fixed grid.
     """
 
     evaluate: Callable
-    positive_at: float = 1.0
 
     def __post_init__(self):
         phi = self.evaluate
         if abs(float(phi(np.array(0.0)))) > EXACT_TOL:
             raise InputError("Orlicz function must vanish at 0")
-        if float(phi(np.array(float(self.positive_at)))) <= 0:
-            raise InputError("Orlicz function must be positive on declared ray")
         grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
         vals = np.asarray(phi(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise InputError("Orlicz evaluator must be finite on the spot grid")
+        if not np.any(vals > 0):
+            raise InputError("Orlicz function must be positive on the spot grid")
         for i in range(grid.size):
             for j in range(i + 1, grid.size):
                 mid = float(phi(np.array((grid[i] + grid[j]) / 2.0)))
@@ -387,9 +372,7 @@ class LorentzWeight:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise InputError("Lorentz weights are defined on t >= 0")
-        i = np.clip(
-            np.searchsorted(self.knots, t, side="right") - 1, 0, self.knots.size - 1
-        )
+        i = _piece(self.knots, t, self.knots.size)
         return self._knot_values[i] + self.slopes[i] * (t - self.knots[i])
 
     @classmethod
@@ -411,8 +394,6 @@ def lorentz_norm(f: MeasurableFunction, w: LorentzWeight) -> float:
     sum_i plateau_i * (phi(t_i) - phi(t_{i-1})).
     """
     r = rearrangement(f)
-    if r.plateaus.size == 0:
-        return 0.0
     pv = w.evaluate(r.breakpoints)
     return float(np.sum(r.plateaus * np.diff(pv)))
 

@@ -214,19 +214,16 @@ def dft_interpolant(vals) -> TrigPolynomial:
     return TrigPolynomial(terms)
 
 
-def limsup_deviation(
-    w: WeightSequence, poly: TrigPolynomial, n_max: int, samples: int = 16
-) -> float:
+def limsup_deviation(w: WeightSequence, poly: TrigPolynomial, n_max: int) -> float:
     """Estimate limsup_n of the averaged deviation.
 
-    Samples n along a geometric grid up to n_max and reports the running
-    max over the tail half of the samples; an estimate, not a certificate.
+    Samples n at 16 points of a geometric grid up to n_max and reports the
+    running max over the tail half of the samples; an estimate, not a
+    certificate.
     """
-    if n_max < 2 or samples < 2:
-        raise InputError("need n_max >= 2 and samples >= 2")
-    grid = np.unique(
-        np.geomspace(2, n_max, num=samples).astype(int)
-    )
+    if n_max < 2:
+        raise InputError("need n_max >= 2")
+    grid = np.unique(np.geomspace(2, n_max, num=16).astype(int))
     devs = [besicovitch_deviation(w, poly, int(n)) for n in grid]
     tail = devs[len(devs) // 2 :]
     return float(max(tail))

@@ -131,3 +131,19 @@ def product_average_oracle(order_a, step_a, fa, order_b, step_b, gb, wa, yb, n):
     for k in range(n):
         acc += fa[(wa + k * step_a) % order_a] * gb[(yb + k * step_b) % order_b]
     return acc / n
+
+
+def splitmix64_uniforms(state, n):
+    """n SplitMix64 doubles in [0, 1) from a 64-bit state, one draw at a time
+    as published (Steele, Lea, Flood 2014): add gamma, mix, keep the top 53
+    bits. Returns (doubles, next state)."""
+    mask = (1 << 64) - 1
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        out.append((z >> 11) / float(1 << 53))
+    return np.array(out, dtype=float), state

@@ -332,6 +332,25 @@ def test_budget_exhaustion_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["decode", "run"])
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys, stage):
+    # stands in for a config whose arrays cannot be allocated, while decoding
+    # or while running; nothing large is ever requested
+    def exhausted(*args):
+        raise MemoryError
+
+    if stage == "decode":
+        monkeypatch.setattr(cli.formats, "space_from_json", exhausted)
+    else:
+        monkeypatch.setitem(cli._RUNNERS, "rearrange", exhausted)
+    cfg = {"schema": 1, "seed": 1, "space": {"atoms": 4}, "function": {"constant": 1}}
+    path = write_cfg(tmp_path, "m.json", cfg)
+    assert cli.main(["rearrange", path, "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.json"]
+
+
 def test_counterexample_window_too_small_exits_2(tmp_path, capsys):
     rc = cli.main([
         "counterexample", "--stages", "3", "--window", "8",

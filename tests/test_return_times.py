@@ -16,6 +16,7 @@ from ergosym import (
     MeasurableFunction,
     PointSystem,
     WeightSequence,
+    cesaro,
     geometric_checkpoints,
     product_average,
     rotation_closed_form,
@@ -280,6 +281,34 @@ def test_sweep_budget_error():
     f = MeasurableFunction.ones(sys_.space)
     with pytest.raises(BudgetError):
         wiener_wintner_sweep(sys_, f, (0,), 4, (10, 100), max_iterations=50)
+
+
+HORIZON_ENGINES = {
+    "cesaro": lambda s, f, cps, budget: cesaro(
+        CompositionOperator(s.tau, np.ones(4), s.space), f, cps, max_iterations=budget
+    ),
+    "weighted": lambda s, f, cps, budget: weighted(
+        CompositionOperator(s.tau, np.ones(4), s.space), f,
+        WeightSequence.constant(1.0), cps, max_iterations=budget,
+    ),
+    "product_average": lambda s, f, cps, budget: product_average(
+        s, f, s, f, [(0, 1)], cps, max_iterations=budget
+    ),
+    "wiener_wintner_sweep": lambda s, f, cps, budget: wiener_wintner_sweep(
+        s, f, (0,), 4, cps, max_iterations=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(HORIZON_ENGINES))
+def test_horizon_guard_is_shared(engine):
+    run = HORIZON_ENGINES[engine]
+    s = PointSystem.cyclic(4)
+    f = character(s.space, 1)
+    run(s, f, (1, 3, 50), 50)  # a last checkpoint equal to the budget runs
+    with pytest.raises(BudgetError) as err:
+        run(s, f, (1, 3, 51), 50)
+    assert str(err.value) == "last checkpoint 51 exceeds the iteration budget 50"
 
 
 def test_product_with_character_second_factor_equals_sweep():

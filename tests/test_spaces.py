@@ -151,6 +151,18 @@ def test_rearrangement_invariants_rejected():
         Rearrangement(np.array([0.0, 1.0]), np.array([-1.0]))  # negative plateau
 
 
+def test_values_at_rejects_negative_and_nan_t():
+    r = rearrangement(mk([3.0, 1.0, 2.0]))
+    for bad in ([np.nan, -1.0], [-1.0], [np.nan], [0.5, -1e-300]):
+        with pytest.raises(InputError):
+            r.values_at(bad)
+    assert list(r.values_at([0.0, 1.0, 2.5, 3.0])) == [3.0, 2.0, 1.0, 0.0]
+    empty = rearrangement(mk([0.0, 0.0]))
+    with pytest.raises(InputError):
+        empty.values_at(-1.0)
+    assert list(empty.values_at([0.0, 4.0])) == [0.0, 0.0]
+
+
 # ---------------------------------------------------------- partial integral
 
 
@@ -317,6 +329,15 @@ def test_orlicz_validation():
         OrliczFunction(lambda u: np.sqrt(u))  # concave, fails midpoint check
     with pytest.raises(InputError):
         OrliczFunction.power(0.5)
+
+
+def test_orlicz_positivity_is_checked_on_the_spot_grid():
+    # zero on [0, 2] (so zero at 1), positive from 2 on
+    phi = OrliczFunction(lambda u: np.maximum(0.0, u - 2.0) ** 2)
+    # least a with (1/a - 2)^2 <= 1 is a = 1/3
+    assert luxemburg_norm(mk([1.0]), phi, tol=1e-12) == pytest.approx(1 / 3, abs=1e-9)
+    with pytest.raises(InputError):
+        OrliczFunction(lambda u: 0.0 * u)
 
 
 def test_luxemburg_reduces_to_l1_for_identity():

@@ -4,12 +4,13 @@ Subcommands: rearrange, norms, ds-check, average, weighted-average,
 wiener-wintner, return-times, counterexample. Configs carry a versioned
 "schema": 1 field and a single 64-bit seed; every output header records the
 seed, and identical configs produce byte-identical outputs. Exit codes:
-0 success, 2 validation error, 3 budget exhausted or out of memory, 4
-internal consistency failure.
+0 success, 2 validation error, 3 budget exhausted or out of memory (also
+numpy's ValueError for an array too large to address), 4 internal
+consistency failure.
 
 Each config is decoded once, by `_decode`, into a `Plan` that the
 command's runner executes; `validate` is the diagnostics view of the same
-pass.
+pass. Every value is read by the `formats` decoders.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import averaging, divergence, formats
 from .errors import BudgetError, ConsistencyError, InputError, NumericError
-from .formats import SCHEMA_VERSION, atomic_write_text
+from .formats import atomic_write_text
 from .operators import Operator, ds_certificate
 from .return_times import (
     RESONANCE_TOL,
@@ -64,8 +65,9 @@ _OUTPUTS = {
 # stops it before the window runs out
 _AUTO_WINDOW_CAP = 1 << 22
 
-# what a decoder raises on a malformed spec
-_DECODE_ERRORS = (InputError, LookupError, TypeError, ValueError, ArithmeticError)
+# how numpy's ValueError starts when an array's byte size or a dimension
+# exceeds what it can address
+_NUMPY_OVERSIZE = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 @dataclass(frozen=True)
@@ -110,105 +112,39 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _positive(x) -> int:
-    if not _is_int(x) or x < 1:
-        raise InputError("must be a positive integer")
-    return x
-
-
-def _checkpoints(spec) -> tuple[int, ...]:
-    if isinstance(spec, dict):
-        if "geometric" not in spec:
-            raise InputError("checkpoint objects must carry 'geometric'")
-        return averaging.geometric_checkpoints(int(spec["geometric"]))
-    return averaging._validated_checkpoints(spec)
-
-
-def _system(spec) -> PointSystem:
-    if not isinstance(spec, dict) or "order" not in spec:
-        raise InputError("system spec needs an 'order'")
-    return PointSystem.cyclic(
-        int(spec["order"]), int(spec.get("step", 1)), float(spec.get("weight", 1.0))
-    )
-
-
-def _probes(spec, *orders) -> tuple:
-    """Probe atoms in range(order), or (omega, y) pairs for two orders."""
-    if not isinstance(spec, list):
-        raise InputError("probes must be a list")
-
-    def atom(p, n):
-        if not _is_int(p) or not 0 <= p < n:
-            raise InputError("probe atom out of range")
-        return p
-
-    if len(orders) == 1:
-        return tuple(atom(p, orders[0]) for p in spec)
-    if any(not isinstance(p, list) or len(p) != 2 for p in spec):
-        raise InputError("probes must be [omega, y] pairs")
-    return tuple((atom(a, orders[0]), atom(b, orders[1])) for a, b in spec)
-
-
-def _orlicz(spec) -> tuple[OrliczFunction, float]:
-    if not isinstance(spec, dict) or "power" not in spec:
-        raise InputError("orlicz spec needs a 'power'")
-    tol = float(spec.get("tol", 1e-10))
-    if not 0.0 < tol < float("inf"):
-        raise InputError("tol must be positive and finite")
-    return OrliczFunction.power(float(spec["power"])), tol
-
-
-def _lorentz(spec) -> LorentzWeight:
-    if isinstance(spec, dict) and "capped" in spec:
-        return LorentzWeight.capped(float(spec["capped"]))
-    if not isinstance(spec, dict) or "knots" not in spec or "slopes" not in spec:
-        raise InputError("lorentz spec needs 'capped', or 'knots' and 'slopes'")
-    return LorentzWeight(
-        np.asarray(spec["knots"], dtype=float), np.asarray(spec["slopes"], dtype=float)
-    )
-
-
 def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
     """Decode a config for `command` in one pass.
 
     Returns the plan and no diagnostics, or None and every diagnostic the
-    config raises. Random functions are drawn from one SplitMix64(seed), in
-    config order: `function` before `second_function`.
+    config raises. Which keys a command needs is decided here; every value
+    is read by a `formats` decoder. Random functions are drawn from one
+    SplitMix64(seed), in config order: `function` before `second_function`.
     """
     diags: list[str] = []
 
     def attempt(label, decode, *args):
+        """Run a decoder; its InputError becomes a diagnostic, under `label`."""
         try:
             return decode(*args)
-        except _DECODE_ERRORS as e:
-            diags.append(f"{label}: {e}")
+        except InputError as e:
+            diags.append(f"{label}: {e}" if label else str(e))
             return None
 
-    def need(key, decode, *deps):
-        """Decode a required key; skipped when a spec it depends on failed."""
+    def need(key, decode, *args):
+        """Decode a required key; skipped when a spec it depends on failed
+        (an argument is None)."""
         if key not in cfg:
-            diags.append(f"missing {key!r}")
-        elif all(d is not None for d in deps):
-            return attempt(key, decode, cfg[key], *deps)
+            diags.append(f"{key}: missing")
+        elif all(a is not None for a in args):
+            return attempt(key, decode, cfg[key], *args)
         return None
 
-    if cfg.get("schema") != SCHEMA_VERSION:
-        diags.append(f"schema must be {SCHEMA_VERSION}, got {cfg.get('schema')!r}")
-    seed = cfg.get("seed", 0)
-    if not _is_int(seed) or not 0 <= seed < 1 << 64:
-        diags.append("seed must be a 64-bit integer")
-        seed = 0
+    attempt(None, formats.schema_from_json, cfg.get("schema"))
+    seed = attempt(None, formats.seed_from_json, cfg.get("seed", 0)) or 0
     rng = SplitMix64(seed)
     key, output = _OUTPUTS[command]
-    outputs = cfg.get("outputs", {})
-    if isinstance(outputs, dict):
-        output = outputs.get(key, output)
-    if not isinstance(output, str) or Path(output).name in ("", ".."):
-        diags.append(f"outputs: {key!r} must be a file name")
+    output = attempt("outputs", formats.output_from_json, cfg.get("outputs", {}), key,
+                     output)
     plan: dict = {"seed": seed, "output": output}
 
     if command in ("wiener-wintner", "return-times"):
@@ -217,13 +153,11 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
             keys.append(("second_system", "second_function"))
         orders = []
         for sys_key, f_key in keys:
-            system = plan[sys_key] = need(sys_key, _system)
+            system = plan[sys_key] = need(sys_key, formats.system_from_json)
             space = getattr(system, "space", None)
             plan[f_key] = need(f_key, formats.function_from_json, space, rng)
             orders.append(getattr(space, "n_atoms", None))
-        plan["probes"] = need("probes", _probes, *orders)
-        if plan["probes"] == ():
-            diags.append("missing 'probes'")
+        plan["probes"] = need("probes", formats.probes_from_json, *orders)
     elif command in ("ds-check", "average", "weighted-average"):
         op = cfg.get("operator")
         if isinstance(op, dict) and op.get("kind") == "counterexample":
@@ -240,19 +174,18 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
         plan["function"] = need("function", formats.function_from_json, space, rng)
 
     if command == "norms":
-        for name, decode in (("orlicz", _orlicz), ("lorentz", _lorentz)):
+        for name, decode in (("orlicz", formats.orlicz_from_json),
+                             ("lorentz", formats.lorentz_from_json)):
             if name in cfg:
                 plan[name] = attempt(name, decode, cfg[name])
 
     if command in ("average", "weighted-average"):
         if space is not None:
             plan["probes"] = attempt(
-                "probes", _probes, cfg.get("probes", [0]), space.n_atoms
+                "probes", formats.probes_from_json, cfg.get("probes", [0]),
+                space.n_atoms,
             )
-        mode = cfg.get("mode", "full")
-        if mode not in ("full", "probes"):
-            diags.append(f"mode must be 'full' or 'probes', got {mode!r}")
-        plan["full"] = mode == "full"
+        plan["full"] = attempt(None, formats.mode_from_json, cfg.get("mode", "full"))
 
     if command == "weighted-average":
         w = plan["weight"] = need("weight", formats.weight_from_json)
@@ -262,20 +195,17 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
             diags.append("weight: materialized values exceed the declared bound")
 
     if command in ("average", "weighted-average", "wiener-wintner", "return-times"):
-        plan["checkpoints"] = need("checkpoints", _checkpoints)
+        plan["checkpoints"] = need("checkpoints", formats.checkpoints_from_json)
         plan["budget"] = attempt(
-            "max_iterations",
-            _positive,
-            cfg.get("max_iterations", averaging.DEFAULT_BUDGET),
+            "max_iterations", formats.value,
+            cfg.get("max_iterations", averaging.DEFAULT_BUDGET), "positive",
         )
 
     if command == "wiener-wintner":
-        plan["lambda_grid"] = need("lambda_grid", _positive)
-        spec = cfg.get("function")
-        if plan["function"] is not None and "character" in spec:
+        plan["lambda_grid"] = need("lambda_grid", formats.value, "positive")
+        if plan["function"] is not None:
             # rotation model: the runner adds closed-form oracle columns
-            character = attempt("function", int, spec["character"])
-            plan["rotation"] = (character, int(cfg["system"].get("step", 1)))
+            plan["rotation"] = formats.rotation_from_json(cfg["function"], cfg["system"])
 
     return (None, diags) if diags else (Plan(**plan), [])
 
@@ -441,7 +371,10 @@ def main(argv=None) -> int:
     except (BudgetError, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except MemoryError:
+    except (MemoryError, ValueError) as e:
+        # numpy refuses an oversize array with a ValueError before allocating
+        if isinstance(e, ValueError) and not str(e).startswith(_NUMPY_OVERSIZE):
+            raise
         print("error: out of memory; reduce the config's sizes", file=sys.stderr)
         return 3
     except ConsistencyError as e:

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit statuses: InputError and its subclasses
 (including WindowError and CapabilityError) exit 2, BudgetError,
-NumericError and Python's MemoryError exit 3, ConsistencyError exits 4.
+NumericError, Python's MemoryError and numpy's oversize-array ValueError
+exit 3, ConsistencyError exits 4.
 """
 
 

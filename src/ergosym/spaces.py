@@ -261,10 +261,11 @@ def norm(f: MeasurableFunction, which: str) -> float:
 
 @dataclass(frozen=True)
 class OrliczFunction:
-    """Convex Orlicz function: phi(0) = 0, positive somewhere on (0, inf).
+    """Convex Orlicz function: phi(0) = 0, phi >= 0, positive somewhere on
+    (0, inf).
 
-    `evaluate` must accept numpy arrays. Convexity and positivity are
-    spot-checked at construction on a fixed grid.
+    `evaluate` must accept numpy arrays. Convexity, nonnegativity and
+    positivity are spot-checked at construction on a fixed grid.
     """
 
     evaluate: Callable
@@ -277,8 +278,11 @@ class OrliczFunction:
         vals = np.asarray(phi(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise InputError("Orlicz evaluator must be finite on the spot grid")
-        if not np.any(vals > 0):
-            raise InputError("Orlicz function must be positive on the spot grid")
+        if np.any(vals < 0) or not np.any(vals > 0):
+            raise InputError(
+                "Orlicz function must be nonnegative, and positive somewhere, "
+                "on the spot grid"
+            )
         for i in range(grid.size):
             for j in range(i + 1, grid.size):
                 mid = float(phi(np.array((grid[i] + grid[j]) / 2.0)))

@@ -1,11 +1,14 @@
 """End-to-end command-line runs: exit codes, diagnostics, determinism."""
 
+import contextlib
 import copy
 import functools
 import hashlib
+import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -548,6 +551,95 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     assert not out.exists()
 
 
+# Each config holds one wrong value; the diagnostic names its key path.
+WEIGHTED = GOLDEN_CONFIGS["weighted-average"][1]
+
+
+@pytest.mark.parametrize("command, cfg, line", [
+    ("average", _with(README_AVERAGE, space={"atoms": 2.7}),
+     "config: space: atoms: must be an integer"),
+    ("average", _with(README_AVERAGE, space={"atoms": "3"}),
+     "config: space: atoms: must be an integer"),
+    ("average", _with(README_AVERAGE, space={"atoms": 4, "truncated": "no"}),
+     "config: space: truncated: must be true or false"),
+    ("average", _with(README_AVERAGE, function={"ones": "no"}),
+     "config: function: ones: must be true or false"),
+    ("average", _with(README_AVERAGE, checkpoints=[1.5, 2]),
+     "config: checkpoints: must hold integers"),
+    ("average", _with(README_AVERAGE, checkpoints={"geometric": 8.5}),
+     "config: checkpoints: geometric: must be an integer"),
+    ("wiener-wintner", _with(SMALL_SWEEP, system={"order": 8, "step": 1.9},
+                             function={"character": 2.5}),
+     "config: system: step: must be an integer"),
+    ("wiener-wintner", _with(SMALL_SWEEP, function={"character": 2.5}),
+     "config: function: character: must be an integer"),
+    ("weighted-average", _with(WEIGHTED, weight={"kind": "lambda_power",
+                                                 "lambda_re": float("nan")}),
+     "config: weight: lambda_re: must be a finite number"),
+    ("average", _with(README_AVERAGE, operator={"kind": "composition"}),
+     "config: operator: map: missing"),
+    ("average", _with(README_AVERAGE, operator={"kind": "kernel",
+                                                "matrix_re": [[1, 2], [3]]}),
+     "config: operator: matrix_re: must be a rectangular list"),
+    ("average", _with(README_AVERAGE, space={"atoms": None}),
+     "config: space: atoms: must be an integer"),
+    ("weighted-average", _with(WEIGHTED, weight={
+        "kind": "trig_poly", "terms": [{"z_re": 1, "phase_num": 1, "phase_den": 0}]}),
+     "config: weight: terms[0]: phase_den: must not be 0"),
+    ("wiener-wintner", _with(SMALL_SWEEP, system={"order": 8, "step": 2**70}),
+     "config: system: step: must be an integer"),
+    ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz={"power": 2, "tol": "x"}),
+     "config: orlicz: tol: must be a finite number"),
+    ("average", _with(README_AVERAGE, function={"constant": "abc"}),
+     "config: function: constant: must be a finite number"),
+    ("average", _with(README_AVERAGE, function={"random": {"kind": 3}}),
+     "config: function: random: kind: must be a string"),
+    ("average", _with(README_AVERAGE, operator={**README_AVERAGE["operator"],
+                                                "mult_re": [1] * 5}),
+     "config: operator: mult_re: expected 4 values, got 5"),
+    ("wiener-wintner", _with(SMALL_SWEEP, probes=[]),
+     "config: probes: must be a nonempty list"),
+    ("wiener-wintner", {k: v for k, v in SMALL_SWEEP.items() if k != "probes"},
+     "config: probes: missing"),
+    ("average", _with(README_AVERAGE, outputs={"averages": "../averages.csv"}),
+     "config: outputs: averages: must be a file name"),
+], ids=[
+    "atoms-fractional", "atoms-str", "truncated-str", "ones-str", "checkpoint-fractional",
+    "geometric-fractional", "step-fractional", "character-fractional", "lambda-nan",
+    "map-missing", "matrix-ragged", "atoms-null", "phase-den-zero", "step-70-bit",
+    "tol-str", "constant-str", "random-kind-int", "mult-too-long", "probes-empty",
+    "probes-absent", "output-outside-dir",
+])
+def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert any(ln.startswith(line) for ln in err.splitlines()), err
+    assert "Traceback" not in err and not out.exists()
+
+
+# numpy refuses each of these arrays before allocating anything
+@pytest.mark.parametrize("command, cfg", [
+    ("wiener-wintner", _with(SMALL_SWEEP, lambda_grid=2**62)),
+    ("wiener-wintner", _with(SMALL_SWEEP, checkpoints={"geometric": 2**62},
+                             max_iterations=2**62)),
+    ("weighted-average", _with(WEIGHTED, checkpoints={"geometric": 2**62},
+                               max_iterations=2**62)),
+    ("rearrange", {"schema": 1, "seed": 1, "space": {"atoms": 2**62},
+                   "function": {"ones": True}}),
+    ("ds-check", {"schema": 1, "seed": 1, "operator": {
+        "kind": "counterexample", "breakpoints": [1], "grid": 2**40, "window": 2**40}}),
+], ids=["lambda-grid", "ww-horizon", "weighted-horizon", "atoms", "cells-2^80"])
+def test_oversize_array_exits_3(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "big.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory; reduce the config's sizes\n"
+    assert not out.exists()
+
+
 def test_validate_is_empty_for_valid_configs():
     for command, cfg in GOLDEN_CONFIGS.values():
         assert cli.validate(cfg, command) == []
@@ -567,6 +659,12 @@ HORIZON_CAP = DEFAULT_BUDGET
 SIZE_CAP = 128
 SIZE_CAPS = {"checkpoints": HORIZON_CAP, "geometric": HORIZON_CAP,
              "atoms": SIZE_CAP, "order": SIZE_CAP, "lambda_grid": SIZE_CAP}
+
+TOP_LEVEL_KEYS = {
+    "schema", "seed", "outputs", "space", "operator", "function", "second_function",
+    "system", "second_system", "weight", "probes", "mode", "checkpoints",
+    "max_iterations", "lambda_grid", "orlicz", "lorentz",
+}
 
 MUTATION_BASES = [
     *GOLDEN_CONFIGS.values(),
@@ -628,11 +726,16 @@ def test_mutated_configs_exit_with_documented_codes(data):
         else:
             caps = [SIZE_CAPS[k] for k in path if k in SIZE_CAPS]
             parent[path[-1]] = data.draw(_values(min(caps, default=None)))
-    with tempfile.TemporaryDirectory() as d:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
         cfg_path = Path(d) / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         argv = [command, str(cfg_path), "--output-dir", str(Path(d) / "out")]
         assert cli.main(argv) in (0, 2, 3, 4)
+    # every diagnostic starts with the top-level key it is about
+    for line in err.getvalue().splitlines():
+        if line.startswith("config: "):
+            assert re.match(r"config: (\w+)", line)[1] in TOP_LEVEL_KEYS, line
 
 
 # --------------------------------------------------------- public names

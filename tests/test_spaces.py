@@ -340,6 +340,12 @@ def test_orlicz_positivity_is_checked_on_the_spot_grid():
         OrliczFunction(lambda u: 0.0 * u)
 
 
+def test_orlicz_rejects_negative_values_on_the_spot_grid():
+    # convex, zero at 0 and positive from 1/2 on, but phi(1/4) = -1/16
+    with pytest.raises(InputError, match="nonnegative"):
+        OrliczFunction(lambda u: u**2 - u / 2)
+
+
 def test_luxemburg_reduces_to_l1_for_identity():
     f = mk([3.0, 1.0, 2.0])
     phi = OrliczFunction.power(1.0)

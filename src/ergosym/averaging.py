@@ -39,7 +39,14 @@ def geometric_checkpoints(limit: int) -> tuple[int, ...]:
 
 
 def _validated_checkpoints(checkpoints) -> tuple[int, ...]:
-    cps = tuple(int(n) for n in checkpoints)
+    """Checkpoints as ints; integral floats and numpy integers pass."""
+    raw = tuple(checkpoints)
+    try:
+        cps = tuple(int(n) for n in raw)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
+        cps = None
+    if cps is None or cps != raw:
+        raise InputError("checkpoints must be integers")
     if len(cps) == 0:
         raise InputError("need at least one checkpoint")
     if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):

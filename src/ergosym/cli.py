@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +28,9 @@ from .errors import BudgetError, ConsistencyError, InputError, NumericError
 from .formats import atomic_write_text
 from .operators import Operator, ds_certificate
 from .return_times import (
-    RESONANCE_TOL,
     PointSystem,
-    _cycles,
-    _rotation_table,
     product_average,
+    rotation_oracle,
     wiener_wintner_sweep,
 )
 from .rng import SplitMix64
@@ -261,23 +258,10 @@ def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
         plan.system, plan.function, probes, grid, cps, plan.budget
     )
 
-    oracle = None
-    resonant = None
-    if plan.rotation is not None:
-        # rotation model: the closed form applies, emit oracle columns.
-        # These are rotation_closed_form's values to the last bit, with
-        # each exact phase computed once rather than once per entry.
+    oracle = resonant = None
+    if plan.rotation is not None:  # rotation model: emit closed-form oracle columns
         order = plan.system.space.n_atoms
-        c, step = plan.rotation
-        rho = Fraction(c * step, order)
-        fronts = [_cycles(float(Fraction(c * w, order))) for w in probes]
-        oracle = np.empty_like(sweep.averages)
-        resonant = []
-        for j in range(grid):
-            q_phase = (Fraction(j, grid) + rho) % 1
-            if abs(1.0 - _cycles(float(q_phase))) < RESONANCE_TOL:
-                resonant.append(j)
-            oracle[j] = _rotation_table(q_phase, fronts, cps)
+        oracle, resonant = rotation_oracle(order, *plan.rotation, probes, grid, cps)
     return {plan.output: formats.sweep_csv(sweep, plan.seed, oracle, resonant)}
 
 

@@ -15,7 +15,6 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
-from math import pi
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .rng import SplitMix64
 from .spaces import (
     AtomicMeasureSpace, LorentzWeight, MeasurableFunction, OrliczFunction,
 )
-from .weights import TrigPolynomial, TrigTerm, WeightSequence
+from .weights import TrigPolynomial, TrigTerm, WeightSequence, cycles
 
 SCHEMA_VERSION = 1
 
@@ -251,8 +250,8 @@ def function_from_json(
             c = _complex(c, "") if isinstance(c, dict) else value(c, "number")
         return MeasurableFunction(np.full(n, complex(c)), space)
     if form == "character":
-        c = read(obj, "character", "int")
-        return MeasurableFunction(np.exp(2j * pi * c * np.arange(n) / n), space)
+        c = read(obj, "character", "int") % n
+        return MeasurableFunction(cycles(c * np.arange(n) % n / n), space)
     if form is None:
         raise InputError("needs 're', 'ones', 'constant', 'character' or 'random'")
     if rng is None:
@@ -320,7 +319,7 @@ def weight_from_json(obj) -> WeightSequence:
             with _under(f"terms[{i}]"):
                 t = value(t, "object")
                 z = _complex(t, "z_")
-                if "phase_num" in t and "phase_den" in t:
+                if "phase_num" in t or "phase_den" in t:
                     den = read(t, "phase_den", "int")
                     if den == 0:
                         raise InputError("phase_den: must not be 0")

@@ -10,10 +10,8 @@ closed form (finite geometric series), used as the oracle.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi
 
 import numpy as np
 
@@ -21,6 +19,7 @@ from .averaging import DEFAULT_BUDGET, _horizon
 from .errors import InputError
 from .operators import _check_measure_preserving
 from .spaces import AtomicMeasureSpace, MeasurableFunction
+from .weights import cycles
 
 # |1 - q| below this flags a resonant grid point (slow geometric decay)
 RESONANCE_TOL = 1e-6
@@ -154,7 +153,7 @@ def wiener_wintner_sweep(
     if not probes:
         raise InputError("need at least one probe")
     g = int(grid_size)
-    lams = np.exp(2j * pi * np.arange(g) / g)
+    lams = cycles(np.arange(g) / g)
     n_max, n_cps = cps[-1], len(cps)
     # bin of term k: (index of its checkpoint segment) * G + k mod G
     bins = np.arange(n_max)
@@ -187,10 +186,6 @@ def _as_fraction(x) -> Fraction:
     raise InputError("rational angles must be Fraction, int, or (num, den)")
 
 
-def _cycles(phase: float) -> complex:
-    return cmath.exp(2j * pi * phase)
-
-
 def rotation_q(rho, lam):
     """Decay ratio q = lam e^{2 pi i rho} of the twisted rotation average.
 
@@ -200,8 +195,8 @@ def rotation_q(rho, lam):
     rho = _as_fraction(rho)
     if isinstance(lam, (Fraction, int, tuple)):
         q_phase = (_as_fraction(lam) + rho) % 1
-        return _cycles(float(q_phase)), q_phase == 0
-    q = complex(lam) * _cycles(float(rho % 1))
+        return cycles(float(q_phase)), q_phase == 0
+    q = complex(lam) * cycles(float(rho % 1))
     return q, q == 1.0 + 0j
 
 
@@ -211,12 +206,28 @@ def _rotation_table(q_phase: Fraction, fronts, ns) -> np.ndarray:
     if q_phase == 0:
         return np.repeat(np.array(fronts)[:, None], len(ns), axis=1)
     out = np.empty((len(fronts), len(ns)), dtype=complex)
-    q = _cycles(float(q_phase))
-    for c, n in enumerate(ns):
-        qn = _cycles(float((n * q_phase) % 1))
+    q = cycles(float(q_phase))
+    qns = cycles(np.array([float(n * q_phase % 1) for n in ns])).tolist()
+    for c, (n, qn) in enumerate(zip(ns, qns)):
         for p, front in enumerate(fronts):
             out[p, c] = front * (1.0 - qn) / (n * (1.0 - q))
     return out
+
+
+def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
+    """Closed-form sweep of f(w) = e^{2 pi i c w / order} under w -> w + step:
+    the oracle, indexed like SweepResult.averages, holding rotation_closed_form's
+    values to the last bit, and the grid indices where |1 - q| < RESONANCE_TOL."""
+    rho = Fraction(character * step, order)
+    fronts = [cycles(float(Fraction(character * w, order) % 1)) for w in probes]
+    oracle = np.empty((grid_size, len(fronts), len(checkpoints)), dtype=complex)
+    resonant = []
+    for j in range(grid_size):
+        q_phase = (Fraction(j, grid_size) + rho) % 1
+        if abs(1.0 - cycles(float(q_phase))) < RESONANCE_TOL:
+            resonant.append(j)
+        oracle[j] = _rotation_table(q_phase, fronts, checkpoints)
+    return oracle, resonant
 
 
 def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
@@ -231,7 +242,7 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     if n < 1:
         raise InputError("closed form needs n >= 1")
     rho = _as_fraction(rho)
-    front = _cycles(float(omega_phase))
+    front = cycles(float(omega_phase))
     if isinstance(lam, (Fraction, int, tuple)):
         q_phase = (_as_fraction(lam) + rho) % 1
         return complex(_rotation_table(q_phase, [front], [n])[0, 0])

@@ -26,6 +26,17 @@ from .errors import InputError
 UNIT_TOL = 1e-12
 # magnitude renormalization cadence for power streams
 RENORM_EVERY = 1024
+# exact phases need a reduced denominator below this: residues (num mod den)
+# times (k mod den) then stay below 2^62 in int64
+MAX_PHASE_DEN = 2**31
+
+
+def cycles(phase):
+    """e^{2 pi i phase}, elementwise; a Python complex for a scalar phase.
+    The package's one phase evaluator: callers reduce a rational phase mod 1
+    in exact integers and pass r / den, divided once."""
+    z = np.exp(2j * pi * phase)
+    return z if np.ndim(z) else complex(z)
 
 
 def unit_powers_matrix(lams: np.ndarray, n: int) -> np.ndarray:
@@ -64,13 +75,12 @@ class TrigTerm:
     def __post_init__(self):
         if abs(abs(self.frequency) - 1.0) > UNIT_TOL:
             raise InputError("trig polynomial frequencies must be unimodular")
+        if self.phase is not None and self.phase.denominator >= MAX_PHASE_DEN:
+            raise InputError("exact phases need a reduced denominator below 2^31")
 
     @classmethod
     def from_phase(cls, coefficient: complex, phase: Fraction):
-        freq = complex(
-            np.cos(2.0 * pi * float(phase)), np.sin(2.0 * pi * float(phase))
-        )
-        return cls(coefficient, freq, phase)
+        return cls(coefficient, cycles(float(phase % 1)), phase)
 
 
 @dataclass(frozen=True)
@@ -91,14 +101,14 @@ class TrigPolynomial:
         return float(sum(abs(t.coefficient) for t in self.terms))
 
     def values(self, n: int) -> np.ndarray:
-        """P(k) for k < n; exact phase reduction where available."""
+        """P(k) for k < n; an exact phase num/den repeats with period den, so
+        only min(n, den) residues are evaluated: memory is O(n) for any den."""
         out = np.zeros(n, dtype=complex)
-        ks = np.arange(n)
         for t in self.terms:
             if t.phase is not None:
-                den = t.phase.denominator
-                roots = np.exp(2j * pi * np.arange(den) / den)
-                out += t.coefficient * roots[(t.phase.numerator * ks) % den]
+                num, den = t.phase.numerator, t.phase.denominator
+                rs = num % den * np.arange(min(n, den), dtype=np.int64) % den
+                out += t.coefficient * np.resize(cycles(rs / den), n)
             else:
                 out += t.coefficient * unit_powers(t.frequency, n)
         return out

@@ -442,6 +442,19 @@ GOLDEN_CONFIGS = {
         "probes": [[0, 0], [6, 4], [3, 1]],
         "checkpoints": {"geometric": 500},
     }),
+    "trig-poly": ("weighted-average", {
+        "schema": 1, "seed": 26,
+        "space": {"atoms": 6},
+        "operator": {"kind": "composition", "map": [2, 0, 4, 1, 5, 3],
+                     "measure_preserving": True},
+        "function": {"random": {"kind": "complex"}},
+        "weight": {"kind": "trig_poly", "terms": [
+            {"z_re": 0.5, "z_im": -0.25, "phase_num": 3, "phase_den": 7},
+            {"z_re": 0.25, "lam_re": 0.6, "lam_im": -0.8},
+        ]},
+        "checkpoints": {"geometric": 200},
+        "probes": [0, 4],
+    }),
 }
 GOLDEN_DIGESTS = {
     "counterexample": {
@@ -473,6 +486,10 @@ GOLDEN_DIGESTS = {
     "return-times": {
         "product.csv":
             "850cf98381e40f50f385db97ba63206ae0aca7576cc09ca0aa9dcdf4f81ed024",
+    },
+    "trig-poly": {
+        "averages.csv":
+            "ff4fdba04f49bd638b10bbca6fb2511f4c10e0660d37b0ac11bfbe667f96bfcd",
     },
     "weighted-average": {
         "averages.csv":
@@ -586,6 +603,16 @@ WEIGHTED = GOLDEN_CONFIGS["weighted-average"][1]
     ("weighted-average", _with(WEIGHTED, weight={
         "kind": "trig_poly", "terms": [{"z_re": 1, "phase_num": 1, "phase_den": 0}]}),
      "config: weight: terms[0]: phase_den: must not be 0"),
+    ("weighted-average", _with(WEIGHTED, weight={
+        "kind": "trig_poly", "terms": [{"z_re": 1, "phase_num": 1}]}),
+     "config: weight: terms[0]: phase_den: missing"),
+    ("weighted-average", _with(WEIGHTED, weight={
+        "kind": "trig_poly", "terms": [{"z_re": 1, "phase_den": 3}]}),
+     "config: weight: terms[0]: phase_num: missing"),
+    ("weighted-average", _with(WEIGHTED, weight={
+        "kind": "trig_poly",
+        "terms": [{"z_re": 1, "phase_num": 1, "phase_den": 2**31}]}),
+     "config: weight: terms[0]: exact phases need a reduced denominator below 2^31"),
     ("wiener-wintner", _with(SMALL_SWEEP, system={"order": 8, "step": 2**70}),
      "config: system: step: must be an integer"),
     ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz={"power": 2, "tol": "x"}),
@@ -606,7 +633,8 @@ WEIGHTED = GOLDEN_CONFIGS["weighted-average"][1]
 ], ids=[
     "atoms-fractional", "atoms-str", "truncated-str", "ones-str", "checkpoint-fractional",
     "geometric-fractional", "step-fractional", "character-fractional", "lambda-nan",
-    "map-missing", "matrix-ragged", "atoms-null", "phase-den-zero", "step-70-bit",
+    "map-missing", "matrix-ragged", "atoms-null", "phase-den-zero", "phase-den-missing",
+    "phase-num-missing", "phase-den-2^31", "step-70-bit",
     "tol-str", "constant-str", "random-kind-int", "mult-too-long", "probes-empty",
     "probes-absent", "output-outside-dir",
 ])
@@ -638,6 +666,43 @@ def test_oversize_array_exits_3(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err == "error: out of memory; reduce the config's sizes\n"
     assert not out.exists()
+
+
+def test_large_character_is_reduced_exactly(tmp_path):
+    # character 2^40 + 2 is character 2 on 8 atoms: the function and the
+    # oracle both reduce c w mod 8 in integers before evaluating a phase
+    outputs = []
+    for c in (2, 2**40 + 2):
+        cfg = _with(SMALL_SWEEP, function={"character": c}, probes=[0, 3, 5],
+                    checkpoints=[1, 8, 64, 100])
+        out = tmp_path / str(c)
+        path = write_cfg(tmp_path, f"{c}.json", cfg)
+        assert cli.main(["wiener-wintner", path, "--output-dir", str(out)]) == 0
+        outputs.append((out / "sweep.csv").read_text())
+    rows = [ln.split(",") for ln in outputs[1].splitlines()[2:]]
+    assert max(float(r[-1]) for r in rows) <= 1e-15
+    assert outputs[0] == outputs[1]
+
+
+def test_huge_phase_den_runs_in_small_memory(tmp_path):
+    # a den-sized table of roots of unity would need 16 GB here; the run
+    # gets 1 GiB of address space
+    cfg = _with(WEIGHTED, weight={"kind": "trig_poly", "terms": [
+        {"z_re": 1, "phase_num": 1, "phase_den": 10**9}]}, checkpoints=[1, 2, 3, 4])
+    path = write_cfg(tmp_path, "den.json", cfg)
+    out = tmp_path / "out"
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ergosym import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["weighted-average", path, "--output-dir", str(out)]
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert len((out / "averages.csv").read_text().splitlines()) == 2 + 4 * 3
 
 
 def test_validate_is_empty_for_valid_configs():

@@ -311,6 +311,17 @@ def test_horizon_guard_is_shared(engine):
     assert str(err.value) == "last checkpoint 51 exceeds the iteration budget 50"
 
 
+@pytest.mark.parametrize("engine", sorted(HORIZON_ENGINES))
+def test_fractional_checkpoints_are_rejected(engine):
+    run = HORIZON_ENGINES[engine]
+    s = PointSystem.cyclic(4)
+    f = character(s.space, 1)
+    run(s, f, (1.0, np.int64(3), np.float64(4.0)), 50)  # integral values pass
+    for cps in ((1.5, 3), (1, float("nan")), (1, None)):
+        with pytest.raises(InputError, match="checkpoints must be integers"):
+            run(s, f, cps, 50)
+
+
 def test_product_with_character_second_factor_equals_sweep():
     # second system = rotation by 1/q with g the identity character: the
     # product average at (w, 0) is the sweep entry at lambda = e^{2 pi i/q}

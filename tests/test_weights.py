@@ -1,5 +1,7 @@
 """Weight sequences, trig-polynomial approximants, exact DFT interpolation."""
 
+import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +231,34 @@ def test_dft_reproduction_long_horizon():
 def test_dft_phase_stored_exactly():
     poly = dft_interpolant(np.ones(6))
     assert [t.phase for t in poly.terms] == [Fraction(j, 6) for j in range(6)]
+
+
+def test_exact_phase_memory_does_not_grow_with_den():
+    # only the residues of k < n are evaluated: no table of all den roots
+    poly = TrigPolynomial((TrigTerm.from_phase(1.0, Fraction(1, 2**20)),))
+    tracemalloc.start()
+    try:
+        vals = poly.values(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert vals[63] == pytest.approx(cmath.exp(2j * cmath.pi * 63 / 2**20), abs=1e-15)
+
+
+def test_exact_phase_residues_do_not_wrap():
+    # num * k passes 2^63 unless num is reduced mod den first
+    phase = Fraction(2**62 + 1, 3)
+    vals = TrigPolynomial((TrigTerm.from_phase(1.0, phase),)).values(12)
+    want = [cmath.exp(2j * cmath.pi * float(phase * k % 1)) for k in range(12)]
+    assert np.max(np.abs(vals - want)) <= 1e-15
+
+
+def test_exact_phase_denominator_bound():
+    TrigTerm.from_phase(1.0, Fraction(1, 2**31 - 1))
+    TrigTerm.from_phase(1.0, Fraction(2, 2**31))  # reduces to 1/2^30
+    with pytest.raises(InputError, match="below 2\\^31"):
+        TrigTerm.from_phase(1.0, Fraction(1, 2**31))
 
 
 # -------------------------------------------------------------------- bounds

@@ -477,7 +477,7 @@ GOLDEN_DIGESTS = {
     },
     "readme-sweep": {
         "sweep.csv":
-            "6072ab1ec045ee129cc8b5b4c91260c5a25a2691cdef0c325cb1cb8bae9d8fba",
+            "bd7315087f0406137d625609e3c9e100151bc680a1766d480797620df8774caf",
     },
     "rearrange": {
         "rearrangement.csv":

@@ -686,13 +686,13 @@ def test_large_character_is_reduced_exactly(tmp_path):
 
 def test_huge_phase_den_runs_in_small_memory(tmp_path):
     # a den-sized table of roots of unity would need 16 GB here; the run
-    # gets 1 GiB of address space
+    # gets 2 GiB of address space
     cfg = _with(WEIGHTED, weight={"kind": "trig_poly", "terms": [
         {"z_re": 1, "phase_num": 1, "phase_den": 10**9}]}, checkpoints=[1, 2, 3, 4])
     path = write_cfg(tmp_path, "den.json", cfg)
     out = tmp_path / "out"
     code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
             "from ergosym import cli\n"
             "sys.exit(cli.main(sys.argv[1:]))")
     src = str(Path(ergosym.__file__).resolve().parents[1])

@@ -1,12 +1,19 @@
 """Streaming Cesaro and weighted ergodic averages with checkpoint reports.
 
-Averages a_n = (1/n) sum_{k<n} beta_k T^k f are computed in a single pass:
-one operator application per step, one running Kahan-compensated sum, and a
-report row at each requested checkpoint. Nothing is recomputed and operator
-powers are never materialized, so memory stays at a few state vectors even
-for long horizons. A probe-only run without norms on a composition operator
-follows just the probe atoms' orbits, so its cost does not grow with the
-number of atoms.
+Averages a_n = (1/n) sum_{k<n} beta_k T^k f are reported at requested
+checkpoints by one of three lanes:
+
+- A composition (Tf)_i = m_i f[s(i)] is lifted. T^a is again a composition
+  (s^a, m_a), with s^(2a) = s^a[s^a] and m_(2a) = m_a m_a[s^a], and sums
+  split exactly: S_(a+b) = S_a + (beta shifted by a) T^a S_b. Each
+  checkpoint's sum extends the previous one through the binary digits of
+  the gap, so a run costs O(N log n) for N atoms instead of O(N n), and only
+  the current power of T is held: memory stays at a few state vectors
+  beyond the stored averages.
+- A probe-only run without norms on a composition follows just the probe
+  atoms' orbits, so its cost does not grow with the number of atoms.
+- Kernel operators, and explicit weights on any operator, stream: one
+  operator application per step into one running Kahan-compensated sum.
 """
 
 from __future__ import annotations
@@ -17,10 +24,15 @@ import numpy as np
 
 from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
-from .spaces import MAJORIZATION_TOL, MeasurableFunction, majorizes
+from .spaces import (
+    MAJORIZATION_TOL,
+    MeasurableFunction,
+    majorizes_rearranged,
+    rearrangement,
+)
 from .weights import WeightSequence
 
-# default cap on the number of operator applications per run
+# default cap on the last checkpoint, the number of terms averaged per run
 DEFAULT_BUDGET = 1_000_000
 
 
@@ -115,6 +127,160 @@ def _probe_orbit(T, f, probes, steps):
             pos = T.point_map[pos]
 
 
+def _kahan_sums(orbit, betas, width, cps):
+    """Running sums of beta_k g_k over the orbit, yielded at each checkpoint.
+    Each yielded array is overwritten by the steps that follow it."""
+    # Kahan state and step buffers, updated in place; total and t swap
+    total, comp, y, t = (np.zeros(width, dtype=complex) for _ in range(4))
+    term = np.empty(width, dtype=complex) if betas is not None else None
+    ptr = 0
+    for k, g in enumerate(orbit):
+        if betas is not None:
+            g = np.multiply(betas[k], g, out=term)
+        # Kahan step: the compensation vector carries the lost low bits
+        np.subtract(g, comp, out=y)
+        np.add(total, y, out=t)
+        np.subtract(t, total, out=comp)
+        np.subtract(comp, y, out=comp)
+        total, t = t, total
+        if k + 1 == cps[ptr]:
+            yield total
+            ptr += 1
+
+
+# A power T^a of a composition is the composition (s^a, m_a), kept as the
+# pair (point map, multiplier): (T^a v)_i = m_a[i] v[s^a[i]].
+
+
+def _compose(a, b):
+    """The pair of T^(x+y) from the pairs a of T^x and b of T^y."""
+    (sa, ma), (sb, mb) = a, b
+    return sb[sa], ma * mb[sa]
+
+
+def _shifted(op, v, scale=None, plus=None):
+    """plus + scale * T^x v for the pair op of T^x (None: 0 and 1)."""
+    s, m = op
+    out = v[s]
+    out *= m
+    if scale is not None:
+        out *= scale
+    if plus is not None:
+        out += plus
+    return out
+
+
+def _at(pows, e):
+    """lam^e from one term's powers; None stands for lam = 1."""
+    return None if pows is None else pows[e]
+
+
+def _power(op, e):
+    """The pair of T^e for e >= 1, by repeated squaring."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = op if acc is None else _compose(acc, op)
+        e >>= 1
+        if not e:
+            return acc
+        op = _compose(op, op)
+
+
+def _segment(op, g, d, pows):
+    """R_j = sum_{k<d} lam_j^k T^k g for each term j, and T^d g (d >= 1).
+
+    pows[j] maps an exponent e to lam_j^e (None for lam_j = 1). The digits
+    of d are read low to high with P = T^e and the block sum A_j = S_e(g),
+    e = 2^i. A set digit turns R_j = S_a(g), a < e, into
+    S_(e+a)(g) = A_j + lam^e P R_j and moves g on by P. Then
+    A_j = S_(2e)(g) = A_j + lam^e P A_j and P = T^(2e) = P P, so only the
+    current power of T is ever held.
+    """
+    blocks = [g] * len(pows)
+    sums = [None] * len(pows)
+    e = 1
+    while True:
+        if d & e:
+            sums = [
+                A if R is None else _shifted(op, R, _at(pw, e), A)
+                for A, R, pw in zip(blocks, sums, pows)
+            ]
+            g = _shifted(op, g)
+        if d < 2 * e:
+            return sums, g
+        blocks = [_shifted(op, A, _at(pw, e), A) for A, pw in zip(blocks, pows)]
+        op = _compose(op, op)
+        e *= 2
+
+
+def _geometric_terms(beta, betas, cps):
+    """(z_j, powers of lam_j) with beta_k = sum_j z_j lam_j^k, the powers
+    at every exponent `_lifted_sums` reads: each segment start and each
+    2^i below the widest gap. Cesaro and periodic weights give one term
+    with lam = 1 (None)."""
+    if beta is None or beta.kind == "periodic":
+        return [(1.0, None)]
+    gaps = np.diff((0,) + cps)
+    ks = {0, *cps[:-1]} | {1 << i for i in range(int(gaps.max()).bit_length())}
+    ks = np.array(sorted(k for k in ks if k < cps[-1]), dtype=np.int64)
+    if beta.kind == "lambda_power":
+        return [(1.0, dict(zip(ks.tolist(), betas[ks])))]
+    return [
+        (t.coefficient, dict(zip(ks.tolist(), t.powers(ks, cps[-1]))))
+        for t in beta.poly.terms
+    ]
+
+
+def _lifted_sums(T, f, beta, terms, cps):
+    """Running sums S_n at each checkpoint n for a composition T, extended
+    from one checkpoint to the next by `_segment`: O(N log gap) work each.
+
+    Geometric weights (Cesaro, lambda_power, trig_poly) split exactly as
+    S_(c+d) = S_c + sum_j z_j lam_j^c R_j(T^c f, d). Periodic weights of
+    period p lift U = T^p: from a multiple c of p, the q = d // p whole
+    periods add sum_{r<p} b_r T^r V with V = sum_{q'<q} U^q' T^c f. The
+    steps up to the next multiple of p and after the last whole period are
+    taken one application at a time, so no segment costs more than about
+    3 min(d, p) applications besides the lifting.
+    """
+    periodic = beta is not None and beta.kind == "periodic"
+    table = beta.table if periodic else None
+    p = table.size if periodic else 1
+    op = (T.point_map, T.multiplier)
+    lift = None
+    total = np.zeros(T.space.n_atoms, dtype=complex)
+    g, c = f.values, 0
+
+    def steps(total, g, c, stop):
+        """Adds b_(k mod p) T^(k-c) g for c <= k < stop; T^(stop-c) g too."""
+        for k in range(c, stop):
+            total += table[k % p] * g
+            g = T.apply_values(g)
+        return total, g
+
+    for n in cps:
+        if periodic:  # single steps up to a whole period
+            aligned = min(n, -(-c // p) * p)
+            total, g = steps(total, g, c, aligned)
+            c = aligned
+        q = (n - c) // p
+        if q:
+            lift = lift or _power(op, p)
+            sums, g = _segment(lift, g, q, [pw for _, pw in terms])
+            if periodic:  # the p residue shifts of V
+                total, last = steps(total, sums[0], 0, p - 1)
+                total += table[p - 1] * last
+            else:
+                for (z, pw), R in zip(terms, sums):
+                    total += R if pw is None else z * pw[c] * R
+            c += q * p
+        if periodic:  # and single steps after the last whole period
+            total, g = steps(total, g, c, n)
+            c = n
+        yield total
+
+
 def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iterations):
     cps = _horizon(checkpoints, max_iterations)
     if not T.space.is_compatible(f.space):
@@ -130,43 +296,29 @@ def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iteratio
         betas = beta.values(cps[-1])
         weight_bound = max(1.0, float(np.max(np.abs(betas))))
 
+    composition = isinstance(T, CompositionOperator)
     # probe-orbit lane: nothing but the probe atoms is ever read
-    lane = not (store_averages or norms) and isinstance(T, CompositionOperator)
+    lane = not (store_averages or norms) and composition
     if lane:
-        orbit = _probe_orbit(T, f, probes, cps[-1])
-        width = len(probes)
+        sums = _kahan_sums(_probe_orbit(T, f, probes, cps[-1]), betas, len(probes), cps)
+    elif composition and (beta is None or beta.kind != "explicit"):
+        sums = _lifted_sums(T, f, beta, _geometric_terms(beta, betas, cps), cps)
+        betas = None  # only the powers the lifting reads are kept
     else:
-        orbit = _full_orbit(T, f, cps[-1])
-        width = n_atoms
+        sums = _kahan_sums(_full_orbit(T, f, cps[-1]), betas, n_atoms, cps)
     select = np.array(probes, dtype=np.intp)
 
     w = T.space.weights
-    # Kahan state and step buffers, updated in place; total and t swap
-    total, comp, y, t = (np.zeros(width, dtype=complex) for _ in range(4))
-    term = np.empty(width, dtype=complex) if betas is not None else None
-
     probe_rows, l1s, linfs, avgs = [], [], [], []
-    ptr = 0
-    for k, g in enumerate(orbit):
-        if betas is not None:
-            g = np.multiply(betas[k], g, out=term)
-        # Kahan step: the compensation vector carries the lost low bits
-        np.subtract(g, comp, out=y)
-        np.add(total, y, out=t)
-        np.subtract(t, total, out=comp)
-        np.subtract(comp, y, out=comp)
-        total, t = t, total
-        n = k + 1
-        if n == cps[ptr]:
-            a = total / n
-            probe_rows.append(a if lane else a[select])
-            if norms:
-                mags = np.abs(a)
-                l1s.append(float(np.sum(w * mags)))
-                linfs.append(float(np.max(mags)))
-            if store_averages:
-                avgs.append(MeasurableFunction(a, T.space))
-            ptr += 1
+    for n, total in zip(cps, sums):
+        a = total / n
+        probe_rows.append(a if lane else a[select])
+        if norms:
+            mags = np.abs(a)
+            l1s.append(float(np.sum(w * mags)))
+            linfs.append(float(np.max(mags)))
+        if store_averages:
+            avgs.append(MeasurableFunction(a, T.space))
 
     return AveragingReport(
         checkpoints=cps,
@@ -251,9 +403,10 @@ def majorization_trace(
             "majorization trace needs retained averages; rerun in full mode"
         )
     scale = report.weight_bound if report.weight_bound is not None else 1.0
+    rf = rearrangement(f)
     flags = []
     for a in report.averages:
         candidate = a if scale == 1.0 else (1.0 / scale) * a
-        flags.append(bool(majorizes(f, candidate, tol)))
+        flags.append(bool(majorizes_rearranged(rf, f.space, candidate, tol)))
     report.majorized = tuple(flags)
     return report.majorized

@@ -227,8 +227,19 @@ def majorizes(
     partial integrals are piecewise linear with kinks only at breakpoints,
     so checking there decides the comparison on all of (0, inf).
     """
-    _check_comparable(f.space, g.space)
-    rf, rg = rearrangement(f), rearrangement(g)
+    return majorizes_rearranged(rearrangement(f), f.space, g, tol)
+
+
+def majorizes_rearranged(
+    rf: Rearrangement,
+    space: AtomicMeasureSpace,
+    g: MeasurableFunction,
+    tol: float = MAJORIZATION_TOL,
+) -> MajorizationResult:
+    """`majorizes` for an f given by its rearrangement rf and its space, so
+    a caller comparing many g against one f rearranges f once."""
+    _check_comparable(space, g.space)
+    rg = rearrangement(g)
     s = np.union1d(rf.breakpoints[1:], rg.breakpoints[1:])
     if s.size == 0:
         return MajorizationResult(True)

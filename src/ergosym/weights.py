@@ -82,6 +82,15 @@ class TrigTerm:
     def from_phase(cls, coefficient: complex, phase: Fraction):
         return cls(coefficient, cycles(float(phase % 1)), phase)
 
+    def powers(self, ks: np.ndarray, n: int) -> np.ndarray:
+        """lam^k at the int64 exponents ks, each below n. An exact phase
+        num/den reduces num * k mod den in integers; a free frequency is read
+        off `unit_powers(lam, n)`, so it keeps the bits of `values(n)`."""
+        if self.phase is None:
+            return unit_powers(self.frequency, n)[ks]
+        num, den = self.phase.numerator, self.phase.denominator
+        return cycles(num % den * (ks % den) % den / den)
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
@@ -106,9 +115,8 @@ class TrigPolynomial:
         out = np.zeros(n, dtype=complex)
         for t in self.terms:
             if t.phase is not None:
-                num, den = t.phase.numerator, t.phase.denominator
-                rs = num % den * np.arange(min(n, den), dtype=np.int64) % den
-                out += t.coefficient * np.resize(cycles(rs / den), n)
+                period = np.arange(min(n, t.phase.denominator), dtype=np.int64)
+                out += t.coefficient * np.resize(t.powers(period, n), n)
             else:
                 out += t.coefficient * unit_powers(t.frequency, n)
         return out

@@ -1,5 +1,9 @@
 """Streaming Cesaro and weighted averaging engines."""
 
+import functools
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,8 @@ from ergosym import (
     InputError,
     KernelOperator,
     MeasurableFunction,
+    TrigPolynomial,
+    TrigTerm,
     WeightSequence,
     apply,
     cesaro,
@@ -23,6 +29,7 @@ from ergosym import (
     signed_shift_operator,
     weighted,
 )
+from ergosym import averaging, spaces
 from oracles import naive_averages, naive_weighted_averages
 
 
@@ -169,19 +176,31 @@ def test_probe_only_mode_skips_averages():
 # ------------------------------------------------------------ probe-orbit lane
 
 
-def test_probe_lane_signed_shift_bitwise():
-    # multipliers are +-1 and 0, so both lanes multiply exactly
+def signed_shift_lanes(values):
+    """Full (norms, lifted) and probe-lane reports of one signed-shift run."""
     T = signed_shift_operator([1, 5, 17, 53], grid=4, window=60)
-    rng = np.random.default_rng(59)
-    f = MeasurableFunction(1.0 + rng.random(T.space.n_atoms), T.space)
-    probes = (0, 1, 3, 100, 230, T.space.n_atoms - 1)  # the last ones absorb
+    n = T.space.n_atoms
+    f = MeasurableFunction(values(np.random.default_rng(59), n), T.space)
+    probes = (0, 1, 3, 100, 230, n - 1)  # the last ones absorb
     cps = (1, 5, 17, 53)
     full = cesaro(T, f, cps, probes=probes, store_averages=False)
     lane = cesaro(T, f, cps, probes=probes, store_averages=False, norms=False)
-    assert np.array_equal(lane.probe_values, full.probe_values)
     assert lane.l1_norms is None and lane.linf_norms is None
     assert lane.averages is None
     assert full.l1_norms is not None and full.linf_norms is not None
+    return full, lane
+
+
+def test_probe_lane_signed_shift_bitwise():
+    # the full run is lifted and sums in another order than the probe lane;
+    # an integer-valued profile has exact sums in any order
+    full, lane = signed_shift_lanes(lambda rng, n: rng.integers(1, 9, n).astype(float))
+    assert np.array_equal(lane.probe_values, full.probe_values)
+
+
+def test_probe_lane_signed_shift_float_profile():
+    full, lane = signed_shift_lanes(lambda rng, n: 1.0 + rng.random(n))
+    assert np.max(np.abs(lane.probe_values - full.probe_values)) <= 1e-12
 
 
 @pytest.mark.parametrize("bijective", [True, False])
@@ -217,6 +236,157 @@ def test_kernel_without_norms_matches_full_mode():
                   norms=False)
     assert np.array_equal(bare.probe_values, full.probe_values)
     assert bare.l1_norms is None and bare.linf_norms is None
+
+
+# --------------------------------------------------------------- lifted lane
+
+
+def random_composition(rng, n, bijective=False):
+    """Random point map (rho-shaped orbits unless bijective) with complex
+    multipliers of modulus below 1, about a fifth of them 0 (absorbing)."""
+    pm = rng.permutation(n) if bijective else rng.integers(0, n, n)
+    mult = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+    mult[rng.random(n) < 0.2] = 0.0
+    return CompositionOperator(pm, mult, unit_space(n))
+
+
+def weight_kinds(rng):
+    lam = np.exp(2j * np.pi * rng.uniform())
+    return {
+        "cesaro": None,
+        "constant": WeightSequence.constant(complex(rng.normal(), rng.normal())),
+        # period 7 divides none of the checkpoints drawn below
+        "periodic": WeightSequence.periodic(rng.normal(size=7) + 1j * rng.normal(size=7)),
+        # a period longer than every checkpoint is never lifted
+        "long_period": WeightSequence.periodic(rng.normal(size=1000)),
+        "lambda_power": WeightSequence.lambda_power(lam),
+        "trig_poly": WeightSequence.trig_poly(TrigPolynomial((
+            TrigTerm.from_phase(0.5 - 0.25j, Fraction(3, 7)),
+            TrigTerm(0.25 + 0.1j, lam),
+            TrigTerm.from_phase(-0.3, Fraction(5, 64)),
+        ))),
+    }
+
+
+def assert_matches_naive(T, f, beta, cps, tol=1e-12):
+    step = T.apply_values
+    if beta is None:
+        rep = cesaro(T, f, cps)
+        want = naive_averages(step, f.values, cps)
+    else:
+        rep = weighted(T, f, beta, cps)
+        want = naive_weighted_averages(step, f.values, beta.values(cps[-1]), cps)
+    assert rep.checkpoints == tuple(cps)
+    for a, b in zip(rep.averages, want):
+        assert np.max(np.abs(a.values - b)) <= tol
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "constant", "periodic", "long_period",
+                                  "lambda_power", "trig_poly"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_lifted_lane_matches_naive(kind, bijective):
+    rng = np.random.default_rng(70 + bijective)
+    beta = weight_kinds(rng)[kind]
+    for _ in range(8):
+        n = int(rng.integers(1, 30))
+        T = random_composition(rng, n, bijective)
+        f = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), T.space)
+        size = int(rng.integers(1, 6))
+        cps = sorted(set(int(x) for x in rng.integers(1, 400, size=size)))
+        assert_matches_naive(T, f, beta, cps)
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "constant", "periodic", "long_period",
+                                  "lambda_power", "trig_poly"])
+def test_lifted_lane_rho_orbit(kind):
+    # tail 0 -> 1 -> 2 -> 3 into the cycle 3 -> 4 -> 5 -> 6 -> 3, atom 7
+    # joins the tail at 2, and atom 8 is absorbed at once
+    pm = np.array([1, 2, 3, 4, 5, 6, 3, 2, 8])
+    mult = np.array([0.9j, -0.5, 1.0, 0.8 - 0.6j, -1.0, 0.7, 1j, 0.3, 0.0])
+    T = CompositionOperator(pm, mult, unit_space(9))
+    rng = np.random.default_rng(72)
+    f = MeasurableFunction(rng.normal(size=9) + 1j * rng.normal(size=9), T.space)
+    beta = weight_kinds(rng)[kind]
+    for cps in ((1,), (1, 2, 3), (3, 7, 100, 513, 1000), (1023, 1024, 1025)):
+        assert_matches_naive(T, f, beta, cps)
+
+
+def test_lifted_lane_single_atom_single_step():
+    T = CompositionOperator([0], [0.5 + 0.5j], unit_space(1))
+    f = MeasurableFunction(np.array([2.0 - 1.0j]), T.space)
+    for beta in weight_kinds(np.random.default_rng(73)).values():
+        assert_matches_naive(T, f, beta, (1,), tol=1e-15)
+        assert_matches_naive(T, f, beta, (1, 2, 5, 6))
+
+
+def test_explicit_weights_on_compositions_match_naive():
+    rng = np.random.default_rng(74)
+    T = random_composition(rng, 11)
+    f = MeasurableFunction(rng.normal(size=11), T.space)
+    beta = WeightSequence.explicit(rng.normal(size=60) + 1j * rng.normal(size=60))
+    assert_matches_naive(T, f, beta, (1, 7, 33, 60))
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "constant", "lambda_power", "trig_poly"])
+def test_lifted_lane_takes_no_single_steps(monkeypatch, kind):
+    # geometric weights are extended by doubling alone; full and norms-only
+    # runs take the same lifted path
+    rng = np.random.default_rng(75)
+    T = random_composition(rng, 16, bijective=True)
+    f = MeasurableFunction(rng.normal(size=16), T.space)
+    beta = weight_kinds(rng)[kind]
+    want = naive_weighted_averages(
+        T.apply_values, f.values,
+        np.ones(300) if beta is None else beta.values(300), (3, 64, 300),
+    )
+
+    def refuse(self, v):
+        raise AssertionError("single step in the lifted lane")
+
+    monkeypatch.setattr(CompositionOperator, "apply_values", refuse)
+    run = cesaro if beta is None else functools.partial(weighted, beta=beta)
+    full = run(T, f, checkpoints=(3, 64, 300), probes=(0, 9))
+    bare = run(T, f, checkpoints=(3, 64, 300), probes=(0, 9), store_averages=False)
+    for i, (a, b) in enumerate(zip(full.averages, want)):
+        assert np.max(np.abs(a.values - b)) <= 1e-12
+        assert np.array_equal(full.probe_values[i], a.values[[0, 9]])
+    assert np.array_equal(bare.probe_values, full.probe_values)
+    assert np.array_equal(bare.l1_norms, full.l1_norms)
+
+
+# one complex vector on 2^16 atoms
+MIB_PER_VECTOR = (1 << 16) * 16 / 2**20
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "lambda_power"])
+def test_lifted_lane_memory_stays_linear_in_atoms(kind):
+    # n = 1e6 terms on 2^16 atoms take well under a second lifted. Holding
+    # the log2(n) = 20 powers of T (point map and multiplier) and their block
+    # sums would add about 50 MiB; the lane keeps a few vectors (about 10 MiB).
+    # Weighted runs also materialize the n weights once, with their moduli,
+    # for the weight bound M (24 bytes per term).
+    n_atoms, horizon = 1 << 16, 10**6
+    rng = np.random.default_rng(76)
+    T = CompositionOperator(
+        rng.permutation(n_atoms), rng.choice([-1.0, 1.0], n_atoms),
+        AtomicMeasureSpace(np.ones(n_atoms)), measure_preserving=True,
+    )
+    f = MeasurableFunction(rng.normal(size=n_atoms), T.space)
+    cps = geometric_checkpoints(horizon)
+    beta = None if kind == "cesaro" else WeightSequence.lambda_power(np.exp(0.7j))
+    bound = 20 * MIB_PER_VECTOR + (0 if beta is None else 24 * horizon / 2**20)
+    tracemalloc.start()
+    try:
+        if beta is None:
+            rep = cesaro(T, f, cps, probes=(0,), store_averages=False)
+        else:
+            rep = weighted(T, f, beta, cps, probes=(0,), store_averages=False)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    assert np.all(rep.l1_norms <= norm(f, "L1") * (1 + 1e-12))
+    assert np.all(rep.linf_norms <= norm(f, "Linf") * (1 + 1e-12))
 
 
 # ------------------------------------------------------------------ weighted
@@ -390,6 +560,21 @@ def test_trace_random_ds_kernels():
         f = MeasurableFunction(rng.normal(size=10), T.space)
         rep = cesaro(T, f, tuple(range(1, 51)))
         assert all(majorization_trace(rep, f))
+
+
+def test_trace_rearranges_f_once(monkeypatch):
+    rng = np.random.default_rng(64)
+    T = random_ds_kernel(rng, 10)
+    f = MeasurableFunction(rng.normal(size=10), T.space)
+    rep = weighted(T, f, WeightSequence.constant(1.5), tuple(range(1, 21)))
+    want = tuple(bool(majorizes(f, (1.0 / 1.5) * a)) for a in rep.averages)
+    seen, inner = [], spaces.rearrangement
+    for module in (spaces, averaging):
+        monkeypatch.setattr(module, "rearrangement",
+                            lambda g: seen.append(g) or inner(g))
+    assert majorization_trace(rep, f) == want
+    assert sum(g is f for g in seen) == 1
+    assert len(seen) == 1 + len(rep.averages)
 
 
 def test_trace_normalization_with_large_weights():

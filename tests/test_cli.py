@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, diagnostics, determinism."""
 
+import collections
 import contextlib
 import copy
 import functools
@@ -712,15 +713,19 @@ def test_validate_is_empty_for_valid_configs():
 
 # ------------------------------------------------------ mutated configs
 
-# Where a mutated integer or float sizes an array it stays within a cap.
-# Horizon keys (checkpoints, geometric) range up to the default iteration
-# budget of 1e6, which every command must handle in bounded memory. Atom
-# counts, orders and the lambda grid stay at 128 to keep the 80 examples
-# quick; they are not a memory limit. Sized keys are a small share of all
-# paths, so about half the mutations overwrite one of them, drawing the cap
-# itself and in-range positive integers besides arbitrary values; otherwise
-# few examples would reach a valid config at a large horizon.
+# Each example mutates one key of one base config. Where a mutated integer
+# or float sizes an array it stays within a cap. Horizon keys (checkpoints,
+# geometric) range up to the default iteration budget of 1e6, which every
+# command must handle in bounded memory. Atom counts, orders and the lambda
+# grid stay at 128 to keep the 80 examples quick; they are not a memory
+# limit. The key comes from one of the base's pools, each with equal odds:
+# geometric horizons, set within the budget so the config stays valid; sized
+# keys, drawing the cap itself and in-range positive integers besides
+# arbitrary values; and every key, overwritten or deleted. The share of
+# valid runs then rests on these odds, not on the number of bases or on how
+# several mutations compound.
 HORIZON_CAP = DEFAULT_BUDGET
+HORIZON_KEYS = {"geometric"}
 SIZE_CAP = 128
 SIZE_CAPS = {"checkpoints": HORIZON_CAP, "geometric": HORIZON_CAP,
              "atoms": SIZE_CAP, "order": SIZE_CAP, "lambda_grid": SIZE_CAP}
@@ -771,36 +776,55 @@ def _values(cap: int | None):
     return st.one_of(st.just(cap), st.integers(1, cap), values)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_mutated_configs_exit_with_documented_codes(data):
+def _run_mutated(data) -> tuple[str, int]:
+    """Mutate one key of one base config, run it, and check the exit code
+    and the diagnostics; returns the command and its exit code."""
     command, base = data.draw(st.sampled_from(MUTATION_BASES))
     cfg = copy.deepcopy(base)
-    for _ in range(data.draw(st.integers(1, 3))):
-        paths = list(_paths(cfg))
-        if not paths:
-            break
-        sized = [p for p in paths if SIZE_CAPS.keys() & set(p)]
-        if sized and data.draw(st.booleans()):
-            path, delete = data.draw(st.sampled_from(sized)), False
+    paths = list(_paths(cfg))
+    pools = [[p for p in paths if HORIZON_KEYS & set(p)],
+             [p for p in paths if SIZE_CAPS.keys() & set(p)]]
+    pool = data.draw(st.sampled_from([*filter(None, pools), paths]))
+    path = data.draw(st.sampled_from(pool))
+    delete = pool is paths and data.draw(st.booleans())
+    parent = functools.reduce(operator.getitem, path[:-1], cfg)
+    if delete:
+        del parent[path[-1]]
+    else:
+        caps = [SIZE_CAPS[k] for k in path if k in SIZE_CAPS]
+        cap = min(caps, default=None)
+        if pool is pools[0]:  # a horizon within the budget: still valid
+            parent[path[-1]] = data.draw(st.one_of(st.just(cap), st.integers(1, cap)))
         else:
-            path, delete = data.draw(st.sampled_from(paths)), data.draw(st.booleans())
-        parent = functools.reduce(operator.getitem, path[:-1], cfg)
-        if delete:
-            del parent[path[-1]]
-        else:
-            caps = [SIZE_CAPS[k] for k in path if k in SIZE_CAPS]
-            parent[path[-1]] = data.draw(_values(min(caps, default=None)))
+            parent[path[-1]] = data.draw(_values(cap))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
         cfg_path = Path(d) / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         argv = [command, str(cfg_path), "--output-dir", str(Path(d) / "out")]
-        assert cli.main(argv) in (0, 2, 3, 4)
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
     # every diagnostic starts with the top-level key it is about
     for line in err.getvalue().splitlines():
         if line.startswith("config: "):
             assert re.match(r"config: (\w+)", line)[1] in TOP_LEVEL_KEYS, line
+    return command, code
+
+
+def test_mutated_configs_exit_with_documented_codes():
+    valid = collections.Counter()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def examples(data):
+        command, code = _run_mutated(data)
+        valid[command] += code == 0
+
+    examples()
+    # 40 of the 80 run (16 composition averages); across random seeds 25 to
+    # 39 did (11 to 23)
+    assert sum(valid.values()) >= 20, valid
+    assert valid["average"] + valid["weighted-average"] >= 8, valid
 
 
 # --------------------------------------------------------- public names

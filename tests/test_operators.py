@@ -92,6 +92,19 @@ def test_operator_validation():
         )
 
 
+def test_measure_preserving_accepts_exactly_the_permutations():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        pm = rng.permutation(n) if rng.random() < 0.3 else rng.integers(0, n, n)
+        sp = unit_space(n)
+        if len(set(pm.tolist())) == n:
+            CompositionOperator(pm, np.ones(n), sp, measure_preserving=True)
+        else:
+            with pytest.raises(InputError, match="must be a bijection"):
+                CompositionOperator(pm, np.ones(n), sp, measure_preserving=True)
+
+
 # --------------------------------------------------------------- certificates
 
 

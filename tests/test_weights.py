@@ -254,6 +254,18 @@ def test_exact_phase_residues_do_not_wrap():
     assert np.max(np.abs(vals - want)) <= 1e-15
 
 
+@pytest.mark.parametrize("term", [
+    TrigTerm(1.0, cmath.exp(0.7j)),
+    TrigTerm.from_phase(1.0, Fraction(3, 7)),
+    TrigTerm.from_phase(1.0, Fraction(2**62 + 1, 3)),
+])
+def test_term_powers_are_values_bitwise(term):
+    n = 5000
+    ks = np.array([0, 1, 2, 6, 7, 1023, 1024, 1025, 4096, n - 1], dtype=np.int64)
+    want = TrigPolynomial((term,)).values(n)[ks]
+    assert np.array_equal(term.powers(ks, n), want)
+
+
 def test_exact_phase_denominator_bound():
     TrigTerm.from_phase(1.0, Fraction(1, 2**31 - 1))
     TrigTerm.from_phase(1.0, Fraction(2, 2**31))  # reduces to 1/2^30

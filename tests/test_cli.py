@@ -494,7 +494,7 @@ GOLDEN_DIGESTS = {
     },
     "weighted-average": {
         "averages.csv":
-            "130d81a1d75a5ab8008f3abe7dd5a4f40d7decd0dbe9e3e26bebe9fc4ad897ba",
+            "6fa92dbda148aaeb8a326f88574324026865ed688278fc68299d0bdb63a28148",
     },
 }
 

@@ -490,7 +490,7 @@ GOLDEN_DIGESTS = {
     },
     "trig-poly": {
         "averages.csv":
-            "ff4fdba04f49bd638b10bbca6fb2511f4c10e0660d37b0ac11bfbe667f96bfcd",
+            "b909f4470ffc33fba2c85cbf3bacd1650880a7801f7a33c9f1342f170bd073f1",
     },
     "weighted-average": {
         "averages.csv":

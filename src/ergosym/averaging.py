@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
-from .spaces import (
-    MAJORIZATION_TOL,
-    MeasurableFunction,
-    majorizes_rearranged,
-    rearrangement,
-)
+from .spaces import MAJORIZATION_TOL, MeasurableFunction, submajorized
 from .weights import WeightSequence
 
 # default cap on the last checkpoint, the number of terms averaged per run
@@ -403,10 +398,7 @@ def majorization_trace(
             "majorization trace needs retained averages; rerun in full mode"
         )
     scale = report.weight_bound if report.weight_bound is not None else 1.0
-    rf = rearrangement(f)
-    flags = []
-    for a in report.averages:
-        candidate = a if scale == 1.0 else (1.0 / scale) * a
-        flags.append(bool(majorizes_rearranged(rf, f.space, candidate, tol)))
-    report.majorized = tuple(flags)
+    space = report.averages[0].space if report.averages else f.space
+    moduli = (np.abs(a.values * (1.0 / scale)) for a in report.averages)
+    report.majorized = tuple(map(bool, submajorized(f, space, moduli, tol)))
     return report.majorized

@@ -278,6 +278,8 @@ def _run_counterexample(args, plan: Plan | None) -> dict[str, str]:
         rearr = rearrangement(plan.function)
     else:
         # constant profile f = 1, searched in one pass
+        if args.window < 0:
+            raise InputError("--window must be a number of unit cells >= 0")
         width = args.window or _AUTO_WINDOW_CAP
         rearr = Rearrangement(np.array([0.0, float(width)]), np.array([1.0]))
     cert = divergence.construct_certificate(

@@ -152,8 +152,8 @@ def construct_certificate(
     """
     if stages < 1:
         raise InputError("need at least one stage")
-    if margin < 0:
-        raise InputError("margin must be nonnegative")
+    if not 0 <= margin < np.inf:  # also rejects NaN
+        raise InputError("margin must be finite and nonnegative")
     ts = probe_points(eps, grid)
     if rearr.plateaus.size == 0 or float(rearr.plateaus[-1]) < 1.0 - STRICT_TOL:
         raise InputError("profile must stay >= 1 across its window")
@@ -228,6 +228,8 @@ def verify_certificate(
     Returns the verdict with the worst margin per stage (relative to the
     base thresholds 1 and 1/2).
     """
+    if not 0 <= tol < np.inf:  # also rejects NaN
+        raise InputError("cross-check tolerance must be finite and >= 0")
     bps = [int(b) for b in cert.breakpoints]
     if not bps or bps[0] != 1 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
         raise InputError("certificate breakpoints must start at 1 and increase")

@@ -48,7 +48,9 @@ class PointSystem:
         if order < 1:
             raise InputError("cyclic systems need at least one atom")
         space = AtomicMeasureSpace.uniform(order, weight)
-        tau = (np.arange(order) + step) % order
+        # reduce step in Python ints first: np.arange(order) + step wraps in
+        # int64 for a step near 2^63
+        tau = (np.arange(order) + step % order) % order
         return cls(space, tau)
 
     def orbit(self, start: int, n: int) -> np.ndarray:

@@ -7,6 +7,9 @@ them over consecutive intervals whose lengths are the atom weights. All
 integrals against it (Hardy-Littlewood partial integrals, L1+Linf, Lorentz
 functionals) are evaluated in closed form from the plateau structure; there
 is no quadrature anywhere in this module.
+
+Submajorization of g by f is checked at the atom boundaries of g only:
+between two of them g's partial integral is affine and f's is concave.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ def rearrangement(f: MeasurableFunction) -> Rearrangement:
 @dataclass(frozen=True)
 class MajorizationResult:
     """Outcome of a partial-integral comparison; falsy on failure, with the
-    first violating abscissa and both integrals as witness."""
+    first violating atom boundary of g and both integrals there as witness."""
 
     ok: bool
     witness_s: float | None = None
@@ -220,36 +223,40 @@ def _check_comparable(a: AtomicMeasureSpace, b: AtomicMeasureSpace) -> None:
 def majorizes(
     f: MeasurableFunction, g: MeasurableFunction, tol: float = MAJORIZATION_TOL
 ) -> MajorizationResult:
-    """Check that g is submajorized by f.
+    """Check that g is submajorized by f: the partial integral of the
+    rearrangement of g stays below that of f, within tol, on all of (0, inf).
 
-    True iff the partial integral of the rearrangement of g stays below that
-    of f (within tol) at every breakpoint of either rearrangement. Both
-    partial integrals are piecewise linear with kinks only at breakpoints,
-    so checking there decides the comparison on all of (0, inf).
+    It is checked at g's atom boundaries s_i, the cumulative weights of its
+    atoms in order of decreasing modulus. On [s_(i-1), s_i] the integral of
+    g* is affine and that of f* concave, so their difference is convex and
+    peaks at an end; it is 0 at s = 0, and past the last s_i g* vanishes.
     """
-    return majorizes_rearranged(rearrangement(f), f.space, g, tol)
+    return submajorized(f, g.space, [np.abs(g.values)], tol)[0]
 
 
-def majorizes_rearranged(
-    rf: Rearrangement,
-    space: AtomicMeasureSpace,
-    g: MeasurableFunction,
-    tol: float = MAJORIZATION_TOL,
-) -> MajorizationResult:
-    """`majorizes` for an f given by its rearrangement rf and its space, so
-    a caller comparing many g against one f rearranges f once."""
-    _check_comparable(space, g.space)
-    rg = rearrangement(g)
-    s = np.union1d(rf.breakpoints[1:], rg.breakpoints[1:])
-    if s.size == 0:
-        return MajorizationResult(True)
-    int_f = rf.integrals(s)
-    int_g = rg.integrals(s)
-    bad = int_g > int_f + tol
-    if not np.any(bad):
-        return MajorizationResult(True)
-    i = int(np.argmax(bad))
-    return MajorizationResult(False, float(s[i]), float(int_f[i]), float(int_g[i]))
+def submajorized(
+    f: MeasurableFunction, space: AtomicMeasureSpace, moduli, tol=MAJORIZATION_TOL
+) -> list[MajorizationResult]:
+    """`majorizes` for each array of moduli |g| on `space`, so a caller
+    comparing many g against one f checks the spaces and rearranges f once."""
+    if not 0 <= tol < np.inf:  # also rejects NaN
+        raise InputError("majorization tolerance must be finite and >= 0")
+    _check_comparable(f.space, space)
+    rf = rearrangement(f)
+    results = []
+    for mags in moduli:
+        order = np.argsort(mags)[::-1]
+        w = space.weights[order]
+        s = np.cumsum(w)
+        int_f, int_g = rf.integrals(s), np.cumsum(w * mags[order])
+        bad = np.flatnonzero(int_g > int_f + tol)
+        if bad.size == 0:
+            results.append(MajorizationResult(True))
+        else:
+            i = bad[0]
+            results.append(MajorizationResult(
+                False, float(s[i]), float(int_f[i]), float(int_g[i])))
+    return results
 
 
 def norm(f: MeasurableFunction, which: str) -> float:
@@ -317,8 +324,8 @@ def luxemburg_norm(
     below tol. The zero function has norm 0. Bracket growth that fails to
     straddle 1 within 200 steps raises NumericError (pathological phi).
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise InputError("tol must be positive and finite")
     mags = np.abs(f.values)
     if not np.any(mags > 0):
         return 0.0

@@ -29,7 +29,7 @@ from ergosym import (
     signed_shift_operator,
     weighted,
 )
-from ergosym import averaging, spaces
+from ergosym import spaces
 from oracles import naive_averages, naive_weighted_averages
 
 
@@ -569,12 +569,20 @@ def test_trace_rearranges_f_once(monkeypatch):
     rep = weighted(T, f, WeightSequence.constant(1.5), tuple(range(1, 21)))
     want = tuple(bool(majorizes(f, (1.0 / 1.5) * a)) for a in rep.averages)
     seen, inner = [], spaces.rearrangement
-    for module in (spaces, averaging):
-        monkeypatch.setattr(module, "rearrangement",
-                            lambda g: seen.append(g) or inner(g))
+    monkeypatch.setattr(spaces, "rearrangement", lambda g: seen.append(g) or inner(g))
     assert majorization_trace(rep, f) == want
-    assert sum(g is f for g in seen) == 1
-    assert len(seen) == 1 + len(rep.averages)
+    # f is rearranged once and no average at all
+    assert len(seen) == 1 and seen[0] is f
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_trace_rejects_bad_tolerances(tol):
+    sp = unit_space(3)
+    f = MeasurableFunction(np.array([3.0, 1.0, 2.0]), sp)
+    rep = cesaro(KernelOperator(np.eye(3), sp), f, (1, 2))
+    with pytest.raises(InputError, match="tolerance"):
+        majorization_trace(rep, f, tol=tol)
+    assert rep.majorized is None
 
 
 def test_trace_normalization_with_large_weights():

@@ -364,6 +364,22 @@ def test_counterexample_window_too_small_exits_2(tmp_path, capsys):
     assert "too short" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_counterexample_nonfinite_margin_exits_2(tmp_path, capsys, margin):
+    rc = cli.main(["counterexample", "--margin", margin, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: margin must be finite and nonnegative\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_counterexample_negative_window_names_the_flag(tmp_path, capsys):
+    rc = cli.main(["counterexample", "--window", "-5", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --window must be a number of unit cells >= 0\n"
+    )
+
+
 def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
     def reject(cert, rearr, tol=1e-9):
         return VerificationResult(False, (0.0,), 0.0, 1)
@@ -683,6 +699,29 @@ def test_large_character_is_reduced_exactly(tmp_path):
     rows = [ln.split(",") for ln in outputs[1].splitlines()[2:]]
     assert max(float(r[-1]) for r in rows) <= 1e-15
     assert outputs[0] == outputs[1]
+
+
+def test_step_near_2_63_is_reduced_exactly(tmp_path):
+    # (k + step) % order in int64 would wrap; the reduced step gives the same tau
+    step = 2**63 - 1
+    outputs = {}
+    for s in (step, step % 1009):
+        cfg = _with(SMALL_SWEEP, system={"order": 1009, "step": s}, probes=[0, 500],
+                    checkpoints=[1, 8, 64, 1000])
+        out = tmp_path / str(s)
+        path = write_cfg(tmp_path, f"{s}.json", cfg)
+        assert cli.main(["wiener-wintner", path, "--output-dir", str(out)]) == 0
+        outputs[s] = (out / "sweep.csv").read_text()
+        cfg = _with(GOLDEN_CONFIGS["return-times"][1],
+                    second_system={"order": 1009, "step": s},
+                    second_function={"random": {"kind": "real"}})
+        path = write_cfg(tmp_path, f"rt{s}.json", cfg)
+        assert cli.main(["return-times", path, "--output-dir", str(out)]) == 0
+        outputs[s, "rt"] = (out / "product.csv").read_text()
+    assert outputs[step] == outputs[step % 1009]
+    assert outputs[step, "rt"] == outputs[step % 1009, "rt"]
+    rows = [ln.split(",") for ln in outputs[step].splitlines()[2:]]
+    assert max(float(r[-1]) for r in rows) <= 1e-12
 
 
 def test_huge_phase_den_runs_in_small_memory(tmp_path):

@@ -383,6 +383,20 @@ def test_consistency_error_raised_when_tolerance_zeroed():
         verify_certificate(cert, prof, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_verify_rejects_bad_tolerances(tol):
+    prof = constant_profile(32)
+    cert = construct_certificate(prof, 0.1, 3, grid=10)
+    with pytest.raises(InputError, match="tolerance"):
+        verify_certificate(cert, prof, tol=tol)
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_construct_rejects_nonfinite_margin(margin):
+    with pytest.raises(InputError, match="margin"):
+        construct_certificate(constant_profile(8), 0.1, 2, margin=margin)
+
+
 def test_pipeline_oscillation_lower_bound():
     # any probe sees a value >= 1 at n=1 and a value < -1/2 at n_2
     prof = constant_profile(32)

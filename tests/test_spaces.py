@@ -264,6 +264,86 @@ def test_majorizes_requires_comparable_spaces():
     assert majorizes(ft, gt)
 
 
+def _oracle_flag(f, g, tol):
+    """Submajorization by the oracle's partial integrals at the union of
+    both functions' atom boundaries."""
+    s = np.union1d(_boundaries(f), _boundaries(g))
+    fw, gw = f.space.weights, g.space.weights
+    return all(
+        partial_integral_oracle(g.values, gw, x)
+        <= partial_integral_oracle(f.values, fw, x) + tol
+        for x in s
+    )
+
+
+def _boundaries(h):
+    """Cumulative atom weights in one order of decreasing modulus."""
+    return np.cumsum(h.space.weights[np.argsort(-np.abs(h.values), kind="stable")])
+
+
+def _is_boundary(h, s):
+    """Whether s is a cumulative atom weight of h in some order of decreasing
+    modulus (tied atoms may come in any order). Exact for weights that are
+    multiples of 1/2."""
+    mags, w = np.abs(h.values), h.space.weights
+    for v in np.unique(mags):
+        sums = {float(np.sum(w[mags > v]))}
+        for t in w[mags == v]:
+            sums |= {x + t for x in sums}
+        if s in sums:
+            return True
+    return False
+
+
+def _random_pair(rng):
+    """f, g on one space with tied, zero and weighted atoms; sometimes on two
+    truncated windows of different sizes and totals."""
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(1, 12)) if rng.random() < 0.3 else n
+    truncated = m != n or rng.random() < 0.2
+    w = rng.choice([0.5, 1.0, 1.5], size=n)
+    wg = w if m == n else rng.choice([0.5, 1.0, 2.0], size=m)
+    levels = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    fv = rng.choice(levels, size=n) * (-1) ** rng.integers(0, 2, size=n)
+    gv = rng.choice(levels, size=m) * np.exp(1j * rng.uniform(0, 6.3, size=m))
+    if rng.random() < 0.1:
+        fv = np.zeros(n)
+    if rng.random() < 0.1:
+        gv = np.zeros(m)
+    return mk(fv, weights=w, truncated=truncated), mk(gv, weights=wg, truncated=truncated)
+
+
+def test_majorizes_agrees_with_oracle_on_the_breakpoint_union():
+    rng = np.random.default_rng(19)
+    verdicts = set()
+    for _ in range(400):
+        f, g = _random_pair(rng)
+        res = majorizes(f, g, tol=1e-9)
+        assert bool(res) == _oracle_flag(f, g, 1e-9)
+        verdicts.add(bool(res))
+        if not res:
+            # the witness is an atom boundary of g where the oracle fails
+            assert _is_boundary(g, res.witness_s)
+            int_f = partial_integral_oracle(f.values, f.space.weights, res.witness_s)
+            int_g = partial_integral_oracle(g.values, g.space.weights, res.witness_s)
+            assert int_g > int_f + 1e-9
+            assert (res.integral_f, res.integral_g) == pytest.approx((int_f, int_g))
+    assert verdicts == {True, False}
+
+
+def test_majorizes_zero_functions():
+    assert majorizes(mk([0.0, 0.0]), mk([0.0, 0.0]))
+    assert majorizes(mk([1.0, 2.0]), mk([0.0, 0.0]))
+    res = majorizes(mk([0.0, 0.0]), mk([0.0, 0.5]))
+    assert not res and res.witness_s == 1.0 and res.integral_f == 0.0
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_majorizes_rejects_bad_tolerances(tol):
+    with pytest.raises(InputError, match="tolerance"):
+        majorizes(mk([1.0, 1.0, 1.0]), mk([3.0, 0.0, 0.0]), tol=tol)
+
+
 def test_majorizes_averaging_contraction():
     # averaging two atoms is a doubly stochastic move, so f majorizes Af
     rng = np.random.default_rng(18)
@@ -358,6 +438,12 @@ def test_luxemburg_square_closed_form():
     phi = OrliczFunction.power(2.0)
     # modular 4/a^2 = 1 at a = 2
     assert luxemburg_norm(f, phi, tol=1e-12) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_luxemburg_rejects_bad_tolerances(tol):
+    with pytest.raises(InputError, match="tol"):
+        luxemburg_norm(mk([3.0, 1.0, 2.0]), OrliczFunction.power(2.0), tol=tol)
 
 
 def test_luxemburg_zero_function():

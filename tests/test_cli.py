@@ -393,10 +393,11 @@ def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
 
 # ------------------------------------------------------------ golden outputs
 
-# SHA-256 of every output file for pinned configs. The configs use
-# composition operators only (no kernel matmul), so the digests do not
-# depend on the BLAS build. A change to any digest is a change to the
-# CLI's deterministic output format or arithmetic.
+# SHA-256 of every output file for pinned configs. The two kernel cases
+# apply their matrix through numpy's BLAS matmul, so their digests can
+# depend on the BLAS build; the others use composition operators only. A
+# change to any digest is a change to the CLI's deterministic output format
+# or arithmetic.
 README_AVERAGE = {
     "schema": 1,
     "seed": 11,
@@ -415,6 +416,25 @@ README_SWEEP = {
     "probes": [0, 17, 101],
     "lambda_grid": 128,
     "checkpoints": {"geometric": 10000},
+}
+# 6 atoms in three weight classes; K = c1 P1 + c2 P2 for two weight-preserving
+# permutations P1, P2 and complex c1, c2 with |c1| + |c2| = 1, so K is DS.
+# Rows 1 and 4 hold c1 + c2 in one entry, the others two entries.
+KERNEL_SPACE = {"weights": [0.5, 1.0, 0.5, 2.0, 1.0, 2.0]}
+KERNEL_OPERATOR = {
+    "kind": "kernel",
+    "matrix_re": [[0, 0, 0.36, 0, 0, 0],
+                  [0, 0, 0, 0, 0.36, 0],
+                  [0.36, 0, 0, 0, 0, 0],
+                  [0, 0, 0, 0, 0, 0.36],
+                  [0, 0.36, 0, 0, 0, 0],
+                  [0, 0, 0, 0.36, 0, 0]],
+    "matrix_im": [[-0.4, 0, 0.48, 0, 0, 0],
+                  [0, 0, 0, 0, 0.08, 0],
+                  [0.48, 0, -0.4, 0, 0, 0],
+                  [0, 0, 0, -0.4, 0, 0.48],
+                  [0, 0.08, 0, 0, 0, 0],
+                  [0, 0, 0, 0.48, 0, -0.4]],
 }
 GOLDEN_CONFIGS = {
     "readme-average": ("average", README_AVERAGE),
@@ -472,6 +492,19 @@ GOLDEN_CONFIGS = {
         "checkpoints": {"geometric": 200},
         "probes": [0, 4],
     }),
+    "kernel-average": ("average", {
+        "schema": 1, "seed": 27,
+        "space": KERNEL_SPACE,
+        "operator": KERNEL_OPERATOR,
+        "function": {"random": {"kind": "complex"}},
+        "checkpoints": {"geometric": 100},
+        "probes": [0, 3, 5],
+    }),
+    "kernel-ds-check": ("ds-check", {
+        "schema": 1, "seed": 28,
+        "space": KERNEL_SPACE,
+        "operator": KERNEL_OPERATOR,
+    }),
 }
 GOLDEN_DIGESTS = {
     "counterexample": {
@@ -483,6 +516,14 @@ GOLDEN_DIGESTS = {
     "ds-check": {
         "ds_report.json":
             "c1c4ee0d9e53048a66c3d59c8142327bd054e1982c121960ae498030c3e4a538",
+    },
+    "kernel-average": {
+        "averages.csv":
+            "734f81e625ebfeeb20c7eeb4b52e58bb04fdfac393047aad92be79d4503dd14a",
+    },
+    "kernel-ds-check": {
+        "ds_report.json":
+            "ab5cecf8997f23eb73964bd40506966c44f55078c62d0c9f14d9c7463f714ec4",
     },
     "norms": {
         "norms.json":

@@ -13,7 +13,9 @@ checkpoints by one of three lanes:
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
-  operator application per step into one running Kahan-compensated sum.
+  operator application per step into one running Kahan-compensated sum. A
+  kernel is held in CSR form, so a step costs O(nnz) for its nnz stored
+  entries rather than O(N^2), and its sums do not depend on a BLAS build.
 """
 
 from __future__ import annotations

@@ -292,7 +292,17 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
     if space is None:
         raise InputError(f"operator kind {kind!r} needs a space")
     if kind == "kernel":
-        return KernelOperator(_complex_array(obj, "matrix_", kind="matrix"), space)
+        triplets = [k for k in ("rows", "cols", "data_re", "data_im") if k in obj]
+        if not triplets:
+            return KernelOperator(_complex_array(obj, "matrix_", kind="matrix"), space)
+        dense = [k for k in ("matrix_re", "matrix_im") if k in obj]
+        if dense:
+            raise InputError(f"{dense[0]}: not allowed beside {triplets[0]}; "
+                             "give the matrix or its triplets, not both")
+        rows = read(obj, "rows", "int_array")
+        cols = read(obj, "cols", "int_array")
+        data = _complex_array(obj, "data_", rows.size)
+        return KernelOperator.from_triplets(rows, cols, data, space)
     if kind == "composition":
         pm = read(obj, "map", "int_array")
         mult = _complex_array(obj, "mult_", pm.size, np.ones(pm.size))

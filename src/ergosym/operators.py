@@ -34,24 +34,96 @@ def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None
         raise InputError("measure-preserving map must match weights")
 
 
-@dataclass(eq=False)
+def _index_array(x, key: str, n: int) -> np.ndarray:
+    """x as a 1-d array of atom indices in range(n), or InputError."""
+    a = np.asarray(x)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise InputError(f"{key}: must be a list of integers")
+    bad = np.flatnonzero((a < 0) | (a >= n))
+    if bad.size:
+        raise InputError(f"{key}[{bad[0]}]: {a[bad[0]]} is not an atom of 0..{n - 1}")
+    return a.astype(np.intp)
+
+
 class KernelOperator:
-    """Dense kernel operator (Tf)_i = sum_j K[i, j] f_j."""
+    """Kernel operator (Tf)_i = sum_j K[i, j] f_j, held in CSR form.
 
-    matrix: np.ndarray
-    space: AtomicMeasureSpace
+    Only nonzero entries are stored, sorted by (row, column): row i holds
+    `data[indptr[i]:indptr[i + 1]]` in columns `indices[...]`. Each kernel
+    thus has exactly one stored form, and no N x N array is kept. An
+    application costs O(nnz): one gather, one product and one
+    `np.add.reduceat` over each row's entries, in a fixed order that does
+    not depend on a BLAS build. Build one from a dense matrix with
+    `KernelOperator(matrix, space)` or from (row, column, value) triplets
+    with `KernelOperator.from_triplets`.
+    """
 
-    def __post_init__(self):
-        k = np.asarray(self.matrix, dtype=complex)
-        n = self.space.n_atoms
+    def __init__(self, matrix, space: AtomicMeasureSpace):
+        k = np.asarray(matrix, dtype=complex)
+        n = space.n_atoms
         if k.shape != (n, n):
             raise InputError(f"kernel must be {n}x{n} for this space")
-        if not np.all(np.isfinite(k)):
+        rows, cols = np.nonzero(k)  # row-major, so sorted by (row, column)
+        self._store(space, rows, cols, k[rows, cols])
+
+    @classmethod
+    def from_triplets(cls, rows, cols, data, space: AtomicMeasureSpace):
+        """K[rows[t], cols[t]] = data[t], every other entry 0.
+
+        A (row, column) pair given twice is an InputError rather than a sum,
+        so each entry has one meaning. Zero values are dropped.
+        """
+        n = space.n_atoms
+        rows, cols = _index_array(rows, "rows", n), _index_array(cols, "cols", n)
+        data = np.asarray(data, dtype=complex)
+        for key, a in (("cols", cols), ("data", data)):
+            if a.shape != rows.shape:
+                raise InputError(f"{key}: expected {rows.size} values, got {a.size}")
+        order = np.lexsort((cols, rows))  # stable: repeats keep input order
+        rows, cols, data = rows[order], cols[order], data[order]
+        dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if dup.size:
+            i, j = order[dup[0]], order[dup[0] + 1]
+            raise InputError(
+                f"cols[{j}]: entry ({rows[dup[0]]}, {cols[dup[0]]}) is already"
+                f" given at index {i}"
+            )
+        keep = data != 0
+        return cls._from_sorted(space, rows[keep], cols[keep], data[keep])
+
+    @classmethod
+    def _from_sorted(cls, space, rows, cols, data):
+        """An operator from entries already sorted by (row, column)."""
+        op = cls.__new__(cls)
+        op._store(space, rows, cols, data)
+        return op
+
+    def _store(self, space, rows, cols, data) -> None:
+        if not np.all(np.isfinite(data)):
             raise InputError("kernel entries must be finite")
-        self.matrix = k
+        n = space.n_atoms
+        self.space = space
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.indices = cols
+        self.data = data
+        # np.add.reduceat gives an empty row the next row's first entry,
+        # so only rows that hold an entry are reduced
+        starts = self.indptr[:-1]
+        self._filled = np.flatnonzero(self.indptr[1:] > starts)
+        self._starts = starts[self._filled]
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry, aligned with `indices` and `data`."""
+        return np.repeat(np.arange(self.space.n_atoms), np.diff(self.indptr))
+
+    def row_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-row sums of per-entry values x; 0 on rows without entries."""
+        out = np.zeros(self.space.n_atoms, dtype=x.dtype)
+        out[self._filled] = np.add.reduceat(x, self._starts)
+        return out
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        return self.row_sums(self.data * v[self.indices])
 
 
 @dataclass(eq=False)
@@ -120,10 +192,9 @@ class DSReport:
 def _contraction_sums(T: Operator) -> tuple[float, float]:
     w = T.space.weights
     if isinstance(T, KernelOperator):
-        a = np.abs(T.matrix)
-        col = float(np.max((w @ a) / w))
-        row = float(np.max(np.sum(a, axis=1)))
-        return col, row
+        a = np.abs(T.data)
+        col_mass = np.bincount(T.indices, w[T.entry_rows()] * a, T.space.n_atoms)
+        return float(np.max(col_mass / w)), float(np.max(T.row_sums(a)))
     m = np.abs(T.multiplier)
     col_mass = np.zeros(T.space.n_atoms)
     np.add.at(col_mass, T.point_map, w * m)
@@ -148,7 +219,9 @@ def linear_modulus(T: Operator) -> Operator:
     norms on L1 and Linf (the contraction sums only see moduli).
     """
     if isinstance(T, KernelOperator):
-        return KernelOperator(np.abs(T.matrix), T.space)
+        return KernelOperator._from_sorted(
+            T.space, T.entry_rows(), T.indices, np.abs(T.data)
+        )
     return CompositionOperator(
         T.point_map, np.abs(T.multiplier), T.space, T.measure_preserving
     )
@@ -157,13 +230,19 @@ def linear_modulus(T: Operator) -> Operator:
 def adjoint(T: KernelOperator) -> KernelOperator:
     """Adjoint for the weighted pairing <u, v> = sum_i w_i u_i conj(v_i).
 
-    K*[j, i] = conj(K[i, j]) * w_i / w_j; applying it twice returns K.
+    K*[j, i] = conj(K[i, j]) * w_i / w_j; applying it twice returns K. The
+    entries are transposed by a stable sort on the column, which keeps each
+    new row in column order. K* keeps K's pattern even where an entry
+    underflows to 0, so |K*| and |K|* always share one.
     """
     if not isinstance(T, KernelOperator):
         raise InputError("adjoints are provided for kernel operators")
     w = T.space.weights
-    k_adj = np.conj(T.matrix).T * (w[np.newaxis, :] / w[:, np.newaxis])
-    return KernelOperator(k_adj, T.space)
+    order = np.argsort(T.indices, kind="stable")
+    i, j = T.entry_rows()[order], T.indices[order]
+    return KernelOperator._from_sorted(
+        T.space, j, i, np.conj(T.data[order]) * (w[i] / w[j])
+    )
 
 
 def pairing(
@@ -212,10 +291,11 @@ def modulus_domination_check(
 
 
 def adjoint_modulus_commutation(T: KernelOperator, tol: float = DS_TOL) -> bool:
-    """Check |T*| == |T|* entrywise within tol."""
-    lhs = linear_modulus(adjoint(T)).matrix
-    rhs = adjoint(linear_modulus(T)).matrix
-    return float(np.max(np.abs(lhs - rhs))) <= tol
+    """Check |T*| == |T|* entrywise within tol. Both sides hold the
+    transpose of T's pattern, so their CSR data arrays align entry by entry."""
+    lhs = linear_modulus(adjoint(T)).data
+    rhs = adjoint(linear_modulus(T)).data
+    return float(np.max(np.abs(lhs - rhs), initial=0.0)) <= tol
 
 
 def signed_shift_operator(

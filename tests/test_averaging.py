@@ -30,6 +30,8 @@ from ergosym import (
     weighted,
 )
 from ergosym import spaces
+from ergosym.formats import operator_from_json
+from dense import dense
 from oracles import naive_averages, naive_weighted_averages
 
 
@@ -118,7 +120,8 @@ def test_streaming_matches_naive_randomized():
         f = MeasurableFunction(v, T.space)
         ns = sorted(set(int(x) for x in rng.integers(1, 200, size=4)))
         rep = cesaro(T, f, ns)
-        want = naive_averages(lambda u: T.matrix @ u, v, ns)
+        K = dense(T)
+        want = naive_averages(lambda u: K @ u, v, ns)
         for a, b in zip(rep.averages, want):
             assert np.max(np.abs(a.values - b)) <= 1e-12
 
@@ -389,6 +392,40 @@ def test_lifted_lane_memory_stays_linear_in_atoms(kind):
     assert np.all(rep.linf_norms <= norm(f, "Linf") * (1 + 1e-12))
 
 
+def test_sparse_kernel_memory_is_linear_in_entries():
+    # A kernel with 4 entries per row on 2^16 atoms, decoded from triplets and
+    # averaged to n = 256 with every average kept. As a dense matrix it would
+    # take 64 GiB; in CSR form decoding peaks near 110 bytes per entry and the
+    # run holds the entries (24 bytes each), the stored averages and a few
+    # vectors. One application costs about 2.5 ms.
+    n_atoms, per_row, horizon = 1 << 16, 4, 256
+    rng = np.random.default_rng(78)
+    # entry k of row i sits in column p[(q[i] + k N/4) mod N] for permutations
+    # p, q: each k is a permutation, so K is doubly stochastic, and a row's
+    # four columns differ
+    p, q = rng.permutation(n_atoms), rng.permutation(n_atoms)
+    rows = np.repeat(np.arange(n_atoms), per_row)
+    shifts = np.tile(np.arange(per_row) * (n_atoms // per_row), n_atoms)
+    cols = p[(q[rows] + shifts) % n_atoms]
+    spec = {"kind": "kernel", "rows": rows.tolist(), "cols": cols.tolist(),
+            "data_re": np.full(rows.size, 1.0 / per_row).tolist()}
+    space = AtomicMeasureSpace.uniform(n_atoms)
+    f = MeasurableFunction(rng.normal(size=n_atoms), space)
+    cps = geometric_checkpoints(horizon)
+    tracemalloc.start()
+    try:
+        T = operator_from_json(spec, space)
+        rep = cesaro(T, f, cps, probes=(0,))
+        flags = majorization_trace(rep, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 96 * rows.size + (len(cps) + 8) * n_atoms * 16
+    assert T.data.size == rows.size and peak <= bound
+    assert all(flags)
+    assert np.all(rep.l1_norms <= norm(f, "L1") * (1 + 1e-12))
+
+
 # ------------------------------------------------------------------ weighted
 
 
@@ -441,7 +478,8 @@ def test_weighted_streaming_matches_naive():
         ns = sorted(set(int(x) for x in rng.integers(1, 150, size=3)))
         rep = weighted(T, f, beta, ns)
         betas = lam ** np.arange(ns[-1])
-        want = naive_weighted_averages(lambda u: T.matrix @ u, v, betas, ns)
+        K = dense(T)
+        want = naive_weighted_averages(lambda u: K @ u, v, betas, ns)
         for a, b in zip(rep.averages, want):
             assert np.max(np.abs(a.values - b)) <= 1e-12
 

@@ -16,6 +16,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ import ergosym
 from ergosym import cli, rotation_closed_form
 from ergosym.averaging import DEFAULT_BUDGET
 from ergosym.divergence import VerificationResult
+from oracles import naive_averages
 
 
 def write_cfg(tmp_path, name, obj):
@@ -575,6 +577,52 @@ def test_golden_output_digests(tmp_path, case):
     assert _golden_outputs(tmp_path, case) == GOLDEN_DIGESTS[case]
 
 
+def test_dense_and_triplet_kernels_give_identical_outputs(tmp_path):
+    # the golden kernel as triplets in reverse order, plus an explicit zero
+    re, im = KERNEL_OPERATOR["matrix_re"], KERNEL_OPERATOR["matrix_im"]
+    entries = [(i, j) for i in range(6) for j in range(6) if re[i][j] or im[i][j]]
+    entries = [(0, 1)] + entries[::-1]
+    triplets = {"kind": "kernel", "rows": [i for i, _ in entries],
+                "cols": [j for _, j in entries],
+                "data_re": [re[i][j] for i, j in entries],
+                "data_im": [im[i][j] for i, j in entries]}
+    for case in ("kernel-average", "kernel-ds-check"):
+        command, cfg = GOLDEN_CONFIGS[case]
+        outputs = []
+        for name, op in (("dense", KERNEL_OPERATOR), ("triplets", triplets)):
+            path = write_cfg(tmp_path, f"{name}.json", _with(cfg, operator=op))
+            out = tmp_path / case / name
+            assert cli.main([command, path, "--output-dir", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+
+# kernels whose CSR form has a row without entries, no entries, or one atom
+@pytest.mark.parametrize("atoms, rows, cols, data", [
+    (4, [3, 0, 2, 0], [0, 3, 2, 1], [1.0, 0.5, -1.0, 0.5]),
+    (4, [], [], []),
+    (1, [0], [0], [-1.0]),
+], ids=["empty-row", "no-entries", "one-atom"])
+def test_sparse_kernel_edge_cases_exit_0(tmp_path, atoms, rows, cols, data):
+    f = [float(i + 1) for i in range(atoms)]
+    cps = [1, 2, 5]
+    cfg = {"schema": 1, "seed": 5, "space": {"atoms": atoms},
+           "operator": {"kind": "kernel", "rows": rows, "cols": cols, "data_re": data},
+           "function": {"re": f}, "checkpoints": cps, "probes": list(range(atoms))}
+    path = write_cfg(tmp_path, "k.json", cfg)
+    out = tmp_path / "out"
+    for command in ("average", "ds-check"):
+        assert cli.main([command, path, "--output-dir", str(out)]) == 0
+    k = np.zeros((atoms, atoms))
+    k[rows, cols] = data
+    want = np.ravel(naive_averages(lambda v: k @ v, np.array(f), cps))
+    lines = (out / "averages.csv").read_text().splitlines()[2:]
+    got = [complex(float(x.split(",")[2]), float(x.split(",")[3])) for x in lines]
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+    report = json.loads((out / "ds_report.json").read_text())
+    assert report["worst_row_sum"] == max(np.sum(np.abs(k), axis=1))
+
+
 # ------------------------------------------------------- malformed configs
 
 SMALL_SWEEP = {
@@ -628,6 +676,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
 
 # Each config holds one wrong value; the diagnostic names its key path.
 WEIGHTED = GOLDEN_CONFIGS["weighted-average"][1]
+
+
+def _triplets(**changes):
+    """The 4-cycle of README_AVERAGE as kernel triplets, with changes."""
+    return {"kind": "kernel", "rows": [0, 1, 2, 3], "cols": [1, 2, 3, 0],
+            "data_re": [1, 1, 1, 1], **changes}
 
 
 @pytest.mark.parametrize("command, cfg, line", [
@@ -688,13 +742,34 @@ WEIGHTED = GOLDEN_CONFIGS["weighted-average"][1]
      "config: probes: missing"),
     ("average", _with(README_AVERAGE, outputs={"averages": "../averages.csv"}),
      "config: outputs: averages: must be a file name"),
+    ("average", _with(README_AVERAGE, operator=_triplets(rows=[0, 1, 2, 0], cols=[1, 2, 3, 1])),
+     "config: operator: cols[3]: entry (0, 1) is already given at index 0"),
+    ("average", _with(README_AVERAGE, operator=_triplets(rows=[0, -1, 2, 3])),
+     "config: operator: rows[1]: -1 is not an atom of 0..3"),
+    ("average", _with(README_AVERAGE, operator=_triplets(cols=[1, 2, 3, 4])),
+     "config: operator: cols[3]: 4 is not an atom of 0..3"),
+    ("average", _with(README_AVERAGE, operator=_triplets(cols=[1, 2, 3])),
+     "config: operator: cols: expected 4 values, got 3"),
+    ("average", _with(README_AVERAGE, operator=_triplets(data_re=[1] * 5)),
+     "config: operator: data_re: expected 4 values, got 5"),
+    ("average", _with(README_AVERAGE, operator=_triplets(data_im=[1])),
+     "config: operator: data_im: expected the shape of data_re"),
+    ("average", _with(README_AVERAGE, operator=_triplets(rows=[[0, 1], [2, 3]])),
+     "config: operator: rows: must be a list of integers"),
+    ("average", _with(README_AVERAGE, operator=_triplets(matrix_re=[[1]])),
+     "config: operator: matrix_re: not allowed beside rows"),
+    ("average", _with(README_AVERAGE, operator={"kind": "kernel", "data_re": [1]}),
+     "config: operator: rows: missing"),
 ], ids=[
     "atoms-fractional", "atoms-str", "truncated-str", "ones-str", "checkpoint-fractional",
     "geometric-fractional", "step-fractional", "character-fractional", "lambda-nan",
     "map-missing", "matrix-ragged", "atoms-null", "phase-den-zero", "phase-den-missing",
     "phase-num-missing", "phase-den-2^31", "step-70-bit",
     "tol-str", "constant-str", "random-kind-int", "mult-too-long", "probes-empty",
-    "probes-absent", "output-outside-dir",
+    "probes-absent", "output-outside-dir", "triplet-duplicate", "triplet-row-negative",
+    "triplet-col-range", "triplet-cols-short", "triplet-data-long",
+    "triplet-im-short", "triplet-rows-nested", "triplet-and-matrix",
+    "triplet-rows-missing",
 ])
 def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -36,6 +36,7 @@ from ergosym.formats import (
     weight_from_json,
 )
 from ergosym.rng import SplitMix64
+from dense import dense
 
 # ---------------------------------------------------------------- decoders
 
@@ -103,7 +104,7 @@ def test_operator_from_json_kernel():
          "matrix_im": [[0, 0], [0, 0]]}, sp
     )
     assert isinstance(T, KernelOperator)
-    assert np.array_equal(T.matrix, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(dense(T), np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_operator_from_json_composition_multiplier_keys():

@@ -20,6 +20,7 @@ from ergosym import (
     pairing,
     signed_shift_operator,
 )
+from dense import dense
 from oracles import modulus_sup_oracle
 
 
@@ -68,6 +69,50 @@ def test_apply_kernel_example():
     T = KernelOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), sp)
     out = apply(T, mk([5.0, 7.0], sp))
     assert np.allclose(out.values, [7.0, 0.0])
+
+
+# np.add.reduceat would give a row without entries the next row's first one
+@pytest.mark.parametrize("empty", [(0,), (2,), (4,), (0, 1, 3), (0, 1, 2, 3, 4)])
+def test_kernel_rows_without_entries_apply_to_zero(empty):
+    rng = np.random.default_rng(41)
+    k = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    k[list(empty)] = 0.0
+    T = KernelOperator(k, unit_space(5))
+    v = rng.normal(size=5) + 1j * rng.normal(size=5)
+    got = T.apply_values(v)
+    assert np.all(got[list(empty)] == 0)
+    assert np.max(np.abs(got - k @ v)) <= 1e-14
+    rep = ds_certificate(T)
+    assert rep.worst_row_sum == pytest.approx(np.max(np.sum(np.abs(k), axis=1)))
+    assert rep.worst_column_sum == pytest.approx(np.max(np.sum(np.abs(k), axis=0)))
+
+
+def test_kernel_has_one_csr_form():
+    # a dense matrix and its entries as triplets, shuffled and with explicit
+    # zeros, store the same arrays: nonzeros only, sorted by (row, column)
+    rng = np.random.default_rng(42)
+    sp = unit_space(6)
+    k = rng.normal(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.4)
+    rows, cols = np.divmod(rng.permutation(36), 6)
+    T = KernelOperator(k, sp)
+    U = KernelOperator.from_triplets(rows, cols, k[rows, cols], sp)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(T, name), getattr(U, name))
+    assert np.all(T.data != 0) and np.array_equal(dense(T), k)
+
+
+@pytest.mark.parametrize("rows, cols, data, message", [
+    ([0, 1, 0], [1, 2, 1], [1.0, 1.0, 0.0], "cols[2]: entry (0, 1) is already given at index 0"),
+    ([0, -1], [1, 2], [1.0, 1.0], "rows[1]: -1 is not an atom of 0..2"),
+    ([0, 1], [1, 3], [1.0, 1.0], "cols[1]: 3 is not an atom of 0..2"),
+    ([0, 1], [1], [1.0, 1.0], "cols: expected 2 values, got 1"),
+    ([0, 1], [1, 2], [1.0], "data: expected 2 values, got 1"),
+    ([0.0, 1.0], [1, 2], [1.0, 1.0], "rows: must be a list of integers"),
+])
+def test_kernel_triplets_rejected(rows, cols, data, message):
+    with pytest.raises(InputError) as e:
+        KernelOperator.from_triplets(rows, cols, data, unit_space(3))
+    assert str(e.value) == message
 
 
 def test_apply_space_mismatch():
@@ -180,14 +225,14 @@ def test_modulus_hand_example():
     out = apply(linear_modulus(T), mk([1.0, 1.0], sp))
     assert np.allclose(out.values, [0.7, 0.3])
     # and this is the sign-vector supremum
-    assert np.allclose(modulus_sup_oracle(T.matrix.real, [1.0, 1.0]), [0.7, 0.3])
+    assert np.allclose(modulus_sup_oracle(dense(T).real, [1.0, 1.0]), [0.7, 0.3])
 
 
 def test_modulus_fixes_nonnegative_kernels():
     sp = unit_space(3)
     k = np.array([[0.1, 0.2, 0.0], [0.0, 0.3, 0.1], [0.2, 0.0, 0.2]])
     T = KernelOperator(k, sp)
-    assert np.array_equal(linear_modulus(T).matrix, k)
+    assert np.array_equal(dense(linear_modulus(T)), k)
 
 
 def test_modulus_matches_sign_vector_sup_randomized():
@@ -288,14 +333,14 @@ def test_modulus_shares_operator_norms():
 def test_adjoint_unit_weights_is_conjugate_transpose():
     sp = unit_space(3)
     k = np.array([[1.0, 2.0, 0.0], [0.0, 1j, 0.0], [0.5, 0.0, -1.0]])
-    assert np.allclose(adjoint(KernelOperator(k, sp)).matrix, np.conj(k).T)
+    assert np.allclose(dense(adjoint(KernelOperator(k, sp))), np.conj(k).T)
 
 
 def test_adjoint_weighted_hand_example():
     sp = AtomicMeasureSpace(np.array([1.0, 2.0]))
     T = KernelOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), sp)
     Ts = adjoint(T)
-    assert np.allclose(Ts.matrix, [[0.0, 0.0], [0.5, 0.0]])
+    assert np.allclose(dense(Ts), [[0.0, 0.0], [0.5, 0.0]])
     f = mk([0.0, 1.0], sp)
     g = mk([1.0, 0.0], sp)
     lhs = pairing(apply(T, f), g)
@@ -311,7 +356,7 @@ def test_adjoint_involution_and_duality_randomized():
         sp = AtomicMeasureSpace(rng.uniform(0.2, 3.0, size=n))
         k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         T = KernelOperator(k, sp)
-        assert np.max(np.abs(adjoint(adjoint(T)).matrix - k)) <= 1e-12
+        assert np.max(np.abs(dense(adjoint(adjoint(T))) - k)) <= 1e-12
         f = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), sp)
         g = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), sp)
         lhs = pairing(apply(adjoint(T), f), g)

@@ -395,11 +395,10 @@ def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
 
 # ------------------------------------------------------------ golden outputs
 
-# SHA-256 of every output file for pinned configs. The two kernel cases
-# apply their matrix through numpy's BLAS matmul, so their digests can
-# depend on the BLAS build; the others use composition operators only. A
-# change to any digest is a change to the CLI's deterministic output format
-# or arithmetic.
+# SHA-256 of every output file for pinned configs. No CLI computation calls
+# BLAS (kernel operators apply in CSR form, by gathers and np.add.reduceat),
+# so the digests do not depend on the BLAS build. A change to any digest is
+# a change to the CLI's deterministic output format or arithmetic.
 README_AVERAGE = {
     "schema": 1,
     "seed": 11,
@@ -521,7 +520,7 @@ GOLDEN_DIGESTS = {
     },
     "kernel-average": {
         "averages.csv":
-            "734f81e625ebfeeb20c7eeb4b52e58bb04fdfac393047aad92be79d4503dd14a",
+            "7a5354f18dac02cc693f23b46f5a3c0d5b13a01fc4a0b94348fc5f8bf3bf6aca",
     },
     "kernel-ds-check": {
         "ds_report.json":

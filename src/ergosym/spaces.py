@@ -444,7 +444,7 @@ def decompose(f: MeasurableFunction, eps: float):
     The split is exact componentwise; g carries the large values, h the
     remainder with Linf norm at most eps.
     """
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise InputError("decomposition level must be nonnegative")
     mask = np.abs(f.values) > eps
     g = MeasurableFunction(np.where(mask, f.values, 0.0), f.space)

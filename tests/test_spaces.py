@@ -568,6 +568,19 @@ def test_decompose_examples_and_identities():
     assert np.allclose(h3.values, f.values)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), -1.0])
+def test_decompose_rejects_negative_and_nan_levels(eps):
+    with pytest.raises(InputError):
+        decompose(mk([3.0, -1.0, 0.5]), eps)
+
+
+def test_decompose_at_infinity_keeps_all_in_h():
+    f = mk([3.0, -1.0, 0.5])
+    g, h = decompose(f, float("inf"))
+    assert np.array_equal(g.values, np.zeros(3))
+    assert np.array_equal(h.values, f.values)
+
+
 def test_decompose_randomized_invariants():
     rng = np.random.default_rng(22)
     for _ in range(25):

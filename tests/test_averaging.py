@@ -395,9 +395,9 @@ def test_lifted_lane_memory_stays_linear_in_atoms(kind):
 def test_sparse_kernel_memory_is_linear_in_entries():
     # A kernel with 4 entries per row on 2^16 atoms, decoded from triplets and
     # averaged to n = 256 with every average kept. As a dense matrix it would
-    # take 64 GiB; in CSR form decoding peaks near 110 bytes per entry and the
-    # run holds the entries (24 bytes each), the stored averages and a few
-    # vectors. One application costs about 2.5 ms.
+    # take 64 GiB. In CSR form the run peaks at about 28 MiB (numpy 2.4): the
+    # decoding temporaries, the entries (24 bytes each), the 9 stored
+    # averages and a few vectors. One application costs about 2.5 ms.
     n_atoms, per_row, horizon = 1 << 16, 4, 256
     rng = np.random.default_rng(78)
     # entry k of row i sits in column p[(q[i] + k N/4) mod N] for permutations

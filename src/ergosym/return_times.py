@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -53,21 +54,67 @@ class PointSystem:
         tau = (np.arange(order) + step % order) % order
         return cls(space, tau)
 
-    def orbit(self, start: int, n: int) -> np.ndarray:
-        """Atom indices tau^k(start) for k < n.
+    def cycle(self, start: int) -> np.ndarray:
+        """The L atoms tau^k(start), k < L, of the cycle through `start`.
 
-        tau is a bijection, so the orbit is periodic: walk the cycle through
-        `start` once (at most n steps) and tile it out to n terms.
+        tau is a bijection, so tau^L(start) == start for the first such L,
+        and L is at most the number of atoms. O(L) time and memory.
         """
         if start < 0 or start >= self.space.n_atoms:
             raise InputError("orbit start out of range")
         start = int(start)
         cycle = [start]
         p = int(self.tau[start])
-        while p != start and len(cycle) < n:
+        while p != start:
             cycle.append(p)
             p = int(self.tau[p])
-        return np.resize(np.array(cycle, dtype=int), n)
+        return np.array(cycle, dtype=int)
+
+    def orbit(self, start: int, n: int) -> np.ndarray:
+        """Atom indices tau^k(start) for k < n: the cycle through `start`
+        tiled out to n terms. O(L + n) memory; the averages below read the
+        cycle itself instead."""
+        return np.resize(self.cycle(start), n)
+
+
+# terms per traversal block: bounds the working memory of a period walk
+FOLD_BLOCK = 1 << 14
+
+
+def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
+    """Sums S_n = sum_{k<n} x_k at every checkpoint n, for the sequence
+    x_k = prod_i factors[i][k mod len(factors[i])], which repeats with
+    `period` P, a multiple of every factor's length.
+
+    Only m = min(n_max, P) terms are walked, in blocks of FOLD_BLOCK, and
+    checkpoint n = q P + r (1 <= r <= P) reads q S_P + S_r: the prefix sums
+    are needed only at the sorted residues r, plus P itself once some n
+    passes it. Below one period q = 0 and S_n is read as walked.
+
+    `fold(k0, x, ends)` receives the terms k0 <= k < k0 + len(x) in order
+    (x may be overwritten) and returns the prefix sums after the first e
+    terms of the block for each offset e in `ends`, one row per offset.
+    The result has one row per checkpoint. O(m) time and O(block) memory
+    beyond the factors and at most C + 1 prefix rows, for C checkpoints.
+    """
+    period = min(period, cps[-1])  # no checkpoint sees a longer period
+    q, r = np.divmod(np.array(cps, dtype=np.int64) - 1, period)
+    r += 1
+    stops = np.unique(np.append(r, period) if q.any() else r)
+    m = int(stops[-1])
+    prefix = []
+    for k0 in range(0, m, FOLD_BLOCK):
+        k = np.arange(k0, min(k0 + FOLD_BLOCK, m))
+        x = factors[0][k % len(factors[0])]
+        for v in factors[1:]:
+            x *= v[k % len(v)]
+        lo, hi = np.searchsorted(stops, (k0, k0 + k.size), side="right")
+        prefix.append(fold(k0, x, stops[lo:hi] - k0))
+    prefix = np.concatenate(prefix)
+    sums = prefix[np.searchsorted(stops, r)]
+    past = q > 0  # only these read S_P: q = 0 keeps the walked bits
+    sums[past] += np.multiply.outer(q[past], prefix[-1])
+    return sums
 
 
 @dataclass(eq=False)
@@ -89,7 +136,15 @@ def product_average(
     max_iterations: int = DEFAULT_BUDGET,
 ) -> ProductAverageReport:
     """Averages (1/n) sum_{k<n} f(tau^k w) g(phi^k y) at the checkpoints,
-    for each probe pair (w, y). One orbit traversal per system per probe."""
+    for each probe pair (w, y).
+
+    The product term repeats with period P = lcm(L_a, L_b) of the two
+    cycles, so one walk over min(n_max, P) terms gives every checkpoint:
+    n = q P + r reads q S_P + S_r. The running sum is one cumsum carried
+    across blocks, so below one period every S_n has the bits of a single
+    cumsum over the n terms. Time O(min(n_max, P)) and memory
+    O(L_a + L_b + block + C) per pair, whatever the horizon.
+    """
     cps = _horizon(checkpoints, max_iterations)
     if not system_a.space.is_compatible(f.space):
         raise InputError("f must live on the first system's space")
@@ -98,15 +153,23 @@ def product_average(
     pairs = tuple((int(a), int(b)) for a, b in probes)
     if not pairs:
         raise InputError("need at least one probe pair")
-    n_max = cps[-1]
-    idx = np.array(cps) - 1
     ns = np.array(cps, dtype=float)
     out = np.empty((len(cps), len(pairs)), dtype=complex)
     for col, (wa, yb) in enumerate(pairs):
-        fo = f.values[system_a.orbit(wa, n_max)]
-        go = g.values[system_b.orbit(yb, n_max)]
-        csum = np.cumsum(fo * go)
-        out[:, col] = csum[idx] / ns
+        fc = f.values[system_a.cycle(wa)]
+        gc = g.values[system_b.cycle(yb)]
+        total = None  # S at the end of the previous block
+
+        def running_sum(k0, x, ends):
+            nonlocal total
+            if total is not None:
+                x[0] += total
+            np.cumsum(x, out=x)
+            total = x[-1]
+            return x[ends - 1]
+
+        sums = _fold_periodic((fc, gc), lcm(fc.size, gc.size), cps, running_sum)
+        out[:, col] = sums / ns
     return ProductAverageReport(cps, pairs, out)
 
 
@@ -140,11 +203,13 @@ def wiener_wintner_sweep(
     Since lam_j^k depends on k only through r = k mod G, the twisted sum up
     to n is sum_r S_r lam_j^r with S_r the sum of the orbit samples whose
     index k < n has k = r (mod G): an inverse DFT of the residue sums.
-    One orbit traversal per probe folds the samples between consecutive
-    checkpoints into residue bins; a running sum over the checkpoint
-    segments and one batched inverse FFT give every checkpoint. The phases
-    are exact integers mod G; time is O(n + C G log G) and memory
-    O(n + C G) per probe, for C checkpoints.
+    The pair (k mod G, tau^k w) repeats with period P = lcm(L, G), so one
+    walk over min(n_max, P) terms folds the samples into residue bins, one
+    bin set per stretch between the prefix points that the checkpoints
+    n = q P + r need (q R_P + R_r). A running sum over those stretches and
+    one batched inverse FFT give every checkpoint. The phases are exact
+    integers mod G; time is O(min(n_max, P) + C G log G) and memory
+    O(L + block + C G) per probe, for C checkpoints, whatever the horizon.
     """
     cps = _horizon(checkpoints, max_iterations)
     if not system.space.is_compatible(f.space):
@@ -156,19 +221,36 @@ def wiener_wintner_sweep(
         raise InputError("need at least one probe")
     g = int(grid_size)
     lams = cycles(np.arange(g) / g)
-    n_max, n_cps = cps[-1], len(cps)
-    # bin of term k: (index of its checkpoint segment) * G + k mod G
-    bins = np.arange(n_max)
-    np.remainder(bins, g, out=bins)
-    bins += np.repeat(np.arange(n_cps) * g, np.diff(cps, prepend=0))
     ns = np.array(cps, dtype=float)
-    avgs = np.empty((g, len(probes), n_cps), dtype=complex)
+    avgs = np.empty((g, len(probes), len(cps)), dtype=complex)
     for p, start in enumerate(probes):
-        fo = f.values[system.orbit(start, n_max)]
-        sums = np.empty(n_cps * g, dtype=complex)
-        sums.real = np.bincount(bins, fo.real, n_cps * g)
-        sums.imag = np.bincount(bins, fo.imag, n_cps * g)
-        sums = np.cumsum(sums.reshape(n_cps, g), axis=0)
+        fc = f.values[system.cycle(start)]
+        open_bins = np.zeros(g, dtype=complex)  # the unfinished stretch
+        closed = np.zeros(g, dtype=complex)  # residue sums at the last end
+
+        def residue_sums(k0, x, ends):
+            nonlocal open_bins, closed
+            n_seg = ends.size + 1
+            # bin of term k: (its stretch in the block) * G + k mod G; the
+            # open stretch's bins lead, so bincount continues their sums
+            seg_sizes = np.diff(ends, prepend=0, append=x.size)
+            bins = np.repeat(np.arange(n_seg) * g, seg_sizes)
+            bins += np.arange(k0, k0 + x.size) % g
+            bins = np.concatenate((np.arange(g), bins))
+            x = np.concatenate((open_bins, x))
+            sums = np.empty(n_seg * g, dtype=complex)
+            sums.real = np.bincount(bins, x.real, n_seg * g)
+            sums.imag = np.bincount(bins, x.imag, n_seg * g)
+            sums = sums.reshape(n_seg, g)
+            open_bins = sums[-1].copy()
+            done = sums[:-1]
+            if done.size:
+                done[0] += closed
+                np.cumsum(done, axis=0, out=done)
+                closed = done[-1].copy()
+            return done
+
+        sums = _fold_periodic((fc,), lcm(fc.size, g), cps, residue_sums)
         # unnormalised inverse DFT: sum_r S_r exp(2 pi i j r / G)
         avgs[:, p, :] = np.fft.ifft(sums, axis=1, norm="forward").T / ns
     osc = np.maximum(

@@ -782,21 +782,52 @@ def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
 # numpy refuses each of these arrays before allocating anything
 @pytest.mark.parametrize("command, cfg", [
     ("wiener-wintner", _with(SMALL_SWEEP, lambda_grid=2**62)),
-    ("wiener-wintner", _with(SMALL_SWEEP, checkpoints={"geometric": 2**62},
-                             max_iterations=2**62)),
     ("weighted-average", _with(WEIGHTED, checkpoints={"geometric": 2**62},
                                max_iterations=2**62)),
     ("rearrange", {"schema": 1, "seed": 1, "space": {"atoms": 2**62},
                    "function": {"ones": True}}),
     ("ds-check", {"schema": 1, "seed": 1, "operator": {
         "kind": "counterexample", "breakpoints": [1], "grid": 2**40, "window": 2**40}}),
-], ids=["lambda-grid", "ww-horizon", "weighted-horizon", "atoms", "cells-2^80"])
+], ids=["lambda-grid", "weighted-horizon", "atoms", "cells-2^80"])
 def test_oversize_array_exits_3(tmp_path, capsys, command, cfg):
     path = write_cfg(tmp_path, "big.json", cfg)
     out = tmp_path / "out"
     assert cli.main([command, path, "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory; reduce the config's sizes\n"
+    assert not out.exists()
+
+
+# both commands walk at most one period of their orbits, so no horizon sizes
+# an array: 2^62 terms run on the periods 8 (sweep) and 35 (return-times)
+HUGE_HORIZON = {"checkpoints": {"geometric": 2**62}, "max_iterations": 2**62}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wiener-wintner", _with(SMALL_SWEEP, **HUGE_HORIZON)),
+    ("return-times", _with(GOLDEN_CONFIGS["return-times"][1], **HUGE_HORIZON)),
+], ids=["wiener-wintner", "return-times"])
+def test_horizon_2_62_runs_on_one_period(tmp_path, command, cfg):
+    path = write_cfg(tmp_path, "huge.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 0
+    (csv,) = out.iterdir()
+    header, *rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 63 * len(cfg["probes"]) * cfg.get("lambda_grid", 1)
+    if command == "wiener-wintner":
+        col = header.split(",").index("abs_err")
+        assert max(float(r.split(",")[col]) for r in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wiener-wintner", _with(SMALL_SWEEP, max_iterations=7)),
+    ("return-times", _with(GOLDEN_CONFIGS["return-times"][1], max_iterations=499)),
+], ids=["wiener-wintner", "return-times"])
+def test_horizon_past_the_budget_exits_3(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "over.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 3
+    assert "exceeds the iteration budget" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,9 +1,10 @@
 """Product (return-times) averages and unit-circle sweeps."""
 
 import cmath
+import time
 import tracemalloc
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, lcm, pi
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ergosym import (
     weighted,
     wiener_wintner_sweep,
 )
+from ergosym.return_times import FOLD_BLOCK
 from oracles import product_average_oracle
 
 
@@ -73,6 +75,21 @@ def test_orbit_matches_step_loop_on_multicycle_bijections():
                 orbit = sys_.orbit(int(start), n)
                 assert orbit.dtype == np.dtype(int)
                 assert orbit.tolist() == step_orbit(sys_.tau, int(start), n)
+
+
+def test_cycle_walks_its_cycle_once():
+    rng = np.random.default_rng(87)
+    sys_ = cycles_system([13, 5, 1, 23], rng)
+    for start in range(sys_.space.n_atoms):
+        cyc = sys_.cycle(start)
+        assert cyc.dtype == np.dtype(int)
+        assert cyc.size in (13, 5, 1, 23)
+        assert cyc.tolist() == step_orbit(sys_.tau, start, cyc.size)
+        assert int(sys_.tau[cyc[-1]]) == start
+        assert len(set(cyc.tolist())) == cyc.size
+    for bad in (-1, sys_.space.n_atoms):
+        with pytest.raises(InputError):
+            sys_.cycle(bad)
 
 
 def test_point_system_requires_bijection():
@@ -231,9 +248,15 @@ def test_sweep_matches_direct_sum_with_exact_phases(grid):
         assert np.max(np.abs(got - want[:, idx])) <= 1e-12
 
 
+# tracemalloc peak of one product_average or wiener_wintner_sweep call on
+# small orders, whatever the horizon: the period walk holds a few blocks of
+# FOLD_BLOCK terms, and the results C x pairs and G x probes x C values
+FOLD_PEAK_BOUND = 4 * 2**20
+
+
 def test_sweep_memory_is_bounded_at_default_budget():
     # G = 128 at the default budget of 1e6 terms: a G x n table alone would
-    # take 2 GB
+    # take 2 GB, and an n-long sample vector 16 MB
     sys_ = PointSystem.cyclic(256)
     f = character(sys_.space, 2)
     cps = geometric_checkpoints(1_000_000)
@@ -243,7 +266,7 @@ def test_sweep_memory_is_bounded_at_default_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, f"sweep peaked at {peak / 2**20:.1f} MiB"
+    assert peak < FOLD_PEAK_BOUND, f"sweep peaked at {peak / 2**20:.1f} MiB"
     assert sweep.averages.shape == (128, 3, len(cps))
     # lambda_127 = exp(-2 pi i / 128) cancels the character's rotation, so
     # the average stays at f(0) = 1
@@ -281,6 +304,145 @@ def test_sweep_budget_error():
     f = MeasurableFunction.ones(sys_.space)
     with pytest.raises(BudgetError):
         wiener_wintner_sweep(sys_, f, (0,), 4, (10, 100), max_iterations=50)
+
+
+# ------------------------------------------------------------ period folding
+
+
+def random_values(space, rng):
+    n = space.n_atoms
+    return MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), space)
+
+
+def block_horizons():
+    """Checkpoints around the traversal's block boundaries, each set ending
+    at one of n = B - 1, B, B + 1 and 3B + 7."""
+    b = FOLD_BLOCK
+    for n in (b - 1, b, b + 1, 3 * b + 7):
+        yield tuple(c for c in (1, b // 2, b - 1, b, b + 1, 2 * b) if c < n) + (n,)
+
+
+def test_product_below_one_period_is_one_cumsum_bitwise():
+    # P = lcm(1009, 512) = 516608 lies past every horizon here: the blocked
+    # running sum carries the bits of one cumsum over the whole orbit
+    rng = np.random.default_rng(88)
+    sys_a, sys_b = PointSystem.cyclic(1009, 3), PointSystem.cyclic(512, 5)
+    f, g = random_values(sys_a.space, rng), random_values(sys_b.space, rng)
+    pairs = [(0, 0), (700, 311)]
+    for cps in block_horizons():
+        rep = product_average(sys_a, f, sys_b, g, pairs, cps)
+        n, ns = cps[-1], np.array(cps)
+        for col, (wa, yb) in enumerate(pairs):
+            terms = f.values[sys_a.orbit(wa, n)] * g.values[sys_b.orbit(yb, n)]
+            want = np.cumsum(terms)[ns - 1] / ns.astype(float)
+            assert rep.averages[:, col].tobytes() == want.tobytes()
+
+
+def test_sweep_below_one_period_keeps_one_shot_bits():
+    # P = lcm(1009, 128) = 129152 lies past every horizon here; the
+    # reference bins the whole n-long orbit in one bincount per probe
+    rng = np.random.default_rng(90)
+    sys_ = PointSystem.cyclic(1009, 3)
+    f = random_values(sys_.space, rng)
+    grid, probes = 128, (0, 500)
+    for cps in block_horizons():
+        sweep = wiener_wintner_sweep(sys_, f, probes, grid, cps)
+        n, c, ns = cps[-1], len(cps), np.array(cps, dtype=float)
+        bins = np.arange(n) % grid
+        bins += np.repeat(np.arange(c) * grid, np.diff(cps, prepend=0))
+        for p, start in enumerate(probes):
+            x = f.values[sys_.orbit(start, n)]
+            sums = np.empty(c * grid, dtype=complex)
+            sums.real = np.bincount(bins, x.real, c * grid)
+            sums.imag = np.bincount(bins, x.imag, c * grid)
+            sums = np.cumsum(sums.reshape(c, grid), axis=0)
+            want = np.fft.ifft(sums, axis=1, norm="forward").T / ns
+            assert sweep.averages[:, p, :].tobytes() == want.tobytes()
+
+
+def period_checkpoints(period):
+    """Checkpoint sets across periods: q P - 1, q P, q P + 1 for q = 1..3
+    together, and single checkpoints at P, P + 1 and 3 P."""
+    around = sorted({q * period + d for q in (1, 2, 3) for d in (-1, 0, 1)} - {0})
+    return [tuple(around), (period,), (period + 1,), (3 * period,)]
+
+
+def test_product_folds_periods_exactly():
+    # cycles of length 13, 1 (a fixed point) and 23 against 6, 1 and 9:
+    # periods 1, 6, 13, 78, 207, ...; each pair is run on its own period
+    rng = np.random.default_rng(91)
+    sys_a = cycles_system([13, 1, 23], rng)
+    sys_b = cycles_system([6, 1, 9], rng)
+    f, g = random_values(sys_a.space, rng), random_values(sys_b.space, rng)
+    starts_a = {sys_a.cycle(a).size: a for a in range(sys_a.space.n_atoms)}
+    starts_b = {sys_b.cycle(b).size: b for b in range(sys_b.space.n_atoms)}
+    for la, wa in sorted(starts_a.items()):
+        for lb, yb in sorted(starts_b.items()):
+            for cps in period_checkpoints(lcm(la, lb)):
+                rep = product_average(sys_a, f, sys_b, g, [(wa, yb)], cps)
+                n = cps[-1]
+                terms = (f.values[step_orbit(sys_a.tau, wa, n)]
+                         * g.values[step_orbit(sys_b.tau, yb, n)])
+                want = np.cumsum(terms)[np.array(cps) - 1] / np.array(cps)
+                assert np.max(np.abs(rep.averages[:, 0] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [1, 6, 40])
+def test_sweep_folds_periods_exactly(grid):
+    # a fixed point (P = G), a 13-cycle and a 23-cycle; with G = 1 the
+    # fixed point's period is a single term
+    rng = np.random.default_rng(92 + grid)
+    sys_ = cycles_system([13, 1, 23], rng)
+    f = random_values(sys_.space, rng)
+    starts = {sys_.cycle(a).size: a for a in range(sys_.space.n_atoms)}
+    for length, start in sorted(starts.items()):
+        for cps in period_checkpoints(lcm(length, grid)):
+            sweep = wiener_wintner_sweep(sys_, f, (start,), grid, cps)
+            want = direct_twisted_sums(sys_.tau, f.values, start, grid, cps[-1])
+            got = sweep.averages[:, 0, :] * np.array(cps)
+            diff = np.abs(got - want[:, np.array(cps) - 1]) / np.array(cps)
+            assert np.max(diff) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon", [10**6, 10**9])
+def test_fold_runs_to_any_horizon_in_bounded_memory(horizon):
+    # P = lcm(1009, 512) = 516608 for the products and lcm(256, 128) = 256
+    # for the sweep: past one period the walk stops, so the peak and the
+    # time are the same at 1e6 and 1e9 terms
+    rng = np.random.default_rng(93)
+    sys_a, sys_b = PointSystem.cyclic(1009, 3), PointSystem.cyclic(512, 5)
+    f, g = random_values(sys_a.space, rng), random_values(sys_b.space, rng)
+    sys_w = PointSystem.cyclic(256)
+    chi = character(sys_w.space, 2)
+    cps = geometric_checkpoints(horizon)
+    runs = {
+        "product_average": lambda: product_average(
+            sys_a, f, sys_b, g, [(0, 0), (5, 7), (100, 3)], cps, max_iterations=horizon
+        ),
+        "wiener_wintner_sweep": lambda: wiener_wintner_sweep(
+            sys_w, chi, (0, 17, 101), 128, cps, max_iterations=horizon
+        ),
+    }
+    results = {}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            results[name] = run()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < FOLD_PEAK_BOUND, f"{name} peaked at {peak / 2**20:.1f} MiB"
+        assert elapsed < 1.0, f"{name} took {elapsed:.2f} s"
+    sweep = results["wiener_wintner_sweep"]
+    assert abs(sweep.averages[127, 0, -1] - 1.0) <= 1e-9
+    # the product average tends to the period mean, off by at most
+    # 2 P max|f g| / n
+    period = 1009 * 512
+    mean = product_average(sys_a, f, sys_b, g, [(0, 0)], (period,)).averages[0, 0]
+    bound = 2 * period * np.max(np.abs(f.values)) * np.max(np.abs(g.values)) / horizon
+    assert abs(results["product_average"].averages[-1, 0] - mean) <= bound
 
 
 HORIZON_ENGINES = {

@@ -536,7 +536,7 @@ GOLDEN_DIGESTS = {
     },
     "readme-sweep": {
         "sweep.csv":
-            "bd7315087f0406137d625609e3c9e100151bc680a1766d480797620df8774caf",
+            "080e7592c4d720e3cdf42365c01d00b1190198866dc20835b784c238624e4f98",
     },
     "rearrange": {
         "rearrangement.csv":

@@ -544,7 +544,7 @@ GOLDEN_DIGESTS = {
     },
     "return-times": {
         "product.csv":
-            "850cf98381e40f50f385db97ba63206ae0aca7576cc09ca0aa9dcdf4f81ed024",
+            "caf3861bf39913eeba6dbc454e0195a161e7e95a0b24cfae09efe2e23b5cc55e",
     },
     "trig-poly": {
         "averages.csv":

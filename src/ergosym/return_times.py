@@ -102,13 +102,18 @@ def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     r += 1
     stops = np.unique(np.append(r, period) if q.any() else r)
     m = int(stops[-1])
+    # each factor extended by one block, so the terms k0 <= k < k0 + B of
+    # a factor of length L are the slice from k0 mod L
+    block = min(FOLD_BLOCK, m)
+    tiles = [(np.resize(v, v.size + block), v.size) for v in factors]
     prefix = []
-    for k0 in range(0, m, FOLD_BLOCK):
-        k = np.arange(k0, min(k0 + FOLD_BLOCK, m))
-        x = factors[0][k % len(factors[0])]
-        for v in factors[1:]:
-            x *= v[k % len(v)]
-        lo, hi = np.searchsorted(stops, (k0, k0 + k.size), side="right")
+    for k0 in range(0, m, block):
+        size = min(block, m - k0)
+        parts = [tile[k0 % length:][:size] for tile, length in tiles]
+        x = parts[0].copy()
+        for part in parts[1:]:
+            x *= part
+        lo, hi = np.searchsorted(stops, (k0, k0 + size), side="right")
         prefix.append(fold(k0, x, stops[lo:hi] - k0))
     prefix = np.concatenate(prefix)
     sums = prefix[np.searchsorted(stops, r)]

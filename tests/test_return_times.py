@@ -4,7 +4,7 @@ import cmath
 import time
 import tracemalloc
 from fractions import Fraction
-from math import gcd, lcm, pi
+from math import lcm, pi
 
 import numpy as np
 import pytest

@@ -1027,12 +1027,18 @@ def test_public_names_resolve_once():
 # ------------------------------------------------------------ environment
 
 
-def test_import_leaves_environment_unchanged():
-    # no computation calls BLAS, so importing sets no thread counts
+@pytest.mark.parametrize("preset", [
+    {},
+    {"ERGOSYM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2"},
+], ids=["unset", "preset"])
+def test_import_leaves_environment_unchanged(preset):
+    # no computation calls BLAS, so importing sets no thread counts, whether
+    # the thread variables start unset or some of them are already set
     env = {k: v for k, v in os.environ.items()
            if not k.endswith("_NUM_THREADS") and k != "ERGOSYM_THREADS"}
     src = str(Path(ergosym.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(preset)
     code = ("import os; before = dict(os.environ); import ergosym, ergosym.cli; "
             "print(dict(os.environ) == before)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

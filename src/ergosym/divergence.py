@@ -10,10 +10,16 @@ Verification rebuilds the operator from scratch, streams the averages
 through the generic averaging engine, checks the inequalities, and
 cross-checks the streamed values against the direct sign-product formula;
 disagreement beyond tolerance is a consistency failure, not a soft miss.
+
+The greedy search and the direct formula walk the signed running sums with
+one blocked generator, `_running_totals`. The verdict is read from the
+operator stream alone, which shares no arithmetic with the search.
 """
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,20 +94,22 @@ def probe_points(eps: float, grid: int) -> np.ndarray:
     return ts
 
 
-def _block_terms(n_probes: int) -> int:
-    return max(1, min(BLOCK, BLOCK_CELLS // n_probes))
+def _running_totals(rearr: Rearrangement, ts, sign_of, k, stop, total):
+    """Yield (ks, rows) for consecutive blocks of the terms k <= k' < stop:
+    row i holds total + sum_{k <= k' <= ks[i]} sign_of(k') mu(ts + k').
 
-
-def _running_totals(rearr: Rearrangement, ts, ks, signs, total) -> np.ndarray:
-    """Rows total + sum_{k0 <= k' <= k} sign_k' mu(ts + k') for k in ks.
-
-    ks is a run of consecutive terms starting at k0 and signs broadcasts
-    against (len(ks), len(ts)). The cumulative sum adds one term at a time
-    in order, so every row equals the running total of a term-by-term loop.
+    sign_of maps an array of terms to signs that broadcast against
+    (len(ks), len(ts)). The cumulative sum adds one term at a time in
+    order, so every row equals the running total of a term-by-term loop.
     """
-    block = signs * rearr.values_at(ts + ks[:, None])
-    block[0] += total
-    return np.cumsum(block, axis=0)
+    step = max(1, min(BLOCK, BLOCK_CELLS // max(ts.size, 1)))
+    for k0 in range(k, stop, step):
+        ks = np.arange(k0, min(k0 + step, stop))
+        rows = sign_of(ks) * rearr.values_at(ts + ks[:, None])
+        rows[0] += total
+        np.cumsum(rows, axis=0, out=rows)
+        total = rows[-1]
+        yield ks, rows
 
 
 def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
@@ -109,7 +117,7 @@ def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
 
     sign_k = (-1)^(number of breakpoints <= k). This is the closed-form
     reference pipeline; the operator stream must reproduce it. The terms
-    are summed in blocks of consecutive k.
+    are summed in blocks of consecutive k by `_running_totals`.
     """
     bps = np.sort(np.array([int(b) for b in breakpoints], dtype=np.int64))
     ts = np.asarray(ts, dtype=float)
@@ -119,17 +127,15 @@ def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
     out = np.empty((len(ns), ts.size))
     if not ns:
         return out
-    wanted = np.array(ns, dtype=np.int64)
-    total = np.zeros(ts.size)
-    step = _block_terms(ts.size)
-    for k0 in range(0, ns[-1], step):
-        ks = np.arange(k0, min(k0 + step, ns[-1]))
+
+    def signs(ks):
         flips = np.searchsorted(bps, ks, side="right") % 2
-        signs = np.where(flips == 1, -1.0, 1.0)[:, None]
-        sums = _running_totals(rearr, ts, ks, signs, total)
-        total = sums[-1]
-        hit = (wanted > k0) & (wanted <= ks[-1] + 1)
-        out[hit] = sums[wanted[hit] - 1 - k0] / wanted[hit][:, None]
+        return np.where(flips == 1, -1.0, 1.0)[:, None]
+
+    wanted = np.array(ns, dtype=np.int64)
+    for ks, sums in _running_totals(rearr, ts, signs, 0, ns[-1], np.zeros(ts.size)):
+        hit = (wanted > ks[0]) & (wanted <= ks[-1] + 1)
+        out[hit] = sums[wanted[hit] - 1 - ks[0]] / wanted[hit][:, None]
     return out
 
 
@@ -159,6 +165,10 @@ def construct_certificate(
         raise InputError("profile must stay >= 1 across its window")
     t_m = rearr.support_measure
     tmax = float(ts[-1])
+    # the first term k >= 1 past the window (tmax + k >= t_m) or the budget
+    # (capped so the range has a length: no search walks 2^63 terms)
+    limit = 1 + bisect_left(range(1, min(max_candidate, sys.maxsize)), True,
+                            key=lambda k: tmax + k >= t_m)
 
     a1 = rearr.values_at(ts)
     worst1 = float(np.min(a1))
@@ -168,47 +178,32 @@ def construct_certificate(
     bps = [1]
     total = a1.copy()
     n = 1
-    step = _block_terms(ts.size)
     for j in range(2, stages + 1):
         sign = -1.0 if (j - 1) % 2 else 1.0
-        negative = j % 2 == 0
         thr = 0.5 + margin
-        while True:
-            ks = np.arange(n, n + step)  # indices of the next terms
-            # the first candidate past the window or the budget ends the block
-            refused = (tmax + ks >= t_m) | (ks + 1 > max_candidate)
-            stop = int(np.argmax(refused)) if refused.any() else step
-            if stop > 0:
-                sums = _running_totals(rearr, ts, ks[:stop], sign, total)
-                avgs = sums / (ks[:stop] + 1)[:, None]
-                if negative:
-                    worsts = np.max(avgs, axis=1)
-                    crossed = worsts < -thr - STRICT_TOL
-                else:
-                    worsts = np.min(avgs, axis=1)
-                    crossed = worsts > thr + STRICT_TOL
-                if crossed.any():
-                    r = int(np.argmax(crossed))
-                    n = int(ks[r]) + 1
-                    total = sums[r]
-                    worst = float(worsts[r])
-                    break
-                total = sums[-1]
-                n += stop
-            if stop < step:
-                k = int(ks[stop])
-                if tmax + k >= t_m:
-                    raise WindowError(
-                        f"profile window {t_m} too short: stage {j} needs terms "
-                        f"past t = {tmax + k}"
-                    )
-                raise BudgetError(
-                    f"stage {j} threshold not reached within {max_candidate} terms"
+        for ks, sums in _running_totals(rearr, ts, lambda ks: sign, n, limit, total):
+            # stage j wants sign * a_n > thr on every probe (a_n < -thr for
+            # even j); dividing by sign * n negates a_n exactly
+            worsts = np.min(sums / (sign * (ks + 1))[:, None], axis=1)
+            crossed = worsts > thr + STRICT_TOL
+            if crossed.any():
+                r = int(np.argmax(crossed))
+                n = int(ks[r]) + 1
+                total = sums[r]
+                worst = float(worsts[r])  # of sign * a_n
+                break
+        else:  # the walk reached `limit`, the stage's first refused term
+            if tmax + limit >= t_m:
+                raise WindowError(
+                    f"profile window {t_m} too short: stage {j} needs terms "
+                    f"past t = {tmax + limit}"
                 )
+            raise BudgetError(
+                f"stage {j} threshold not reached within {max_candidate} terms"
+            )
         bps.append(n)
-        side = "<-1/2" if negative else ">1/2"
-        base_margin = (-worst - 0.5) if negative else (worst - 0.5)
-        checks.append(StageCheck(n, side, worst, base_margin))
+        side = "<-1/2" if sign < 0 else ">1/2"
+        checks.append(StageCheck(n, side, sign * worst, worst - 0.5))
 
     mode = "unit-cell" if grid == 1 else "full-grid"
     return DivergenceCertificate(

@@ -148,6 +148,10 @@ def test_budget_error_when_candidates_capped():
         construct_certificate(
             constant_profile(64), 0.1, 2, grid=10, max_candidate=3
         )
+    # a cap past any reachable term leaves the window to stop the search
+    cert = construct_certificate(constant_profile(32), 0.1, 3, grid=10,
+                                 max_candidate=2**64)
+    assert cert.breakpoints == (1, 5, 17)
 
 
 def test_greedy_minimality_decrement_breaks_stage():
@@ -231,6 +235,8 @@ def test_blocked_search_refuses_at_the_scalar_candidate(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(divergence, "BLOCK", block)
     k_cross = ONES_BREAKPOINTS_J6[-1] + 971
+    # the window edge at which the crossing candidate is the first refused
+    edge = float(probe_points(0.1, 10)[-1]) + k_cross
     cases = [
         # (window, max_candidate): the crossing candidate allowed or refused
         (k_cross + 1.0, 10**6),
@@ -240,6 +246,12 @@ def test_blocked_search_refuses_at_the_scalar_candidate(monkeypatch, block):
         # refused at the first candidate of the stage
         (ONES_BREAKPOINTS_J6[-1] + 0.9, 10**6),
         (1 << 20, ONES_BREAKPOINTS_J6[-1]),
+        # window and budget refuse the same candidate: the window is named
+        (edge, k_cross),
+        # the edge one ulp above, at and one ulp below tmax + k_cross
+        (np.nextafter(edge, np.inf), 10**6),
+        (edge, 10**6),
+        (np.nextafter(edge, -np.inf), 10**6),
     ]
     outcomes = []
     for window, cap in cases:
@@ -249,7 +261,8 @@ def test_blocked_search_refuses_at_the_scalar_candidate(monkeypatch, block):
         assert same_outcome(got, want), (window, cap, got, want)
         outcomes.append(type(want).__name__)
     assert outcomes == ["tuple", "WindowError", "tuple", "BudgetError",
-                        "WindowError", "BudgetError"]
+                        "WindowError", "BudgetError", "WindowError", "tuple",
+                        "WindowError", "WindowError"]
 
 
 @pytest.mark.parametrize("block", [1, 5, None])
@@ -291,9 +304,11 @@ def test_blocked_direct_averages_bitwise(monkeypatch, block):
     ts = probe_points(0.1, 7)
     bps = [1, 5, 17, 53, 161, 485, 1457, 4373]
     ns = [1, 2, 3, 4, 5, 6, 17, 4095, 4096, 4097, 8192, 9999]
-    got = direct_averages(prof, bps, ts, ns)
-    want = scalar_direct(prof, bps, ts, ns)
-    assert np.array_equal(got, want)
+    for probes in (ts, ts[:0]):  # no probe points: an empty table
+        got = direct_averages(prof, bps, probes, ns)
+        want = scalar_direct(prof, bps, probes, ns)
+        assert got.shape == (len(ns), probes.size)
+        assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- direct formula

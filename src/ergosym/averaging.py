@@ -239,7 +239,8 @@ def _lifted_sums(T, f, beta, terms, cps):
     periods add sum_{r<p} b_r T^r V with V = sum_{q'<q} U^q' T^c f. The
     steps up to the next multiple of p and after the last whole period are
     taken one application at a time, so no segment costs more than about
-    3 min(d, p) applications besides the lifting.
+    3 min(d, p) applications besides the lifting. Geometric weights run the
+    same loop with p = 1, where both runs of single steps are empty.
     """
     periodic = beta is not None and beta.kind == "periodic"
     table = beta.table if periodic else None
@@ -257,10 +258,9 @@ def _lifted_sums(T, f, beta, terms, cps):
         return total, g
 
     for n in cps:
-        if periodic:  # single steps up to a whole period
-            aligned = min(n, -(-c // p) * p)
-            total, g = steps(total, g, c, aligned)
-            c = aligned
+        aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
+        total, g = steps(total, g, c, aligned)
+        c = aligned
         q = (n - c) // p
         if q:
             lift = lift or _power(op, p)
@@ -272,9 +272,8 @@ def _lifted_sums(T, f, beta, terms, cps):
                 for (z, pw), R in zip(terms, sums):
                     total += R if pw is None else z * pw[c] * R
             c += q * p
-        if periodic:  # and single steps after the last whole period
-            total, g = steps(total, g, c, n)
-            c = n
+        total, g = steps(total, g, c, n)  # and after the last whole period
+        c = n
         yield total
 
 

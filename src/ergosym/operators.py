@@ -42,7 +42,7 @@ def _index_array(x, key: str, n: int) -> np.ndarray:
     bad = np.flatnonzero((a < 0) | (a >= n))
     if bad.size:
         raise InputError(f"{key}[{bad[0]}]: {a[bad[0]]} is not an atom of 0..{n - 1}")
-    return a.astype(np.intp)
+    return a.astype(np.intp, copy=False)
 
 
 class KernelOperator:
@@ -142,12 +142,10 @@ class CompositionOperator:
 
     def __post_init__(self):
         n = self.space.n_atoms
-        pm = np.asarray(self.point_map, dtype=int)
         mult = np.asarray(self.multiplier, dtype=complex)
-        if pm.shape != (n,) or mult.shape != (n,):
+        if np.shape(self.point_map) != (n,) or mult.shape != (n,):
             raise InputError("point map and multiplier must have one entry per atom")
-        if np.any(pm < 0) or np.any(pm >= n):
-            raise InputError("point map leaves the atom set")
+        pm = _index_array(self.point_map, "map", n)
         if not np.all(np.isfinite(mult)):
             raise InputError("multiplier must be finite")
         if np.any(np.abs(mult) > 1.0 + DS_TOL):
@@ -196,8 +194,7 @@ def _contraction_sums(T: Operator) -> tuple[float, float]:
         col_mass = np.bincount(T.indices, w[T.entry_rows()] * a, T.space.n_atoms)
         return float(np.max(col_mass / w)), float(np.max(T.row_sums(a)))
     m = np.abs(T.multiplier)
-    col_mass = np.zeros(T.space.n_atoms)
-    np.add.at(col_mass, T.point_map, w * m)
+    col_mass = np.bincount(T.point_map, w * m, T.space.n_atoms)
     return float(np.max(col_mass / w)), float(np.max(m))
 
 

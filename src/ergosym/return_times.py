@@ -18,7 +18,7 @@ import numpy as np
 
 from .averaging import DEFAULT_BUDGET, _horizon
 from .errors import InputError
-from .operators import _check_measure_preserving
+from .operators import _check_measure_preserving, _index_array
 from .spaces import AtomicMeasureSpace, MeasurableFunction
 from .weights import cycles
 
@@ -34,12 +34,10 @@ class PointSystem:
     tau: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tau, dtype=int)
         n = self.space.n_atoms
-        if t.shape != (n,):
+        if np.shape(self.tau) != (n,):
             raise InputError("tau needs one image per atom")
-        if np.any(t < 0) or np.any(t >= n):
-            raise InputError("tau leaves the atom set")
+        t = _index_array(self.tau, "tau", n)
         _check_measure_preserving(t, self.space)
         self.tau = t
 
@@ -277,6 +275,14 @@ def _as_fraction(x) -> Fraction:
     raise InputError("rational angles must be Fraction, int, or (num, den)")
 
 
+def _q_phase(rho: Fraction, lam) -> Fraction | None:
+    """The phase in [0, 1) of q = lam e^{2 pi i rho}, in cycles and exact,
+    for lam given as a rational phase; None for a complex lam."""
+    if isinstance(lam, (Fraction, int, tuple)):
+        return (_as_fraction(lam) + rho) % 1
+    return None
+
+
 def rotation_q(rho, lam):
     """Decay ratio q = lam e^{2 pi i rho} of the twisted rotation average.
 
@@ -284,8 +290,8 @@ def rotation_q(rho, lam):
     in cycles) resonance q == 1 is decided exactly in integer arithmetic.
     """
     rho = _as_fraction(rho)
-    if isinstance(lam, (Fraction, int, tuple)):
-        q_phase = (_as_fraction(lam) + rho) % 1
+    q_phase = _q_phase(rho, lam)
+    if q_phase is not None:
         return cycles(float(q_phase)), q_phase == 0
     q = complex(lam) * cycles(float(rho % 1))
     return q, q == 1.0 + 0j
@@ -298,7 +304,10 @@ def _rotation_table(q_phase: Fraction, fronts, ns) -> np.ndarray:
         return np.repeat(np.array(fronts)[:, None], len(ns), axis=1)
     out = np.empty((len(fronts), len(ns)), dtype=complex)
     q = cycles(float(q_phase))
-    qns = cycles(np.array([float(n * q_phase % 1) for n in ns])).tolist()
+    # the phase of q^n is (n a mod b) / b for q_phase = a / b, in Python
+    # ints; the division rounds correctly, as float(Fraction) does
+    a, b = q_phase.numerator, q_phase.denominator
+    qns = cycles(np.array([int(n) * a % b / b for n in ns])).tolist()
     for c, (n, qn) in enumerate(zip(ns, qns)):
         for p, front in enumerate(fronts):
             out[p, c] = front * (1.0 - qn) / (n * (1.0 - q))
@@ -334,8 +343,8 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
         raise InputError("closed form needs n >= 1")
     rho = _as_fraction(rho)
     front = cycles(float(omega_phase))
-    if isinstance(lam, (Fraction, int, tuple)):
-        q_phase = (_as_fraction(lam) + rho) % 1
+    q_phase = _q_phase(rho, lam)
+    if q_phase is not None:
         return complex(_rotation_table(q_phase, [front], [n])[0, 0])
     q, resonant = rotation_q(rho, lam)
     if resonant:

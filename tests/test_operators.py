@@ -126,8 +126,10 @@ def test_operator_validation():
     sp = unit_space(2)
     with pytest.raises(InputError):
         KernelOperator(np.eye(3), sp)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^map\[1\]: 5 is not an atom of 0\.\.1$"):
         CompositionOperator(np.array([0, 5]), np.ones(2), sp)
+    with pytest.raises(InputError, match="^map: must be a list of integers$"):
+        CompositionOperator(np.array([1.0, 0.0]), np.ones(2), sp)  # not cast
     with pytest.raises(InputError):
         CompositionOperator(np.array([0, 1]), np.array([1.0, 2.0]), sp)
     with pytest.raises(InputError):

@@ -96,6 +96,8 @@ def test_point_system_requires_bijection():
     sp = AtomicMeasureSpace(np.ones(3))
     with pytest.raises(InputError):
         PointSystem(sp, np.array([0, 0, 1]))
+    with pytest.raises(InputError, match=r"^tau\[2\]: 3 is not an atom of 0\.\.2$"):
+        PointSystem(sp, np.array([1, 2, 3]))
     sp2 = AtomicMeasureSpace(np.array([1.0, 2.0, 1.0]))
     with pytest.raises(InputError):
         # swaps atoms of different weight

@@ -4,9 +4,10 @@ Subcommands: rearrange, norms, ds-check, average, weighted-average,
 wiener-wintner, return-times, counterexample. Configs carry a versioned
 "schema": 1 field and a single 64-bit seed; every output header records the
 seed, and identical configs produce byte-identical outputs. Exit codes:
-0 success, 2 validation error, 3 budget exhausted or out of memory (also
-numpy's ValueError for an array too large to address), 4 internal
-consistency failure.
+0 success, 2 validation error or an output that cannot be written (an
+OSError, such as an --output-dir that is a file), 3 budget exhausted or out
+of memory (also numpy's ValueError for an array too large to address), 4
+internal consistency failure.
 
 Each config is decoded once, by `_decode`, into a `Plan` that the
 command's runner executes; `validate` is the diagnostics view of the same
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -332,6 +334,15 @@ _RUNNERS = {
 }
 
 
+@contextmanager
+def _writing(path):
+    """An OSError in the block becomes an InputError that names path."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def run(args) -> int:
     plan = None
     if args.config:  # optional for counterexample
@@ -342,8 +353,16 @@ def run(args) -> int:
             for d in diags:
                 print(f"config: {d}", file=sys.stderr)
             return 2
+    # checked before the command computes; created only when it writes, so
+    # a failed run leaves no directory behind
+    out = Path(args.output_dir)
+    with _writing(out):
+        first = next(d for d in (out, *out.parents) if d.exists())
+    if not first.is_dir():
+        raise InputError(f"cannot write {out}: {first} is not a directory")
     for name, text in _RUNNERS[args.command](args, plan).items():
-        atomic_write_text(Path(args.output_dir) / name, text)
+        with _writing(out / name):
+            atomic_write_text(out / name, text)
     return 0
 
 

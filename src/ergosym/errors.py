@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 The CLI maps these onto exit statuses: InputError and its subclasses
-(including WindowError and CapabilityError) exit 2, BudgetError,
+(including WindowError and CapabilityError) exit 2, as does an OSError
+while writing outputs, which it reports as an InputError; BudgetError,
 NumericError, Python's MemoryError and numpy's oversize-array ValueError
 exit 3, ConsistencyError exits 4.
 """

@@ -382,6 +382,39 @@ def test_counterexample_negative_window_names_the_flag(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["rearrange", "counterexample"])
+def test_output_dir_on_a_file_exits_2(tmp_path, capsys, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / below if below else afile
+    argv = [command, "--output-dir", str(out)]
+    if command == "rearrange":
+        argv.insert(1, write_cfg(tmp_path, "r.json", {
+            "schema": 1, "seed": 3, "space": {"atoms": 3}, "function": {"ones": True},
+        }))
+    else:
+        argv[1:1] = ["--stages", "3"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: {afile} is not a directory\n"
+    )
+    assert afile.read_text() == "kept\n"
+
+
+def test_output_file_on_a_directory_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "r.json", {
+        "schema": 1, "seed": 3, "space": {"atoms": 3}, "function": {"ones": True},
+        "outputs": {"rearrangement": "taken"},
+    })
+    (tmp_path / "taken").mkdir()
+    assert cli.main(["rearrange", cfg, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'taken'}: ")
+    assert "Traceback" not in err
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
     def reject(cert, rearr, tol=1e-9):
         return VerificationResult(False, (0.0,), 0.0, 1)
@@ -759,6 +792,9 @@ def _triplets(**changes):
      "config: operator: matrix_re: not allowed beside rows"),
     ("average", _with(README_AVERAGE, operator={"kind": "kernel", "data_re": [1]}),
      "config: operator: rows: missing"),
+    ("average", _with(README_AVERAGE, operator={**README_AVERAGE["operator"],
+                                                "map": [1, 2, 7, 0]}),
+     "config: operator: map[2]: 7 is not an atom of 0..3"),
 ], ids=[
     "atoms-fractional", "atoms-str", "truncated-str", "ones-str", "checkpoint-fractional",
     "geometric-fractional", "step-fractional", "character-fractional", "lambda-nan",
@@ -768,7 +804,7 @@ def _triplets(**changes):
     "probes-absent", "output-outside-dir", "triplet-duplicate", "triplet-row-negative",
     "triplet-col-range", "triplet-cols-short", "triplet-data-long",
     "triplet-im-short", "triplet-rows-nested", "triplet-and-matrix",
-    "triplet-rows-missing",
+    "triplet-rows-missing", "map-out-of-range",
 ])
 def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
     path = write_cfg(tmp_path, "bad.json", cfg)

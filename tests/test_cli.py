@@ -540,6 +540,14 @@ GOLDEN_CONFIGS = {
         "operator": KERNEL_OPERATOR,
     }),
 }
+# The two averages again in probes mode: no average is kept and the
+# majorized column stays empty. Kept apart from GOLDEN_CONFIGS, which also
+# seeds the mutated-config test.
+PROBES_CONFIGS = {
+    f"{case}-probes": (GOLDEN_CONFIGS[case][0],
+                       {**GOLDEN_CONFIGS[case][1], "mode": "probes"})
+    for case in ("kernel-average", "weighted-average")
+}
 GOLDEN_DIGESTS = {
     "counterexample": {
         "certificate.json":
@@ -587,6 +595,14 @@ GOLDEN_DIGESTS = {
         "averages.csv":
             "6fa92dbda148aaeb8a326f88574324026865ed688278fc68299d0bdb63a28148",
     },
+    "weighted-average-probes": {
+        "averages.csv":
+            "abb33836e6e1125f60f8dc58282ed0f301fe9d5c2c80f40606fd99000e9beb33",
+    },
+    "kernel-average-probes": {
+        "averages.csv":
+            "562baf1c459f3874ce138c8ce9a5deb89419fb2b95c695e23cbe21449a87455c",
+    },
 }
 
 
@@ -594,7 +610,7 @@ def _golden_outputs(tmp_path, case):
     if case == "counterexample":
         argv = ["counterexample", "--stages", "6", "--grid", "10"]
     else:
-        command, cfg = GOLDEN_CONFIGS[case]
+        command, cfg = {**GOLDEN_CONFIGS, **PROBES_CONFIGS}[case]
         argv = [command, write_cfg(tmp_path, "cfg.json", cfg)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--output-dir", str(out)]) == 0
@@ -795,6 +811,15 @@ def _triplets(**changes):
     ("average", _with(README_AVERAGE, operator={**README_AVERAGE["operator"],
                                                 "map": [1, 2, 7, 0]}),
      "config: operator: map[2]: 7 is not an atom of 0..3"),
+    ("average", _with(README_AVERAGE, space={"atoms": 3}, function={"re": [1, 0, 0]},
+                      operator={"kind": "kernel", "matrix_re": [[0, 1], [1, 0]]}),
+     "config: operator: kernel must be 3x3 for this space"),
+    ("average", _with(README_AVERAGE, operator={
+        "kind": "kernel", "matrix_re": [[0, 1, 0, 0]] * 4, "matrix_im": [[0, 0, 0]] * 4}),
+     "config: operator: matrix_im: expected the shape of matrix_re"),
+    ("average", _with(README_AVERAGE, operator={"kind": "kernel",
+                                                "matrix_im": [[0.5] * 4] * 4}),
+     "config: operator: matrix_re: missing"),
 ], ids=[
     "atoms-fractional", "atoms-str", "truncated-str", "ones-str", "checkpoint-fractional",
     "geometric-fractional", "step-fractional", "character-fractional", "lambda-nan",
@@ -804,7 +829,8 @@ def _triplets(**changes):
     "probes-absent", "output-outside-dir", "triplet-duplicate", "triplet-row-negative",
     "triplet-col-range", "triplet-cols-short", "triplet-data-long",
     "triplet-im-short", "triplet-rows-nested", "triplet-and-matrix",
-    "triplet-rows-missing", "map-out-of-range",
+    "triplet-rows-missing", "map-out-of-range", "dense-wrong-size",
+    "dense-im-shape", "dense-im-without-re",
 ])
 def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
     path = write_cfg(tmp_path, "bad.json", cfg)

@@ -139,14 +139,20 @@ def _complex(spec: dict, prefix: str, re_default=0.0) -> complex:
     return z
 
 
-def _complex_array(spec: dict, prefix="", n=None, re_default=REQUIRED, kind="array"):
+def _parts(spec: dict, prefix="", n=None, re_default=REQUIRED, kind="array"):
+    """(re, im) from prefix + "re" and prefix + "im"; im is None when absent."""
     re = read(spec, prefix + "re", kind, re_default)
     if n is not None and re.size != n:
         raise InputError(f"{prefix}re: expected {n} values, got {re.size}")
-    im = read(spec, prefix + "im", kind, np.zeros_like(re))
-    if im.shape != re.shape:
+    im = read(spec, prefix + "im", kind, None)
+    if im is not None and im.shape != re.shape:
         raise InputError(f"{prefix}im: expected the shape of {prefix}re")
-    return re + 1j * im
+    return re, im
+
+
+def _complex_array(spec: dict, prefix="", n=None, re_default=REQUIRED):
+    re, im = _parts(spec, prefix, n, re_default)
+    return re + 1j * (0.0 if im is None else im)
 
 
 # schema, seed and mode keep messages that name their key (scripts match them)
@@ -165,7 +171,8 @@ def seed_from_json(x) -> int:
 
 
 def mode_from_json(x) -> bool:
-    """True for "full" (keep every average), False for "probes"."""
+    """True for "full" (also check each average's majorization, without
+    keeping it), False for "probes"."""
     if x not in ("full", "probes"):
         raise InputError(f"mode must be 'full' or 'probes', got {x!r}")
     return x == "full"
@@ -294,7 +301,8 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
     if kind == "kernel":
         triplets = [k for k in ("rows", "cols", "data_re", "data_im") if k in obj]
         if not triplets:
-            return KernelOperator(_complex_array(obj, "matrix_", kind="matrix"), space)
+            re, im = _parts(obj, "matrix_", kind="matrix")
+            return KernelOperator.from_parts(re, im, space)
         dense = [k for k in ("matrix_re", "matrix_im") if k in obj]
         if dense:
             raise InputError(f"{dense[0]}: not allowed beside {triplets[0]}; "

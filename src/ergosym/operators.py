@@ -45,6 +45,12 @@ def _index_array(x, key: str, n: int) -> np.ndarray:
     return a.astype(np.intp, copy=False)
 
 
+def _check_square(k: np.ndarray, space: AtomicMeasureSpace) -> None:
+    n = space.n_atoms
+    if k.shape != (n, n):
+        raise InputError(f"kernel must be {n}x{n} for this space")
+
+
 class KernelOperator:
     """Kernel operator (Tf)_i = sum_j K[i, j] f_j, held in CSR form.
 
@@ -54,17 +60,31 @@ class KernelOperator:
     application costs O(nnz): one gather, one product and one
     `np.add.reduceat` over each row's entries, in a fixed order that does
     not depend on a BLAS build. Build one from a dense matrix with
-    `KernelOperator(matrix, space)` or from (row, column, value) triplets
-    with `KernelOperator.from_triplets`.
+    `KernelOperator(matrix, space)`, from its real and imaginary parts with
+    `KernelOperator.from_parts`, or from (row, column, value) triplets with
+    `KernelOperator.from_triplets`.
     """
 
     def __init__(self, matrix, space: AtomicMeasureSpace):
         k = np.asarray(matrix, dtype=complex)
-        n = space.n_atoms
-        if k.shape != (n, n):
-            raise InputError(f"kernel must be {n}x{n} for this space")
+        _check_square(k, space)
         rows, cols = np.nonzero(k)  # row-major, so sorted by (row, column)
         self._store(space, rows, cols, k[rows, cols])
+
+    @classmethod
+    def from_parts(cls, re, im, space: AtomicMeasureSpace):
+        """K = re + 1j im for real N x N arrays re and im (None: 0), formed
+        only at the entries where re or im is nonzero: no complex N x N
+        array is made, and each entry has the bits of the dense sum."""
+        re = np.asarray(re, dtype=float)
+        _check_square(re, space)
+        nonzero = re != 0
+        if im is not None:
+            im = np.asarray(im, dtype=float)
+            nonzero |= im != 0
+        rows, cols = np.nonzero(nonzero)  # row-major, so sorted
+        data = re[rows, cols] + 1j * (0.0 if im is None else im[rows, cols])
+        return cls._from_sorted(space, rows, cols, data)
 
     @classmethod
     def from_triplets(cls, rows, cols, data, space: AtomicMeasureSpace):

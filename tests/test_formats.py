@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,49 @@ def test_operator_from_json_kernel():
     )
     assert isinstance(T, KernelOperator)
     assert np.array_equal(dense(T), np.array([[0, 1], [1, 0]], dtype=complex))
+
+
+def test_dense_kernel_decodes_without_an_n_by_n_complex_array():
+    # a convex combination of 4 permutations on 512 atoms, as the parsed
+    # config holds it. Beyond those lists the decode keeps matrix_re as one
+    # float N x N array, one N x N mask of its nonzeros and O(nnz) for the
+    # entries; re + 1j*im over the whole matrix would take 8 N^2 bytes more.
+    n = 512
+    rng = np.random.default_rng(81)
+    k = np.zeros((n, n))
+    for c in rng.dirichlet(np.ones(4)):
+        k[np.arange(n), rng.permutation(n)] += c
+    spec = {"kind": "kernel", "matrix_re": k.tolist()}
+    space = AtomicMeasureSpace.uniform(n)
+    tracemalloc.start()
+    try:
+        T = operator_from_json(spec, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nnz = np.count_nonzero(k)
+    assert T.data.size == nnz
+    assert peak <= n * n * (8 + 1) + 96 * nnz + 32 * n
+    assert np.array_equal(dense(T), k)
+
+
+@pytest.mark.parametrize("with_im", [True, False], ids=["re-im", "re-only"])
+def test_dense_kernel_entries_keep_the_bits_of_the_dense_sum(with_im):
+    # signed zeros in both parts: an entry that is zero in one part takes
+    # its sign from the formula re + 1j*im, which must see the same elements
+    rng = np.random.default_rng(82)
+    values = np.array([0.0, -0.0, 0.5, -0.25, 1e-300, -3.0])
+    re, im = rng.choice(values, (7, 7)), rng.choice(values, (7, 7))
+    spec = {"kind": "kernel", "matrix_re": re.tolist()}
+    if with_im:
+        spec["matrix_im"] = im.tolist()
+    else:
+        im = np.zeros_like(re)
+    T = operator_from_json(spec, AtomicMeasureSpace.uniform(7))
+    full = re + 1j * im
+    rows, cols = np.nonzero(full)
+    assert np.array_equal(T.entry_rows(), rows) and np.array_equal(T.indices, cols)
+    assert np.array_equal(T.data.view(np.uint64), full[rows, cols].view(np.uint64))
 
 
 def test_operator_from_json_composition_multiplier_keys():

@@ -8,18 +8,24 @@ checkpoints by one of three lanes:
   split exactly: S_(a+b) = S_a + (beta shifted by a) T^a S_b. Each
   checkpoint's sum extends the previous one through the binary digits of
   the gap, so a run costs O(N log n) for N atoms instead of O(N n), and only
-  the current power of T is held: memory stays at a few state vectors
-  beyond the stored averages.
+  the current power of T is held. The weights are read without an n-long
+  table, but for trig polynomials.
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
   operator application per step into one running Kahan-compensated sum. A
   kernel is held in CSR form, so a step costs O(nnz) for its nnz stored
   entries rather than O(N^2), and its sums do not depend on a BLAS build.
+
+Each checkpoint's average is reduced to its report row (probe values,
+norms and, with `majorize`, the majorization flag) as the lane yields it,
+and is dropped unless `store_averages` keeps it: a run that keeps none
+holds a few N-vectors plus C report rows for C checkpoints.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
 from .spaces import MAJORIZATION_TOL, MeasurableFunction, submajorized
-from .weights import WeightSequence
+from .weights import WeightSequence, power_blocks
 
 # default cap on the last checkpoint, the number of terms averaged per run
 DEFAULT_BUDGET = 1_000_000
@@ -77,12 +83,13 @@ def _horizon(checkpoints, max_iterations: int) -> tuple[int, ...]:
 class AveragingReport:
     """Per-checkpoint averages, norms, and probe values.
 
-    `averages` is populated in full mode only; probe-only runs keep just the
-    probe columns (norms are still exact, they are read off the running sum
-    at checkpoint time). Runs with `norms=False` leave `l1_norms` and
+    `averages` is populated only by runs with `store_averages`; the others
+    keep just the probe columns (norms are still exact, they are read off
+    the running sum at checkpoint time). Runs with `norms=False` leave `l1_norms` and
     `linf_norms` as None. `weight_bound` is the normalization constant
     M = max(1, sup_k |beta_k|) for weighted runs, None for plain Cesaro.
-    `majorized` is filled by `majorization_trace`.
+    `majorized` is filled by a run with `majorize=True` or by
+    `majorization_trace`.
     """
 
     checkpoints: tuple[int, ...]
@@ -211,20 +218,39 @@ def _segment(op, g, d, pows):
         e *= 2
 
 
-def _geometric_terms(beta, betas, cps):
-    """(z_j, powers of lam_j) with beta_k = sum_j z_j lam_j^k, the powers
-    at every exponent `_lifted_sums` reads: each segment start and each
-    2^i below the widest gap. Cesaro and periodic weights give one term
-    with lam = 1 (None)."""
-    if beta is None or beta.kind == "periodic":
-        return [(1.0, None)]
+def _weight_bound(betas) -> float:
+    """M = max(1, max_k |beta_k|) over the weights given."""
+    return max(1.0, float(np.max(np.abs(betas))))
+
+
+def _lifted_weights(beta, cps):
+    """(M, terms) for `_lifted_sums`, M None for a Cesaro run.
+
+    terms are (z_j, powers of lam_j) with beta_k = sum_j z_j lam_j^k, the
+    powers at every exponent `_lifted_sums` reads: each segment start and
+    each 2^i below the widest gap. Cesaro and periodic weights give one term
+    with lam = 1 (None). M has the bits of the max over all n weights, but
+    only trig polynomials build that table: a periodic table is read up to
+    min(n, p), and a lambda power's stream one block at a time, its
+    exponents picked up on the way.
+    """
+    n = cps[-1]
+    if beta is None:
+        return None, [(1.0, None)]
+    if beta.kind == "periodic":
+        return _weight_bound(beta.table[:n]), [(1.0, None)]
     gaps = np.diff((0,) + cps)
     ks = {0, *cps[:-1]} | {1 << i for i in range(int(gaps.max()).bit_length())}
-    ks = np.array(sorted(k for k in ks if k < cps[-1]), dtype=np.int64)
+    ks = np.array(sorted(k for k in ks if k < n), dtype=np.int64)
     if beta.kind == "lambda_power":
-        return [(1.0, dict(zip(ks.tolist(), betas[ks])))]
-    return [
-        (t.coefficient, dict(zip(ks.tolist(), t.powers(ks, cps[-1]))))
+        peak, powers = 0.0, {}
+        for start, (row,) in power_blocks(beta.lam, n):
+            peak = max(peak, float(np.max(np.abs(row))))
+            at = ks[(ks >= start) & (ks < start + row.size)]
+            powers.update(zip(at.tolist(), row[at - start]))
+        return max(1.0, peak), [(1.0, powers)]
+    return _weight_bound(beta.values(n)), [
+        (t.coefficient, dict(zip(ks.tolist(), t.powers(ks, n))))
         for t in beta.poly.terms
     ]
 
@@ -250,34 +276,54 @@ def _lifted_sums(T, f, beta, terms, cps):
     total = np.zeros(T.space.n_atoms, dtype=complex)
     g, c = f.values, 0
 
-    def steps(total, g, c, stop):
-        """Adds b_(k mod p) T^(k-c) g for c <= k < stop; T^(stop-c) g too."""
+    def steps(g, c, stop):
+        """Adds b_(k mod p) T^(k-c) g to total for c <= k < stop; returns
+        T^(stop-c) g."""
+        nonlocal total
         for k in range(c, stop):
             total += table[k % p] * g
             g = T.apply_values(g)
-        return total, g
+        return g
+
+    def periods(g, c, q):
+        """Adds the q whole periods from c to total; returns T^(qp) g. Their
+        block sums die here, so none outlives its checkpoint."""
+        nonlocal total
+        sums, g = _segment(lift, g, q, [pw for _, pw in terms])
+        if periodic:  # the p residue shifts of V
+            last = steps(sums[0], 0, p - 1)
+            total += table[p - 1] * last
+        else:
+            for (z, pw), R in zip(terms, sums):
+                total += R if pw is None else z * pw[c] * R
+        return g
 
     for n in cps:
         aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
-        total, g = steps(total, g, c, aligned)
+        g = steps(g, c, aligned)
         c = aligned
         q = (n - c) // p
         if q:
             lift = lift or _power(op, p)
-            sums, g = _segment(lift, g, q, [pw for _, pw in terms])
-            if periodic:  # the p residue shifts of V
-                total, last = steps(total, sums[0], 0, p - 1)
-                total += table[p - 1] * last
-            else:
-                for (z, pw), R in zip(terms, sums):
-                    total += R if pw is None else z * pw[c] * R
+            g = periods(g, c, q)
             c += q * p
-        total, g = steps(total, g, c, n)  # and after the last whole period
+        g = steps(g, c, n)  # and after the last whole period
         c = n
         yield total
 
 
-def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iterations):
+def _majorized(f, space, averages, scale, tol=MAJORIZATION_TOL) -> tuple[bool, ...]:
+    """Per average a_n: a_n / M is submajorized by f (M = 1 when scale is
+    None). f is rearranged once; each average's moduli are made as it comes
+    and dropped before the next one is drawn."""
+    inv = 1.0 / (1.0 if scale is None else scale)
+    moduli = map(lambda a: np.abs(a * inv), averages)
+    return tuple(map(bool, submajorized(f, space, moduli, tol)))
+
+
+def _stream(
+    T, f, checkpoints, beta, probes, store_averages, norms, majorize, max_iterations
+):
     cps = _horizon(checkpoints, max_iterations)
     if not T.space.is_compatible(f.space):
         raise InputError("operator and function live on different spaces")
@@ -286,28 +332,29 @@ def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iteratio
     if any(p < 0 or p >= n_atoms for p in probes):
         raise InputError("probe atom out of range")
 
-    betas = None
-    weight_bound = None
-    if beta is not None:
-        betas = beta.values(cps[-1])
-        weight_bound = max(1.0, float(np.max(np.abs(betas))))
-
     composition = isinstance(T, CompositionOperator)
     # probe-orbit lane: nothing but the probe atoms is ever read
-    lane = not (store_averages or norms) and composition
-    if lane:
-        sums = _kahan_sums(_probe_orbit(T, f, probes, cps[-1]), betas, len(probes), cps)
-    elif composition and (beta is None or beta.kind != "explicit"):
-        sums = _lifted_sums(T, f, beta, _geometric_terms(beta, betas, cps), cps)
-        betas = None  # only the powers the lifting reads are kept
-    else:
-        sums = _kahan_sums(_full_orbit(T, f, cps[-1]), betas, n_atoms, cps)
+    lane = composition and not (store_averages or norms or majorize)
+    if composition and not lane and (beta is None or beta.kind != "explicit"):
+        weight_bound, terms = _lifted_weights(beta, cps)
+        sums = _lifted_sums(T, f, beta, terms, cps)
+    else:  # the Kahan lanes read every weight
+        betas = weight_bound = None
+        if beta is not None:
+            betas = beta.values(cps[-1])
+            weight_bound = _weight_bound(betas)
+        if lane:
+            orbit, width = _probe_orbit(T, f, probes, cps[-1]), len(probes)
+        else:
+            orbit, width = _full_orbit(T, f, cps[-1]), n_atoms
+        sums = _kahan_sums(orbit, betas, width, cps)
     select = np.array(probes, dtype=np.intp)
 
     w = T.space.weights
     probe_rows, l1s, linfs, avgs = [], [], [], []
-    for n, total in zip(cps, sums):
-        a = total / n
+
+    def record(a):
+        """Reads the report row of the average a off it; returns a."""
         probe_rows.append(a if lane else a[select])
         if norms:
             mags = np.abs(a)
@@ -315,6 +362,16 @@ def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iteratio
             linfs.append(float(np.max(mags)))
         if store_averages:
             avgs.append(MeasurableFunction(a, T.space))
+        return a
+
+    # each average lives until its row is read and, with `majorize`, its flag
+    # decided; only the stored ones are kept
+    averages = (record(total / n) for n, total in zip(cps, sums))
+    flags = None
+    if majorize:
+        flags = _majorized(f, T.space, averages, weight_bound)
+    else:
+        deque(averages, maxlen=0)
 
     return AveragingReport(
         checkpoints=cps,
@@ -324,6 +381,7 @@ def _stream(T, f, checkpoints, beta, probes, store_averages, norms, max_iteratio
         linf_norms=np.array(linfs) if norms else None,
         averages=tuple(avgs) if store_averages else None,
         weight_bound=weight_bound,
+        majorized=flags,
     )
 
 
@@ -335,16 +393,20 @@ def cesaro(
     store_averages: bool = True,
     max_iterations: int = DEFAULT_BUDGET,
     norms: bool = True,
+    majorize: bool = False,
 ) -> AveragingReport:
     """Plain Cesaro averages (1/n) sum_{k<n} T^k f at the checkpoints.
 
     T should be a certified or declared DS operator for the norm and
     majorization guarantees to mean anything; the run itself only needs
     apply(). With `store_averages=False` and `norms=False` only the probe
-    columns are computed; the report's norms are then None.
+    columns are computed; the report's norms are then None. `majorize`
+    fills `report.majorized` as `majorization_trace` would, deciding each
+    checkpoint's flag as the stream reaches it, so no average need be kept.
     """
     return _stream(
-        T, f, checkpoints, None, probes, store_averages, norms, max_iterations
+        T, f, checkpoints, None, probes, store_averages, norms, majorize,
+        max_iterations,
     )
 
 
@@ -357,15 +419,18 @@ def weighted(
     store_averages: bool = True,
     max_iterations: int = DEFAULT_BUDGET,
     norms: bool = True,
+    majorize: bool = False,
 ) -> AveragingReport:
     """Weighted averages (1/n) sum_{k<n} beta_k T^k f.
 
-    The report records M = max(1, sup over materialized |beta_k|); the
-    majorization trace compares a_n / M against f, which is the contraction
-    statement that survives unbounded-looking weights.
+    The report records M = max(1, max_{k<n} |beta_k|) over the n weights
+    averaged; the majorization flags (`majorize`, as in `cesaro`, or
+    `majorization_trace`) compare a_n / M against f, which is the
+    contraction statement that survives unbounded-looking weights.
     """
     return _stream(
-        T, f, checkpoints, beta, probes, store_averages, norms, max_iterations
+        T, f, checkpoints, beta, probes, store_averages, norms, majorize,
+        max_iterations,
     )
 
 
@@ -398,8 +463,7 @@ def majorization_trace(
         raise CapabilityError(
             "majorization trace needs retained averages; rerun in full mode"
         )
-    scale = report.weight_bound if report.weight_bound is not None else 1.0
     space = report.averages[0].space if report.averages else f.space
-    moduli = (np.abs(a.values * (1.0 / scale)) for a in report.averages)
-    report.majorized = tuple(map(bool, submajorized(f, space, moduli, tol)))
+    averages = (a.values for a in report.averages)
+    report.majorized = _majorized(f, space, averages, report.weight_bound, tol)
     return report.majorized

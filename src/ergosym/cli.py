@@ -84,7 +84,9 @@ class Plan:
     checkpoints: tuple[int, ...] = ()
     probes: tuple = ()
     budget: int = averaging.DEFAULT_BUDGET
-    full: bool = True  # "mode": "full" keeps every average, "probes" only probes
+    # "mode": "full" adds the majorized column, decided per checkpoint as the
+    # run streams; "probes" leaves it empty. Neither keeps an average.
+    full: bool = True
     lambda_grid: int = 0
     # (character, step) when f is a character of the rotation: the closed-form
     # oracle applies
@@ -243,14 +245,16 @@ def _run_ds_check(args, plan: Plan) -> dict[str, str]:
 
 def _run_average(args, plan: Plan) -> dict[str, str]:
     T, f, cps, probes = plan.operator, plan.function, plan.checkpoints, plan.probes
+    # full mode decides each checkpoint's majorized flag as the stream
+    # reaches it; neither mode keeps an average
     if plan.weight is not None:
         report = averaging.weighted(
-            T, f, plan.weight, cps, probes, plan.full, plan.budget
+            T, f, plan.weight, cps, probes, False, plan.budget, majorize=plan.full
         )
     else:
-        report = averaging.cesaro(T, f, cps, probes, plan.full, plan.budget)
-    if plan.full:
-        averaging.majorization_trace(report, f)
+        report = averaging.cesaro(
+            T, f, cps, probes, False, plan.budget, majorize=plan.full
+        )
     return {plan.output: formats.averaging_csv(report, plan.seed)}
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -238,25 +239,27 @@ def submajorized(
     f: MeasurableFunction, space: AtomicMeasureSpace, moduli, tol=MAJORIZATION_TOL
 ) -> list[MajorizationResult]:
     """`majorizes` for each array of moduli |g| on `space`, so a caller
-    comparing many g against one f checks the spaces and rearranges f once."""
+    comparing many g against one f checks the spaces and rearranges f once.
+    `moduli` may be lazy: each array is released before the next is drawn."""
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("majorization tolerance must be finite and >= 0")
     _check_comparable(f.space, space)
-    rf = rearrangement(f)
-    results = []
-    for mags in moduli:
-        order = np.argsort(mags)[::-1]
-        w = space.weights[order]
-        s = np.cumsum(w)
-        int_f, int_g = rf.integrals(s), np.cumsum(w * mags[order])
-        bad = np.flatnonzero(int_g > int_f + tol)
-        if bad.size == 0:
-            results.append(MajorizationResult(True))
-        else:
-            i = bad[0]
-            results.append(MajorizationResult(
-                False, float(s[i]), float(int_f[i]), float(int_g[i])))
-    return results
+    compare = partial(_submajorized_at_atoms, rearrangement(f), space.weights, tol)
+    return list(map(compare, moduli))
+
+
+def _submajorized_at_atoms(rf, weights, tol, mags) -> MajorizationResult:
+    """g against f at g's atom boundaries, for |g| = mags and f* = rf; its
+    temporaries die on return."""
+    order = np.argsort(mags)[::-1]
+    w = weights[order]
+    s = np.cumsum(w)
+    int_f, int_g = rf.integrals(s), np.cumsum(w * mags[order])
+    bad = np.flatnonzero(int_g > int_f + tol)
+    if bad.size == 0:
+        return MajorizationResult(True)
+    i = bad[0]
+    return MajorizationResult(False, float(s[i]), float(int_f[i]), float(int_g[i]))
 
 
 def norm(f: MeasurableFunction, which: str) -> float:

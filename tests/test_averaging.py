@@ -29,7 +29,7 @@ from ergosym import (
     signed_shift_operator,
     weighted,
 )
-from ergosym import spaces
+from ergosym import averaging, spaces
 from ergosym.formats import operator_from_json
 from dense import dense
 from oracles import naive_averages, naive_weighted_averages
@@ -366,8 +366,8 @@ def test_lifted_lane_memory_stays_linear_in_atoms(kind):
     # n = 1e6 terms on 2^16 atoms take well under a second lifted. Holding
     # the log2(n) = 20 powers of T (point map and multiplier) and their block
     # sums would add about 50 MiB; the lane keeps a few vectors (about 10 MiB).
-    # Weighted runs also materialize the n weights once, with their moduli,
-    # for the weight bound M (24 bytes per term).
+    # A lambda-power run reads its n weights for the weight bound M one
+    # block of RENORM_EVERY at a time, so it has the same bound.
     n_atoms, horizon = 1 << 16, 10**6
     rng = np.random.default_rng(76)
     T = CompositionOperator(
@@ -377,7 +377,7 @@ def test_lifted_lane_memory_stays_linear_in_atoms(kind):
     f = MeasurableFunction(rng.normal(size=n_atoms), T.space)
     cps = geometric_checkpoints(horizon)
     beta = None if kind == "cesaro" else WeightSequence.lambda_power(np.exp(0.7j))
-    bound = 20 * MIB_PER_VECTOR + (0 if beta is None else 24 * horizon / 2**20)
+    bound = 20 * MIB_PER_VECTOR
     tracemalloc.start()
     try:
         if beta is None:
@@ -621,6 +621,77 @@ def test_trace_rejects_bad_tolerances(tol):
     with pytest.raises(InputError, match="tolerance"):
         majorization_trace(rep, f, tol=tol)
     assert rep.majorized is None
+
+
+# -------------------------------------------------- in-stream majorization
+
+
+@pytest.mark.parametrize("kind", [
+    "kernel", "kernel_expanding", "cesaro", "lambda_power", "periodic", "trig_poly",
+    "explicit",
+])
+def test_majorize_matches_the_stored_trace(monkeypatch, kind):
+    # kernels and explicit weights take the Kahan lane, the others the lifted
+    # one. 1.5 times a permutation has row sums 1.5, so its averages outgrow
+    # f and some flags are False, each with a witness.
+    rng = np.random.default_rng(83)
+    n, cps = 40, (1, 2, 3, 10, 33, 100)
+    space = unit_space(n)
+    if kind == "kernel":
+        T = random_ds_kernel(rng, n)
+    elif kind == "kernel_expanding":
+        T = KernelOperator(1.5 * np.eye(n)[rng.permutation(n)], space)
+    else:
+        T = CompositionOperator(rng.permutation(n), rng.choice([-1.0, 1.0], n),
+                                space, measure_preserving=True)
+    f = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), T.space)
+    kinds = weight_kinds(rng)
+    beta = {"explicit": WeightSequence.explicit(rng.normal(size=cps[-1]))}.get(
+        kind, kinds.get(kind))
+    results, inner = [], averaging.submajorized
+    monkeypatch.setattr(averaging, "submajorized",
+                        lambda *a, **k: results.append(inner(*a, **k)) or results[-1])
+    run = cesaro if beta is None else functools.partial(weighted, beta=beta)
+    streamed = run(T, f, checkpoints=cps, probes=(0, 7), store_averages=False,
+                   majorize=True)
+    stored = run(T, f, checkpoints=cps, probes=(0, 7))
+    assert streamed.averages is None and stored.majorized is None
+    assert streamed.majorized == majorization_trace(stored, f)
+    # the same comparisons: witnesses and both integrals at each failure
+    assert len(results) == 2 and results[0] == results[1]
+    assert streamed.weight_bound == stored.weight_bound
+    for field in ("probe_values", "l1_norms", "linf_norms"):
+        assert np.array_equal(getattr(streamed, field), getattr(stored, field))
+    if kind == "kernel_expanding":
+        assert streamed.majorized[0] and not all(streamed.majorized)
+        assert all(r.witness_s is not None for r in results[0] if not r)
+    else:
+        assert all(streamed.majorized)
+
+
+@pytest.mark.parametrize("horizon", [1, 5, 3000])
+@pytest.mark.parametrize("kind", [
+    "constant", "periodic", "long_period", "lambda_power", "trig_poly",
+])
+def test_lifted_weights_keep_the_bits_of_the_table(kind, horizon):
+    # M and the lambda powers are read without the n-long table (but for
+    # trig polynomials), past RENORM_EVERY = 1024 too; both keep its bits
+    rng = np.random.default_rng(84)
+    beta = weight_kinds(rng)[kind]
+    cps = geometric_checkpoints(horizon)
+    table = beta.values(horizon)
+    bound, terms = averaging._lifted_weights(beta, cps)
+    assert bound == max(1.0, float(np.max(np.abs(table))))
+    if kind == "lambda_power":
+        ((z, powers),) = terms
+        ks = np.array(sorted(powers))
+        got = np.array([powers[k] for k in ks.tolist()])
+        assert ks[-1] >= min(horizon - 1, 1024)
+        assert np.array_equal(got.view(np.uint64), table[ks].view(np.uint64))
+    T = cyclic(8, unit_space(8))
+    f = MeasurableFunction(rng.normal(size=8), T.space)
+    rep = weighted(T, f, beta, cps, probes=(0,), store_averages=False)
+    assert rep.weight_bound == bound
 
 
 def test_trace_normalization_with_large_weights():

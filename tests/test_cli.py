@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -841,10 +842,18 @@ def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
     assert "Traceback" not in err and not out.exists()
 
 
+# The weighted composition of WEIGHTED as kernel triplets. A kernel's Kahan
+# lane reads every weight, so a weighted run on it builds the n-long table.
+WEIGHTED_KERNEL = {"kind": "kernel", "rows": list(range(12)),
+                   "cols": WEIGHTED["operator"]["map"],
+                   "data_re": WEIGHTED["operator"]["mult_re"]}
+
+
 # numpy refuses each of these arrays before allocating anything
 @pytest.mark.parametrize("command, cfg", [
     ("wiener-wintner", _with(SMALL_SWEEP, lambda_grid=2**62)),
-    ("weighted-average", _with(WEIGHTED, checkpoints={"geometric": 2**62},
+    ("weighted-average", _with(WEIGHTED, operator=WEIGHTED_KERNEL,
+                               checkpoints={"geometric": 2**62},
                                max_iterations=2**62)),
     ("rearrange", {"schema": 1, "seed": 1, "space": {"atoms": 2**62},
                    "function": {"ones": True}}),
@@ -861,14 +870,19 @@ def test_oversize_array_exits_3(tmp_path, capsys, command, cfg):
 
 
 # both commands walk at most one period of their orbits, so no horizon sizes
-# an array: 2^62 terms run on the periods 8 (sweep) and 35 (return-times)
+# an array: 2^62 terms run on the periods 8 (sweep) and 35 (return-times).
+# A lifted composition average with periodic weights reads one period of
+# them and lifts T^3, so it takes O(log n) steps as well.
 HUGE_HORIZON = {"checkpoints": {"geometric": 2**62}, "max_iterations": 2**62}
 
 
 @pytest.mark.parametrize("command, cfg", [
     ("wiener-wintner", _with(SMALL_SWEEP, **HUGE_HORIZON)),
     ("return-times", _with(GOLDEN_CONFIGS["return-times"][1], **HUGE_HORIZON)),
-], ids=["wiener-wintner", "return-times"])
+    ("weighted-average", _with(WEIGHTED, weight={"kind": "periodic",
+                                                 "re": [1, -0.5, 0.25]},
+                               **HUGE_HORIZON)),
+], ids=["wiener-wintner", "return-times", "weighted-periodic"])
 def test_horizon_2_62_runs_on_one_period(tmp_path, command, cfg):
     path = write_cfg(tmp_path, "huge.json", cfg)
     out = tmp_path / "out"
@@ -951,6 +965,42 @@ def test_huge_phase_den_runs_in_small_memory(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert len((out / "averages.csv").read_text().splitlines()) == 2 + 4 * 3
+
+
+def test_full_mode_memory_does_not_grow_with_checkpoints(tmp_path):
+    # A full-mode lambda-power average on 2^16 atoms, to n = 1024 with 11
+    # and with 41 checkpoints. Each checkpoint's average (1 MiB) is reduced
+    # to its report row and majorization flag and dropped, so the 30 extra
+    # checkpoints may not raise the peak by one average. Every gap is a
+    # power of two, as in the geometric run, so that each lifted segment
+    # holds as many vectors at its peak.
+    n_atoms = 1 << 16
+    rng = np.random.default_rng(85)
+    cfg = {
+        "schema": 1, "seed": 29, "space": {"atoms": n_atoms},
+        "operator": {"kind": "composition", "map": rng.permutation(n_atoms).tolist(),
+                     "mult_re": rng.choice([-1.0, 1.0], n_atoms).tolist(),
+                     "measure_preserving": True},
+        "function": {"random": {"kind": "real"}},
+        "weight": {"kind": "lambda_power", "lambda_re": 0.6, "lambda_im": 0.8},
+        "probes": [0, 12345], "mode": "full",
+    }
+    peaks = {}
+    dense_cps = {2**i for i in range(11)} | {*range(16, 64, 8), *range(64, 1025, 32)}
+    for cps in ({"geometric": 1024}, sorted(dense_cps)):
+        path = write_cfg(tmp_path, "cfg.json", _with(cfg, checkpoints=cps))
+        out = tmp_path / f"out{len(peaks)}"
+        tracemalloc.start()
+        try:
+            assert cli.main(["weighted-average", path, "--output-dir", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (out / "averages.csv").read_text().splitlines()[2:]
+        assert all(r.endswith(",true") for r in rows)
+        peaks[len(rows) // 2] = peak
+    assert sorted(peaks) == [11, 41]
+    assert peaks[41] - peaks[11] < n_atoms * 16
 
 
 def test_validate_is_empty_for_valid_configs():

@@ -371,7 +371,7 @@ def _stream(
     if majorize:
         flags = _majorized(f, T.space, averages, weight_bound)
     else:
-        deque(averages, maxlen=0)
+        deque(averages, maxlen=0)  # runs the stream, holding no average
 
     return AveragingReport(
         checkpoints=cps,

@@ -7,8 +7,9 @@ reproduced exactly by their DFT interpolant, which is the workhorse here.
 
 Power streams lam^k are made by repeated multiplication with the magnitude
 reset to 1 every RENORM_EVERY steps, so |lam^k| cannot drift over long
-horizons; `power_blocks` yields the stream one such block at a time. Frequencies with a known rational phase (the DFT case) are
-evaluated through exact integer phase reduction instead, which keeps the
+horizons; `power_blocks` yields the stream one such block at a time.
+Frequencies with a known rational phase (the DFT case) are evaluated
+through exact integer phase reduction instead, which keeps the
 reproduction error at roundoff level even at k ~ 1e5.
 """
 

@@ -8,8 +8,8 @@ checkpoints by one of three lanes:
   split exactly: S_(a+b) = S_a + (beta shifted by a) T^a S_b. Each
   checkpoint's sum extends the previous one through the binary digits of
   the gap, so a run costs O(N log n) for N atoms instead of O(N n), and only
-  the current power of T is held. The weights are read without an n-long
-  table, but for trig polynomials.
+  the current power of T is held. Periodic weights are read without an
+  n-long table.
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
@@ -25,15 +25,14 @@ holds a few N-vectors plus C report rows for C checkpoints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
-from .spaces import MAJORIZATION_TOL, MeasurableFunction, submajorized
-from .weights import WeightSequence, power_blocks
+from .spaces import MAJORIZATION_TOL, MeasurableFunction, submajorization_check
+from .weights import WeightSequence
 
 # default cap on the last checkpoint, the number of terms averaged per run
 DEFAULT_BUDGET = 1_000_000
@@ -229,27 +228,22 @@ def _lifted_weights(beta, cps):
     terms are (z_j, powers of lam_j) with beta_k = sum_j z_j lam_j^k, the
     powers at every exponent `_lifted_sums` reads: each segment start and
     each 2^i below the widest gap. Cesaro and periodic weights give one term
-    with lam = 1 (None). M has the bits of the max over all n weights, but
-    only trig polynomials build that table: a periodic table is read up to
-    min(n, p), and a lambda power's stream one block at a time, its
-    exponents picked up on the way.
+    with lam = 1 (None). M is the max over all n weights; a periodic table
+    holds them all in its first min(n, p) entries, the other kinds build
+    the n-long table.
     """
     n = cps[-1]
     if beta is None:
         return None, [(1.0, None)]
     if beta.kind == "periodic":
         return _weight_bound(beta.table[:n]), [(1.0, None)]
+    betas = beta.values(n)
     gaps = np.diff((0,) + cps)
     ks = {0, *cps[:-1]} | {1 << i for i in range(int(gaps.max()).bit_length())}
     ks = np.array(sorted(k for k in ks if k < n), dtype=np.int64)
     if beta.kind == "lambda_power":
-        peak, powers = 0.0, {}
-        for start, (row,) in power_blocks(beta.lam, n):
-            peak = max(peak, float(np.max(np.abs(row))))
-            at = ks[(ks >= start) & (ks < start + row.size)]
-            powers.update(zip(at.tolist(), row[at - start]))
-        return max(1.0, peak), [(1.0, powers)]
-    return _weight_bound(beta.values(n)), [
+        return _weight_bound(betas), [(1.0, dict(zip(ks.tolist(), betas[ks])))]
+    return _weight_bound(betas), [
         (t.coefficient, dict(zip(ks.tolist(), t.powers(ks, n))))
         for t in beta.poly.terms
     ]
@@ -312,13 +306,19 @@ def _lifted_sums(T, f, beta, terms, cps):
         yield total
 
 
-def _majorized(f, space, averages, scale, tol=MAJORIZATION_TOL) -> tuple[bool, ...]:
-    """Per average a_n: a_n / M is submajorized by f (M = 1 when scale is
-    None). f is rearranged once; each average's moduli are made as it comes
-    and dropped before the next one is drawn."""
+def _majorization_rule(f, space, scale, tol=MAJORIZATION_TOL):
+    """(moduli, compare): an average a_n on `space` has a_n / M submajorized
+    by f (M = 1 when scale is None) when compare(moduli(a_n)) holds. f is
+    rearranged once, here. The two steps are apart so that a caller can
+    drop a_n before the comparison, where a run's memory peaks."""
     inv = 1.0 / (1.0 if scale is None else scale)
-    moduli = map(lambda a: np.abs(a * inv), averages)
-    return tuple(map(bool, submajorized(f, space, moduli, tol)))
+    return (lambda a: np.abs(a * inv)), submajorization_check(f, space, tol)
+
+
+def _norms(a, weights):
+    """The L1 and Linf norms of the average a; its moduli die on return."""
+    mags = np.abs(a)
+    return float(np.sum(weights * mags)), float(np.max(mags))
 
 
 def _stream(
@@ -350,28 +350,26 @@ def _stream(
         sums = _kahan_sums(orbit, betas, width, cps)
     select = np.array(probes, dtype=np.intp)
 
+    if majorize:
+        moduli, compare = _majorization_rule(f, T.space, weight_bound)
     w = T.space.weights
-    probe_rows, l1s, linfs, avgs = [], [], [], []
-
-    def record(a):
-        """Reads the report row of the average a off it; returns a."""
+    probe_rows, l1s, linfs, avgs, flags = [], [], [], [], []
+    for n, total in zip(cps, sums):
+        a = total / n
         probe_rows.append(a if lane else a[select])
         if norms:
-            mags = np.abs(a)
-            l1s.append(float(np.sum(w * mags)))
-            linfs.append(float(np.max(mags)))
+            l1, linf = _norms(a, w)
+            l1s.append(l1)
+            linfs.append(linf)
         if store_averages:
             avgs.append(MeasurableFunction(a, T.space))
-        return a
-
-    # each average lives until its row is read and, with `majorize`, its flag
-    # decided; only the stored ones are kept
-    averages = (record(total / n) for n, total in zip(cps, sums))
-    flags = None
-    if majorize:
-        flags = _majorized(f, T.space, averages, weight_bound)
-    else:
-        deque(averages, maxlen=0)  # runs the stream, holding no average
+        mags = moduli(a) if majorize else None
+        # unless stored, the average dies before its flag's comparison and
+        # the next segment, and its moduli with the checkpoint
+        del a
+        if majorize:
+            flags.append(bool(compare(mags)))
+        del mags
 
     return AveragingReport(
         checkpoints=cps,
@@ -381,7 +379,7 @@ def _stream(
         linf_norms=np.array(linfs) if norms else None,
         averages=tuple(avgs) if store_averages else None,
         weight_bound=weight_bound,
-        majorized=flags,
+        majorized=tuple(flags) if majorize else None,
     )
 
 
@@ -464,6 +462,6 @@ def majorization_trace(
             "majorization trace needs retained averages; rerun in full mode"
         )
     space = report.averages[0].space if report.averages else f.space
-    averages = (a.values for a in report.averages)
-    report.majorized = _majorized(f, space, averages, report.weight_bound, tol)
+    moduli, compare = _majorization_rule(f, space, report.weight_bound, tol)
+    report.majorized = tuple(bool(compare(moduli(a.values))) for a in report.averages)
     return report.majorized

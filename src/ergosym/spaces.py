@@ -232,20 +232,19 @@ def majorizes(
     g* is affine and that of f* concave, so their difference is convex and
     peaks at an end; it is 0 at s = 0, and past the last s_i g* vanishes.
     """
-    return submajorized(f, g.space, [np.abs(g.values)], tol)[0]
+    return submajorization_check(f, g.space, tol)(np.abs(g.values))
 
 
-def submajorized(
-    f: MeasurableFunction, space: AtomicMeasureSpace, moduli, tol=MAJORIZATION_TOL
-) -> list[MajorizationResult]:
-    """`majorizes` for each array of moduli |g| on `space`, so a caller
-    comparing many g against one f checks the spaces and rearranges f once.
-    `moduli` may be lazy: each array is released before the next is drawn."""
+def submajorization_check(
+    f: MeasurableFunction, space: AtomicMeasureSpace, tol=MAJORIZATION_TOL
+) -> Callable[[np.ndarray], MajorizationResult]:
+    """The comparison `majorizes` makes, as a function of the moduli |g| of
+    a g on `space`: a caller comparing many g against one f checks the
+    spaces and rearranges f once."""
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("majorization tolerance must be finite and >= 0")
     _check_comparable(f.space, space)
-    compare = partial(_submajorized_at_atoms, rearrangement(f), space.weights, tol)
-    return list(map(compare, moduli))
+    return partial(_submajorized_at_atoms, rearrangement(f), space.weights, tol)
 
 
 def _submajorized_at_atoms(rf, weights, tol, mags) -> MajorizationResult:

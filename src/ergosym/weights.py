@@ -5,11 +5,10 @@ approximated, in averaged absolute deviation, by trigonometric polynomials
 sum_j z_j lam_j^k with unimodular frequencies. Periodic sequences are
 reproduced exactly by their DFT interpolant, which is the workhorse here.
 
-Power streams lam^k are made by repeated multiplication with the magnitude
-reset to 1 every RENORM_EVERY steps, so |lam^k| cannot drift over long
-horizons; `power_blocks` yields the stream one such block at a time.
-Frequencies with a known rational phase (the DFT case) are evaluated
-through exact integer phase reduction instead, which keeps the
+Power streams lam^k are materialized by repeated multiplication with the
+magnitude reset to 1 every RENORM_EVERY steps, so |lam^k| cannot drift over
+long horizons. Frequencies with a known rational phase (the DFT case) are
+evaluated through exact integer phase reduction instead, which keeps the
 reproduction error at roundoff level even at k ~ 1e5.
 """
 
@@ -40,31 +39,22 @@ def cycles(phase):
     return z if np.ndim(z) else complex(z)
 
 
-def power_blocks(lams: np.ndarray, n: int):
-    """Columns start, ..., start + m - 1 of `unit_powers_matrix(lams, n)`,
-    as (start, block) for consecutive blocks of m <= RENORM_EVERY columns:
-    the power stream in O(RENORM_EVERY) memory per frequency."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    base = np.ones(lams.size, dtype=complex)
-    for start in range(0, n, RENORM_EVERY):
-        m = min(RENORM_EVERY, n - start)
-        block = np.empty((lams.size, m), dtype=complex)
-        block[:, 0] = base
-        if m > 1:
-            block[:, 1:] = base[:, None] * np.cumprod(
-                np.broadcast_to(lams[:, None], (lams.size, m - 1)), axis=1
-            )
-        yield start, block
-        nxt = block[:, m - 1] * lams
-        base = nxt / np.abs(nxt)
-
-
 def unit_powers_matrix(lams: np.ndarray, n: int) -> np.ndarray:
     """Rows of lam^k, k < n, for several unimodular lam at once."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     out = np.empty((lams.size, n), dtype=complex)
-    for start, block in power_blocks(lams, n):
-        out[:, start : start + block.shape[1]] = block
+    if n == 0:
+        return out
+    base = np.ones(lams.size, dtype=complex)
+    for start in range(0, n, RENORM_EVERY):
+        m = min(RENORM_EVERY, n - start)
+        out[:, start] = base
+        if m > 1:
+            out[:, start + 1 : start + m] = base[:, None] * np.cumprod(
+                np.broadcast_to(lams[:, None], (lams.size, m - 1)), axis=1
+            )
+        nxt = out[:, start + m - 1] * lams
+        base = nxt / np.abs(nxt)
     return out
 
 

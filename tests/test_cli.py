@@ -852,6 +852,8 @@ WEIGHTED_KERNEL = {"kind": "kernel", "rows": list(range(12)),
 # numpy refuses each of these arrays before allocating anything
 @pytest.mark.parametrize("command, cfg", [
     ("wiener-wintner", _with(SMALL_SWEEP, lambda_grid=2**62)),
+    ("weighted-average", _with(WEIGHTED, checkpoints={"geometric": 2**62},
+                               max_iterations=2**62)),
     ("weighted-average", _with(WEIGHTED, operator=WEIGHTED_KERNEL,
                                checkpoints={"geometric": 2**62},
                                max_iterations=2**62)),
@@ -859,7 +861,8 @@ WEIGHTED_KERNEL = {"kind": "kernel", "rows": list(range(12)),
                    "function": {"ones": True}}),
     ("ds-check", {"schema": 1, "seed": 1, "operator": {
         "kind": "counterexample", "breakpoints": [1], "grid": 2**40, "window": 2**40}}),
-], ids=["lambda-grid", "weighted-horizon", "atoms", "cells-2^80"])
+], ids=["lambda-grid", "weighted-horizon", "weighted-kernel-horizon", "atoms",
+      "cells-2^80"])
 def test_oversize_array_exits_3(tmp_path, capsys, command, cfg):
     path = write_cfg(tmp_path, "big.json", cfg)
     out = tmp_path / "out"

@@ -549,6 +549,13 @@ PROBES_CONFIGS = {
                        {**GOLDEN_CONFIGS[case][1], "mode": "probes"})
     for case in ("kernel-average", "weighted-average")
 }
+# The README sweep on a random function: no closed form applies, so the
+# rows carry no oracle columns. Kept apart from GOLDEN_CONFIGS like the
+# probes-mode runs.
+RANDOM_SWEEP = ("wiener-wintner", {
+    **README_SWEEP, "system": {"order": 256, "step": 3},
+    "function": {"random": {"kind": "complex"}},
+})
 GOLDEN_DIGESTS = {
     "counterexample": {
         "certificate.json":
@@ -604,6 +611,10 @@ GOLDEN_DIGESTS = {
         "averages.csv":
             "562baf1c459f3874ce138c8ce9a5deb89419fb2b95c695e23cbe21449a87455c",
     },
+    "random-sweep": {
+        "sweep.csv":
+            "9fc889e8de61adbb113e2931202d9539e4b38eda87dec58076564552b0b536d2",
+    },
 }
 
 
@@ -611,7 +622,8 @@ def _golden_outputs(tmp_path, case):
     if case == "counterexample":
         argv = ["counterexample", "--stages", "6", "--grid", "10"]
     else:
-        command, cfg = {**GOLDEN_CONFIGS, **PROBES_CONFIGS}[case]
+        command, cfg = {**GOLDEN_CONFIGS, **PROBES_CONFIGS,
+                        "random-sweep": RANDOM_SWEEP}[case]
         argv = [command, write_cfg(tmp_path, "cfg.json", cfg)]
     out = tmp_path / "out"
     assert cli.main(argv + ["--output-dir", str(out)]) == 0

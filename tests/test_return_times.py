@@ -567,6 +567,20 @@ def test_closed_form_input_checks():
         rotation_closed_form(0.25, Fraction(0), 0.0, 4)  # float rho rejected
 
 
+@pytest.mark.parametrize("rho, lam, omega, n, want", [
+    # resonant: q == 1 exactly, the value is the front e^{2 pi i omega}
+    (Fraction(0), 1 + 0j, 0.3, 7, ("-0x1.3c6ef372fe94ep-2", "0x1.e6f0e13445500p-1")),
+    (Fraction(1, 3), cmath.exp(0.7j), 0.125, 1000,
+     ("-0x1.c6c14cdc22becp-14", "0x1.7dc0e462b365cp-11")),
+    (Fraction(2, 7), complex(0.6, -0.8), 0.9, 37,
+     ("0x1.0f8e6f55760b4p-6", "-0x1.d6ade4e6a1e14p-7")),
+], ids=["resonant", "n-1000", "n-37"])
+def test_closed_form_complex_lambda_bits(rho, lam, omega, n, want):
+    # a complex lam takes Python's complex q**n with the caller's int n
+    got = rotation_closed_form(rho, lam, omega, n)
+    assert (got.real.hex(), got.imag.hex()) == want
+
+
 def test_closed_form_accepts_tuple_and_complex_lambda():
     a = rotation_closed_form((1, 8), (1, 8), 0.0, 5)
     b = rotation_closed_form(Fraction(1, 8), cmath.exp(2j * pi / 8), 0.0, 5)

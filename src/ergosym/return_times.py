@@ -183,15 +183,13 @@ class SweepResult:
     """Twisted averages over a uniform frequency grid.
 
     averages[j, p, c] is the average at lambda_j = exp(2 pi i j / G), probe
-    p, checkpoint c; oscillations hold the max-minus-min of each
-    (lambda, probe) trace over the recorded checkpoints (real/imag split).
+    p, checkpoint c.
     """
 
     lambdas: np.ndarray
     probes: tuple[int, ...]
     checkpoints: tuple[int, ...]
     averages: np.ndarray
-    oscillations: np.ndarray
 
 
 def wiener_wintner_sweep(
@@ -258,11 +256,7 @@ def wiener_wintner_sweep(
         sums = _fold_periodic((fc,), lcm(fc.size, g), cps, residue_sums)
         # unnormalised inverse DFT: sum_r S_r exp(2 pi i j r / G)
         avgs[:, p, :] = np.fft.ifft(sums, axis=1, norm="forward").T / ns
-    osc = np.maximum(
-        avgs.real.max(axis=2) - avgs.real.min(axis=2),
-        avgs.imag.max(axis=2) - avgs.imag.min(axis=2),
-    )
-    return SweepResult(lams, probes, cps, avgs, osc)
+    return SweepResult(lams, probes, cps, avgs)
 
 
 def _as_fraction(x) -> Fraction:
@@ -275,12 +269,22 @@ def _as_fraction(x) -> Fraction:
     raise InputError("rational angles must be Fraction, int, or (num, den)")
 
 
-def _q_phase(rho: Fraction, lam) -> Fraction | None:
-    """The phase in [0, 1) of q = lam e^{2 pi i rho}, in cycles and exact,
-    for lam given as a rational phase; None for a complex lam."""
+def _rotation_powers(rho, lam, ns):
+    """(q, [q^n for n in ns], exact resonance) for q = lam e^{2 pi i rho}.
+
+    For lam given as a rational phase (Fraction, int or (num, den) in
+    cycles) q's phase a / b is exact: q^n takes the phase (n a mod b) / b
+    in Python ints, divided once, and resonance is a == 0. A complex lam
+    gives Python's q**n with the caller's n, and resonance q == 1.
+    """
+    rho = _as_fraction(rho)
     if isinstance(lam, (Fraction, int, tuple)):
-        return (_as_fraction(lam) + rho) % 1
-    return None
+        phase = (_as_fraction(lam) + rho) % 1
+        a, b = phase.numerator, phase.denominator
+        qns = cycles(np.array([int(n) * a % b / b for n in ns])).tolist()
+        return cycles(float(phase)), qns, a == 0
+    q = complex(lam) * cycles(float(rho % 1))
+    return q, [q**n for n in ns], q == 1.0 + 0j
 
 
 def rotation_q(rho, lam):
@@ -289,25 +293,17 @@ def rotation_q(rho, lam):
     Returns (q, exact_resonance). With lam given as a Fraction (its phase
     in cycles) resonance q == 1 is decided exactly in integer arithmetic.
     """
-    rho = _as_fraction(rho)
-    q_phase = _q_phase(rho, lam)
-    if q_phase is not None:
-        return cycles(float(q_phase)), q_phase == 0
-    q = complex(lam) * cycles(float(rho % 1))
-    return q, q == 1.0 + 0j
+    q, _, resonant = _rotation_powers(rho, lam, ())
+    return q, resonant
 
 
-def _rotation_table(q_phase: Fraction, fronts, ns) -> np.ndarray:
-    """front (1 - q^n) / (n (1 - q)) per front (rows) and n (columns) for
-    q = e^{2 pi i q_phase}, q_phase exact in cycles; the front at q == 1."""
-    if q_phase == 0:
+def _rotation_table(q, qns, resonant, fronts, ns) -> np.ndarray:
+    """The closed form front (1 - q^n) / (n (1 - q)) per front (rows) and
+    n (columns), from q and its powers qns as `_rotation_powers` gives
+    them; the front itself at resonance."""
+    if resonant:
         return np.repeat(np.array(fronts)[:, None], len(ns), axis=1)
     out = np.empty((len(fronts), len(ns)), dtype=complex)
-    q = cycles(float(q_phase))
-    # the phase of q^n is (n a mod b) / b for q_phase = a / b, in Python
-    # ints; the division rounds correctly, as float(Fraction) does
-    a, b = q_phase.numerator, q_phase.denominator
-    qns = cycles(np.array([int(n) * a % b / b for n in ns])).tolist()
     for c, (n, qn) in enumerate(zip(ns, qns)):
         for p, front in enumerate(fronts):
             out[p, c] = front * (1.0 - qn) / (n * (1.0 - q))
@@ -323,10 +319,10 @@ def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
     oracle = np.empty((grid_size, len(fronts), len(checkpoints)), dtype=complex)
     resonant = []
     for j in range(grid_size):
-        q_phase = (Fraction(j, grid_size) + rho) % 1
-        if abs(1.0 - cycles(float(q_phase))) < RESONANCE_TOL:
+        q, qns, exact = _rotation_powers(rho, Fraction(j, grid_size), checkpoints)
+        if abs(1.0 - q) < RESONANCE_TOL:
             resonant.append(j)
-        oracle[j] = _rotation_table(q_phase, fronts, checkpoints)
+        oracle[j] = _rotation_table(q, qns, exact, fronts, checkpoints)
     return oracle, resonant
 
 
@@ -341,12 +337,6 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     """
     if n < 1:
         raise InputError("closed form needs n >= 1")
-    rho = _as_fraction(rho)
+    q, qns, resonant = _rotation_powers(rho, lam, [n])
     front = cycles(float(omega_phase))
-    q_phase = _q_phase(rho, lam)
-    if q_phase is not None:
-        return complex(_rotation_table(q_phase, [front], [n])[0, 0])
-    q, resonant = rotation_q(rho, lam)
-    if resonant:
-        return front
-    return front * (1.0 - q**n) / (n * (1.0 - q))
+    return complex(_rotation_table(q, qns, resonant, [front], [n])[0, 0])

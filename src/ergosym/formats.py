@@ -56,10 +56,6 @@ def _meta_line(seed: int, extra: str = "") -> str:
     return line + (f" {extra}" if extra else "")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------- decoding
 
 REQUIRED = object()  # `read` default of a key that must be present
@@ -354,25 +350,22 @@ def weight_from_json(obj) -> WeightSequence:
 
 def rearrangement_csv(r, seed: int) -> str:
     lines = [_meta_line(seed), "t_left,t_right,value"]
-    for i in range(r.plateaus.size):
-        lines.append(
-            f"{_fmt(r.breakpoints[i])},{_fmt(r.breakpoints[i + 1])},"
-            f"{_fmt(r.plateaus[i])}"
-        )
+    bps = r.breakpoints.tolist()
+    for left, right, v in zip(bps, bps[1:], r.plateaus.tolist()):
+        lines.append(f"{left!r},{right!r},{v!r}")
     return "\n".join(lines) + "\n"
 
 
 def averaging_csv(report, seed: int) -> str:
     lines = [_meta_line(seed), "n,probe_id,re,im,l1_norm,linf_norm,majorized"]
     flags = report.majorized
+    values = report.probe_values.tolist()
+    l1, linf = report.l1_norms.tolist(), report.linf_norms.tolist()
     for ci, n in enumerate(report.checkpoints):
         flag = "" if flags is None else ("true" if flags[ci] else "false")
-        for pi, p in enumerate(report.probes):
-            v = report.probe_values[ci, pi]
-            lines.append(
-                f"{n},{p},{_fmt(v.real)},{_fmt(v.imag)},"
-                f"{_fmt(report.l1_norms[ci])},{_fmt(report.linf_norms[ci])},{flag}"
-            )
+        tail = f"{l1[ci]!r},{linf[ci]!r},{flag}"
+        for p, v in zip(report.probes, values[ci]):
+            lines.append(f"{n},{p},{v.real!r},{v.imag!r},{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -385,38 +378,36 @@ def sweep_csv(sweep, seed: int, oracle=None, resonant=None) -> str:
     header = "lambda_index,lambda_re,lambda_im,probe,n,avg_re,avg_im"
     if oracle is not None:
         header += ",oracle_re,oracle_im,abs_err"
+        oracle = oracle.tolist()
     lines = [_meta_line(seed, extra), header]
-    for j in range(sweep.lambdas.size):
-        lam = sweep.lambdas[j]
+    averages = sweep.averages.tolist()
+    for j, lam in enumerate(sweep.lambdas.tolist()):
         for pi, p in enumerate(sweep.probes):
-            for ci, n in enumerate(sweep.checkpoints):
-                v = sweep.averages[j, pi, ci]
-                row = (
-                    f"{j},{_fmt(lam.real)},{_fmt(lam.imag)},{p},{n},"
-                    f"{_fmt(v.real)},{_fmt(v.imag)}"
-                )
+            lead = f"{j},{lam.real!r},{lam.imag!r},{p},"
+            for ci, (n, v) in enumerate(zip(sweep.checkpoints, averages[j][pi])):
+                row = f"{lead}{n},{v.real!r},{v.imag!r}"
                 if oracle is not None:
-                    o = oracle[j, pi, ci]
-                    row += f",{_fmt(o.real)},{_fmt(o.imag)},{_fmt(abs(v - o))}"
+                    o = oracle[j][pi][ci]
+                    row += f",{o.real!r},{o.imag!r},{abs(v - o)!r}"
                 lines.append(row)
     return "\n".join(lines) + "\n"
 
 
 def product_csv(report, seed: int) -> str:
     lines = [_meta_line(seed), "n,omega,y,re,im"]
-    for ci, n in enumerate(report.checkpoints):
-        for pi, (w, y) in enumerate(report.probes):
-            v = report.averages[ci, pi]
-            lines.append(f"{n},{w},{y},{_fmt(v.real)},{_fmt(v.imag)}")
+    for n, row in zip(report.checkpoints, report.averages.tolist()):
+        for (w, y), v in zip(report.probes, row):
+            lines.append(f"{n},{w},{y},{v.real!r},{v.imag!r}")
     return "\n".join(lines) + "\n"
 
 
 def traces_csv(ts, checkpoints, values, seed: int) -> str:
     """Per-probe average traces: one row per (checkpoint, probe point)."""
     lines = [_meta_line(seed), "n,t,value"]
-    for ci, n in enumerate(checkpoints):
-        for pi, t in enumerate(ts):
-            lines.append(f"{n},{_fmt(t)},{_fmt(values[ci][pi])}")
+    ts = np.asarray(ts, dtype=float).tolist()
+    for n, row in zip(checkpoints, np.asarray(values, dtype=float).tolist()):
+        for t, v in zip(ts, row):
+            lines.append(f"{n},{t!r},{v!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -100,10 +100,6 @@ class AveragingReport:
     weight_bound: float | None = None
     majorized: tuple[bool, ...] | None = None
 
-    @property
-    def full(self) -> bool:
-        return self.averages is not None
-
 
 def _full_orbit(T, f, steps):
     """T^k f for k < steps, one operator application per step."""

@@ -169,7 +169,6 @@ def test_probe_only_mode_skips_averages():
     f = MeasurableFunction.ones(sp)
     rep = cesaro(T, f, (1, 2), probes=(0,), store_averages=False)
     assert rep.averages is None
-    assert not rep.full
     # norms still populated from the running sum
     assert np.allclose(rep.l1_norms, [3.0, 3.0])
     with pytest.raises(CapabilityError):

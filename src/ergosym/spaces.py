@@ -166,13 +166,15 @@ class Rearrangement:
 
     def integral(self, s: float) -> float:
         """Partial integral of mu over [0, s) for s > 0, in closed form."""
-        if s <= 0:
+        if not s > 0:  # also rejects NaN
             raise InputError("partial integrals require s > 0")
         return float(self.integrals(np.array([s]))[0])
 
     def integrals(self, s) -> np.ndarray:
         """Vectorized partial integrals; entries of s must be >= 0."""
         s = np.asarray(s, dtype=float)
+        if not np.all(s >= 0):  # also rejects NaN
+            raise InputError("partial integrals need s >= 0")
         if self.plateaus.size == 0:
             return np.zeros_like(s)
         bp, pl, prefix = self.breakpoints, self.plateaus, self._prefix
@@ -394,7 +396,7 @@ class LorentzWeight:
 
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if not np.all(t >= 0):  # also rejects NaN
             raise InputError("Lorentz weights are defined on t >= 0")
         i = _piece(self.knots, t, self.knots.size)
         return self._knot_values[i] + self.slopes[i] * (t - self.knots[i])

@@ -185,6 +185,18 @@ def test_hl_integral_rejects_nonpositive_s():
         r.integral(0.0)
     with pytest.raises(InputError):
         r.integral(-1.0)
+    with pytest.raises(InputError):
+        r.integral(np.nan)
+
+
+def test_integrals_reject_negative_and_nan_s():
+    r = rearrangement(mk([3.0, 1.0, 2.0]))
+    for bad in ([-1.0, np.nan], [np.nan], [-1.0], [0.5, -1e-300]):
+        with pytest.raises(InputError):
+            r.integrals(bad)
+    assert list(r.integrals([0.0, 1.0, 2.0, 9.0])) == [0.0, 3.0, 5.0, 6.0]
+    with pytest.raises(InputError):
+        rearrangement(mk([0.0, 0.0])).integrals([np.nan])
 
 
 def test_hl_integral_matches_greedy_oracle_randomized():
@@ -487,6 +499,14 @@ def test_lorentz_weight_validation():
         LorentzWeight(np.array([1.0, 2.0]), np.array([1.0, 0.5]))  # knots off 0
     with pytest.raises(InputError):
         LorentzWeight(np.array([0.0]), np.array([-1.0]))
+
+
+def test_lorentz_evaluate_rejects_negative_and_nan_t():
+    w = LorentzWeight(np.array([0.0, 1.0]), np.array([2.0, 0.5]))
+    for bad in ([np.nan], [1.0, -1.0], [-1e-300]):
+        with pytest.raises(InputError):
+            w.evaluate(bad)
+    assert list(w.evaluate([0.0, 1.0, 3.0])) == [0.0, 2.0, 3.0]
 
 
 def test_lorentz_linear_equals_l1():

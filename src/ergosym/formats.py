@@ -378,16 +378,17 @@ def sweep_csv(sweep, seed: int, oracle=None, resonant=None) -> str:
     header = "lambda_index,lambda_re,lambda_im,probe,n,avg_re,avg_im"
     if oracle is not None:
         header += ",oracle_re,oracle_im,abs_err"
-        oracle = oracle.tolist()
     lines = [_meta_line(seed, extra), header]
-    averages = sweep.averages.tolist()
+    # one trace per tolist(): a whole-array one holds every cell as an object
     for j, lam in enumerate(sweep.lambdas.tolist()):
         for pi, p in enumerate(sweep.probes):
             lead = f"{j},{lam.real!r},{lam.imag!r},{p},"
-            for ci, (n, v) in enumerate(zip(sweep.checkpoints, averages[j][pi])):
+            trace = sweep.averages[j, pi].tolist()
+            refs = None if oracle is None else oracle[j, pi].tolist()
+            for ci, (n, v) in enumerate(zip(sweep.checkpoints, trace)):
                 row = f"{lead}{n},{v.real!r},{v.imag!r}"
-                if oracle is not None:
-                    o = oracle[j][pi][ci]
+                if refs is not None:
+                    o = refs[ci]
                     row += f",{o.real!r},{o.imag!r},{abs(v - o)!r}"
                 lines.append(row)
     return "\n".join(lines) + "\n"

@@ -556,6 +556,24 @@ RANDOM_SWEEP = ("wiener-wintner", {
     **README_SWEEP, "system": {"order": 256, "step": 3},
     "function": {"random": {"kind": "complex"}},
 })
+# Full-mode averages of 1.5 x a permutation kernel: a_n grows, so the
+# majorized column turns from true to false. It is pinned on an equal-weight
+# space with weight 0.1 and on an unequal-weight one.
+PERMUTATION = [3, 0, 6, 1, 7, 2, 5, 4]
+SCALED_PERMUTATION = {"kind": "kernel", "rows": list(range(8)),
+                      "cols": PERMUTATION, "data_re": [1.5] * 8}
+MAJORIZATION_CONFIGS = {
+    f"scaled-permutation-{name}": ("average", {
+        "schema": 1, "seed": 29, "space": space,
+        "operator": SCALED_PERMUTATION,
+        "function": {"random": {"kind": "complex"}},
+        "checkpoints": {"geometric": 64}, "probes": [0, 5], "mode": "full",
+    })
+    for name, space in (
+        ("equal", {"atoms": 8, "weight": 0.1}),
+        ("unequal", {"weights": [0.5, 1.0, 2.0, 0.25, 1.5, 1.0, 0.75, 3.0]}),
+    )
+}
 GOLDEN_DIGESTS = {
     "counterexample": {
         "certificate.json":
@@ -614,6 +632,13 @@ GOLDEN_DIGESTS = {
     "random-sweep": {
         "sweep.csv":
             "9fc889e8de61adbb113e2931202d9539e4b38eda87dec58076564552b0b536d2",
+    },    "scaled-permutation-equal": {
+        "averages.csv":
+            "b443881e377a23af0f441c54bc24f159f3c6cd481e9453fd8e58902e2fb187ba",
+    },
+    "scaled-permutation-unequal": {
+        "averages.csv":
+            "782537546302dbc1059e3178ba754c28c4487fc22cf8a9bc919502c4608b0626",
     },
 }
 
@@ -622,7 +647,7 @@ def _golden_outputs(tmp_path, case):
     if case == "counterexample":
         argv = ["counterexample", "--stages", "6", "--grid", "10"]
     else:
-        command, cfg = {**GOLDEN_CONFIGS, **PROBES_CONFIGS,
+        command, cfg = {**GOLDEN_CONFIGS, **PROBES_CONFIGS, **MAJORIZATION_CONFIGS,
                         "random-sweep": RANDOM_SWEEP}[case]
         argv = [command, write_cfg(tmp_path, "cfg.json", cfg)]
     out = tmp_path / "out"

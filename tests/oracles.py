@@ -147,3 +147,21 @@ def splitmix64_uniforms(state, n):
         z ^= z >> 31
         out.append((z >> 11) / float(1 << 53))
     return np.array(out, dtype=float), state
+
+
+def submajorized_at_atoms_reference(rf, weights, tol, mags):
+    """Submajorization of g by f at g's atom boundaries by the argsort rule,
+    for any atom weights: order g's atoms by decreasing modulus, lay their
+    weights end to end as s = cumsum(w[order]) and compare the partial
+    integrals there. rf is f's rearrangement, so the integrals of f* take its
+    arithmetic; mags are the moduli |g|. Returns (ok, witness_s,
+    integral_f, integral_g), the Nones on success."""
+    order = np.argsort(mags)[::-1]
+    w = np.asarray(weights, dtype=float)[order]
+    s = np.cumsum(w)
+    int_f, int_g = rf.integrals(s), np.cumsum(w * mags[order])
+    bad = np.flatnonzero(int_g > int_f + tol)
+    if bad.size == 0:
+        return True, None, None, None
+    i = bad[0]
+    return False, float(s[i]), float(int_f[i]), float(int_g[i])

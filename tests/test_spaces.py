@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergosym import (
     AtomicMeasureSpace,
@@ -20,7 +22,13 @@ from ergosym import (
     r_mu_tail,
     rearrangement,
 )
-from oracles import distribution_function, mu_oracle, partial_integral_oracle
+from ergosym.spaces import MAJORIZATION_TOL, submajorization_check
+from oracles import (
+    distribution_function,
+    mu_oracle,
+    partial_integral_oracle,
+    submajorized_at_atoms_reference,
+)
 
 
 def unit_space(n, truncated=False):
@@ -341,6 +349,38 @@ def test_majorizes_agrees_with_oracle_on_the_breakpoint_union():
             assert int_g > int_f + 1e-9
             assert (res.integral_f, res.integral_g) == pytest.approx((int_f, int_g))
     assert verdicts == {True, False}
+
+
+def _fields(result):
+    """A comparison's outcome, each float by its bits."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_submajorization_check_keeps_the_argsort_rule_bits(data):
+    # equal weights, among them ones whose partial sums round, and unequal
+    # ones; moduli with ties and zeros, or a permutation of f's own, scaled
+    # so that a share of the comparisons fails
+    n = data.draw(st.integers(1, 48), label="n")
+    if data.draw(st.booleans(), label="equal"):
+        w = np.full(n, data.draw(st.sampled_from([1.0, 0.1, 2.0**-12, 3.7])))
+    else:
+        w = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 3.7]),
+                                        min_size=n, max_size=n)))
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)
+    fv = np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
+    if data.draw(st.booleans(), label="permuted"):
+        gv = np.abs(fv)[data.draw(st.permutations(range(n)))]
+    else:
+        gv = np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
+    mags = gv * data.draw(st.sampled_from([0.5, 1.0, 1.25]), label="scale")
+    tol = data.draw(st.sampled_from([0.0, MAJORIZATION_TOL]), label="tol")
+    f = MeasurableFunction(fv, AtomicMeasureSpace(w))
+    got = submajorization_check(f, f.space, tol)(mags)
+    want = submajorized_at_atoms_reference(rearrangement(f), w, tol, mags)
+    assert _fields((got.ok, got.witness_s, got.integral_f, got.integral_g)) == \
+        _fields(want)
 
 
 def test_majorizes_zero_functions():

@@ -360,10 +360,14 @@ def averaging_csv(report, seed: int) -> str:
     lines = [_meta_line(seed), "n,probe_id,re,im,l1_norm,linf_norm,majorized"]
     flags = report.majorized
     values = report.probe_values.tolist()
-    l1, linf = report.l1_norms.tolist(), report.linf_norms.tolist()
+    if report.l1_norms is None:  # a run without norms leaves both cells empty
+        norms = [","] * len(report.checkpoints)
+    else:
+        norms = [f"{a!r},{b!r}" for a, b in
+                 zip(report.l1_norms.tolist(), report.linf_norms.tolist())]
     for ci, n in enumerate(report.checkpoints):
         flag = "" if flags is None else ("true" if flags[ci] else "false")
-        tail = f"{l1[ci]!r},{linf[ci]!r},{flag}"
+        tail = f"{norms[ci]},{flag}"
         for p, v in zip(report.probes, values[ci]):
             lines.append(f"{n},{p},{v.real!r},{v.imag!r},{tail}")
     return "\n".join(lines) + "\n"

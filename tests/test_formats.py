@@ -1,6 +1,7 @@
 """JSON decoding, CSV emission, and atomic file writes."""
 
 import dataclasses
+import functools
 import json
 import os
 import tracemalloc
@@ -16,10 +17,12 @@ from ergosym import (
     KernelOperator,
     MeasurableFunction,
     Rearrangement,
+    WeightSequence,
     cesaro,
     construct_certificate,
     ds_certificate,
     verify_certificate,
+    weighted,
 )
 from ergosym.formats import (
     atomic_write_text,
@@ -274,6 +277,23 @@ def test_averaging_csv_majorized_column():
     rep = dataclasses.replace(rep, majorized=(True, False))
     lines = averaging_csv(rep, seed=0).splitlines()
     assert lines[2].endswith("true") and lines[3].endswith("false")
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "weighted"])
+def test_averaging_csv_leaves_the_norm_cells_empty_without_norms(kind):
+    T = KernelOperator(np.eye(3), AtomicMeasureSpace.uniform(3))
+    f = MeasurableFunction(np.array([1.0, -2.0, 0.5]), T.space)
+    run = (cesaro if kind == "cesaro"
+           else functools.partial(weighted, beta=WeightSequence.constant(0.5)))
+    rows = {}
+    for norms in (True, False):
+        rep = run(T, f, checkpoints=(1, 4), probes=(0, 2), store_averages=False,
+                  norms=norms, majorize=True)
+        rows[norms] = [ln.split(",") for ln in averaging_csv(rep, 9).splitlines()]
+    assert rows[False][:2] == rows[True][:2]
+    assert len(rows[False]) == 2 + 2 * 2
+    for without, with_norms in zip(rows[False][2:], rows[True][2:]):
+        assert without == with_norms[:4] + ["", "", "true"]
 
 
 def test_traces_and_product_csv_shapes():

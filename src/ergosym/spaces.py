@@ -246,21 +246,31 @@ def submajorization_check(
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("majorization tolerance must be finite and >= 0")
     _check_comparable(f.space, space)
-    return partial(_submajorized_at_atoms, rearrangement(f), space.weights, tol)
+    rf, w = rearrangement(f), space.weights
+    if w.min() == w.max():
+        # g's boundaries are i * w in every order, so int f* there is fixed
+        return partial(_submajorized_at_atoms, None, w, rf.integrals(np.cumsum(w)), tol)
+    return partial(_submajorized_at_atoms, rf, w, None, tol)
 
 
-def _submajorized_at_atoms(rf, weights, tol, mags) -> MajorizationResult:
-    """g against f at g's atom boundaries, for |g| = mags and f* = rf; its
-    temporaries die on return."""
-    order = np.argsort(mags)[::-1]
-    w = weights[order]
-    s = np.cumsum(w)
-    int_f, int_g = rf.integrals(s), np.cumsum(w * mags[order])
+def _submajorized_at_atoms(rf, weights, int_f, tol, mags) -> MajorizationResult:
+    """g against f at g's atom boundaries, for |g| = mags; its temporaries
+    die on return. Either f* = rf, and the boundaries follow the order of
+    decreasing |g|, or weights are all equal and int_f holds int f* at
+    them."""
+    if int_f is None:
+        order = np.argsort(mags)[::-1]
+        w, desc = weights[order], mags[order]
+        int_f = rf.integrals(np.cumsum(w))
+    else:  # only sorted values are read, so ties and the sort do not matter
+        w, desc = weights, np.sort(mags)[::-1]
+    int_g = np.cumsum(w * desc)
     bad = np.flatnonzero(int_g > int_f + tol)
     if bad.size == 0:
         return MajorizationResult(True)
     i = bad[0]
-    return MajorizationResult(False, float(s[i]), float(int_f[i]), float(int_g[i]))
+    s_i = np.cumsum(w[: i + 1])[-1]  # cumsum adds in order: the bits of s[i]
+    return MajorizationResult(False, float(s_i), float(int_f[i]), float(int_g[i]))
 
 
 def norm(f: MeasurableFunction, which: str) -> float:

@@ -669,6 +669,27 @@ def test_majorize_matches_the_stored_trace(monkeypatch, kind):
         assert all(streamed.majorized)
 
 
+@pytest.mark.parametrize("weights", [np.full(40, 0.1), np.repeat([0.5, 2.0], 20)])
+def test_equal_weights_take_the_integrals_of_f_once(monkeypatch, weights):
+    # on an equal-weight space g's atom boundaries do not depend on g, so
+    # int f* is read there once per run; otherwise once per checkpoint. The
+    # map permutes each half, so it preserves both measures.
+    rng = np.random.default_rng(85)
+    n, cps = weights.size, (1, 2, 3, 10, 33, 100)
+    halves = np.concatenate([rng.permutation(20), 20 + rng.permutation(20)])
+    T = CompositionOperator(halves, rng.choice([-1.0, 1.0], n),
+                            AtomicMeasureSpace(weights), measure_preserving=True)
+    f = MeasurableFunction(rng.normal(size=n), T.space)
+    calls, inner = [], spaces.Rearrangement.integrals
+    monkeypatch.setattr(spaces.Rearrangement, "integrals",
+                        lambda self, s: calls.append(s.size) or inner(self, s))
+    rep = weighted(T, f, WeightSequence.constant(1.5), cps, store_averages=False,
+                   majorize=True)
+    assert all(rep.majorized)
+    equal = weights.min() == weights.max()
+    assert calls == ([n] if equal else [n] * len(cps))
+
+
 @pytest.mark.parametrize("horizon", [1, 5, 3000])
 @pytest.mark.parametrize("kind", ["constant", "periodic", "long_period"])
 def test_periodic_weight_bound_keeps_the_bits_of_the_table(kind, horizon):

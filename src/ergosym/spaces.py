@@ -10,6 +10,11 @@ is no quadrature anywhere in this module.
 
 Submajorization of g by f is checked at the atom boundaries of g only:
 between two of them g's partial integral is affine and f's is concave.
+On an equal-weight space the boundaries do not depend on g, so a check of
+many g against one f reads the partial integrals of f* there once and
+holds them as one N-vector; each g then costs one `np.sort` of its moduli,
+O(N log N). With unequal weights each g costs an argsort and a lookup of
+f*'s integrals at its own boundaries.
 """
 
 from __future__ import annotations

@@ -253,7 +253,7 @@ def submajorization_check(
     _check_comparable(f.space, space)
     rf, w = rearrangement(f), space.weights
     if w.min() == w.max():
-        # g's boundaries are i * w in every order, so int f* there is fixed
+        # every order of g's atoms puts its boundaries at cumsum(w)
         return partial(_submajorized_at_atoms, None, w, rf.integrals(np.cumsum(w)), tol)
     return partial(_submajorized_at_atoms, rf, w, None, tol)
 

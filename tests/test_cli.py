@@ -632,7 +632,8 @@ GOLDEN_DIGESTS = {
     "random-sweep": {
         "sweep.csv":
             "9fc889e8de61adbb113e2931202d9539e4b38eda87dec58076564552b0b536d2",
-    },    "scaled-permutation-equal": {
+    },
+    "scaled-permutation-equal": {
         "averages.csv":
             "b443881e377a23af0f441c54bc24f159f3c6cd481e9453fd8e58902e2fb187ba",
     },

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import averaging, divergence, formats
 from .errors import BudgetError, ConsistencyError, InputError, NumericError
-from .formats import atomic_write_text
+from .formats import atomic_write_chunks, atomic_write_text
 from .operators import Operator, ds_certificate
 from .return_times import (
     PointSystem,
@@ -216,14 +217,15 @@ def validate(cfg: dict, command: str) -> list[str]:
     return _decode(cfg, command)[1]
 
 
-# Each runner executes a plan and returns its output files, name -> text.
+# Each runner executes a plan and returns its output files: name -> the text
+# of a JSON report, or the iterator of text chunks of a CSV one.
 
 
-def _run_rearrange(args, plan: Plan) -> dict[str, str]:
+def _run_rearrange(args, plan: Plan) -> dict[str, str | Iterator[str]]:
     return {plan.output: formats.rearrangement_csv(rearrangement(plan.function), plan.seed)}
 
 
-def _run_norms(args, plan: Plan) -> dict[str, str]:
+def _run_norms(args, plan: Plan) -> dict[str, str | Iterator[str]]:
     f = plan.function
     payload = {
         "L1": norm(f, "L1"),
@@ -238,12 +240,12 @@ def _run_norms(args, plan: Plan) -> dict[str, str]:
     return {plan.output: formats.json_report(payload, plan.seed)}
 
 
-def _run_ds_check(args, plan: Plan) -> dict[str, str]:
+def _run_ds_check(args, plan: Plan) -> dict[str, str | Iterator[str]]:
     payload = formats.ds_report_payload(ds_certificate(plan.operator))
     return {plan.output: formats.json_report(payload, plan.seed)}
 
 
-def _run_average(args, plan: Plan) -> dict[str, str]:
+def _run_average(args, plan: Plan) -> dict[str, str | Iterator[str]]:
     T, f, cps, probes = plan.operator, plan.function, plan.checkpoints, plan.probes
     # full mode decides each checkpoint's majorized flag as the stream
     # reaches it; neither mode keeps an average
@@ -258,7 +260,7 @@ def _run_average(args, plan: Plan) -> dict[str, str]:
     return {plan.output: formats.averaging_csv(report, plan.seed)}
 
 
-def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
+def _run_wiener_wintner(args, plan: Plan) -> dict[str, str | Iterator[str]]:
     probes, grid, cps = plan.probes, plan.lambda_grid, plan.checkpoints
     sweep = wiener_wintner_sweep(
         plan.system, plan.function, probes, grid, cps, plan.budget
@@ -271,7 +273,7 @@ def _run_wiener_wintner(args, plan: Plan) -> dict[str, str]:
     return {plan.output: formats.sweep_csv(sweep, plan.seed, oracle, resonant)}
 
 
-def _run_return_times(args, plan: Plan) -> dict[str, str]:
+def _run_return_times(args, plan: Plan) -> dict[str, str | Iterator[str]]:
     report = product_average(
         plan.system, plan.function, plan.second_system, plan.second_function,
         plan.probes, plan.checkpoints, plan.budget,
@@ -279,7 +281,7 @@ def _run_return_times(args, plan: Plan) -> dict[str, str]:
     return {plan.output: formats.product_csv(report, plan.seed)}
 
 
-def _run_counterexample(args, plan: Plan | None) -> dict[str, str]:
+def _run_counterexample(args, plan: Plan | None) -> dict[str, str | Iterator[str]]:
     if plan is not None:
         rearr = rearrangement(plan.function)
     else:
@@ -364,9 +366,12 @@ def run(args) -> int:
         first = next(d for d in (out, *out.parents) if d.exists())
     if not first.is_dir():
         raise InputError(f"cannot write {out}: {first} is not a directory")
-    for name, text in _RUNNERS[args.command](args, plan).items():
+    for name, content in _RUNNERS[args.command](args, plan).items():
         with _writing(out / name):
-            atomic_write_text(out / name, text)
+            if isinstance(content, str):
+                atomic_write_text(out / name, content)
+            else:  # CSV chunks, streamed into the file
+                atomic_write_chunks(out / name, content)
     return 0
 
 

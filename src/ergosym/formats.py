@@ -1,9 +1,16 @@
 """JSON decoding of experiment inputs and CSV/JSON report emission.
 
-All writers go through atomic_write_text (temp file in the target
-directory, then rename), so an interrupted run never leaves a partial
-file. Floats are written with repr (shortest round-trip form), which keeps
-outputs byte-identical across runs with the same config and seed.
+Each CSV emitter returns an iterator of text chunks: one per (lambda,
+probe) trace of a sweep, one per checkpoint of an averaging, product or
+traces report, and one per block of at most _CHUNK_ROWS rows of a
+rearrangement. atomic_write_chunks streams them into a temp file in the
+target directory and renames it over the target, so the memory used for
+writing does not grow with the number of rows, and an interrupted run
+never leaves a partial file. The file gets the mode a plain
+open(path, "w") would give it, 0o666 & ~umask (0o644 under umask 0o022).
+JSON reports are one string, written by atomic_write_text. Floats are
+written with repr (shortest round-trip form), which keeps outputs
+byte-identical across runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -37,18 +45,32 @@ from .weights import TrigPolynomial, TrigTerm, WeightSequence, cycles
 SCHEMA_VERSION = 1
 
 
-def atomic_write_text(path, text: str) -> None:
+def _umask() -> int:
+    mask = os.umask(0)  # reading the umask means setting it
+    os.umask(mask)
+    return mask
+
+
+def atomic_write_chunks(path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path: streamed into a temp file next to it,
+    which then replaces path. On any failure, the chunks' iterator raising
+    included, neither path nor the temp file is left."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp's 0o600 otherwise
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_chunks(path, (text,))
 
 
 def _meta_line(seed: int, extra: str = "") -> str:
@@ -348,32 +370,35 @@ def weight_from_json(obj) -> WeightSequence:
 # ---------------------------------------------------------------- emission
 
 
-def rearrangement_csv(r, seed: int) -> str:
-    lines = [_meta_line(seed), "t_left,t_right,value"]
-    bps = r.breakpoints.tolist()
-    for left, right, v in zip(bps, bps[1:], r.plateaus.tolist()):
-        lines.append(f"{left!r},{right!r},{v!r}")
-    return "\n".join(lines) + "\n"
+# rows per chunk of a rearrangement; its arrays are read a block at a time
+_CHUNK_ROWS = 4096
 
 
-def averaging_csv(report, seed: int) -> str:
-    lines = [_meta_line(seed), "n,probe_id,re,im,l1_norm,linf_norm,majorized"]
+def rearrangement_csv(r, seed: int) -> Iterator[str]:
+    yield f"{_meta_line(seed)}\nt_left,t_right,value\n"
+    for lo in range(0, r.plateaus.size, _CHUNK_ROWS):
+        bps = r.breakpoints[lo:lo + _CHUNK_ROWS + 1].tolist()
+        values = r.plateaus[lo:lo + _CHUNK_ROWS].tolist()
+        yield "".join([f"{left!r},{right!r},{v!r}\n"
+                       for left, right, v in zip(bps, bps[1:], values)])
+
+
+def averaging_csv(report, seed: int) -> Iterator[str]:
+    yield f"{_meta_line(seed)}\nn,probe_id,re,im,l1_norm,linf_norm,majorized\n"
     flags = report.majorized
-    values = report.probe_values.tolist()
-    if report.l1_norms is None:  # a run without norms leaves both cells empty
-        norms = [","] * len(report.checkpoints)
-    else:
-        norms = [f"{a!r},{b!r}" for a, b in
-                 zip(report.l1_norms.tolist(), report.linf_norms.tolist())]
     for ci, n in enumerate(report.checkpoints):
+        if report.l1_norms is None:  # a run without norms leaves both cells empty
+            norms = ","
+        else:
+            norms = f"{report.l1_norms[ci].item()!r},{report.linf_norms[ci].item()!r}"
         flag = "" if flags is None else ("true" if flags[ci] else "false")
-        tail = f"{norms[ci]},{flag}"
-        for p, v in zip(report.probes, values[ci]):
-            lines.append(f"{n},{p},{v.real!r},{v.imag!r},{tail}")
-    return "\n".join(lines) + "\n"
+        tail = f"{norms},{flag}"
+        values = report.probe_values[ci].tolist()
+        yield "".join([f"{n},{p},{v.real!r},{v.imag!r},{tail}\n"
+                       for p, v in zip(report.probes, values)])
 
 
-def sweep_csv(sweep, seed: int, oracle=None, resonant=None) -> str:
+def sweep_csv(sweep, seed: int, oracle=None, resonant=None) -> Iterator[str]:
     """Sweep rows; oracle columns are emitted only when a closed form
     applies (oracle is an array matching sweep.averages)."""
     extra = ""
@@ -382,38 +407,39 @@ def sweep_csv(sweep, seed: int, oracle=None, resonant=None) -> str:
     header = "lambda_index,lambda_re,lambda_im,probe,n,avg_re,avg_im"
     if oracle is not None:
         header += ",oracle_re,oracle_im,abs_err"
-    lines = [_meta_line(seed, extra), header]
-    # one trace per tolist(): a whole-array one holds every cell as an object
-    for j, lam in enumerate(sweep.lambdas.tolist()):
+    yield f"{_meta_line(seed, extra)}\n{header}\n"
+    cps = sweep.checkpoints
+    # a whole-array tolist() would hold every cell as an object: read one
+    # lambda and one trace at a time
+    for j in range(len(sweep.lambdas)):
+        lam = sweep.lambdas[j].item()
         for pi, p in enumerate(sweep.probes):
             lead = f"{j},{lam.real!r},{lam.imag!r},{p},"
             trace = sweep.averages[j, pi].tolist()
-            refs = None if oracle is None else oracle[j, pi].tolist()
-            for ci, (n, v) in enumerate(zip(sweep.checkpoints, trace)):
-                row = f"{lead}{n},{v.real!r},{v.imag!r}"
-                if refs is not None:
-                    o = refs[ci]
-                    row += f",{o.real!r},{o.imag!r},{abs(v - o)!r}"
-                lines.append(row)
-    return "\n".join(lines) + "\n"
+            if oracle is None:
+                yield "".join([f"{lead}{n},{v.real!r},{v.imag!r}\n"
+                               for n, v in zip(cps, trace)])
+            else:
+                refs = oracle[j, pi].tolist()
+                yield "".join([
+                    f"{lead}{n},{v.real!r},{v.imag!r},{o.real!r},{o.imag!r},"
+                    f"{abs(v - o)!r}\n" for n, v, o in zip(cps, trace, refs)
+                ])
 
 
-def product_csv(report, seed: int) -> str:
-    lines = [_meta_line(seed), "n,omega,y,re,im"]
-    for n, row in zip(report.checkpoints, report.averages.tolist()):
-        for (w, y), v in zip(report.probes, row):
-            lines.append(f"{n},{w},{y},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"
+def product_csv(report, seed: int) -> Iterator[str]:
+    yield f"{_meta_line(seed)}\nn,omega,y,re,im\n"
+    for n, row in zip(report.checkpoints, report.averages):
+        yield "".join([f"{n},{w},{y},{v.real!r},{v.imag!r}\n"
+                       for (w, y), v in zip(report.probes, row.tolist())])
 
 
-def traces_csv(ts, checkpoints, values, seed: int) -> str:
+def traces_csv(ts, checkpoints, values, seed: int) -> Iterator[str]:
     """Per-probe average traces: one row per (checkpoint, probe point)."""
-    lines = [_meta_line(seed), "n,t,value"]
+    yield f"{_meta_line(seed)}\nn,t,value\n"
     ts = np.asarray(ts, dtype=float).tolist()
-    for n, row in zip(checkpoints, np.asarray(values, dtype=float).tolist()):
-        for t, v in zip(ts, row):
-            lines.append(f"{n},{t!r},{v!r}")
-    return "\n".join(lines) + "\n"
+    for n, row in zip(checkpoints, np.asarray(values, dtype=float)):
+        yield "".join([f"{n},{t!r},{v!r}\n" for t, v in zip(ts, row.tolist())])
 
 
 def json_report(payload: dict, seed: int) -> str:

@@ -165,3 +165,77 @@ def submajorized_at_atoms_reference(rf, weights, tol, mags):
         return True, None, None, None
     i = bad[0]
     return False, float(s[i]), float(int_f[i]), float(int_g[i])
+
+
+# CSV writers as they were when each built its whole report in one string:
+# the header lines, then one line per row, joined. The library's emitters
+# return the same text in chunks.
+
+
+def _meta_line_reference(seed, extra=""):
+    line = f"# schema=1 seed={seed}"
+    return line + (f" {extra}" if extra else "")
+
+
+def rearrangement_csv_reference(r, seed):
+    lines = [_meta_line_reference(seed), "t_left,t_right,value"]
+    bps = r.breakpoints.tolist()
+    for left, right, v in zip(bps, bps[1:], r.plateaus.tolist()):
+        lines.append(f"{left!r},{right!r},{v!r}")
+    return "\n".join(lines) + "\n"
+
+
+def averaging_csv_reference(report, seed):
+    lines = [_meta_line_reference(seed), "n,probe_id,re,im,l1_norm,linf_norm,majorized"]
+    flags = report.majorized
+    values = report.probe_values.tolist()
+    if report.l1_norms is None:
+        norms = [","] * len(report.checkpoints)
+    else:
+        norms = [f"{a!r},{b!r}" for a, b in
+                 zip(report.l1_norms.tolist(), report.linf_norms.tolist())]
+    for ci, n in enumerate(report.checkpoints):
+        flag = "" if flags is None else ("true" if flags[ci] else "false")
+        tail = f"{norms[ci]},{flag}"
+        for p, v in zip(report.probes, values[ci]):
+            lines.append(f"{n},{p},{v.real!r},{v.imag!r},{tail}")
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv_reference(sweep, seed, oracle=None, resonant=None):
+    extra = ""
+    if resonant is not None and len(resonant) > 0:
+        extra = "resonant_lambdas=" + ";".join(str(j) for j in resonant)
+    header = "lambda_index,lambda_re,lambda_im,probe,n,avg_re,avg_im"
+    if oracle is not None:
+        header += ",oracle_re,oracle_im,abs_err"
+    lines = [_meta_line_reference(seed, extra), header]
+    for j, lam in enumerate(sweep.lambdas.tolist()):
+        for pi, p in enumerate(sweep.probes):
+            lead = f"{j},{lam.real!r},{lam.imag!r},{p},"
+            trace = sweep.averages[j, pi].tolist()
+            refs = None if oracle is None else oracle[j, pi].tolist()
+            for ci, (n, v) in enumerate(zip(sweep.checkpoints, trace)):
+                row = f"{lead}{n},{v.real!r},{v.imag!r}"
+                if refs is not None:
+                    o = refs[ci]
+                    row += f",{o.real!r},{o.imag!r},{abs(v - o)!r}"
+                lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def product_csv_reference(report, seed):
+    lines = [_meta_line_reference(seed), "n,omega,y,re,im"]
+    for n, row in zip(report.checkpoints, report.averages.tolist()):
+        for (w, y), v in zip(report.probes, row):
+            lines.append(f"{n},{w},{y},{v.real!r},{v.imag!r}")
+    return "\n".join(lines) + "\n"
+
+
+def traces_csv_reference(ts, checkpoints, values, seed):
+    lines = [_meta_line_reference(seed), "n,t,value"]
+    ts = np.asarray(ts, dtype=float).tolist()
+    for n, row in zip(checkpoints, np.asarray(values, dtype=float).tolist()):
+        for t, v in zip(ts, row):
+            lines.append(f"{n},{t!r},{v!r}")
+    return "\n".join(lines) + "\n"

@@ -3,12 +3,19 @@
 import dataclasses
 import functools
 import json
+import math
 import os
+import stat
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ergosym import (
     AtomicMeasureSpace,
@@ -24,7 +31,9 @@ from ergosym import (
     verify_certificate,
     weighted,
 )
+from ergosym import formats
 from ergosym.formats import (
+    atomic_write_chunks,
     atomic_write_text,
     averaging_csv,
     certificate_payload,
@@ -41,6 +50,13 @@ from ergosym.formats import (
 )
 from ergosym.rng import SplitMix64
 from dense import dense
+from oracles import (
+    averaging_csv_reference,
+    product_csv_reference,
+    rearrangement_csv_reference,
+    sweep_csv_reference,
+    traces_csv_reference,
+)
 
 # ---------------------------------------------------------------- decoders
 
@@ -242,12 +258,49 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert target.read_text() == "new\n"
 
 
+def _failing_chunks():
+    yield "# schema=1 seed=0\n"
+    yield "a,b\n" * 1000
+    raise RuntimeError("emitter failed")
+
+
+def test_atomic_write_chunks_failure_midway_leaves_nothing(tmp_path):
+    target = tmp_path / "report.csv"
+    with pytest.raises(RuntimeError, match="emitter failed"):
+        atomic_write_chunks(target, _failing_chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_chunks_failure_midway_keeps_the_old_file(tmp_path):
+    target = tmp_path / "report.csv"
+    atomic_write_text(target, "old\n")
+    with pytest.raises(RuntimeError, match="emitter failed"):
+        atomic_write_chunks(target, _failing_chunks())
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # mkstemp creates its file with mode 0o600, and os.replace keeps it
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "r.json", "{}\n")
+        atomic_write_chunks(tmp_path / "r.csv", iter(["a\n", "b\n"]))
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    for name in ("r.json", "r.csv", "plain.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+
 # ----------------------------------------------------------------- emitters
 
 
 def test_rearrangement_csv_layout():
     r = Rearrangement(np.array([0.0, 1.0, 3.0]), np.array([2.0, 0.5]))
-    text = rearrangement_csv(r, seed=42)
+    text = "".join(rearrangement_csv(r, seed=42))
     lines = text.splitlines()
     assert lines[0] == "# schema=1 seed=42"
     assert lines[1] == "t_left,t_right,value"
@@ -260,7 +313,7 @@ def test_averaging_csv_flags_and_shape():
     T = KernelOperator(np.eye(3), AtomicMeasureSpace.uniform(3))
     f = MeasurableFunction(np.array([1.0, -2.0, 0.5]), T.space)
     rep = cesaro(T, f, (1, 4), probes=(0, 2))
-    text = averaging_csv(rep, seed=9)
+    text = "".join(averaging_csv(rep, seed=9))
     lines = text.splitlines()
     assert lines[1] == "n,probe_id,re,im,l1_norm,linf_norm,majorized"
     assert len(lines) == 2 + 2 * 2
@@ -275,7 +328,7 @@ def test_averaging_csv_majorized_column():
     f = MeasurableFunction(np.array([1.0, 2.0]), T.space)
     rep = cesaro(T, f, (1, 2), probes=(0,))
     rep = dataclasses.replace(rep, majorized=(True, False))
-    lines = averaging_csv(rep, seed=0).splitlines()
+    lines = "".join(averaging_csv(rep, seed=0)).splitlines()
     assert lines[2].endswith("true") and lines[3].endswith("false")
 
 
@@ -289,7 +342,8 @@ def test_averaging_csv_leaves_the_norm_cells_empty_without_norms(kind):
     for norms in (True, False):
         rep = run(T, f, checkpoints=(1, 4), probes=(0, 2), store_averages=False,
                   norms=norms, majorize=True)
-        rows[norms] = [ln.split(",") for ln in averaging_csv(rep, 9).splitlines()]
+        text = "".join(averaging_csv(rep, 9))
+        rows[norms] = [ln.split(",") for ln in text.splitlines()]
     assert rows[False][:2] == rows[True][:2]
     assert len(rows[False]) == 2 + 2 * 2
     for without, with_norms in zip(rows[False][2:], rows[True][2:]):
@@ -297,7 +351,8 @@ def test_averaging_csv_leaves_the_norm_cells_empty_without_norms(kind):
 
 
 def test_traces_and_product_csv_shapes():
-    text = traces_csv([0.25, 0.5], (1, 3), [[1.0, 2.0], [0.5, 0.25]], seed=5)
+    chunks = traces_csv([0.25, 0.5], (1, 3), [[1.0, 2.0], [0.5, 0.25]], seed=5)
+    text = "".join(chunks)
     lines = text.splitlines()
     assert lines[1] == "n,t,value"
     assert lines[2] == "1,0.25,1.0" and lines[5] == "3,0.5,0.25"
@@ -310,14 +365,14 @@ def test_sweep_csv_with_and_without_oracle():
         checkpoints = (1, 2)
         averages = np.array([[[1.0 + 0j, 0.5 + 0j]], [[1.0 + 0j, 0.0 + 0j]]])
 
-    plain = sweep_csv(Sweep(), seed=3)
+    plain = "".join(sweep_csv(Sweep(), seed=3))
     assert plain.splitlines()[0] == "# schema=1 seed=3"
     assert plain.splitlines()[1] == (
         "lambda_index,lambda_re,lambda_im,probe,n,avg_re,avg_im"
     )
     oracle = Sweep.averages.copy()
     oracle[0, 0, 1] += 0.125
-    rich = sweep_csv(Sweep(), seed=3, oracle=oracle, resonant=[1])
+    rich = "".join(sweep_csv(Sweep(), seed=3, oracle=oracle, resonant=[1]))
     lines = rich.splitlines()
     assert lines[0] == "# schema=1 seed=3 resonant_lambdas=1"
     assert lines[1].endswith(",oracle_re,oracle_im,abs_err")
@@ -381,3 +436,196 @@ def test_atomic_write_fsync_free_contract(tmp_path):
     finally:
         os.replace = orig
     assert seen["same_dir"]
+
+
+# ------------------------------------------------- chunked emission at scale
+
+
+def _sweep(grid, probes=2, checkpoints=8):
+    rng = np.random.default_rng(grid)
+    shape = (grid, probes, checkpoints)
+    averages = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sweep = SimpleNamespace(
+        lambdas=np.exp(2j * np.pi * np.arange(grid) / grid),
+        probes=tuple(range(probes)),
+        checkpoints=tuple(2**k for k in range(checkpoints)),
+        averages=averages,
+    )
+    return sweep, averages + 1e-9
+
+
+def _rearrangement(rows):
+    rng = np.random.default_rng(rows)
+    bps = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, rows))])
+    return Rearrangement(bps, np.linspace(2.0, 1.0, rows))
+
+
+def _writing_peak(path, chunks) -> int:
+    """tracemalloc's peak, in bytes, while the chunks are written to path."""
+    tracemalloc.start()
+    try:
+        atomic_write_chunks(path, chunks())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_writing_memory_does_not_grow_with_the_rows(tmp_path):
+    # G = 4096 and 256 with 2 probes, 8 checkpoints and oracle columns: 65 536
+    # and 4 096 rows, about 9.8 MB and 0.6 MB of text. One chunk is one
+    # (lambda, probe) trace, 8 rows; the peak (about 30 KiB, numpy 2.4) is
+    # the file's buffers and one trace, nearly the same at both sizes. The
+    # whole text in one string would take 10 MB.
+    peaks = {}
+    for grid in (4096, 256):
+        sweep, oracle = _sweep(grid)
+        path = tmp_path / f"sweep{grid}.csv"
+        peaks[grid] = _writing_peak(path, lambda: sweep_csv(sweep, 7, oracle, [0]))
+        assert path.read_text() == sweep_csv_reference(sweep, 7, oracle, [0])
+    assert peaks[4096] <= peaks[256] + (32 << 10)
+    assert peaks[4096] <= 256 << 10
+
+
+def test_rearrangement_writing_memory_does_not_grow_with_the_rows(tmp_path):
+    # 2^18 and 2^14 plateaus, about 15 MB and 0.9 MB of text, read and
+    # written a block of _CHUNK_ROWS = 4096 rows at a time: the peak (about
+    # 0.95 MiB) is one block's floats, rows and joined text at both sizes.
+    peaks = {}
+    for rows in (1 << 18, 1 << 14):
+        r = _rearrangement(rows)
+        path = tmp_path / f"r{rows}.csv"
+        peaks[rows] = _writing_peak(path, lambda: rearrangement_csv(r, 3))
+        assert path.read_text() == rearrangement_csv_reference(r, 3)
+    assert peaks[1 << 18] <= peaks[1 << 14] + (32 << 10)
+    assert peaks[1 << 18] <= 2 << 20
+
+
+# ------------------------------------------ chunks equal the joined reference
+
+# specials drawn often: signed zeros, the smallest subnormal, the largest
+# float, infinities and NaN
+_SPECIALS = (-0.0, 0.0, 5e-324, -1.7976931348623157e308, math.inf, math.nan)
+_floats = st.sampled_from(_SPECIALS) | st.floats(width=64)
+_complexes = (st.builds(complex, st.sampled_from(_SPECIALS), st.sampled_from(_SPECIALS))
+              | st.complex_numbers(allow_nan=True, allow_infinity=True))
+_sizes = st.integers(0, 5)
+
+
+def _array(data, dtype, shape):
+    elements = _complexes if dtype == complex else _floats
+    return data.draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+def _ints(data, size):
+    return tuple(data.draw(st.lists(st.integers(0, 2**40), min_size=size,
+                                    max_size=size)))
+
+
+def _rearrangement_case(data):
+    rows = data.draw(_sizes)
+    r = SimpleNamespace(breakpoints=_array(data, float, rows + 1),
+                        plateaus=_array(data, float, rows))
+    return (r, data.draw(st.integers(0, 2**64 - 1)))
+
+
+def _averaging_case(data):
+    c, p = data.draw(_sizes), data.draw(_sizes)
+    norms = data.draw(st.booleans())
+    flags = data.draw(st.none() | st.lists(st.booleans(), min_size=c, max_size=c))
+    report = SimpleNamespace(
+        checkpoints=_ints(data, c), probes=_ints(data, p),
+        probe_values=_array(data, complex, (c, p)),
+        l1_norms=_array(data, float, c) if norms else None,
+        linf_norms=_array(data, float, c) if norms else None,
+        majorized=None if flags is None else tuple(flags),
+    )
+    return (report, 9)
+
+
+def _sweep_case(data):
+    g, p, c = data.draw(_sizes), data.draw(_sizes), data.draw(_sizes)
+    sweep = SimpleNamespace(lambdas=_array(data, complex, g), probes=_ints(data, p),
+                            checkpoints=_ints(data, c),
+                            averages=_array(data, complex, (g, p, c)))
+    oracle = data.draw(st.none() | st.just((g, p, c)))
+    oracle = None if oracle is None else _array(data, complex, oracle)
+    resonant = data.draw(st.none() | st.lists(st.integers(0, 9), max_size=3))
+    return (sweep, 11, oracle, resonant)
+
+
+def _product_case(data):
+    c, p = data.draw(_sizes), data.draw(_sizes)
+    report = SimpleNamespace(checkpoints=_ints(data, c),
+                             probes=tuple(zip(_ints(data, p), _ints(data, p))),
+                             averages=_array(data, complex, (c, p)))
+    return (report, 301)
+
+
+def _traces_case(data):
+    c, t = data.draw(_sizes), data.draw(_sizes)
+    values = _array(data, float, (c, t))
+    if data.draw(st.booleans()):
+        values = values.tolist()
+    return (_array(data, float, t).tolist(), _ints(data, c), values, 5)
+
+
+WRITERS = {
+    "rearrangement": (rearrangement_csv, rearrangement_csv_reference,
+                      _rearrangement_case),
+    "averaging": (averaging_csv, averaging_csv_reference, _averaging_case),
+    "sweep": (sweep_csv, sweep_csv_reference, _sweep_case),
+    "product": (product_csv, product_csv_reference, _product_case),
+    "traces": (traces_csv, traces_csv_reference, _traces_case),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 3, 4096]))
+def test_joined_chunks_equal_the_reference_text(kind, data, block):
+    # the block size is the rearrangement's rows per chunk: small ones put
+    # chunk boundaries inside a drawn report
+    writer, reference, case = WRITERS[kind]
+    args = case(data)
+    try:
+        expected = reference(*args)
+    except OverflowError:  # abs(v - o) of two parts near the largest float
+        expected = OverflowError
+    with mock.patch.object(formats, "_CHUNK_ROWS", block):
+        if expected is OverflowError:
+            with pytest.raises(OverflowError):
+                "".join(writer(*args))
+        else:
+            assert "".join(writer(*args)) == expected
+
+
+def _small_case(kind, rows):
+    """A report of `kind` with `rows` (0 or 1) rows: that many checkpoints
+    or plateaus, one probe, one lambda, one probe point."""
+    cps = (8,) * rows
+    v = np.full((1, 1, rows), 0.5 - 0.25j)  # (lambda, probe, checkpoint)
+    norms = np.full(rows, 2.0)
+    if kind == "rearrangement":
+        return (SimpleNamespace(breakpoints=np.arange(rows + 1.0),
+                                plateaus=np.full(rows, 0.5)), 1)
+    if kind == "averaging":
+        return (SimpleNamespace(checkpoints=cps, probes=(0,), probe_values=v[0].T,
+                                l1_norms=norms, linf_norms=norms,
+                                majorized=(True,) * rows), 1)
+    if kind == "sweep":
+        return (SimpleNamespace(lambdas=np.ones(1, complex), probes=(0,),
+                                checkpoints=cps, averages=v), 1, v / 2, [0])
+    if kind == "product":
+        return (SimpleNamespace(checkpoints=cps, probes=((1, 2),),
+                                averages=v[0].T), 1)
+    return ([0.25], cps, v[0].T.real, 1)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+@pytest.mark.parametrize("rows", [0, 1])
+def test_header_only_and_one_row_reports_match_the_reference(kind, rows):
+    writer, reference, _ = WRITERS[kind]
+    args = _small_case(kind, rows)
+    text = "".join(writer(*args))
+    assert text == reference(*args)
+    assert text.count("\n") == 2 + rows

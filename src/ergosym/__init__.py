@@ -12,7 +12,6 @@ from .averaging import (
     cesaro,
     geometric_checkpoints,
     majorization_trace,
-    oscillation,
     weighted,
 )
 from .divergence import (
@@ -31,12 +30,10 @@ from .errors import (
     ErgosymError,
     InputError,
     NumericError,
-    TruncationWarning,
     WindowError,
 )
 from .operators import (
     CompositionOperator,
-    DominationResult,
     DSReport,
     KernelOperator,
     adjoint,
@@ -44,7 +41,6 @@ from .operators import (
     apply,
     ds_certificate,
     linear_modulus,
-    modulus_domination_check,
     pairing,
     signed_shift_operator,
 )
@@ -64,12 +60,10 @@ from .spaces import (
     MeasurableFunction,
     OrliczFunction,
     Rearrangement,
-    decompose,
     lorentz_norm,
     luxemburg_norm,
     majorizes,
     norm,
-    r_mu_tail,
     rearrangement,
 )
 from .weights import (
@@ -78,8 +72,6 @@ from .weights import (
     WeightSequence,
     besicovitch_deviation,
     dft_interpolant,
-    limsup_deviation,
-    unit_powers,
     unit_powers_matrix,
     validate_bound,
 )
@@ -94,7 +86,6 @@ __all__ = [
     "CompositionOperator",
     "ConsistencyError",
     "DivergenceCertificate",
-    "DominationResult",
     "DSReport",
     "ErgosymError",
     "InputError",
@@ -111,7 +102,6 @@ __all__ = [
     "SweepResult",
     "TrigPolynomial",
     "TrigTerm",
-    "TruncationWarning",
     "VerificationResult",
     "WeightSequence",
     "WindowError",
@@ -121,29 +111,23 @@ __all__ = [
     "besicovitch_deviation",
     "cesaro",
     "construct_certificate",
-    "decompose",
     "dft_interpolant",
     "direct_averages",
     "ds_certificate",
     "geometric_checkpoints",
-    "limsup_deviation",
     "linear_modulus",
     "lorentz_norm",
     "luxemburg_norm",
     "majorization_trace",
     "majorizes",
-    "modulus_domination_check",
     "norm",
-    "oscillation",
     "pairing",
     "probe_points",
     "product_average",
-    "r_mu_tail",
     "rearrangement",
     "rotation_closed_form",
     "rotation_q",
     "signed_shift_operator",
-    "unit_powers",
     "unit_powers_matrix",
     "validate_bound",
     "verify_certificate",

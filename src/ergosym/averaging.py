@@ -20,16 +20,18 @@ checkpoints by one of three lanes:
 Each checkpoint's average is reduced to its report row (probe values,
 norms and, with `majorize`, the majorization flag) as the lane yields it,
 and is dropped unless `store_averages` keeps it: a run that keeps none
-holds a few N-vectors plus C report rows for C checkpoints.
+holds a few N-vectors plus C report rows for C checkpoints. An average that
+is not finite, because a sum overflows float64, raises NumericError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, CapabilityError, InputError
+from .errors import BudgetError, CapabilityError, InputError, NumericError
 from .operators import CompositionOperator, Operator
 from .spaces import MAJORIZATION_TOL, MeasurableFunction, submajorization_check
 from .weights import WeightSequence
@@ -317,6 +319,9 @@ def _norms(a, weights):
     return float(np.sum(weights * mags)), float(np.max(mags))
 
 
+# float64 overflow is checked at each checkpoint, so numpy's warnings for it
+# (and for the inf - inf and 0 * inf it leads to) are not raised
+@np.errstate(over="ignore", invalid="ignore")
 def _stream(
     T, f, checkpoints, beta, probes, store_averages, norms, majorize, max_iterations
 ):
@@ -357,6 +362,10 @@ def _stream(
             l1, linf = _norms(a, w)
             l1s.append(l1)
             linfs.append(linf)
+        # a finite L1 norm has every entry finite, so a run with norms scans
+        # the average only once that norm overflows
+        if not (norms and math.isfinite(l1)) and not np.isfinite(a).all():
+            raise NumericError(f"the average at checkpoint {n} overflows float64")
         if store_averages:
             avgs.append(MeasurableFunction(a, T.space))
         mags = moduli(a) if majorize else None
@@ -426,26 +435,6 @@ def weighted(
         T, f, checkpoints, beta, probes, store_averages, norms, majorize,
         max_iterations,
     )
-
-
-def oscillation(report: AveragingReport, probe: int, window) -> float:
-    """Max minus min of recorded probe averages over a checkpoint window.
-
-    `window` is an inclusive (lo, hi) range of checkpoint values n. Complex
-    averages report the larger of the real-part and imaginary-part
-    oscillations.
-    """
-    if probe not in report.probes:
-        raise InputError(f"probe {probe} was not recorded")
-    lo, hi = int(window[0]), int(window[1])
-    sel = [i for i, n in enumerate(report.checkpoints) if lo <= n <= hi]
-    if not sel:
-        raise InputError("window contains no recorded checkpoints")
-    col = report.probes.index(probe)
-    v = report.probe_values[sel, col]
-    osc_re = float(np.max(v.real) - np.min(v.real))
-    osc_im = float(np.max(v.imag) - np.min(v.imag))
-    return max(osc_re, osc_im)
 
 
 def majorization_trace(

@@ -65,9 +65,10 @@ _OUTPUTS = {
 # stops it before the window runs out
 _AUTO_WINDOW_CAP = 1 << 22
 
-# how numpy's ValueError starts when an array's byte size or a dimension
-# exceeds what it can address
-_NUMPY_OVERSIZE = ("array is too big", "Maximum allowed dimension exceeded")
+# how numpy's ValueError starts when an array's byte size, a dimension or
+# an element count exceeds what it can address
+_NUMPY_OVERSIZE = ("array is too big", "Maximum allowed dimension exceeded",
+                   "Maximum allowed size exceeded")
 
 
 @dataclass(frozen=True)
@@ -288,6 +289,8 @@ def _run_counterexample(args, plan: Plan | None) -> dict[str, str | Iterator[str
         # constant profile f = 1, searched in one pass
         if args.window < 0:
             raise InputError("--window must be a number of unit cells >= 0")
+        if args.window >= 1 << 63:
+            raise InputError("--window must be below 2^63 unit cells")
         width = args.window or _AUTO_WINDOW_CAP
         rearr = Rearrangement(np.array([0.0, float(width)]), np.array([1.0]))
     cert = divergence.construct_certificate(

@@ -3,8 +3,9 @@
 The CLI maps these onto exit statuses: InputError and its subclasses
 (including WindowError and CapabilityError) exit 2, as does an OSError
 while writing outputs, which it reports as an InputError; BudgetError,
-NumericError, Python's MemoryError and numpy's oversize-array ValueError
-exit 3, ConsistencyError exits 4.
+NumericError (among them an average that overflows float64), Python's
+MemoryError and numpy's oversize-array ValueError exit 3, ConsistencyError
+exits 4. The package raises no warnings of its own.
 """
 
 
@@ -34,7 +35,3 @@ class NumericError(ErgosymError):
 
 class ConsistencyError(ErgosymError):
     """Two independent pipelines disagreed beyond tolerance."""
-
-
-class TruncationWarning(UserWarning):
-    """A query ran past the truncation window; the answer is window-relative."""

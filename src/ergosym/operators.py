@@ -19,8 +19,6 @@ from .spaces import AtomicMeasureSpace, MeasurableFunction
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
-# componentwise slack allowed in modulus domination checks
-DOMINATION_TOL = 1e-9
 
 
 def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None:
@@ -269,42 +267,6 @@ def pairing(
     if not f.space.is_compatible(g.space):
         raise InputError("pairing needs a common space")
     return complex(np.sum(f.space.weights * f.values * np.conj(g.values)))
-
-
-@dataclass(frozen=True)
-class DominationResult:
-    """Worst componentwise slack of |T|^k |f| - |T^k f| over k = 1..kmax."""
-
-    ok: bool
-    min_slack: float
-    at: tuple[int, int] | None = None  # (power k, atom index)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def modulus_domination_check(
-    T: Operator, f: MeasurableFunction, kmax: int, tol: float = DOMINATION_TOL
-) -> DominationResult:
-    """Verify |T^k f| <= |T|^k |f| componentwise for k = 1..kmax."""
-    if kmax < 1:
-        raise InputError("kmax must be at least 1")
-    if not T.space.is_compatible(f.space):
-        raise InputError("operator and function live on different spaces")
-    mod = linear_modulus(T)
-    g = f.values.copy()
-    h = np.abs(f.values)
-    min_slack = np.inf
-    where: tuple[int, int] | None = None
-    for k in range(1, kmax + 1):
-        g = T.apply_values(g)
-        h = mod.apply_values(h).real
-        slack = h - np.abs(g)
-        i = int(np.argmin(slack))
-        if slack[i] < min_slack:
-            min_slack = float(slack[i])
-            where = (k, i)
-    return DominationResult(min_slack >= -tol, min_slack, where)
 
 
 def adjoint_modulus_commutation(T: KernelOperator, tol: float = DS_TOL) -> bool:

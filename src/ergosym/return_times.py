@@ -260,38 +260,30 @@ def wiener_wintner_sweep(
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, tuple):
-        return Fraction(*x)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int)):
         return Fraction(x)
-    raise InputError("rational angles must be Fraction, int, or (num, den)")
+    raise InputError("rational angles must be Fraction or int")
 
 
 def _rotation_powers(rho, lam, ns):
     """(q, [q^n for n in ns], exact resonance) for q = lam e^{2 pi i rho}.
 
-    For lam given as a rational phase (Fraction, int or (num, den) in
-    cycles) q's phase a / b is exact: q^n takes the phase (n a mod b) / b
-    in Python ints, divided once, and resonance is a == 0. A complex lam
-    gives Python's q**n with the caller's n, and resonance q == 1.
+    lam is a rational phase in cycles (Fraction or int), so q's phase a / b
+    is exact: q^n takes the phase (n a mod b) / b in Python ints, divided
+    once, and resonance is a == 0.
     """
-    rho = _as_fraction(rho)
-    if isinstance(lam, (Fraction, int, tuple)):
-        phase = (_as_fraction(lam) + rho) % 1
-        a, b = phase.numerator, phase.denominator
-        qns = cycles(np.array([int(n) * a % b / b for n in ns])).tolist()
-        return cycles(float(phase)), qns, a == 0
-    q = complex(lam) * cycles(float(rho % 1))
-    return q, [q**n for n in ns], q == 1.0 + 0j
+    phase = (_as_fraction(lam) + _as_fraction(rho)) % 1
+    a, b = phase.numerator, phase.denominator
+    qns = cycles(np.array([int(n) * a % b / b for n in ns])).tolist()
+    return cycles(float(phase)), qns, a == 0
 
 
 def rotation_q(rho, lam):
     """Decay ratio q = lam e^{2 pi i rho} of the twisted rotation average.
 
-    Returns (q, exact_resonance). With lam given as a Fraction (its phase
-    in cycles) resonance q == 1 is decided exactly in integer arithmetic.
+    Returns (q, exact_resonance). rho and lam are rational phases in cycles,
+    each a Fraction or an int, so resonance q == 1 is decided exactly in
+    integer arithmetic.
     """
     q, _, resonant = _rotation_powers(rho, lam, ())
     return q, resonant
@@ -329,11 +321,12 @@ def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
 def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     """Closed form of (1/n) sum_{k<n} lam^k e^{2 pi i (omega + k rho)}.
 
-    rho is the rotation angle in cycles, as an exact rational; omega_phase
-    is the starting phase in cycles. The value is
+    rho is the rotation angle and lam = e^{2 pi i phase} is given by its
+    phase, both in cycles as a Fraction or an int; omega_phase is the
+    starting phase in cycles. The value is
     e^{2 pi i omega} (1 - q^n) / (n (1 - q)) with q = lam e^{2 pi i rho},
-    and exactly e^{2 pi i omega} at resonance q = 1. Pass lam as a Fraction
-    phase for exact resonance detection and drift-free q^n.
+    and exactly e^{2 pi i omega} at resonance q = 1, which is decided in
+    integer arithmetic; q^n is drift-free.
     """
     if n < 1:
         raise InputError("closed form needs n >= 1")

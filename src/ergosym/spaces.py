@@ -19,14 +19,13 @@ f*'s integrals at its own boundaries.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericError, TruncationWarning
+from .errors import InputError, NumericError
 
 # default tolerance for Hardy-Littlewood partial-integral comparisons
 MAJORIZATION_TOL = 1e-9
@@ -437,35 +436,3 @@ def lorentz_norm(f: MeasurableFunction, w: LorentzWeight) -> float:
     r = rearrangement(f)
     pv = w.evaluate(r.breakpoints)
     return float(np.sum(r.plateaus * np.diff(pv)))
-
-
-def r_mu_tail(f: MeasurableFunction, t0: float) -> float:
-    """Tail certificate: the rearrangement value at t0.
-
-    Queries at or beyond the total measure return 0 and raise
-    TruncationWarning, since the answer is only window-relative there.
-    """
-    if not t0 >= 0:  # also rejects NaN
-        raise InputError("tail queries need t0 >= 0")
-    if t0 >= f.space.total_measure:
-        warnings.warn(
-            "tail query at or beyond the truncation window; returning 0",
-            TruncationWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return float(rearrangement(f).values_at(t0))
-
-
-def decompose(f: MeasurableFunction, eps: float):
-    """Split f = g + h with g = f on {|f| > eps} and h bounded by eps.
-
-    The split is exact componentwise; g carries the large values, h the
-    remainder with Linf norm at most eps.
-    """
-    if not eps >= 0:  # also rejects NaN
-        raise InputError("decomposition level must be nonnegative")
-    mask = np.abs(f.values) > eps
-    g = MeasurableFunction(np.where(mask, f.values, 0.0), f.space)
-    h = MeasurableFunction(np.where(mask, 0.0, f.values), f.space)
-    return g, h

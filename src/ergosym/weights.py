@@ -230,18 +230,3 @@ def dft_interpolant(vals) -> TrigPolynomial:
         TrigTerm.from_phase(complex(coeffs[j]), Fraction(j, p)) for j in range(p)
     )
     return TrigPolynomial(terms)
-
-
-def limsup_deviation(w: WeightSequence, poly: TrigPolynomial, n_max: int) -> float:
-    """Estimate limsup_n of the averaged deviation.
-
-    Samples n at 16 points of a geometric grid up to n_max and reports the
-    running max over the tail half of the samples; an estimate, not a
-    certificate.
-    """
-    if n_max < 2:
-        raise InputError("need n_max >= 2")
-    grid = np.unique(np.geomspace(2, n_max, num=16).astype(int))
-    devs = [besicovitch_deviation(w, poly, int(n)) for n in grid]
-    tail = devs[len(devs) // 2 :]
-    return float(max(tail))

@@ -383,6 +383,24 @@ def test_counterexample_negative_window_names_the_flag(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flag, value, code", [
+    ("--window", str(1 << 63), 2),
+    ("--window", str(10**400), 2),
+    ("--grid", str(10**30), 3),
+], ids=["window-2^63", "window-10^400", "grid-10^30"])
+def test_counterexample_oversize_flag_exits_cleanly(
+    tmp_path, capsys, flag, value, code
+):
+    out = tmp_path / "out"
+    assert cli.main(["counterexample", flag, value, "--output-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == {
+        2: "error: --window must be below 2^63 unit cells\n",
+        3: "error: out of memory; reduce the config's sizes\n",
+    }[code]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
 @pytest.mark.parametrize("command", ["rearrange", "counterexample"])
 def test_output_dir_on_a_file_exits_2(tmp_path, capsys, command, below):
@@ -945,6 +963,29 @@ def test_horizon_past_the_budget_exits_3(tmp_path, capsys, command, cfg):
     out = tmp_path / "out"
     assert cli.main([command, path, "--output-dir", str(out)]) == 3
     assert "exceeds the iteration budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# finite inputs whose averages overflow float64, failing at checkpoint `at`.
+# The suite turns numpy's RuntimeWarnings into errors, so the run raises none.
+SWAP = {"kind": "composition", "map": [1, 0]}
+HUGE_F = {"schema": 1, "seed": 1, "space": {"weights": [1, 1]}, "operator": SWAP,
+          "function": {"re": [1e308, 1e308]}, "checkpoints": [1, 2, 4]}
+
+
+@pytest.mark.parametrize("command, cfg, at", [
+    ("average", HUGE_F, 2),
+    ("average", _with(HUGE_F, operator={"kind": "kernel",
+                                        "matrix_re": [[0, 1], [1, 0]]}), 2),
+    ("weighted-average", _with(HUGE_F, weight={"kind": "periodic",
+                                               "re": [1e308, -1e308]}), 1),
+], ids=["composition", "kernel", "periodic-weight"])
+def test_overflowing_average_exits_3(tmp_path, capsys, command, cfg, at):
+    path = write_cfg(tmp_path, "huge.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: the average at checkpoint {at} overflows float64\n"
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from ergosym import (
     ds_certificate,
     linear_modulus,
     majorizes,
-    modulus_domination_check,
     norm,
     pairing,
     signed_shift_operator,
@@ -270,23 +269,32 @@ def test_modulus_phase_grid_bound_complex():
     assert prev_gap <= 1e-3
 
 
+def domination_slack(T, f, kmax):
+    """min over k = 1..kmax and atoms of |T|^k |f| - |T^k f|."""
+    mod = linear_modulus(T)
+    g, h = f, mk(np.abs(f.values), f.space)
+    slack = np.inf
+    for _ in range(kmax):
+        g, h = apply(T, g), apply(mod, h)
+        slack = min(slack, float(np.min(h.values.real - np.abs(g.values))))
+    return slack
+
+
 def test_modulus_domination_equalizes_under_sign_conjugation():
     # K = D |K| D with D = diag(1, -1), so f = (1, -1) gives exact equality
     sp = unit_space(2)
     T = KernelOperator(np.array([[0.3, -0.4], [-0.2, 0.1]]), sp)
-    res = modulus_domination_check(T, mk([1.0, -1.0], sp), kmax=5)
-    assert res
-    assert res.min_slack == pytest.approx(0.0, abs=1e-15)
+    assert domination_slack(T, mk([1.0, -1.0], sp), 5) == pytest.approx(
+        0.0, abs=1e-15
+    )
 
 
 def test_modulus_domination_strict_slack():
     sp = unit_space(2)
     T = KernelOperator(np.array([[0.3, -0.4], [-0.2, 0.1]]), sp)
-    res1 = modulus_domination_check(T, mk([1.0, 1.0], sp), kmax=1)
-    assert res1.min_slack == pytest.approx(0.2, abs=1e-15)  # |Tf|=(0.1,0.1)
-    res5 = modulus_domination_check(T, mk([1.0, 1.0], sp), kmax=5)
-    assert res5
-    assert res5.min_slack > 0.0  # cancellation in Tf leaves real room
+    f = mk([1.0, 1.0], sp)
+    assert domination_slack(T, f, 1) == pytest.approx(0.2, abs=1e-15)  # |Tf|=(0.1,0.1)
+    assert domination_slack(T, f, 5) > 0.0  # cancellation in Tf leaves real room
 
 
 def test_modulus_domination_positive_equality():
@@ -294,8 +302,8 @@ def test_modulus_domination_positive_equality():
     sp = unit_space(4)
     k = np.abs(rng.normal(size=(4, 4))) / 4
     f = mk(rng.uniform(0.5, 1.0, size=4), sp)
-    res = modulus_domination_check(KernelOperator(k, sp), f, kmax=6)
-    assert res.min_slack == pytest.approx(0.0, abs=1e-12)
+    slack = domination_slack(KernelOperator(k, sp), f, 6)
+    assert slack == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modulus_domination_signed_permutation_isometry():
@@ -304,8 +312,7 @@ def test_modulus_domination_signed_permutation_isometry():
         np.array([1, 2, 0]), -np.ones(3), sp, measure_preserving=True
     )
     f = mk([0.3, -1.2, 0.7], sp)
-    res = modulus_domination_check(T, f, kmax=7)
-    assert res.min_slack == pytest.approx(0.0, abs=1e-15)
+    assert domination_slack(T, f, 7) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_modulus_domination_randomized_holds():
@@ -314,7 +321,7 @@ def test_modulus_domination_randomized_holds():
         n = int(rng.integers(2, 10))
         T = random_ds_kernel(rng, n)
         f = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), T.space)
-        assert modulus_domination_check(T, f, kmax=10)
+        assert domination_slack(T, f, 10) >= -1e-9
 
 
 def test_modulus_shares_operator_norms():

@@ -13,13 +13,10 @@ from ergosym import (
     NumericError,
     OrliczFunction,
     Rearrangement,
-    TruncationWarning,
-    decompose,
     lorentz_norm,
     luxemburg_norm,
     majorizes,
     norm,
-    r_mu_tail,
     rearrangement,
 )
 from ergosym.spaces import MAJORIZATION_TOL, submajorization_check
@@ -582,72 +579,24 @@ def test_lorentz_capped_equals_hl_integral_randomized():
         )
 
 
-# ----------------------------------------------------------------- tail, split
+# ---------------------------------------------------------------------- tail
 
 
 def test_tail_constant_function_never_decays():
     sp = unit_space(6)
     f = MeasurableFunction.ones(sp)
     for t0 in (0.0, 2.5, 5.9):
-        assert r_mu_tail(f, t0) == pytest.approx(1.0, abs=1e-12)
+        assert rearrangement(f).values_at(t0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tail_compact_support():
     sp = unit_space(5)
     f = MeasurableFunction.indicator(sp, [0, 1])
-    assert r_mu_tail(f, 3.0) == 0.0
+    assert rearrangement(f).values_at(3.0) == 0.0
 
 
 def test_tail_harmonic_profile():
     n = 10
     f = mk([1.0 / i for i in range(1, n + 1)])
-    assert r_mu_tail(f, n / 2) == pytest.approx(1.0 / (n // 2 + 1), abs=1e-12)
-
-
-def test_tail_truncation_warning_and_domain():
-    f = mk([1.0, 1.0])
-    with pytest.warns(TruncationWarning):
-        assert r_mu_tail(f, 2.0) == 0.0
-    for t0 in (-0.5, float("nan")):
-        with pytest.raises(InputError):
-            r_mu_tail(f, t0)
-
-
-def test_decompose_examples_and_identities():
-    f = mk([3.0, 1.0, 2.0])
-    g, h = decompose(f, 1.5)
-    assert np.allclose(g.values, [3.0, 0.0, 2.0])
-    assert np.allclose(h.values, [0.0, 1.0, 0.0])
-    f2 = mk([0.1, 5.0, 0.2, 0.3])
-    g2, h2 = decompose(f2, 0.25)
-    assert np.allclose(g2.values, [0.0, 5.0, 0.0, 0.3])
-    assert np.allclose(h2.values, [0.1, 0.0, 0.2, 0.0])
-    # boundary: threshold at or above the sup collapses g
-    g3, h3 = decompose(f, 3.0)
-    assert np.allclose(g3.values, 0.0)
-    assert np.allclose(h3.values, f.values)
-
-
-@pytest.mark.parametrize("eps", [float("nan"), -1.0])
-def test_decompose_rejects_negative_and_nan_levels(eps):
-    with pytest.raises(InputError):
-        decompose(mk([3.0, -1.0, 0.5]), eps)
-
-
-def test_decompose_at_infinity_keeps_all_in_h():
-    f = mk([3.0, -1.0, 0.5])
-    g, h = decompose(f, float("inf"))
-    assert np.array_equal(g.values, np.zeros(3))
-    assert np.array_equal(h.values, f.values)
-
-
-def test_decompose_randomized_invariants():
-    rng = np.random.default_rng(22)
-    for _ in range(25):
-        v = rng.normal(size=20) + 1j * rng.normal(size=20)
-        f = mk(v)
-        eps = float(rng.uniform(0.0, 2.0))
-        g, h = decompose(f, eps)
-        assert np.array_equal(g.values + h.values, f.values)
-        assert norm(h, "Linf") <= eps + 1e-15
-        assert norm(g, "L1") <= norm(f, "L1") + 1e-12
+    want = 1.0 / (n // 2 + 1)
+    assert rearrangement(f).values_at(n / 2) == pytest.approx(want, abs=1e-12)

@@ -14,12 +14,10 @@ from ergosym import (
     WeightSequence,
     besicovitch_deviation,
     dft_interpolant,
-    limsup_deviation,
-    unit_powers,
     unit_powers_matrix,
     validate_bound,
 )
-from ergosym.weights import RENORM_EVERY
+from ergosym.weights import RENORM_EVERY, unit_powers
 
 
 # ---------------------------------------------------------------- evaluation
@@ -173,13 +171,6 @@ def test_deviation_requires_positive_n():
     p = dft_interpolant(np.array([1.0]))
     with pytest.raises(InputError):
         besicovitch_deviation(w, p, 0)
-
-
-def test_limsup_estimate_periodic_zero():
-    vals = np.array([2.0, -1.0, 0.5, 0.5])
-    w = WeightSequence.periodic(vals)
-    p = dft_interpolant(vals)
-    assert limsup_deviation(w, p, 10_000) <= 1e-11
 
 
 # -------------------------------------------------------------- interpolation

@@ -27,7 +27,6 @@ is not finite, because a sum overflows float64, raises NumericError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +79,6 @@ def _horizon(checkpoints, max_iterations: int) -> tuple[int, ...]:
     return cps
 
 
-@dataclass(eq=False)
 class AveragingReport:
     """Per-checkpoint averages, norms, and probe values.
 
@@ -93,14 +91,25 @@ class AveragingReport:
     `majorization_trace`.
     """
 
-    checkpoints: tuple[int, ...]
-    probes: tuple[int, ...]
-    probe_values: np.ndarray
-    l1_norms: np.ndarray | None
-    linf_norms: np.ndarray | None
-    averages: tuple[MeasurableFunction, ...] | None = None
-    weight_bound: float | None = None
-    majorized: tuple[bool, ...] | None = None
+    def __init__(
+        self,
+        checkpoints: tuple[int, ...],
+        probes: tuple[int, ...],
+        probe_values: np.ndarray,
+        l1_norms: np.ndarray | None,
+        linf_norms: np.ndarray | None,
+        averages: tuple[MeasurableFunction, ...] | None = None,
+        weight_bound: float | None = None,
+        majorized: tuple[bool, ...] | None = None,
+    ):
+        self.checkpoints = checkpoints
+        self.probes = probes
+        self.probe_values = probe_values
+        self.l1_norms = l1_norms
+        self.linf_norms = linf_norms
+        self.averages = averages
+        self.weight_bound = weight_bound
+        self.majorized = majorized
 
 
 def _full_orbit(T, f, steps):

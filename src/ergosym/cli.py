@@ -5,9 +5,10 @@ wiener-wintner, return-times, counterexample. Configs carry a versioned
 "schema": 1 field and a single 64-bit seed; every output header records the
 seed, and identical configs produce byte-identical outputs. Exit codes:
 0 success, 2 validation error or an output that cannot be written (an
-OSError, such as an --output-dir that is a file), 3 budget exhausted or out
-of memory (also numpy's ValueError for an array too large to address), 4
-internal consistency failure.
+OSError, such as an --output-dir that is a file), 3 budget exhausted, a
+numeric failure (such as a result that overflows float64) or out of memory
+(also numpy's ValueError for an array too large to address), 4 internal
+consistency failure.
 
 Each config is decoded once, by `_decode`, into a `Plan` that the
 command's runner executes; `validate` is the diagnostics view of the same
@@ -21,8 +22,8 @@ import json
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ _NUMPY_OVERSIZE = ("array is too big", "Maximum allowed dimension exceeded",
                    "Maximum allowed size exceeded")
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """A config decoded for one command: everything its runner needs."""
 
     seed: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ BLOCK = 4096
 BLOCK_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class StageCheck:
+class StageCheck(NamedTuple):
     """One alternation stage: the extremal average over the probe grid at
     checkpoint n, and how far it clears the base threshold (1 or 1/2)."""
 
@@ -52,8 +51,7 @@ class StageCheck:
     margin: float
 
 
-@dataclass(frozen=True)
-class DivergenceCertificate:
+class DivergenceCertificate(NamedTuple):
     eps: float
     margin: float
     grid: int
@@ -62,8 +60,7 @@ class DivergenceCertificate:
     stages: tuple[StageCheck, ...]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Verdict, per-stage margins and pipeline deviation of a certificate.
 
     `direct` holds the direct-formula averages at every breakpoint and
@@ -75,7 +72,7 @@ class VerificationResult:
     stage_margins: tuple[float, ...]
     max_deviation: float
     failed_stage: int | None = None
-    direct: np.ndarray | None = field(default=None, repr=False, compare=False)
+    direct: np.ndarray | None = None
 
     def __bool__(self) -> bool:
         return self.ok

@@ -3,9 +3,10 @@
 The CLI maps these onto exit statuses: InputError and its subclasses
 (including WindowError and CapabilityError) exit 2, as does an OSError
 while writing outputs, which it reports as an InputError; BudgetError,
-NumericError (among them an average that overflows float64), Python's
-MemoryError and numpy's oversize-array ValueError exit 3, ConsistencyError
-exits 4. The package raises no warnings of its own.
+NumericError (among them any result that overflows float64: an average, a
+contraction sum or a norm), Python's MemoryError and numpy's oversize-array
+ValueError exit 3, ConsistencyError exits 4. The package raises no warnings
+of its own.
 """
 
 

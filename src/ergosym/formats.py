@@ -22,7 +22,6 @@ import sys
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +349,8 @@ def weight_from_json(obj) -> WeightSequence:
         bound = read(obj, "bound", "number", None)
         return WeightSequence.explicit(_complex_array(obj), bound)
     if kind == "trig_poly":
+        from fractions import Fraction  # not at the top: a launch cost (with decimal)
+
         terms = []
         for i, t in enumerate(read(obj, "terms", "list", [])):
             with _under(f"terms[{i}]"):

@@ -10,12 +10,12 @@ the certificate is necessary and sufficient, not just sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .spaces import AtomicMeasureSpace, MeasurableFunction
+from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
@@ -144,7 +144,6 @@ class KernelOperator:
         return self.row_sums(self.data * v[self.indices])
 
 
-@dataclass(eq=False)
 class CompositionOperator:
     """Weighted composition (Tf)_i = multiplier_i * f[point_map_i].
 
@@ -153,25 +152,25 @@ class CompositionOperator:
     matching weights within 1e-12.
     """
 
-    point_map: np.ndarray
-    multiplier: np.ndarray
-    space: AtomicMeasureSpace
-    measure_preserving: bool = False
-
-    def __post_init__(self):
-        n = self.space.n_atoms
-        mult = np.asarray(self.multiplier, dtype=complex)
-        if np.shape(self.point_map) != (n,) or mult.shape != (n,):
+    def __init__(
+        self, point_map, multiplier, space: AtomicMeasureSpace,
+        measure_preserving: bool = False,
+    ):
+        n = space.n_atoms
+        mult = np.asarray(multiplier, dtype=complex)
+        if np.shape(point_map) != (n,) or mult.shape != (n,):
             raise InputError("point map and multiplier must have one entry per atom")
-        pm = _index_array(self.point_map, "map", n)
+        pm = _index_array(point_map, "map", n)
         if not np.all(np.isfinite(mult)):
             raise InputError("multiplier must be finite")
         if np.any(np.abs(mult) > 1.0 + DS_TOL):
             raise InputError("multiplier magnitudes must stay within 1")
-        if self.measure_preserving:
-            _check_measure_preserving(pm, self.space)
+        if measure_preserving:
+            _check_measure_preserving(pm, space)
         self.point_map = pm
         self.multiplier = mult
+        self.space = space
+        self.measure_preserving = measure_preserving
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         return self.multiplier * v[self.point_map]
@@ -187,8 +186,7 @@ def apply(T: Operator, f: MeasurableFunction) -> MeasurableFunction:
     return MeasurableFunction(T.apply_values(f.values), T.space)
 
 
-@dataclass(frozen=True)
-class DSReport:
+class DSReport(NamedTuple):
     """Contraction sums and the verdicts derived from them.
 
     worst_column_sum = max_j sum_i w_i |K[i, j]| / w_j  (L1 side)
@@ -217,8 +215,12 @@ def _contraction_sums(T: Operator) -> tuple[float, float]:
 
 
 def ds_certificate(T: Operator) -> DSReport:
-    """Exact L1/Linf contraction certificate for a kernel or composition."""
-    col, row = _contraction_sums(T)
+    """Exact L1/Linf contraction certificate for a kernel or composition; a
+    sum past float64's range raises NumericError."""
+    with np.errstate(over="ignore"):
+        col, row = _contraction_sums(T)
+    _finite(col, "worst column sum")
+    _finite(row, "worst row sum")
     return DSReport(
         l1_ok=col <= 1.0 + DS_TOL,
         linf_ok=row <= 1.0 + DS_TOL,

@@ -10,35 +10,34 @@ closed form (finite geometric series), used as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .averaging import DEFAULT_BUDGET, _horizon
-from .errors import InputError
+from .errors import InputError, NumericError
 from .operators import _check_measure_preserving, _index_array
 from .spaces import AtomicMeasureSpace, MeasurableFunction
 from .weights import cycles
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # |1 - q| below this flags a resonant grid point (slow geometric decay)
 RESONANCE_TOL = 1e-6
 
 
-@dataclass(eq=False)
 class PointSystem:
     """Atom set with a weight-preserving bijection tau."""
 
-    space: AtomicMeasureSpace
-    tau: np.ndarray
-
-    def __post_init__(self):
-        n = self.space.n_atoms
-        if np.shape(self.tau) != (n,):
+    def __init__(self, space: AtomicMeasureSpace, tau):
+        n = space.n_atoms
+        if np.shape(tau) != (n,):
             raise InputError("tau needs one image per atom")
-        t = _index_array(self.tau, "tau", n)
-        _check_measure_preserving(t, self.space)
+        t = _index_array(tau, "tau", n)
+        _check_measure_preserving(t, space)
+        self.space = space
         self.tau = t
 
     @classmethod
@@ -122,8 +121,16 @@ def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     return sums
 
 
-@dataclass(eq=False)
-class ProductAverageReport:
+def _check_finite(averages: np.ndarray, cps) -> None:
+    """NumericError at the first checkpoint, along the last axis, with an
+    average that is not finite: a sum overflowed float64."""
+    finite = np.isfinite(averages).reshape(-1, len(cps)).all(axis=0)
+    if not finite.all():
+        n = cps[int(np.argmin(finite))]
+        raise NumericError(f"the average at checkpoint {n} overflows float64")
+
+
+class ProductAverageReport(NamedTuple):
     """Product averages per checkpoint (rows) and probe pair (columns)."""
 
     checkpoints: tuple[int, ...]
@@ -131,6 +138,9 @@ class ProductAverageReport:
     averages: np.ndarray
 
 
+# float64 overflow is checked in the averages reported, so numpy's warnings
+# for it (and for the inf - inf and 0 * inf it leads to) are not raised
+@np.errstate(over="ignore", invalid="ignore")
 def product_average(
     system_a: PointSystem,
     f: MeasurableFunction,
@@ -148,7 +158,9 @@ def product_average(
     n = q P + r reads q S_P + S_r. The running sum is one cumsum carried
     across blocks, so below one period every S_n has the bits of a single
     cumsum over the n terms. Time O(min(n_max, P)) and memory
-    O(L_a + L_b + block + C) per pair, whatever the horizon.
+    O(L_a + L_b + block + C) per pair, whatever the horizon. An average
+    that is not finite, because a sum overflows float64, raises
+    NumericError.
     """
     cps = _horizon(checkpoints, max_iterations)
     if not system_a.space.is_compatible(f.space):
@@ -175,11 +187,11 @@ def product_average(
 
         sums = _fold_periodic((fc, gc), lcm(fc.size, gc.size), cps, running_sum)
         out[:, col] = sums / ns
+    _check_finite(out.T, cps)
     return ProductAverageReport(cps, pairs, out)
 
 
-@dataclass(eq=False)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Twisted averages over a uniform frequency grid.
 
     averages[j, p, c] is the average at lambda_j = exp(2 pi i j / G), probe
@@ -192,6 +204,7 @@ class SweepResult:
     averages: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in product_average
 def wiener_wintner_sweep(
     system: PointSystem,
     f: MeasurableFunction,
@@ -213,6 +226,7 @@ def wiener_wintner_sweep(
     one batched inverse FFT give every checkpoint. The phases are exact
     integers mod G; time is O(min(n_max, P) + C G log G) and memory
     O(L + block + C G) per probe, for C checkpoints, whatever the horizon.
+    An average that is not finite raises NumericError.
     """
     cps = _horizon(checkpoints, max_iterations)
     if not system.space.is_compatible(f.space):
@@ -256,10 +270,13 @@ def wiener_wintner_sweep(
         sums = _fold_periodic((fc,), lcm(fc.size, g), cps, residue_sums)
         # unnormalised inverse DFT: sum_r S_r exp(2 pi i j r / G)
         avgs[:, p, :] = np.fft.ifft(sums, axis=1, norm="forward").T / ns
+    _check_finite(avgs, cps)
     return SweepResult(lams, probes, cps, avgs)
 
 
 def _as_fraction(x) -> Fraction:
+    from fractions import Fraction  # not at the top: a launch cost (with decimal)
+
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
     raise InputError("rational angles must be Fraction or int")
@@ -306,6 +323,8 @@ def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
     """Closed-form sweep of f(w) = e^{2 pi i c w / order} under w -> w + step:
     the oracle, indexed like SweepResult.averages, holding rotation_closed_form's
     values to the last bit, and the grid indices where |1 - q| < RESONANCE_TOL."""
+    from fractions import Fraction  # not at the top: a launch cost (with decimal)
+
     rho = Fraction(character * step, order)
     fronts = [cycles(float(Fraction(character * w, order) % 1)) for w in probes]
     oracle = np.empty((grid_size, len(fronts), len(checkpoints)), dtype=complex)

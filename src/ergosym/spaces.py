@@ -19,9 +19,10 @@ f*'s integrals at its own boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import sys
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ EXACT_TOL = 1e-12
 # geometric bracket growth limit in luxemburg_norm; hitting it means the
 # Orlicz evaluator is pathological (never straddles modular value 1)
 _MAX_BRACKET_STEPS = 200
+_FLOAT_MAX = sys.float_info.max
 
 
 def _piece(edges: np.ndarray, t, pieces: int) -> np.ndarray:
@@ -43,7 +45,6 @@ def _piece(edges: np.ndarray, t, pieces: int) -> np.ndarray:
     return np.clip(np.searchsorted(edges, t, side="right") - 1, 0, pieces - 1)
 
 
-@dataclass(frozen=True, eq=False)
 class AtomicMeasureSpace:
     """Finite weighted atom set.
 
@@ -52,18 +53,15 @@ class AtomicMeasureSpace:
     truncated windows.
     """
 
-    weights: np.ndarray
-    truncated: bool = False
-    total_measure: float = field(init=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights, truncated: bool = False):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InputError("weights must form a nonempty 1-d array")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise InputError("atom weights must be positive and finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total_measure", float(np.sum(w)))
+        self.weights = w
+        self.truncated = truncated
+        self.total_measure = float(np.sum(w))
 
     @property
     def n_atoms(self) -> int:
@@ -83,23 +81,20 @@ class AtomicMeasureSpace:
         )
 
 
-@dataclass(eq=False)
 class MeasurableFunction:
     """Complex-valued function given by one value per atom."""
 
-    values: np.ndarray
-    space: AtomicMeasureSpace
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.space.n_atoms,):
+    def __init__(self, values, space: AtomicMeasureSpace):
+        v = np.asarray(values, dtype=complex)
+        if v.shape != (space.n_atoms,):
             raise InputError(
                 f"function has {v.size} values for a space with "
-                f"{self.space.n_atoms} atoms"
+                f"{space.n_atoms} atoms"
             )
         if not np.all(np.isfinite(v)):
             raise InputError("function values must be finite")
         self.values = v
+        self.space = space
 
     @classmethod
     def ones(cls, space: AtomicMeasureSpace):
@@ -123,7 +118,6 @@ class MeasurableFunction:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
 class Rearrangement:
     """Non-increasing step function: plateaus[i] on
     [breakpoints[i], breakpoints[i+1]), zero from the last breakpoint on.
@@ -133,12 +127,9 @@ class Rearrangement:
     final breakpoint is the measure of the support of the source function.
     """
 
-    breakpoints: np.ndarray
-    plateaus: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        pl = np.asarray(self.plateaus, dtype=float)
+    def __init__(self, breakpoints, plateaus):
+        bp = np.asarray(breakpoints, dtype=float)
+        pl = np.asarray(plateaus, dtype=float)
         if bp.ndim != 1 or pl.ndim != 1 or bp.size != pl.size + 1:
             raise InputError("need len(breakpoints) == len(plateaus) + 1")
         if bp.size == 0 or bp[0] != 0.0:
@@ -149,10 +140,11 @@ class Rearrangement:
             raise InputError("plateaus must be positive and strictly decreasing")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(pl))):
             raise InputError("rearrangement data must be finite")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "plateaus", pl)
-        prefix = np.concatenate(([0.0], np.cumsum(pl * np.diff(bp))))
-        object.__setattr__(self, "_prefix", prefix)
+        self.breakpoints = bp
+        self.plateaus = pl
+        # an integral past float64's range reads as inf; the norms check it
+        with np.errstate(over="ignore"):
+            self._prefix = np.concatenate(([0.0], np.cumsum(pl * np.diff(bp))))
 
     @property
     def support_measure(self) -> float:
@@ -203,8 +195,7 @@ def rearrangement(f: MeasurableFunction) -> Rearrangement:
     return Rearrangement(bp, vals)
 
 
-@dataclass(frozen=True)
-class MajorizationResult:
+class MajorizationResult(NamedTuple):
     """Outcome of a partial-integral comparison; falsy on failure, with the
     first violating atom boundary of g and both integrals there as witness."""
 
@@ -277,25 +268,35 @@ def _submajorized_at_atoms(rf, weights, int_f, tol, mags) -> MajorizationResult:
     return MajorizationResult(False, float(s_i), float(int_f[i]), float(int_g[i]))
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or NumericError when a sum behind it overflowed float64."""
+    if not math.isfinite(value):
+        raise NumericError(f"the {what} overflows float64")
+    return value
+
+
+@np.errstate(over="ignore")  # an overflow is reported as a NumericError
 def norm(f: MeasurableFunction, which: str) -> float:
     """Norm of f in one of the benchmark spaces.
 
     which: "L1", "Linf", "L1plusLinf" (partial integral of the rearrangement
-    over [0, 1)), or "L1capLinf" (max of L1 and Linf).
+    over [0, 1)), or "L1capLinf" (max of L1 and Linf). A norm past float64's
+    range raises NumericError.
     """
     key = which.lower()
     if key == "l1":
-        return float(np.sum(f.space.weights * np.abs(f.values)))
-    if key == "linf":
-        return float(np.max(np.abs(f.values)))
-    if key == "l1pluslinf":
-        return rearrangement(f).integral(1.0)
-    if key == "l1caplinf":
-        return max(norm(f, "L1"), norm(f, "Linf"))
-    raise InputError(f"unknown norm {which!r}")
+        value = float(np.sum(f.space.weights * np.abs(f.values)))
+    elif key == "linf":
+        value = float(np.max(np.abs(f.values)))
+    elif key == "l1pluslinf":
+        value = rearrangement(f).integral(1.0)
+    elif key == "l1caplinf":
+        value = max(norm(f, "L1"), norm(f, "Linf"))
+    else:
+        raise InputError(f"unknown norm {which!r}")
+    return _finite(value, f"{which} norm")
 
 
-@dataclass(frozen=True)
 class OrliczFunction:
     """Convex Orlicz function: phi(0) = 0, phi >= 0, positive somewhere on
     (0, inf).
@@ -304,10 +305,8 @@ class OrliczFunction:
     positivity are spot-checked at construction on a fixed grid.
     """
 
-    evaluate: Callable
-
-    def __post_init__(self):
-        phi = self.evaluate
+    def __init__(self, evaluate: Callable):
+        phi = evaluate
         if abs(float(phi(np.array(0.0)))) > EXACT_TOL:
             raise InputError("Orlicz function must vanish at 0")
         grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
@@ -324,6 +323,7 @@ class OrliczFunction:
                 mid = float(phi(np.array((grid[i] + grid[j]) / 2.0)))
                 if mid > (vals[i] + vals[j]) / 2.0 + EXACT_TOL:
                     raise InputError("midpoint convexity spot-check failed")
+        self.evaluate = evaluate
 
     @classmethod
     def power(cls, p: float):
@@ -340,7 +340,8 @@ def luxemburg_norm(
     Bisection on a over a bracket grown geometrically until the modular
     straddles 1; returns the feasible endpoint once the bracket width is
     below tol. The zero function has norm 0. Bracket growth that fails to
-    straddle 1 within 200 steps raises NumericError (pathological phi).
+    straddle 1 within 200 steps raises NumericError (pathological phi), and
+    so does a norm past float64's range.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise InputError("tol must be positive and finite")
@@ -359,7 +360,9 @@ def luxemburg_norm(
     for _ in range(_MAX_BRACKET_STEPS):
         if feasible(hi):
             break
-        hi *= 2.0
+        if hi == _FLOAT_MAX:
+            raise NumericError("the Luxemburg norm overflows float64")
+        hi = min(2.0 * hi, _FLOAT_MAX)  # an end at inf is feasible for any f
     else:
         raise NumericError("modular never reached 1 while growing the bracket")
     lo = hi / 2.0
@@ -370,7 +373,8 @@ def luxemburg_norm(
     else:
         raise NumericError("modular stayed below 1 while shrinking the bracket")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        # halved before the sum where lo + hi would overflow
+        mid = 0.5 * lo + 0.5 * hi if hi > _FLOAT_MAX / 2 else 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         if feasible(mid):
@@ -380,7 +384,6 @@ def luxemburg_norm(
     return hi
 
 
-@dataclass(frozen=True, eq=False)
 class LorentzWeight:
     """Increasing concave piecewise-linear phi with phi(0) = 0.
 
@@ -389,12 +392,9 @@ class LorentzWeight:
     must be nonnegative and non-increasing (concavity).
     """
 
-    knots: np.ndarray
-    slopes: np.ndarray
-
-    def __post_init__(self):
-        kn = np.asarray(self.knots, dtype=float)
-        sl = np.asarray(self.slopes, dtype=float)
+    def __init__(self, knots, slopes):
+        kn = np.asarray(knots, dtype=float)
+        sl = np.asarray(slopes, dtype=float)
         if kn.ndim != 1 or sl.ndim != 1 or kn.size != sl.size or kn.size == 0:
             raise InputError("need one slope per knot")
         if kn[0] != 0.0 or np.any(np.diff(kn) <= 0):
@@ -403,10 +403,10 @@ class LorentzWeight:
             raise InputError("Lorentz weight data must be finite")
         if np.any(sl < 0) or np.any(np.diff(sl) > 0):
             raise InputError("slopes must be nonnegative and non-increasing")
-        object.__setattr__(self, "knots", kn)
-        object.__setattr__(self, "slopes", sl)
-        vals = np.concatenate(([0.0], np.cumsum(sl[:-1] * np.diff(kn))))
-        object.__setattr__(self, "_knot_values", vals)
+        self.knots = kn
+        self.slopes = sl
+        with np.errstate(over="ignore"):  # as in Rearrangement
+            self._knot_values = np.concatenate(([0.0], np.cumsum(sl[:-1] * np.diff(kn))))
 
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -427,12 +427,14 @@ class LorentzWeight:
         return cls(np.array([0.0, float(c)]), np.array([1.0, 0.0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported as a NumericError
 def lorentz_norm(f: MeasurableFunction, w: LorentzWeight) -> float:
     """Exact Stieltjes integral of the rearrangement against dphi.
 
     The rearrangement is a step function, so the integral collapses to
-    sum_i plateau_i * (phi(t_i) - phi(t_{i-1})).
+    sum_i plateau_i * (phi(t_i) - phi(t_{i-1})). A norm past float64's range
+    raises NumericError.
     """
     r = rearrangement(f)
     pv = w.evaluate(r.breakpoints)
-    return float(np.sum(r.plateaus * np.diff(pv)))
+    return _finite(float(np.sum(r.plateaus * np.diff(pv))), "Lorentz norm")

@@ -14,13 +14,15 @@ reproduction error at roundoff level even at k ~ 1e5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import pi
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # tolerance for |frequency| == 1 checks
 UNIT_TOL = 1e-12
@@ -63,20 +65,20 @@ def unit_powers(lam: complex, n: int) -> np.ndarray:
     return unit_powers_matrix(np.array([lam]), n)[0]
 
 
-@dataclass(frozen=True)
 class TrigTerm:
     """One term z * lam^k; `phase` is the exact phase of lam in cycles when
     known (lam = exp(2 pi i phase)), enabling drift-free evaluation."""
 
-    coefficient: complex
-    frequency: complex
-    phase: Fraction | None = None
-
-    def __post_init__(self):
-        if abs(abs(self.frequency) - 1.0) > UNIT_TOL:
+    def __init__(
+        self, coefficient: complex, frequency: complex, phase: Fraction | None = None
+    ):
+        if abs(abs(frequency) - 1.0) > UNIT_TOL:
             raise InputError("trig polynomial frequencies must be unimodular")
-        if self.phase is not None and self.phase.denominator >= MAX_PHASE_DEN:
+        if phase is not None and phase.denominator >= MAX_PHASE_DEN:
             raise InputError("exact phases need a reduced denominator below 2^31")
+        self.coefficient = coefficient
+        self.frequency = frequency
+        self.phase = phase
 
     @classmethod
     def from_phase(cls, coefficient: complex, phase: Fraction):
@@ -92,17 +94,14 @@ class TrigTerm:
         return cycles(num % den * (ks % den) % den / den)
 
 
-@dataclass(frozen=True)
 class TrigPolynomial:
     """P(k) = sum_j z_j lam_j^k with at least one term."""
 
-    terms: tuple[TrigTerm, ...]
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, terms):
+        terms = tuple(terms)
         if len(terms) == 0:
             raise InputError("trig polynomials need at least one term")
-        object.__setattr__(self, "terms", terms)
+        self.terms = terms
 
     @property
     def coefficient_bound(self) -> float:
@@ -125,7 +124,6 @@ class TrigPolynomial:
 _KINDS = ("periodic", "trig_poly", "lambda_power", "explicit")
 
 
-@dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Bounded sequence k -> beta_k with a declared bound C.
 
@@ -134,17 +132,23 @@ class WeightSequence:
     evaluation past the end is a range error).
     """
 
-    kind: str
-    bound: float
-    table: np.ndarray | None = None
-    poly: TrigPolynomial | None = None
-    lam: complex | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown weight kind {self.kind!r}")
-        if not np.isfinite(self.bound) or self.bound < 0:
+    def __init__(
+        self,
+        kind: str,
+        bound: float,
+        table: np.ndarray | None = None,
+        poly: TrigPolynomial | None = None,
+        lam: complex | None = None,
+    ):
+        if kind not in _KINDS:
+            raise InputError(f"unknown weight kind {kind!r}")
+        if not np.isfinite(bound) or bound < 0:
             raise InputError("weight bound must be finite and nonnegative")
+        self.kind = kind
+        self.bound = bound
+        self.table = table
+        self.poly = poly
+        self.lam = lam
 
     @classmethod
     def constant(cls, c: complex):
@@ -224,6 +228,8 @@ def dft_interpolant(vals) -> TrigPolynomial:
     v = np.asarray(vals, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise InputError("interpolation needs a nonempty period of values")
+    from fractions import Fraction  # not at the top: a launch cost (with decimal)
+
     p = v.size
     coeffs = np.fft.fft(v) / p
     terms = tuple(

@@ -979,7 +979,16 @@ HUGE_F = {"schema": 1, "seed": 1, "space": {"weights": [1, 1]}, "operator": SWAP
                                         "matrix_re": [[0, 1], [1, 0]]}), 2),
     ("weighted-average", _with(HUGE_F, weight={"kind": "periodic",
                                                "re": [1e308, -1e308]}), 1),
-], ids=["composition", "kernel", "periodic-weight"])
+    # f g overflows in its first term
+    ("return-times", {"schema": 1, "system": {"order": 2},
+                      "function": {"re": [1e200, 1e200]},
+                      "second_system": {"order": 3},
+                      "second_function": {"re": [1e200, 1e200, 1e200]},
+                      "probes": [[0, 0]], "checkpoints": [1, 2, 6]}, 1),
+    ("wiener-wintner", {"schema": 1, "system": {"order": 2},
+                        "function": {"re": [1e308, 1e308]}, "probes": [0],
+                        "lambda_grid": 2, "checkpoints": [1, 2, 4]}, 2),
+], ids=["composition", "kernel", "periodic-weight", "return-times", "wiener-wintner"])
 def test_overflowing_average_exits_3(tmp_path, capsys, command, cfg, at):
     path = write_cfg(tmp_path, "huge.json", cfg)
     out = tmp_path / "out"
@@ -987,6 +996,47 @@ def test_overflowing_average_exits_3(tmp_path, capsys, command, cfg, at):
     err = capsys.readouterr().err
     assert err == f"error: the average at checkpoint {at} overflows float64\n"
     assert not out.exists()
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity (RFC 8259)."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+HUGE_NORMS = {"schema": 1, "space": {"atoms": 2}, "function": {"re": [1e308, 1e308]}}
+
+
+# finite entries whose sums or norms pass float64's range exit 3 and write
+# nothing; the other JSON reports parse as RFC 8259 JSON
+@pytest.mark.parametrize("command, cfg, error", [
+    ("ds-check", {"schema": 1, "space": {"atoms": 2}, "operator": {
+        "kind": "kernel", "matrix_re": [[1e308, 1e308], [0, 0]]}},
+     "the worst row sum overflows float64"),
+    ("ds-check", {"schema": 1, "space": {"weights": [1e-10, 1]}, "operator": {
+        "kind": "kernel", "matrix_re": [[0, 0], [1e300, 0]]}},
+     "the worst column sum overflows float64"),
+    ("norms", _with(HUGE_NORMS, orlicz={"power": 2}), "the L1 norm overflows float64"),
+    ("norms", _with(HUGE_NORMS, function={"re": [1e300, 1e300]},
+                    lorentz={"knots": [0], "slopes": [1e10]}),
+     "the Lorentz norm overflows float64"),
+    ("norms", _with(HUGE_NORMS, function={"re": [1e308, 5e307]}, orlicz={"power": 2}),
+     None),
+    *[GOLDEN_CONFIGS[case] + (None,) for case in ("norms", "ds-check")],
+], ids=["row-sum", "column-sum", "l1", "lorentz", "luxemburg-near-max",
+        "golden-norms", "golden-ds-check"])
+def test_json_reports_hold_no_nan_or_infinity(tmp_path, capsys, command, cfg, error):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    code = cli.main([command, path, "--output-dir", str(out)])
+    if error is not None:
+        assert (code, capsys.readouterr().err) == (3, f"error: {error}\n")
+        assert not out.exists()
+        return
+    assert code == 0
+    for report in out.iterdir():
+        _strict_json(report.read_text())
 
 
 def test_large_character_is_reduced_exactly(tmp_path):
@@ -1219,6 +1269,21 @@ def test_public_names_resolve_once():
 
 
 # ------------------------------------------------------------ environment
+
+
+def test_launch_leaves_unused_modules_unloaded():
+    """Each command runs in its own process, so whatever `import ergosym.cli`
+    does is paid on every run. dataclasses generated and exec'd the methods
+    of each class; fractions, which loads decimal, is needed only where a
+    config gives an exact phase."""
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, ergosym.cli; "
+            "print(*sorted({'dataclasses', 'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 @pytest.mark.parametrize("preset", [

@@ -1,6 +1,5 @@
 """JSON decoding, CSV emission, and atomic file writes."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -327,7 +326,7 @@ def test_averaging_csv_majorized_column():
     T = KernelOperator(np.eye(2), AtomicMeasureSpace.uniform(2))
     f = MeasurableFunction(np.array([1.0, 2.0]), T.space)
     rep = cesaro(T, f, (1, 2), probes=(0,))
-    rep = dataclasses.replace(rep, majorized=(True, False))
+    rep.majorized = (True, False)
     lines = "".join(averaging_csv(rep, seed=0)).splitlines()
     assert lines[2].endswith("true") and lines[3].endswith("false")
 

@@ -495,6 +495,15 @@ def test_luxemburg_rejects_bad_tolerances(tol):
         luxemburg_norm(mk([3.0, 1.0, 2.0]), OrliczFunction.power(2.0), tol=tol)
 
 
+def test_luxemburg_norm_near_the_float64_maximum():
+    # the bracket grows to float64's max, not to inf, where every f would
+    # be feasible; past that max the norm overflows
+    phi = OrliczFunction.power(2.0)
+    assert luxemburg_norm(mk([1e308, 5e307]), phi) == pytest.approx(1.25**0.5 * 1e308)
+    with pytest.raises(NumericError, match="the Luxemburg norm overflows float64"):
+        luxemburg_norm(mk([1.5e308, 1.5e308]), phi)
+
+
 def test_luxemburg_zero_function():
     assert luxemburg_norm(mk([0.0, 0.0]), OrliczFunction.power(2.0)) == 0.0
 

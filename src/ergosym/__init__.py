@@ -73,7 +73,6 @@ from .weights import (
     besicovitch_deviation,
     dft_interpolant,
     unit_powers_matrix,
-    validate_bound,
 )
 
 __version__ = "0.1.0"
@@ -129,7 +128,6 @@ __all__ = [
     "rotation_q",
     "signed_shift_operator",
     "unit_powers_matrix",
-    "validate_bound",
     "verify_certificate",
     "weighted",
     "wiener_wintner_sweep",

@@ -20,8 +20,8 @@ checkpoints by one of three lanes:
 Each checkpoint's average is reduced to its report row (probe values,
 norms and, with `majorize`, the majorization flag) as the lane yields it,
 and is dropped unless `store_averages` keeps it: a run that keeps none
-holds a few N-vectors plus C report rows for C checkpoints. An average that
-is not finite, because a sum overflows float64, raises NumericError.
+holds a few N-vectors plus C report rows for C checkpoints. An average or
+its L1 norm that overflows float64 raises NumericError.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError, CapabilityError, InputError, NumericError
+from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
-from .spaces import MAJORIZATION_TOL, MeasurableFunction, submajorization_check
+from .spaces import MAJORIZATION_TOL, MeasurableFunction, _finite, submajorization_check
 from .weights import WeightSequence
 
 # default cap on the last checkpoint, the number of terms averaged per run
@@ -371,10 +371,12 @@ def _stream(
             l1, linf = _norms(a, w)
             l1s.append(l1)
             linfs.append(linf)
-        # a finite L1 norm has every entry finite, so a run with norms scans
-        # the average only once that norm overflows
-        if not (norms and math.isfinite(l1)) and not np.isfinite(a).all():
-            raise NumericError(f"the average at checkpoint {n} overflows float64")
+        # a finite L1 norm has finite moduli, so a finite Linf norm and
+        # average: a run with norms scans the average only once it overflows
+        if not (norms and math.isfinite(l1)):
+            _finite(a, f"average at checkpoint {n}")
+            if norms:
+                _finite(l1, f"L1 norm of the average at checkpoint {n}")
         if store_averages:
             avgs.append(MeasurableFunction(a, T.space))
         mags = moduli(a) if majorize else None
@@ -450,7 +452,7 @@ def majorization_trace(
     report: AveragingReport, f: MeasurableFunction, tol: float = MAJORIZATION_TOL
 ) -> tuple[bool, ...]:
     """Per-checkpoint flags: a_n (normalized by M for weighted runs) is
-    submajorized by f. Requires a full-mode report."""
+    submajorized by f within tol * max(1, int f*). Needs a full-mode report."""
     if report.averages is None:
         raise CapabilityError(
             "majorization trace needs retained averages; rerun in full mode"

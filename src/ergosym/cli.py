@@ -48,7 +48,7 @@ from .spaces import (
     norm,
     rearrangement,
 )
-from .weights import WeightSequence, validate_bound
+from .weights import WeightSequence
 
 # config command -> (key under "outputs", default output file name)
 _OUTPUTS = {
@@ -191,18 +191,17 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
         plan["full"] = attempt(None, formats.mode_from_json, cfg.get("mode", "full"))
 
     if command == "weighted-average":
-        w = plan["weight"] = need("weight", formats.weight_from_json)
-        if w is not None and not validate_bound(
-            w, w.table.size if w.kind == "explicit" else 64
-        ):
-            diags.append("weight: materialized values exceed the declared bound")
+        plan["weight"] = need("weight", formats.weight_from_json)
 
     if command in ("average", "weighted-average", "wiener-wintner", "return-times"):
-        plan["checkpoints"] = need("checkpoints", formats.checkpoints_from_json)
+        cps = plan["checkpoints"] = need("checkpoints", formats.checkpoints_from_json)
         plan["budget"] = attempt(
             "max_iterations", formats.value,
             cfg.get("max_iterations", averaging.DEFAULT_BUDGET), "positive",
         )
+        w = plan.get("weight")
+        if w is not None and w.kind == "explicit" and cps is not None:
+            attempt("weight", w.values, cps[-1])
 
     if command == "wiener-wintner":
         plan["lambda_grid"] = need("lambda_grid", formats.value, "positive")

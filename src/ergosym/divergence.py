@@ -27,11 +27,11 @@ import numpy as np
 from .averaging import cesaro
 from .errors import BudgetError, ConsistencyError, InputError, WindowError
 from .operators import signed_shift_operator
-from .spaces import MeasurableFunction, Rearrangement
+from .spaces import MeasurableFunction, Rearrangement, _finite, _slack
 
 # strict inequalities must clear their threshold by more than this
 STRICT_TOL = 1e-12
-# allowed disagreement between the streamed and direct pipelines
+# allowed streamed/direct disagreement, times max(1, the profile's sup)
 CROSS_TOL = 1e-9
 # greedy search cap on candidate breakpoints
 DEFAULT_MAX_CANDIDATE = 200_000
@@ -98,13 +98,15 @@ def _running_totals(rearr: Rearrangement, ts, sign_of, k, stop, total):
     sign_of maps an array of terms to signs that broadcast against
     (len(ks), len(ts)). The cumulative sum adds one term at a time in
     order, so every row equals the running total of a term-by-term loop.
+    A row past float64's range reads inf; callers check the rows they read.
     """
     step = max(1, min(BLOCK, BLOCK_CELLS // max(ts.size, 1)))
     for k0 in range(k, stop, step):
         ks = np.arange(k0, min(k0 + step, stop))
         rows = sign_of(ks) * rearr.values_at(ts + ks[:, None])
-        rows[0] += total
-        np.cumsum(rows, axis=0, out=rows)
+        with np.errstate(over="ignore"):
+            rows[0] += total
+            np.cumsum(rows, axis=0, out=rows)
         total = rows[-1]
         yield ks, rows
 
@@ -114,7 +116,8 @@ def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
 
     sign_k = (-1)^(number of breakpoints <= k). This is the closed-form
     reference pipeline; the operator stream must reproduce it. The terms
-    are summed in blocks of consecutive k by `_running_totals`.
+    are summed in blocks of consecutive k by `_running_totals`; an average
+    that overflows float64 raises NumericError.
     """
     bps = np.sort(np.array([int(b) for b in breakpoints], dtype=np.int64))
     ts = np.asarray(ts, dtype=float)
@@ -133,7 +136,7 @@ def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
     for ks, sums in _running_totals(rearr, ts, signs, 0, ns[-1], np.zeros(ts.size)):
         hit = (wanted > ks[0]) & (wanted <= ks[-1] + 1)
         out[hit] = sums[wanted[hit] - 1 - ks[0]] / wanted[hit][:, None]
-    return out
+    return _finite(out, "direct average")
 
 
 def construct_certificate(
@@ -151,7 +154,8 @@ def construct_certificate(
     or a_n > 1/2 + margin (j odd); strict crossings must clear the
     threshold by more than 1e-12. The probe grid is the cell midpoints in
     (eps, 1). Running past the profile's window raises WindowError; a
-    search beyond max_candidate raises BudgetError.
+    search beyond max_candidate raises BudgetError, and a running sum that
+    overflows float64 NumericError.
     """
     if stages < 1:
         raise InputError("need at least one stage")
@@ -186,7 +190,7 @@ def construct_certificate(
             if crossed.any():
                 r = int(np.argmax(crossed))
                 n = int(ks[r]) + 1
-                total = sums[r]
+                total = _finite(sums[r], f"running sum at n = {n}")
                 worst = float(worsts[r])  # of sign * a_n
                 break
         else:  # the walk reached `limit`, the stage's first refused term
@@ -216,9 +220,11 @@ def verify_certificate(
     Rebuilds the signed shift on the certificate's grid, streams the Cesaro
     averages of the sampled profile, and checks every stage inequality at
     every probe. The streamed values are cross-checked against
-    direct_averages; a deviation beyond tol raises ConsistencyError.
-    Returns the verdict with the worst margin per stage (relative to the
-    base thresholds 1 and 1/2).
+    direct_averages; a deviation beyond tol * max(1, mu(0)), relative to the
+    profile's sup, which bounds every average, raises ConsistencyError, and
+    a window short by more than 1e-9 * max(1, window) WindowError. Returns
+    the verdict with the worst margin per stage (relative to the base
+    thresholds 1 and 1/2).
     """
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("cross-check tolerance must be finite and >= 0")
@@ -226,7 +232,7 @@ def verify_certificate(
     if not bps or bps[0] != 1 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
         raise InputError("certificate breakpoints must start at 1 and increase")
     window = bps[-1]
-    if rearr.support_measure + 1e-9 < window:
+    if rearr.support_measure + _slack(1e-9, window) < window:
         raise WindowError(
             f"profile window {rearr.support_measure} shorter than the last "
             f"breakpoint {window}"
@@ -242,7 +248,7 @@ def verify_certificate(
     streamed = report.probe_values.real
     direct = direct_averages(rearr, bps, ts, bps)
     max_dev = float(np.max(np.abs(report.probe_values - direct)))
-    if max_dev > tol:
+    if max_dev > _slack(tol, float(rearr.values_at(0.0))):
         raise ConsistencyError(
             f"streamed averages deviate from the direct formula by {max_dev}"
         )

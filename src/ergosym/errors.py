@@ -3,10 +3,10 @@
 The CLI maps these onto exit statuses: InputError and its subclasses
 (including WindowError and CapabilityError) exit 2, as does an OSError
 while writing outputs, which it reports as an InputError; BudgetError,
-NumericError (among them any result that overflows float64: an average, a
-contraction sum or a norm), Python's MemoryError and numpy's oversize-array
-ValueError exit 3, ConsistencyError exits 4. The package raises no warnings
-of its own.
+NumericError (among them any result that overflows float64: an average or
+its L1 norm, a contraction sum, a norm or a running sum of the divergence
+search), Python's MemoryError and numpy's oversize-array ValueError exit 3,
+ConsistencyError exits 4. The package raises no warnings of its own.
 """
 
 
@@ -31,7 +31,7 @@ class BudgetError(ErgosymError):
 
 
 class NumericError(ErgosymError):
-    """A numeric procedure failed to converge (pathological input)."""
+    """A result overflows float64, or a procedure fails to converge."""
 
 
 class ConsistencyError(ErgosymError):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite
+from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite, _slack
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
@@ -28,7 +28,7 @@ def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None
     if np.bincount(pm, minlength=space.n_atoms).max() > 1:
         raise InputError("measure-preserving map must be a bijection")
     w = space.weights
-    if np.max(np.abs(w[pm] - w)) > 1e-12 * max(1.0, float(np.max(w))):
+    if np.max(np.abs(w[pm] - w)) > _slack(1e-12, float(np.max(w))):
         raise InputError("measure-preserving map must match weights")
 
 

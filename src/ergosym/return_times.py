@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .averaging import DEFAULT_BUDGET, _horizon
-from .errors import InputError, NumericError
+from .errors import InputError
 from .operators import _check_measure_preserving, _index_array
-from .spaces import AtomicMeasureSpace, MeasurableFunction
+from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite
 from .weights import cycles
 
 if TYPE_CHECKING:
@@ -121,15 +121,6 @@ def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     return sums
 
 
-def _check_finite(averages: np.ndarray, cps) -> None:
-    """NumericError at the first checkpoint, along the last axis, with an
-    average that is not finite: a sum overflowed float64."""
-    finite = np.isfinite(averages).reshape(-1, len(cps)).all(axis=0)
-    if not finite.all():
-        n = cps[int(np.argmin(finite))]
-        raise NumericError(f"the average at checkpoint {n} overflows float64")
-
-
 class ProductAverageReport(NamedTuple):
     """Product averages per checkpoint (rows) and probe pair (columns)."""
 
@@ -187,7 +178,8 @@ def product_average(
 
         sums = _fold_periodic((fc, gc), lcm(fc.size, gc.size), cps, running_sum)
         out[:, col] = sums / ns
-    _check_finite(out.T, cps)
+    for n, row in zip(cps, out):
+        _finite(row, f"average at checkpoint {n}")
     return ProductAverageReport(cps, pairs, out)
 
 
@@ -270,7 +262,8 @@ def wiener_wintner_sweep(
         sums = _fold_periodic((fc,), lcm(fc.size, g), cps, residue_sums)
         # unnormalised inverse DFT: sum_r S_r exp(2 pi i j r / G)
         avgs[:, p, :] = np.fft.ifft(sums, axis=1, norm="forward").T / ns
-    _check_finite(avgs, cps)
+    for n, plane in zip(cps, np.moveaxis(avgs, -1, 0)):
+        _finite(plane, f"average at checkpoint {n}")
     return SweepResult(lams, probes, cps, avgs)
 
 

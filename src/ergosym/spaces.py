@@ -19,7 +19,6 @@ f*'s integrals at its own boundaries.
 
 from __future__ import annotations
 
-import math
 import sys
 from functools import partial
 from typing import Callable, NamedTuple
@@ -175,7 +174,8 @@ class Rearrangement:
             return np.zeros_like(s)
         bp, pl, prefix = self.breakpoints, self.plateaus, self._prefix
         i = _piece(bp, s, pl.size)
-        inside = prefix[i] + pl[i] * (s - bp[i])
+        with np.errstate(over="ignore"):  # as in __init__
+            inside = prefix[i] + pl[i] * (s - bp[i])
         return np.where(s >= bp[-1], prefix[-1], inside)
 
 
@@ -208,11 +208,25 @@ class MajorizationResult(NamedTuple):
         return self.ok
 
 
+def _slack(tol: float, scale: float) -> float:
+    """tol * max(1, scale): absolute up to scale 1, relative beyond; a scale
+    that overflowed counts as float64's max, so the slack stays finite."""
+    return tol * max(1.0, min(scale, _FLOAT_MAX))
+
+
+def _finite(value, what: str):
+    """value, a number or an array, or NumericError when an entry is not
+    finite because a sum behind it overflowed float64."""
+    if not np.isfinite(value).all():
+        raise NumericError(f"the {what} overflows float64")
+    return value
+
+
 def _check_comparable(a: AtomicMeasureSpace, b: AtomicMeasureSpace) -> None:
     if a.truncated and b.truncated:
         return
-    scale = max(1.0, a.total_measure, b.total_measure)
-    if abs(a.total_measure - b.total_measure) > 1e-9 * scale:
+    scale = max(a.total_measure, b.total_measure)
+    if abs(a.total_measure - b.total_measure) > _slack(1e-9, scale):
         raise InputError(
             "majorization needs equal total measure or two truncated windows"
         )
@@ -221,8 +235,8 @@ def _check_comparable(a: AtomicMeasureSpace, b: AtomicMeasureSpace) -> None:
 def majorizes(
     f: MeasurableFunction, g: MeasurableFunction, tol: float = MAJORIZATION_TOL
 ) -> MajorizationResult:
-    """Check that g is submajorized by f: the partial integral of the
-    rearrangement of g stays below that of f, within tol, on all of (0, inf).
+    """Check that g is submajorized by f: the partial integral of g* stays
+    below that of f* on all of (0, inf), within tol * max(1, int f*).
 
     It is checked at g's atom boundaries s_i, the cumulative weights of its
     atoms in order of decreasing modulus. On [s_(i-1), s_i] the integral of
@@ -237,22 +251,24 @@ def submajorization_check(
 ) -> Callable[[np.ndarray], MajorizationResult]:
     """The comparison `majorizes` makes, as a function of the moduli |g| of
     a g on `space`: a caller comparing many g against one f checks the
-    spaces and rearranges f once."""
+    spaces, rearranges f and scales tol by the whole integral of f* once."""
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("majorization tolerance must be finite and >= 0")
     _check_comparable(f.space, space)
     rf, w = rearrangement(f), space.weights
+    slack = _slack(tol, rf._prefix[-1])
     if w.min() == w.max():
         # every order of g's atoms puts its boundaries at cumsum(w)
-        return partial(_submajorized_at_atoms, None, w, rf.integrals(np.cumsum(w)), tol)
-    return partial(_submajorized_at_atoms, rf, w, None, tol)
+        return partial(_submajorized_at_atoms, None, w, rf.integrals(np.cumsum(w)), slack)
+    return partial(_submajorized_at_atoms, rf, w, None, slack)
 
 
-def _submajorized_at_atoms(rf, weights, int_f, tol, mags) -> MajorizationResult:
-    """g against f at g's atom boundaries, for |g| = mags; its temporaries
-    die on return. Either f* = rf, and the boundaries follow the order of
-    decreasing |g|, or weights are all equal and int_f holds int f* at
-    them."""
+@np.errstate(over="ignore")  # an integral past float64's range reads as inf
+def _submajorized_at_atoms(rf, weights, int_f, slack, mags) -> MajorizationResult:
+    """g against f at g's atom boundaries, for |g| = mags, allowing int g*
+    to pass int f* by `slack`; its temporaries die on return. Either f* = rf,
+    and the boundaries follow the order of decreasing |g|, or weights are
+    all equal and int_f holds int f* at them."""
     if int_f is None:
         order = np.argsort(mags)[::-1]
         w, desc = weights[order], mags[order]
@@ -260,19 +276,12 @@ def _submajorized_at_atoms(rf, weights, int_f, tol, mags) -> MajorizationResult:
     else:  # only sorted values are read, so ties and the sort do not matter
         w, desc = weights, np.sort(mags)[::-1]
     int_g = np.cumsum(w * desc)
-    bad = np.flatnonzero(int_g > int_f + tol)
+    bad = np.flatnonzero(int_g > int_f + slack)
     if bad.size == 0:
         return MajorizationResult(True)
     i = bad[0]
     s_i = np.cumsum(w[: i + 1])[-1]  # cumsum adds in order: the bits of s[i]
     return MajorizationResult(False, float(s_i), float(int_f[i]), float(int_g[i]))
-
-
-def _finite(value: float, what: str) -> float:
-    """value, or NumericError when a sum behind it overflowed float64."""
-    if not math.isfinite(value):
-        raise NumericError(f"the {what} overflows float64")
-    return value
 
 
 @np.errstate(over="ignore")  # an overflow is reported as a NumericError
@@ -339,9 +348,10 @@ def luxemburg_norm(
 
     Bisection on a over a bracket grown geometrically until the modular
     straddles 1; returns the feasible endpoint once the bracket width is
-    below tol. The zero function has norm 0. Bracket growth that fails to
-    straddle 1 within 200 steps raises NumericError (pathological phi), and
-    so does a norm past float64's range.
+    below tol * min(1, hi), so tol is relative for a norm below 1. The zero
+    function has norm 0. Bracket growth that fails to straddle 1 within 200
+    steps raises NumericError (pathological phi), and so does a norm past
+    float64's range.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise InputError("tol must be positive and finite")
@@ -372,7 +382,7 @@ def luxemburg_norm(
         lo /= 2.0
     else:
         raise NumericError("modular stayed below 1 while shrinking the bracket")
-    while hi - lo > tol:
+    while hi - lo > tol * min(1.0, hi):  # relative below a norm of 1
         # halved before the sum where lo + hi would overflow
         mid = 0.5 * lo + 0.5 * hi if hi > _FLOAT_MAX / 2 else 0.5 * (lo + hi)
         if mid == lo or mid == hi:

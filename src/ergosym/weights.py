@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
+from .spaces import _slack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -103,11 +104,6 @@ class TrigPolynomial:
             raise InputError("trig polynomials need at least one term")
         self.terms = terms
 
-    @property
-    def coefficient_bound(self) -> float:
-        """Triangle-inequality bound sum_j |z_j| on |P(k)|."""
-        return float(sum(abs(t.coefficient) for t in self.terms))
-
     def values(self, n: int) -> np.ndarray:
         """P(k) for k < n; an exact phase num/den repeats with period den, so
         only min(n, den) residues are evaluated: memory is O(n) for any den."""
@@ -125,7 +121,7 @@ _KINDS = ("periodic", "trig_poly", "lambda_power", "explicit")
 
 
 class WeightSequence:
-    """Bounded sequence k -> beta_k with a declared bound C.
+    """Bounded sequence k -> beta_k.
 
     Kinds: periodic (repeating list; `constant` builds period 1), trig_poly,
     lambda_power (beta_k = lam^k, |lam| = 1), explicit (finite list;
@@ -135,17 +131,13 @@ class WeightSequence:
     def __init__(
         self,
         kind: str,
-        bound: float,
         table: np.ndarray | None = None,
         poly: TrigPolynomial | None = None,
         lam: complex | None = None,
     ):
         if kind not in _KINDS:
             raise InputError(f"unknown weight kind {kind!r}")
-        if not np.isfinite(bound) or bound < 0:
-            raise InputError("weight bound must be finite and nonnegative")
         self.kind = kind
-        self.bound = bound
         self.table = table
         self.poly = poly
         self.lam = lam
@@ -153,35 +145,38 @@ class WeightSequence:
     @classmethod
     def constant(cls, c: complex):
         """beta_k = c, a periodic sequence of period 1."""
-        return cls("periodic", abs(c), table=np.array([c], dtype=complex))
+        return cls("periodic", table=np.array([c], dtype=complex))
 
     @classmethod
     def periodic(cls, vals):
         v = np.asarray(vals, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise InputError("periodic weights need a nonempty value list")
-        return cls("periodic", float(np.max(np.abs(v))), table=v)
+        return cls("periodic", table=v)
 
     @classmethod
     def trig_poly(cls, poly: TrigPolynomial):
-        return cls("trig_poly", poly.coefficient_bound, poly=poly)
+        return cls("trig_poly", poly=poly)
 
     @classmethod
     def lambda_power(cls, lam: complex):
         if abs(abs(lam) - 1.0) > UNIT_TOL:
             raise InputError("lambda_power weights need |lambda| = 1")
-        return cls("lambda_power", 1.0, lam=complex(lam))
+        return cls("lambda_power", lam=complex(lam))
 
     @classmethod
     def explicit(cls, vals, bound: float | None = None):
-        """Finite list with a declared bound. A declared bound smaller than
-        the actual sup is accepted here and flagged by validate_bound."""
+        """Finite list, with an optional declared bound C: every |beta_k|
+        must stay within C + 1e-12 * max(1, C)."""
         v = np.asarray(vals, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise InputError("explicit weights need a nonempty value list")
-        if bound is None:
-            bound = float(np.max(np.abs(v)))
-        return cls("explicit", float(bound), table=v)
+        if bound is not None:
+            if not 0 <= bound < np.inf:  # also rejects NaN
+                raise InputError("weight bound must be finite and nonnegative")
+            if np.max(np.abs(v)) > bound + _slack(UNIT_TOL, bound):
+                raise InputError("materialized values exceed the declared bound")
+        return cls("explicit", table=v)
 
     def values(self, n: int) -> np.ndarray:
         """Materialize beta_k for k < n."""
@@ -200,14 +195,6 @@ class WeightSequence:
                 f"{self.table.size}"
             )
         return self.table[:n].copy()
-
-
-def validate_bound(w: WeightSequence, n: int) -> bool:
-    """Check |beta_k| <= C + 1e-12 on the materialized prefix k < n."""
-    vals = w.values(n)
-    if vals.size == 0:
-        return True
-    return float(np.max(np.abs(vals))) <= w.bound + UNIT_TOL
 
 
 def besicovitch_deviation(w: WeightSequence, poly: TrigPolynomial, n: int) -> float:

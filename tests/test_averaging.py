@@ -549,23 +549,22 @@ def test_decomposition_oscillation_stability():
     dict(store_averages=True),
 ], ids=["probe-lane", "flags-only", "stored-with-norms"])
 def test_overflowing_average_raises_numeric_error(kw):
-    sp = unit_space(2)
+    # atoms of weight 1/2 keep the L1 norm of a_1 = f finite (1e308), so
+    # the first value past float64's range is the sum f + Tf behind a_2
+    sp = AtomicMeasureSpace(np.full(2, 0.5))
     T = CompositionOperator(np.array([1, 0]), np.ones(2), sp)
     f = MeasurableFunction(np.full(2, 1e308), sp)
-    with pytest.raises(NumericError, match="checkpoint 2 overflows"):
+    with pytest.raises(NumericError, match="the average at checkpoint 2 overflows"):
         cesaro(T, f, (1, 2, 4), probes=(0,), **kw)
 
 
 def test_finite_average_with_an_overflowing_l1_norm_is_reported():
-    # a_1 = f: each entry is 1e308 and the L1 norm 2e308 is inf, so the
-    # entries are scanned, found finite, and the row is reported
+    # a_1 = f: each entry is 1e308 but the L1 norm 2e308 is inf, and a
+    # report holds no inf
     sp = unit_space(2)
     f = MeasurableFunction(np.full(2, 1e308), sp)
-    rep = cesaro(KernelOperator(np.eye(2), sp), f, (1,), probes=(0,), majorize=True)
-    assert rep.l1_norms.tolist() == [np.inf]
-    assert rep.linf_norms.tolist() == [1e308]
-    assert rep.probe_values.tolist() == [[1e308]]
-    assert rep.majorized == (True,)
+    with pytest.raises(NumericError, match="the L1 norm of the average at checkpoint 1"):
+        cesaro(KernelOperator(np.eye(2), sp), f, (1,), probes=(0,), majorize=True)
 
 
 # --------------------------------------------------------- majorization trace

@@ -968,8 +968,9 @@ def test_horizon_past_the_budget_exits_3(tmp_path, capsys, command, cfg):
 
 # finite inputs whose averages overflow float64, failing at checkpoint `at`.
 # The suite turns numpy's RuntimeWarnings into errors, so the run raises none.
+# Atoms of weight 1/2 keep the L1 norm of a_1 = f finite.
 SWAP = {"kind": "composition", "map": [1, 0]}
-HUGE_F = {"schema": 1, "seed": 1, "space": {"weights": [1, 1]}, "operator": SWAP,
+HUGE_F = {"schema": 1, "seed": 1, "space": {"weights": [0.5, 0.5]}, "operator": SWAP,
           "function": {"re": [1e308, 1e308]}, "checkpoints": [1, 2, 4]}
 
 

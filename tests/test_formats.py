@@ -209,8 +209,10 @@ def test_weight_from_json_kinds():
     assert p.values(6)[5] == -1.0
     c = weight_from_json({"kind": "constant", "re": 2.0})
     assert c.values(11)[10] == 2.0
-    e = weight_from_json({"kind": "explicit", "re": [0.5, 2.0], "bound": 1.0})
-    assert e.values(2)[1] == 2.0 and e.bound == 1.0
+    e = weight_from_json({"kind": "explicit", "re": [0.5, 2.0], "bound": 2.0})
+    assert e.values(2)[1] == 2.0
+    with pytest.raises(InputError, match="exceed the declared bound"):
+        weight_from_json({"kind": "explicit", "re": [0.5, 2.0], "bound": 1.0})
 
 
 def test_weight_from_json_trig_poly_exact_phase():

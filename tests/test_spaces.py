@@ -19,7 +19,7 @@ from ergosym import (
     norm,
     rearrangement,
 )
-from ergosym.spaces import MAJORIZATION_TOL, submajorization_check
+from ergosym.spaces import MAJORIZATION_TOL, _slack, submajorization_check
 from oracles import (
     distribution_function,
     mu_oracle,
@@ -376,7 +376,10 @@ def test_submajorization_check_keeps_the_argsort_rule_bits(data):
     f = MeasurableFunction(fv, AtomicMeasureSpace(w))
     got = submajorization_check(f, f.space, tol)(mags)
     got = (got.ok, got.witness_s, got.integral_f, got.integral_g)
-    want = submajorized_at_atoms_reference(rearrangement(f), w, tol, mags)
+    rf = rearrangement(f)
+    # the library's slack: tol scaled by the whole integral of f*
+    slack = _slack(tol, rf.integrals([rf.support_measure])[0])
+    want = submajorized_at_atoms_reference(rf, w, slack, mags)
     assert _fields(got) == _fields(want)
 
 
@@ -487,6 +490,16 @@ def test_luxemburg_square_closed_form():
     phi = OrliczFunction.power(2.0)
     # modular 4/a^2 = 1 at a = 2
     assert luxemburg_norm(f, phi, tol=1e-12) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_luxemburg_norm_is_accurate_below_one():
+    # the bracket stops at a width of tol * min(1, hi): relative for a norm
+    # below 1, so a small f keeps the digits of a large one
+    phi = OrliczFunction.power(2.0)
+    for k in range(-300, 1):
+        c = 10.0**k
+        got = luxemburg_norm(mk([c, c]), phi)
+        assert got == pytest.approx(2**0.5 * c, rel=1e-9), c
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])

@@ -15,7 +15,6 @@ from ergosym import (
     besicovitch_deviation,
     dft_interpolant,
     unit_powers_matrix,
-    validate_bound,
 )
 from ergosym.weights import RENORM_EVERY, unit_powers
 
@@ -267,20 +266,17 @@ def test_exact_phase_denominator_bound():
 # -------------------------------------------------------------------- bounds
 
 
-def test_validate_bound_lambda_power():
-    w = WeightSequence.lambda_power(np.exp(1.3j))
-    assert w.bound == 1.0
-    assert validate_bound(w, 10_000)
+def test_lambda_power_values_stay_unimodular():
+    vals = WeightSequence.lambda_power(np.exp(1.3j)).values(10_000)
+    assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
-def test_validate_bound_explicit_violation():
-    w = WeightSequence.explicit(np.array([0.5, 2.0]), bound=1.0)
-    assert not validate_bound(w, 2)
-    assert validate_bound(w, 1)  # the first entry alone is fine
+def test_explicit_weight_checks_its_declared_bound():
+    with pytest.raises(InputError, match="exceed the declared bound"):
+        WeightSequence.explicit(np.array([0.5, 2.0]), bound=1.0)
+    w = WeightSequence.explicit(np.array([0.5, 2.0]), bound=2.0)
+    assert w.values(2)[1] == 2.0
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            WeightSequence.explicit(np.array([0.5]), bound=bad)
 
-
-def test_validate_bound_trig_poly_triangle():
-    p = dft_interpolant(np.array([1.0, -0.5, 0.25]))
-    w = WeightSequence.trig_poly(p)
-    assert w.bound == pytest.approx(p.coefficient_bound)
-    assert validate_bound(w, 5000)

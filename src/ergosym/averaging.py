@@ -5,10 +5,12 @@ checkpoints by one of three lanes:
 
 - A composition (Tf)_i = m_i f[s(i)] is lifted. T^a is again a composition
   (s^a, m_a), with s^(2a) = s^a[s^a] and m_(2a) = m_a m_a[s^a], and sums
-  split exactly: S_(a+b) = S_a + (beta shifted by a) T^a S_b. Each
-  checkpoint's sum extends the previous one through the binary digits of
-  the gap, so a run costs O(N log n) for N atoms instead of O(N n), and only
-  the current power of T is held. Periodic weights are read without an
+  split exactly: S_(a+b) = S_a + (beta shifted by a) T^a S_b. The lane holds
+  T^c with the sum S_c, so a gap equal to c doubles both, with one
+  composition and one shifted sum: a geometric checkpoint list costs
+  O(N log n) for N atoms and horizon n, instead of O(N n). Any other gap d
+  extends the sum through the binary digits of d, in O(N log d). Only the
+  current power of T is held, and periodic weights are read without an
   n-long table.
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
@@ -256,61 +258,89 @@ def _lifted_weights(beta, cps):
     ]
 
 
-def _lifted_sums(T, f, beta, terms, cps):
-    """Running sums S_n at each checkpoint n for a composition T, extended
-    from one checkpoint to the next by `_segment`: O(N log gap) work each.
+def _combined(terms, sums):
+    """sum_j z_j S_j; for a single term with z = 1, its sum itself."""
+    if len(sums) == 1 and terms[0][0] == 1:
+        return sums[0]
+    total = np.zeros_like(sums[0])
+    for (z, _), S in zip(terms, sums):
+        total += z * S
+    return total
 
-    Geometric weights (Cesaro, lambda_power, trig_poly) split exactly as
-    S_(c+d) = S_c + sum_j z_j lam_j^c R_j(T^c f, d). Periodic weights of
-    period p lift U = T^p: from a multiple c of p, the q = d // p whole
-    periods add sum_{r<p} b_r T^r V with V = sum_{q'<q} U^q' T^c f. The
-    steps up to the next multiple of p and after the last whole period are
-    taken one application at a time, so no segment costs more than about
-    3 min(d, p) applications besides the lifting. Geometric weights run the
-    same loop with p = 1, where both runs of single steps are empty.
+
+def _lifted_sums(T, f, beta, terms, cps):
+    """Running sums at each checkpoint for a composition T.
+
+    The lane holds one sum per weight term: S_j = sum_(k<c) lam_j^k T^k f
+    for geometric weights (Cesaro, lambda_power, trig_poly), or the weighted
+    sum itself for a periodic weight. A gap equal to c doubles:
+    S_(2c) = S_c + w T^c S_c and T^(2c) = T^c T^c, with w = lam_j^c, or 1
+    for a periodic weight whose period p divides c. A geometric checkpoint
+    list thus takes one composition and one shifted sum per checkpoint,
+    O(N log n) in all.
+
+    Any other gap d extends the sums from T^c f by `_segment`, in
+    O(N log d): geometric weights as S_j(c+d) = S_j(c) + lam_j^c R_j(T^c f, d).
+    Periodic weights lift U = T^p: from a multiple c of p, the q = d // p
+    whole periods add sum_(r<p) b_r T^r V with V = sum_(q'<q) U^q' T^c f.
+    The steps up to the next multiple of p and after the last whole period
+    are taken one application at a time, so no segment costs more than
+    about 3 min(d, p) applications besides the lifting. Geometric weights
+    run the same loop with p = 1, where both runs of single steps are empty.
     """
     periodic = beta is not None and beta.kind == "periodic"
     table = beta.table if periodic else None
     p = table.size if periodic else 1
+    pows = [pw for _, pw in terms]
     op = (T.point_map, T.multiplier)
     lift = None
-    total = np.zeros(T.space.n_atoms, dtype=complex)
-    g, c = f.values, 0
+    # every sum starts at zeros, so none holds a negative zero
+    sums = [np.zeros(T.space.n_atoms, dtype=complex) for _ in terms]
+    # T^c f and the pair of T^c, each None when not at hand
+    g, pc, c = f.values, None, 0
 
     def steps(g, c, stop):
-        """Adds b_(k mod p) T^(k-c) g to total for c <= k < stop; returns
-        T^(stop-c) g."""
-        nonlocal total
+        """Adds b_(k mod p) T^(k-c) g to the periodic sum for c <= k < stop;
+        returns T^(stop-c) g."""
         for k in range(c, stop):
-            total += table[k % p] * g
+            sums[0] += table[k % p] * g
             g = T.apply_values(g)
         return g
 
     def periods(g, c, q):
-        """Adds the q whole periods from c to total; returns T^(qp) g. Their
-        block sums die here, so none outlives its checkpoint."""
-        nonlocal total
-        sums, g = _segment(lift, g, q, [pw for _, pw in terms])
+        """Adds the q whole periods from c to the sums; returns T^(qp) g.
+        Their block sums die here, so none outlives its checkpoint."""
+        blocks, g = _segment(lift, g, q, pows)
         if periodic:  # the p residue shifts of V
-            last = steps(sums[0], 0, p - 1)
-            total += table[p - 1] * last
+            last = steps(blocks[0], 0, p - 1)
+            sums[0] += table[p - 1] * last
         else:
-            for (z, pw), R in zip(terms, sums):
-                total += R if pw is None else z * pw[c] * R
+            for S, pw, R in zip(sums, pows, blocks):
+                S += R if pw is None else pw[c] * R
         return g
 
-    for n in cps:
-        aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
-        g = steps(g, c, aligned)
-        c = aligned
-        q = (n - c) // p
-        if q:
-            lift = lift or _power(op, p)
-            g = periods(g, c, q)
-            c += q * p
-        g = steps(g, c, n)  # and after the last whole period
+    for i, n in enumerate(cps):
+        if n == 2 * c and c % p == 0:
+            pc = pc or _power(op, c)
+            sums = [_shifted(pc, S, _at(pw, c), S) for S, pw in zip(sums, pows)]
+            g = None
+            if i + 1 < len(cps):
+                pc = _compose(pc, pc)
+        else:
+            if g is None:
+                g = _shifted(pc, f.values)
+            pc = None
+            aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
+            g = steps(g, c, aligned)
+            c = aligned
+            q = (n - c) // p
+            if q:
+                lift = lift or _power(op, p)
+                g = periods(g, c, q)
+                c += q * p
+            g = steps(g, c, n)  # and after the last whole period
         c = n
-        yield total
+        yield _combined(terms, sums)
 
 
 def _majorization_rule(f, space, scale, tol=MAJORIZATION_TOL):

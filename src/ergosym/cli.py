@@ -115,14 +115,41 @@ def load_config(path) -> dict:
     return cfg
 
 
+class _Looked(dict):
+    """A config that notes each top-level key looked up in it."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.looked: set = set()
+
+    def __contains__(self, key):
+        self.looked.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.looked.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.looked.add(key)
+        return super().get(key, default)
+
+
 def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
     """Decode a config for `command` in one pass.
 
     Returns the plan and no diagnostics, or None and every diagnostic the
     config raises. Which keys a command needs is decided here; every value
-    is read by a `formats` decoder. Random functions are drawn from one
-    SplitMix64(seed), in config order: `function` before `second_function`.
+    is read by a `formats` decoder, and a top-level key that the command
+    never looks up is a diagnostic of its own, after the others. A
+    `counterexample` profile config is read as a `rearrange` config. Random
+    functions are drawn from one SplitMix64(seed), in config order:
+    `function` before `second_function`.
     """
+    name = command
+    if command == "counterexample":
+        command = "rearrange"
+    cfg = _Looked(cfg)
     diags: list[str] = []
 
     def attempt(label, decode, *args):
@@ -209,6 +236,7 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
             # rotation model: the runner adds closed-form oracle columns
             plan["rotation"] = formats.rotation_from_json(cfg["function"], cfg["system"])
 
+    diags += [f"{key}: unknown key for {name}" for key in cfg if key not in cfg.looked]
     return (None, diags) if diags else (Plan(**plan), [])
 
 
@@ -354,9 +382,7 @@ def _writing(path):
 def run(args) -> int:
     plan = None
     if args.config:  # optional for counterexample
-        # a counterexample profile config is decoded like a rearrange config
-        command = "rearrange" if args.command == "counterexample" else args.command
-        plan, diags = _decode(load_config(args.config), command)
+        plan, diags = _decode(load_config(args.config), args.command)
         if diags:
             for d in diags:
                 print(f"config: {d}", file=sys.stderr)

@@ -304,6 +304,40 @@ def rotation_from_json(function_spec: dict, system_spec: dict):
     return read(function_spec, "character", "int"), read(system_spec, "step", "int", 1)
 
 
+# rows of a dense kernel converted to floats at a time
+_KERNEL_ROWS = 64
+
+
+def _n_lists_of_n_numbers(x, n: int) -> bool:
+    numbers = {int, float}
+    return isinstance(x, list) and len(x) == n and all(
+        isinstance(r, list) and len(r) == n and numbers.issuperset(map(type, r))
+        for r in x
+    )
+
+
+def _dense_rows(obj: dict, n: int) -> Iterator:
+    """(re, im) float arrays of _KERNEL_ROWS rows at a time from matrix_re
+    and matrix_im (im None when absent), so no N x N array is made.
+
+    InputError, without detail, unless each part is N lists of N finite
+    numbers: such a matrix is left to the whole-matrix reader, whose message
+    names its first problem in one order (types, shape, finiteness, the
+    shape of matrix_im, squareness) however the rows are split."""
+    parts = [obj.get("matrix_re")] + ([obj["matrix_im"]] if "matrix_im" in obj else [])
+    if not all(_n_lists_of_n_numbers(x, n) for x in parts):
+        raise InputError("not N lists of N numbers")
+    for first in range(0, n, _KERNEL_ROWS):
+        try:
+            re, *im = (np.array(x[first:first + _KERNEL_ROWS], dtype=float)
+                       for x in parts)
+        except OverflowError:  # an int past float range
+            raise InputError("not finite") from None
+        if not all(np.all(np.isfinite(a)) for a in (re, *im)):
+            raise InputError("not finite")
+        yield re, (im[0] if im else None)
+
+
 def operator_from_json(obj, space: AtomicMeasureSpace | None):
     obj = value(obj, "object")
     kind = read(obj, "kind", "string")
@@ -318,8 +352,13 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
     if kind == "kernel":
         triplets = [k for k in ("rows", "cols", "data_re", "data_im") if k in obj]
         if not triplets:
-            re, im = _parts(obj, "matrix_", kind="matrix")
-            return KernelOperator.from_parts(re, im, space)
+            try:
+                return KernelOperator.from_row_blocks(
+                    _dense_rows(obj, space.n_atoms), space
+                )
+            except InputError:  # the whole-matrix reader names the problem
+                re, im = _parts(obj, "matrix_", kind="matrix")
+                return KernelOperator.from_parts(re, im, space)
         dense = [k for k in ("matrix_re", "matrix_im") if k in obj]
         if dense:
             raise InputError(f"{dense[0]}: not allowed beside {triplets[0]}; "

@@ -59,8 +59,9 @@ class KernelOperator:
     `np.add.reduceat` over each row's entries, in a fixed order that does
     not depend on a BLAS build. Build one from a dense matrix with
     `KernelOperator(matrix, space)`, from its real and imaginary parts with
-    `KernelOperator.from_parts`, or from (row, column, value) triplets with
-    `KernelOperator.from_triplets`.
+    `KernelOperator.from_parts` (or a few rows at a time with
+    `KernelOperator.from_row_blocks`), or from (row, column, value) triplets
+    with `KernelOperator.from_triplets`.
     """
 
     def __init__(self, matrix, space: AtomicMeasureSpace):
@@ -76,13 +77,29 @@ class KernelOperator:
         array is made, and each entry has the bits of the dense sum."""
         re = np.asarray(re, dtype=float)
         _check_square(re, space)
-        nonzero = re != 0
-        if im is not None:
-            im = np.asarray(im, dtype=float)
-            nonzero |= im != 0
-        rows, cols = np.nonzero(nonzero)  # row-major, so sorted
-        data = re[rows, cols] + 1j * (0.0 if im is None else im[rows, cols])
-        return cls._from_sorted(space, rows, cols, data)
+        im = None if im is None else np.asarray(im, dtype=float)
+        return cls.from_row_blocks([(re, im)], space)
+
+    @classmethod
+    def from_row_blocks(cls, blocks, space: AtomicMeasureSpace):
+        """K from its rows in consecutive blocks (re, im), float arrays of a
+        few whole rows each (im None: 0), that together hold the N rows.
+        Each entry is formed as in `from_parts`, so the entries have the
+        same bits however the rows are split, and the rows never need to
+        exist as one N x N array."""
+        rows, cols, data, first = [], [], [], 0
+        for re, im in blocks:
+            nonzero = re != 0
+            if im is not None:
+                nonzero |= im != 0
+            r, c = np.nonzero(nonzero)  # row-major, so sorted
+            rows.append(r + first)
+            cols.append(c)
+            data.append(re[r, c] + 1j * (0.0 if im is None else im[r, c]))
+            first += re.shape[0]
+        return cls._from_sorted(
+            space, np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+        )
 
     @classmethod
     def from_triplets(cls, rows, cols, data, space: AtomicMeasureSpace):

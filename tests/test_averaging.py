@@ -320,6 +320,86 @@ def test_lifted_lane_single_atom_single_step():
         assert_matches_naive(T, f, beta, (1, 2, 5, 6))
 
 
+# a geometric list doubles at every gap after the first; the mixed list
+# doubles at 1 -> 2 -> 4 and 5 -> 10 -> 20 and walks the digits of the rest
+DOUBLING_LISTS = (geometric_checkpoints(300), (1, 2, 4, 5, 10, 20, 23))
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "constant", "period_2", "period_5",
+                                  "periodic", "lambda_power", "trig_poly"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_lifted_lane_doubling_matches_naive(kind, bijective):
+    # a periodic weight doubles only from a c that its period divides:
+    # period 2 from every c >= 2, period 5 from c = 5 and 10 in the mixed
+    # list, period 7 ("periodic") never
+    rng = np.random.default_rng(90 + bijective)
+    kinds = weight_kinds(rng)
+    for p in (2, 5):
+        kinds[f"period_{p}"] = WeightSequence.periodic(
+            rng.normal(size=p) + 1j * rng.normal(size=p))
+    beta = kinds[kind]
+    for _ in range(4):
+        n = int(rng.integers(1, 30))
+        T = random_composition(rng, n, bijective)
+        f = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), T.space)
+        for cps in DOUBLING_LISTS:
+            assert_matches_naive(T, f, beta, cps)
+
+
+def test_geometric_checkpoints_take_one_composition_each(monkeypatch):
+    # 2^62 terms on 4 atoms: from c = 1 on, T^c and the sum double at each
+    # gap, so T^2, ..., T^(2^61) are the only compositions (k(k-1)/2 = 1891
+    # for a lane that rebuilds the powers of T at every checkpoint)
+    calls = []
+    compose = averaging._compose
+    monkeypatch.setattr(averaging, "_compose",
+                        lambda a, b: calls.append(None) or compose(a, b))
+    T = cyclic(4, unit_space(4))
+    f = MeasurableFunction(np.array([1.0, 2.0, -1.0, 0.5]), T.space)
+    cps = geometric_checkpoints(2**62)
+    rep = cesaro(T, f, cps, probes=(0, 3), store_averages=False,
+                 max_iterations=2**62)
+    assert len(cps) == 63 and len(calls) <= 62
+    # T^4 = I: from n = 4 on, every average is the mean of f over the cycle,
+    # and every partial sum is exact
+    assert np.all(rep.probe_values[2:] == 0.625)
+    assert np.all(rep.l1_norms[2:] == 4 * 0.625)
+
+
+def _long_double_averages(T, f, betas, cps):
+    """Stacked-iterate averages of sum_k betas[k] T^k f in long double."""
+    m = T.multiplier.astype(np.clongdouble)
+    g = f.values.astype(np.clongdouble)
+    total, out = np.zeros_like(g), []
+    for k in range(cps[-1]):
+        total += np.clongdouble(betas[k]) * g
+        g = m * g[T.point_map]
+        if k + 1 in cps:
+            out.append(total / (k + 1))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "lambda_power"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_lifted_lane_accuracy_against_long_double(kind, bijective):
+    # the doubled sums stay within a few roundings of a long-double
+    # reference (about 2e-16 here) over 4096 terms
+    rng = np.random.default_rng(92 + bijective)
+    n_atoms, horizon = 64, 4096
+    T = random_composition(rng, n_atoms, bijective)
+    f = MeasurableFunction(rng.normal(size=n_atoms) + 1j * rng.normal(size=n_atoms),
+                           T.space)
+    cps = geometric_checkpoints(horizon)
+    if kind == "cesaro":
+        rep, betas = cesaro(T, f, cps), np.ones(horizon)
+    else:
+        beta = WeightSequence.lambda_power(np.exp(2j * np.pi * rng.uniform()))
+        rep, betas = weighted(T, f, beta, cps), beta.values(horizon)
+    want = _long_double_averages(T, f, betas, cps)
+    err = max(float(np.max(np.abs(a.values - b))) for a, b in zip(rep.averages, want))
+    assert err <= 1e-15 * max(1.0, float(np.max(np.abs(f.values))))
+
+
 def test_explicit_weights_on_compositions_match_naive():
     rng = np.random.default_rng(74)
     T = random_composition(rng, 11)

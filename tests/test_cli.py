@@ -714,9 +714,11 @@ def test_sparse_kernel_edge_cases_exit_0(tmp_path, atoms, rows, cols, data):
     cfg = {"schema": 1, "seed": 5, "space": {"atoms": atoms},
            "operator": {"kind": "kernel", "rows": rows, "cols": cols, "data_re": data},
            "function": {"re": f}, "checkpoints": cps, "probes": list(range(atoms))}
-    path = write_cfg(tmp_path, "k.json", cfg)
+    # ds-check reads only the space and the operator; any other key is unknown
+    ds_cfg = {k: cfg[k] for k in ("schema", "seed", "space", "operator")}
     out = tmp_path / "out"
-    for command in ("average", "ds-check"):
+    for command, c in (("average", cfg), ("ds-check", ds_cfg)):
+        path = write_cfg(tmp_path, f"{command}.json", c)
         assert cli.main([command, path, "--output-dir", str(out)]) == 0
     k = np.zeros((atoms, atoms))
     k[rows, cols] = data
@@ -896,6 +898,63 @@ def test_reader_names_the_key_path(tmp_path, capsys, command, cfg, line):
     err = capsys.readouterr().err
     assert any(ln.startswith(line) for ln in err.splitlines()), err
     assert "Traceback" not in err and not out.exists()
+
+
+# "probe" and "mod" misspell "probes" and "mode": read silently, the run
+# would average in full mode and report probe 0
+MISSPELT = {"schema": 1, "seed": 3, "space": {"atoms": 4},
+            "operator": {"kind": "composition", "map": [1, 2, 3, 0]},
+            "function": {"re": [1, 0, 0, 0]}, "checkpoints": [1, 2],
+            "probe": [3], "mod": "probes"}
+
+
+@pytest.mark.parametrize("argv, cfg, lines", [
+    (["average"], MISSPELT,
+     ["config: probe: unknown key for average", "config: mod: unknown key for average"]),
+    (["average"], _with(MISSPELT, function={"re": [1, 0]}),
+     ["config: function: re: expected 4 values, got 2",
+      "config: probe: unknown key for average", "config: mod: unknown key for average"]),
+    (["ds-check"], _with(MISSPELT, probe=None, mod=None),
+     [f"config: {key}: unknown key for ds-check"
+      for key in ("function", "checkpoints", "probe", "mod")]),
+    (["ds-check"], {"schema": 1, "seed": 1, "space": {"atoms": 4}, "operator": {
+        "kind": "counterexample", "breakpoints": [1], "grid": 2, "window": 2}},
+     ["config: space: unknown key for ds-check"]),
+    (["counterexample", "--stages", "2"],
+     {"schema": 1, "seed": 1, "space": {"atoms": 3}, "function": {"re": [2, 1, 1]},
+      "checkpoints": [1]},
+     ["config: checkpoints: unknown key for counterexample"]),
+], ids=["misspelt", "after-other-problems", "average-keys-for-ds-check",
+        "space-beside-counterexample-operator", "counterexample-profile"])
+def test_unknown_top_level_keys_exit_2(tmp_path, capsys, argv, cfg, lines):
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([argv[0], path, *argv[1:], "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not out.exists()
+
+
+def test_dense_kernel_config_decodes_below_one_mib():
+    # a 512-atom dense kernel as its loaded config holds it: decoding it
+    # converts a few rows at a time, never the 2 MiB N x N float array
+    n = 512
+    rng = np.random.default_rng(84)
+    k = np.zeros((n, n))
+    for c in rng.dirichlet(np.ones(4)):
+        k[np.arange(n), rng.permutation(n)] += c
+    cfg = {"schema": 1, "seed": 1, "space": {"atoms": n},
+           "operator": {"kind": "kernel", "matrix_re": k.tolist()}}
+    tracemalloc.start()
+    try:
+        plan, diags = cli._decode(cfg, "ds-check")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diags == [] and peak < 2**20
+    T = plan.operator
+    assert np.array_equal(T.entry_rows(), np.nonzero(k)[0])
+    assert np.array_equal(T.indices, np.nonzero(k)[1])
+    assert np.array_equal(T.data, k[k != 0])
 
 
 # The weighted composition of WEIGHTED as kernel triplets. A kernel's Kahan

@@ -128,9 +128,10 @@ def test_operator_from_json_kernel():
 
 def test_dense_kernel_decodes_without_an_n_by_n_complex_array():
     # a convex combination of 4 permutations on 512 atoms, as the parsed
-    # config holds it. Beyond those lists the decode keeps matrix_re as one
-    # float N x N array, one N x N mask of its nonzeros and O(nnz) for the
-    # entries; re + 1j*im over the whole matrix would take 8 N^2 bytes more.
+    # config holds it. Beyond those lists the decode holds at most two
+    # blocks of _KERNEL_ROWS rows as floats (the last one while the next is
+    # converted), their masks of nonzeros and O(nnz) for the entries; the
+    # whole matrix as floats would take 8 N^2 bytes (2 MiB).
     n = 512
     rng = np.random.default_rng(81)
     k = np.zeros((n, n))
@@ -146,7 +147,7 @@ def test_dense_kernel_decodes_without_an_n_by_n_complex_array():
         tracemalloc.stop()
     nnz = np.count_nonzero(k)
     assert T.data.size == nnz
-    assert peak <= n * n * (8 + 1) + 96 * nnz + 32 * n
+    assert peak <= 2 * formats._KERNEL_ROWS * n * (8 + 1) + 96 * nnz + 32 * n
     assert np.array_equal(dense(T), k)
 
 
@@ -167,6 +168,78 @@ def test_dense_kernel_entries_keep_the_bits_of_the_dense_sum(with_im):
     rows, cols = np.nonzero(full)
     assert np.array_equal(T.entry_rows(), rows) and np.array_equal(T.indices, cols)
     assert np.array_equal(T.data.view(np.uint64), full[rows, cols].view(np.uint64))
+
+
+def test_dense_kernel_entries_do_not_depend_on_the_row_blocks():
+    # 150 rows: two whole blocks and a short one. Ints, floats and signed
+    # zeros give the bits of the whole-matrix decode.
+    n = 150
+    rng = np.random.default_rng(83)
+    values = [0, 0.0, -0.0, 1, -2, 0.5, 1e-300, 2**60 + 1, -3.25]
+    re = [[values[i] for i in rng.integers(len(values), size=n)] for _ in range(n)]
+    im = [[values[i] for i in rng.integers(len(values), size=n)] for _ in range(n)]
+    space = AtomicMeasureSpace.uniform(n)
+    for spec in ({"matrix_re": re}, {"matrix_re": re, "matrix_im": im}):
+        T = operator_from_json({"kind": "kernel", **spec}, space)
+        whole = KernelOperator.from_parts(
+            np.array(re, dtype=float),
+            np.array(im, dtype=float) if "matrix_im" in spec else None, space)
+        assert np.array_equal(T.indptr, whole.indptr)
+        assert np.array_equal(T.indices, whole.indices)
+        assert np.array_equal(T.data.view(np.uint64), whole.data.view(np.uint64))
+
+
+def _square(n, value=0.5):
+    return [[value] * n for _ in range(n)]
+
+
+def _with_cell(rows, i, j, value):
+    rows = [list(r) for r in rows]
+    rows[i][j] = value
+    return rows
+
+
+def _with_row(rows, i, row):
+    return rows[:i] + [row] + rows[i + 1:]
+
+
+# 130 atoms: each fault sits past the first block of rows, and each case has
+# two faults, of which the message names the first in the reader's order:
+# types, shape, finiteness of matrix_re, then of matrix_im, the shape of
+# matrix_im, squareness
+N_FAULTS = 130
+DENSE_FAULTS = [
+    ({"matrix_re": _with_row(_with_cell(_square(N_FAULTS), 100, 3, "1"), 70, [0.5])},
+     "matrix_re: must be a list of lists of numbers"),
+    ({"matrix_re": _with_row(_with_cell(_square(N_FAULTS), 100, 3, math.inf), 70,
+                             [0.5])},
+     "matrix_re: must be a rectangular list of lists of numbers"),
+    ({"matrix_re": _with_cell(_square(N_FAULTS), 129, 3, math.nan),
+      "matrix_im": _with_cell(_square(N_FAULTS), 70, 3, True)},
+     "matrix_re: must hold finite numbers only"),
+    ({"matrix_re": _with_cell(_square(N_FAULTS), 120, 0, 10**400)},
+     "matrix_re: must be a rectangular list of lists of numbers"),
+    ({"matrix_re": _square(N_FAULTS + 1),
+      "matrix_im": _with_cell(_square(N_FAULTS + 1), 80, 3, None)},
+     "matrix_im: must be a list of lists of numbers"),
+    ({"matrix_re": _square(N_FAULTS),
+      "matrix_im": _with_cell(_square(N_FAULTS - 1), 80, 3, -math.inf)},
+     "matrix_im: must hold finite numbers only"),
+    ({"matrix_re": _square(N_FAULTS + 1), "matrix_im": _square(N_FAULTS)},
+     "matrix_im: expected the shape of matrix_re"),
+    ({"matrix_re": _square(N_FAULTS + 1)},
+     f"kernel must be {N_FAULTS}x{N_FAULTS} for this space"),
+    ({"matrix_re": _square(N_FAULTS)[:-1]},
+     f"kernel must be {N_FAULTS}x{N_FAULTS} for this space"),
+]
+
+
+@pytest.mark.parametrize("spec, message", DENSE_FAULTS)
+def test_dense_kernel_reports_the_first_problem_in_order(spec, message):
+    with pytest.raises(InputError) as e:
+        operator_from_json({"kind": "kernel", **spec},
+                           AtomicMeasureSpace.uniform(N_FAULTS))
+    assert str(e.value) == message
 
 
 def test_operator_from_json_composition_multiplier_keys():

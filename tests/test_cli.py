@@ -633,15 +633,15 @@ GOLDEN_DIGESTS = {
     },
     "trig-poly": {
         "averages.csv":
-            "b909f4470ffc33fba2c85cbf3bacd1650880a7801f7a33c9f1342f170bd073f1",
+            "23e4e9408d6da2eea1c680602bc363900ce562d4d81435172cad39cc7cd507f5",
     },
     "weighted-average": {
         "averages.csv":
-            "6fa92dbda148aaeb8a326f88574324026865ed688278fc68299d0bdb63a28148",
+            "90f0df73e64ab1ced21712d1fa85316019ca2a3bf6f60c99f1ce5921582d8e5c",
     },
     "weighted-average-probes": {
         "averages.csv":
-            "abb33836e6e1125f60f8dc58282ed0f301fe9d5c2c80f40606fd99000e9beb33",
+            "0ada47efffd6e357e3b2a5d03b9ef118b9aeb387179da3e5dec720c893b2badc",
     },
     "kernel-average-probes": {
         "averages.csv":

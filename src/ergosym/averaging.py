@@ -277,7 +277,8 @@ def _lifted_sums(T, f, beta, terms, cps):
     S_(2c) = S_c + w T^c S_c and T^(2c) = T^c T^c, with w = lam_j^c, or 1
     for a periodic weight whose period p divides c. A geometric checkpoint
     list thus takes one composition and one shifted sum per checkpoint,
-    O(N log n) in all.
+    O(N log n) in all. A doubling after a gap that did not double first
+    builds T^c by `_power`, in O(N log c).
 
     Any other gap d extends the sums from T^c f by `_segment`, in
     O(N log d): geometric weights as S_j(c+d) = S_j(c) + lam_j^c R_j(T^c f, d).

@@ -10,9 +10,13 @@ numeric failure (such as a result that overflows float64) or out of memory
 (also numpy's ValueError for an array too large to address), 4 internal
 consistency failure.
 
-Each config is decoded once, by `_decode`, into a `Plan` that the
-command's runner executes; `validate` is the diagnostics view of the same
-pass. Every value is read by the `formats` decoders.
+`load_config` parses a config with `formats.loads`: json's own parse, with
+each nonempty list of numbers of one type held as one int64 or float64
+array (a `formats.NumberList`), so a config's memory is that of its
+arrays, not of a Python object per number. Each config is decoded once,
+by `_decode`, into a `Plan` that the command's runner executes; `validate`
+is the diagnostics view of the same pass. Every value is read by the
+`formats` decoders.
 """
 
 from __future__ import annotations
@@ -98,18 +102,22 @@ class Plan(NamedTuple):
 
 
 def load_config(path) -> dict:
+    """The JSON config at path, each nonempty list of numbers of one type
+    held as a `formats.NumberList` (one int64 or float64 array)."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read config {path}: {e}") from e
     try:
-        cfg = json.loads(text)
+        cfg = formats.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(
             f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
     except RecursionError:
         raise InputError("config nests too deeply to parse") from None
+    except ValueError as e:  # an integer past Python's limit on digits
+        raise InputError(f"config parse error: {e}") from None
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     return cfg

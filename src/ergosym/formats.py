@@ -1,5 +1,14 @@
 """JSON decoding of experiment inputs and CSV/JSON report emission.
 
+`loads` parses a config with json's own scanner, but holds each nonempty
+list of numbers of one type (ints within int64, or floats) as a
+NumberList, one int64 or float64 array, instead of a Python object per
+number; a list of numbers is scanned a slice of text at a time, so no
+more than one slice of Python numbers exists at once. Every decoder below
+reads a NumberList as the list it came from: `value` (the one typed
+reader) and the dense-kernel row reader give the same arrays and the same
+messages for either.
+
 Each CSV emitter returns an iterator of text chunks: one per (lambda,
 probe) trace of a sweep, one per checkpoint of an averaging, product or
 traces report, and one per block of at most _CHUNK_ROWS rows of a
@@ -22,6 +31,7 @@ import sys
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +94,159 @@ _TYPES = {"flag": (bool, "true or false"), "string": (str, "a string"),
           "object": (dict, "an object"), "list": (list, "a list")}
 
 
+class NumberList:
+    """A nonempty JSON list of numbers of one type, held as one read-only
+    int64 (every element a JSON integer) or float64 (every element a float)
+    array instead of one Python object per number. Every reader takes it as
+    the list it came from, and its repr is that list's. Not a NamedTuple: a
+    tuple would read as the sequence of its fields."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self.array = array
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __repr__(self) -> str:
+        return repr(self.tolist())
+
+    def tolist(self) -> list:
+        return self.array.tolist()
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def numbers(x) -> bool:
+    """Whether x is a list of JSON numbers: a NumberList, or a list of ints
+    and floats (bools are not numbers). The one rule for the loader and
+    every array reader."""
+    return isinstance(x, NumberList) or (
+        isinstance(x, list) and _NUMBER_TYPES.issuperset(map(type, x))
+    )
+
+
+def _held(items: list):
+    """items as a NumberList when it is a nonempty list of numbers of one
+    type that int64 or float64 holds exactly, else items itself: a list
+    that mixes ints and floats, or holds an int past int64, stays a list."""
+    if items and numbers(items) and len(set(map(type, items))) == 1:
+        try:
+            return NumberList(
+                np.array(items, np.int64 if type(items[0]) is int else float)
+            )
+        except OverflowError:  # an int past int64
+            pass
+    return items
+
+
+# the longest slice of a list's text that the loader turns into Python
+# numbers at once
+_SLICE = 32768
+_FIRST_DIGITS = frozenset("-0123456789")
+# what starts a string, list, object, true, false, null or (-)Infinity
+_NOT_NUMBER = '"[{tfn'
+_NOT_INT = ".eEN"  # in a float (NaN included) only
+_ws = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once  # json's own scanner, one value at s[i]
+
+
+def loads(text: str):
+    """json.loads(text), with each list that _held would hold as a
+    NumberList held so. Malformed text raises json's own error, from
+    json.loads(text). Text nested too deeply for this parser's recursion
+    goes to json.loads too, which parses it with its lists left as lists
+    or raises RecursionError."""
+    try:
+        obj, end = _value(text, _ws(text, 0).end())
+        if _ws(text, end).end() == len(text):
+            return obj
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        pass
+    return json.loads(text)
+
+
+def _value(s: str, idx: int):
+    """(value, end) for the JSON value at s[idx]."""
+    c = s[idx:idx + 1]
+    if c == "{":
+        return json.decoder.JSONObject((s, idx + 1), True, _value, None, None)
+    if c == "[":
+        return _list(s, idx)
+    return _scan(s, idx)
+
+
+def _list(s: str, idx: int):
+    """(list or NumberList, end) for the JSON list whose "[" is s[idx]."""
+    start = _ws(s, idx + 1).end()
+    stop = s.find("]", start)
+    if stop > start and s[start] in _FIRST_DIGITS and not _has(s, start, stop,
+                                                               _NOT_NUMBER):
+        # up to its first "]" the list holds no string, list, object or
+        # literal: numbers, or text the scanner rejects
+        return _numbers(s, idx, start, stop), stop + 1
+    values, end = json.decoder.JSONArray((s, idx + 1), _value)
+    return _held(values), end
+
+
+def _has(s: str, start: int, stop: int, chars: str) -> bool:
+    """Whether s[start:stop] holds any of chars (one find each: faster than
+    a regular expression's character class)."""
+    return max(map(s.find, chars, repeat(start), repeat(stop))) >= 0
+
+
+def _dtype(s: str, start: int, stop: int, n: int):
+    """float when each of the n numbers in s[start:stop] has a point,
+    np.int64 when none has a point, an exponent or NaN, else None."""
+    if s.count(".", start, stop) == n:
+        return float
+    return None if _has(s, start, stop, _NOT_INT) else np.int64
+
+
+def _numbers(s: str, idx: int, start: int, stop: int):
+    """The list from s[idx] ("[") to s[stop] ("]") of numbers only, the
+    first at s[start], as _held holds it. A list that _dtype types is
+    scanned at most _SLICE characters at a time into one array, so one
+    slice of Python numbers exists at once; any other is left to _held."""
+    if stop - start <= _SLICE:  # one slice, scanned in place
+        values = _scan(s, idx)[0]
+        dtype = _dtype(s, start, stop, len(values))
+        if dtype is not None:
+            try:
+                return NumberList(np.fromiter(values, dtype, len(values)))
+            except OverflowError:  # an int past int64
+                pass
+        return _held(values)
+    n = s.count(",", start, stop) + 1
+    dtype = _dtype(s, start, stop, n)
+    if dtype is None:
+        return _held(_scan(s, idx)[0])
+    a = np.empty(n, dtype)
+    k, pos = 0, start
+    try:
+        while pos < stop:
+            cut = s.find(",", pos + _SLICE, stop)
+            if cut < 0:
+                cut = stop
+            piece = _scan("[" + s[pos:cut] + "]", 0)[0]
+            a[k:k + len(piece)] = piece
+            k += len(piece)
+            pos = cut + 1
+    except OverflowError:  # an int past int64
+        return _held(_scan(s, idx)[0])
+    if k != n:  # an empty slice, as between the commas of "1,,2"
+        raise ValueError("missing number")
+    return NumberList(a)
+
+
 def value(x, kind: str):
     """x checked as `kind` and converted, or InputError. Kinds: "int",
     "positive", "number", "flag", "string", "object", "list", and "array",
-    "int_array", "matrix", "int_matrix" (float64 or int64 numpy arrays)."""
+    "int_array", "matrix", "int_matrix" (float64 or int64 numpy arrays).
+    A NumberList reads as its list: the same array, or the same message."""
     if kind in ("int", "positive"):
         if isinstance(x, float) and x.is_integer():
             x = int(x)
@@ -102,16 +261,20 @@ def value(x, kind: str):
             raise InputError("must be a finite number")
         return float(x)
     if kind in _TYPES:
+        if kind == "list" and isinstance(x, NumberList):
+            x = x.tolist()
         if not isinstance(x, _TYPES[kind][0]):
             raise InputError(f"must be {_TYPES[kind][1]}")
         return x
     matrix, integral = kind.endswith("matrix"), kind.startswith("int")
     what = "lists of " * matrix + ("integers" if integral else "numbers")
     rows = x if matrix else [x]
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and set(map(type, r)) <= {int, float} for r in rows
-    ):
+    if not isinstance(rows, list) or not all(map(numbers, rows)):
         raise InputError(f"must be a list of {what}")
+    if all(isinstance(r, NumberList) for r in rows):
+        x = [r.array for r in rows] if matrix else x.array
+    elif matrix:  # a row left a list: read every row as json gives it
+        x = [r.tolist() if isinstance(r, NumberList) else r for r in rows]
     try:
         a = np.asarray(x)
         if not (integral and a.dtype.kind == "i"):
@@ -124,6 +287,8 @@ def value(x, kind: str):
         if not np.all((a == np.trunc(a)) & (np.abs(a) < 2.0**63)):
             raise InputError("must hold integers below 2^63 in magnitude")
         a = a.astype(np.int64)
+    elif integral and np.any(a == -2**63):  # as for the scalar kind
+        raise InputError("must hold integers below 2^63 in magnitude")
     return a
 
 
@@ -309,10 +474,8 @@ _KERNEL_ROWS = 64
 
 
 def _n_lists_of_n_numbers(x, n: int) -> bool:
-    numbers = {int, float}
     return isinstance(x, list) and len(x) == n and all(
-        isinstance(r, list) and len(r) == n and numbers.issuperset(map(type, r))
-        for r in x
+        numbers(r) and len(r) == n for r in x
     )
 
 
@@ -329,7 +492,8 @@ def _dense_rows(obj: dict, n: int) -> Iterator:
         raise InputError("not N lists of N numbers")
     for first in range(0, n, _KERNEL_ROWS):
         try:
-            re, *im = (np.array(x[first:first + _KERNEL_ROWS], dtype=float)
+            re, *im = (np.array([r.array if isinstance(r, NumberList) else r
+                                 for r in x[first:first + _KERNEL_ROWS]], dtype=float)
                        for x in parts)
         except OverflowError:  # an int past float range
             raise InputError("not finite") from None

@@ -20,11 +20,24 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def uniforms(self, n: int) -> np.ndarray:
-        """The next n doubles: top 53 bits of mixed state + k gamma, k = 1..n."""
-        k = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + k * np.uint64(_GAMMA)
+        """The next n doubles: top 53 bits of mixed state + k gamma, k = 1..n.
+
+        Mixed in place in one uint64 work array beside one scratch array;
+        the last step mixes into the scratch array, so that the doubles go
+        into the work array's buffer without a copy (a cast onto the array
+        it reads would make one)."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
         self.state = (self.state + n * _GAMMA) & _MASK
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return (z >> np.uint64(11)) * 2.0**-53
+        t = np.empty_like(z)
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(0x94D049BB133111EB)
+        np.right_shift(z, np.uint64(31), out=t)
+        t ^= z
+        t >>= np.uint64(11)
+        return np.multiply(t, 2.0**-53, out=z.view(np.float64))

@@ -149,6 +149,17 @@ def splitmix64_uniforms(state, n):
     return np.array(out, dtype=float), state
 
 
+def splitmix64_uniforms_blocked(state, n):
+    """The block formula that SplitMix64.uniforms used before it mixed in
+    place, kept as a reference: n doubles in [0, 1) and the next state."""
+    k = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(state) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53, (state + n * 0x9E3779B97F4A7C15) % (1 << 64)
+
+
 def submajorized_at_atoms_reference(rf, weights, tol, mags):
     """Submajorization of g by f at g's atom boundaries by the argsort rule,
     for any atom weights: order g's atoms by decreasing modulus, lay their

@@ -1,10 +1,12 @@
 """SplitMix64 block draws against the one-at-a-time reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ergosym.rng import SplitMix64
-from oracles import splitmix64_uniforms
+from oracles import splitmix64_uniforms, splitmix64_uniforms_blocked
 
 
 def test_reference_matches_published_first_output():
@@ -25,3 +27,28 @@ def test_uniforms_bitwise_equal_to_scalar_reference(seed):
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == want.tobytes()
         assert rng.state == state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 5, 2**14 + 1, 100_003, 2**17])
+def test_in_place_mixing_keeps_the_bytes_of_the_block_formula(seed, n):
+    rng = SplitMix64(seed)
+    want, state = splitmix64_uniforms_blocked(seed, n)
+    got = rng.uniforms(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert rng.state == state
+
+
+def test_uniforms_hold_two_arrays_of_n_words_at_most():
+    # a work array, a scratch array and the cast's buffer: the block
+    # formula held four arrays
+    n = 2**17
+    rng = SplitMix64(7)
+    tracemalloc.start()
+    try:
+        rng.uniforms(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + 2**17

@@ -167,7 +167,9 @@ def _kahan_sums(orbit, betas, width, cps):
 def _compose(a, b):
     """The pair of T^(x+y) from the pairs a of T^x and b of T^y."""
     (sa, ma), (sb, mb) = a, b
-    return sb[sa], ma * mb[sa]
+    m = mb[sa]
+    m *= ma  # products commute bit for bit, complex ones too
+    return sb[sa], m
 
 
 def _shifted(op, v, scale=None, plus=None):
@@ -350,7 +352,9 @@ def _majorization_rule(f, space, scale, tol=MAJORIZATION_TOL):
     rearranged once, here. The two steps are apart so that a caller can
     drop a_n before the comparison, where a run's memory peaks."""
     inv = 1.0 / (1.0 if scale is None else scale)
-    return (lambda a: np.abs(a * inv)), submajorization_check(f, space, tol)
+    # |a * 1.0| has the bits of |a|, so M = 1 needs no scaled copy of a_n
+    moduli = np.abs if inv == 1.0 else (lambda a: np.abs(a * inv))
+    return moduli, submajorization_check(f, space, tol)
 
 
 def _norms(a, weights):

@@ -451,14 +451,37 @@ def function_from_json(
         scale = read(spec, "scale", "number", 1.0)
         if kind not in ("complex", "real", "nonnegative"):
             raise InputError(f"kind: unknown {kind!r}")
-    u = rng.uniforms(2 * n)
+        if kind == "nonnegative" and scale < 0:
+            raise InputError("scale: must be >= 0 for kind 'nonnegative'")
+    return MeasurableFunction(_random_values(rng, n, kind, scale), space)
+
+
+# uniforms drawn at a time for a random function
+_DRAW_BLOCK = 1 << 14
+
+
+def _random_values(rng: SplitMix64, n: int, kind: str, scale: float) -> np.ndarray:
+    """A random function's values from 2n draws u: x = u (nonnegative) or
+    2u - 1 from the first n, and for complex 2u - 1 as the imaginary part
+    from the next n; then scale * x, a complex product for complex and a
+    real one otherwise. Drawn _DRAW_BLOCK at a time into the one complex
+    result: rng.uniforms(a) then rng.uniforms(b) gives the draws and the
+    state of rng.uniforms(a + b)."""
+    v = np.zeros(n, dtype=complex)
+    for part in (v.real, v.imag if kind == "complex" else None):
+        for lo in range(0, n, _DRAW_BLOCK):
+            u = rng.uniforms(min(_DRAW_BLOCK, n - lo))
+            if part is None:
+                continue  # drawn only to move the generator on
+            if kind != "nonnegative":
+                u *= 2
+                u -= 1
+            part[lo:lo + u.size] = u
     if kind == "complex":
-        v = (2 * u[:n] - 1) + 1j * (2 * u[n:] - 1)
-    elif kind == "real":
-        v = 2 * u[:n] - 1
+        np.multiply(scale, v, out=v)
     else:
-        v = u[:n]
-    return MeasurableFunction(scale * v, space)
+        np.multiply(scale, v.real, out=v.real)
+    return v
 
 
 def rotation_from_json(function_spec: dict, system_spec: dict):
@@ -533,7 +556,10 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
         return KernelOperator.from_triplets(rows, cols, data, space)
     if kind == "composition":
         pm = read(obj, "map", "int_array")
-        mult = _complex_array(obj, "mult_", pm.size, np.ones(pm.size))
+        re, im = _parts(obj, "mult_", pm.size, np.broadcast_to(1.0, pm.shape))
+        # a real multiplier stays float64; + 0.0 turns -0.0 into +0.0, the
+        # real part of re + 0j
+        mult = re + 0.0 if im is None else re + 1j * im
         preserving = read(obj, "measure_preserving", "flag", False)
         return CompositionOperator(pm, mult, space, preserving)
     raise InputError(f"kind: unknown {kind!r}")

@@ -24,10 +24,16 @@ DS_TOL = 1e-12
 def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None:
     """Require an in-range point map to be a bijection matching weights
     within 1e-12 (relative to the largest weight, floored at 1). A map of
-    the atom set into itself is a bijection iff no atom is hit twice."""
-    if np.bincount(pm, minlength=space.n_atoms).max() > 1:
+    the N atoms into themselves is a bijection iff it hits every atom,
+    checked in one byte per atom; on equal weights it matches them exactly,
+    so w[pm] - w is not formed."""
+    hit = np.zeros(space.n_atoms, dtype=bool)
+    hit[pm] = True
+    if not hit.all():
         raise InputError("measure-preserving map must be a bijection")
     w = space.weights
+    if w.min() == w.max():
+        return
     if np.max(np.abs(w[pm] - w)) > _slack(1e-12, float(np.max(w))):
         raise InputError("measure-preserving map must match weights")
 
@@ -166,7 +172,10 @@ class CompositionOperator:
 
     Applying T costs one gather per atom, so large windows stay cheap.
     When declared measure-preserving the point map must be a bijection
-    matching weights within 1e-12.
+    matching weights within 1e-12. A multiplier given without a complex
+    dtype is held as float64: numpy casts it to complex inside each complex
+    product, so T f has the bits of the complex multiplier with imaginary
+    part +0.0, at half the memory.
     """
 
     def __init__(
@@ -174,7 +183,8 @@ class CompositionOperator:
         measure_preserving: bool = False,
     ):
         n = space.n_atoms
-        mult = np.asarray(multiplier, dtype=complex)
+        mult = np.asarray(multiplier)
+        mult = mult.astype(complex if mult.dtype.kind == "c" else float, copy=False)
         if np.shape(point_map) != (n,) or mult.shape != (n,):
             raise InputError("point map and multiplier must have one entry per atom")
         pm = _index_array(point_map, "map", n)
@@ -321,10 +331,10 @@ def signed_shift_operator(
         )
     grid = int(grid)
     n_atoms = int(window) * grid
-    space = AtomicMeasureSpace(np.full(n_atoms, 1.0 / grid), truncated=True)
+    space = AtomicMeasureSpace.uniform(n_atoms, 1.0 / grid, truncated=True)
     cells = np.arange(n_atoms) // grid
     neg = np.isin(cells, np.asarray(bps) - 1)
-    mult = np.where(neg, -1.0, 1.0).astype(complex)
+    mult = np.where(neg, -1.0, 1.0)
     absorbed = np.arange(n_atoms) + grid >= n_atoms
     mult[absorbed] = 0.0
     pm = np.where(absorbed, np.arange(n_atoms), np.arange(n_atoms) + grid)

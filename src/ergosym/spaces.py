@@ -68,9 +68,11 @@ class AtomicMeasureSpace:
 
     @classmethod
     def uniform(cls, n: int, weight: float = 1.0, truncated: bool = False):
+        """n atoms of one weight, held as one float64 broadcast to n entries:
+        a read-only view that reads as np.full(n, weight) bit for bit."""
         if n <= 0:
             raise InputError("need at least one atom")
-        return cls(np.full(n, float(weight)), truncated)
+        return cls(np.broadcast_to(np.float64(weight), (n,)), truncated)
 
     def is_compatible(self, other: "AtomicMeasureSpace") -> bool:
         return self is other or (
@@ -183,11 +185,19 @@ def rearrangement(f: MeasurableFunction) -> Rearrangement:
     """Non-increasing rearrangement of |f| with equal magnitudes merged.
 
     Zero values contribute no plateau; the step function vanishes past the
-    measure of the support.
+    measure of the support. On equal weights w the moduli are sorted in
+    place, and a run of c equal ones is a plateau of length w + ... + w
+    (c terms, added in order), the sum bincount forms for unequal weights.
     """
-    mags = np.abs(f.values)
-    vals, inverse = np.unique(mags, return_inverse=True)
-    lengths = np.bincount(inverse, weights=f.space.weights)
+    mags, w = np.abs(f.values), f.space.weights
+    if w.min() == w.max():
+        mags.sort()
+        first = np.flatnonzero(np.concatenate(([True], mags[1:] != mags[:-1])))
+        vals, counts = mags[first], np.diff(first, append=mags.size)
+        lengths = np.cumsum(np.full(counts.max(), w[0]))[counts - 1]
+    else:
+        vals, inverse = np.unique(mags, return_inverse=True)
+        lengths = np.bincount(inverse, weights=w)
     keep = vals > 0
     vals = vals[keep][::-1]
     lengths = lengths[keep][::-1]

@@ -160,6 +160,34 @@ def splitmix64_uniforms_blocked(state, n):
     return (z >> np.uint64(11)) * 2.0**-53, (state + n * 0x9E3779B97F4A7C15) % (1 << 64)
 
 
+def random_function_reference(state, n, kind, scale):
+    """A `random` function spec's values by the one-shot formula: 2n
+    uniforms at once, 2u - 1 (or u for "nonnegative") from the first n,
+    the imaginary part 2u - 1 from the next n for "complex", then
+    scale * v, with scale a Python float. Returns (complex values, next
+    state)."""
+    u, state = splitmix64_uniforms_blocked(state, 2 * n)
+    if kind == "complex":
+        v = (2 * u[:n] - 1) + 1j * (2 * u[n:] - 1)
+    elif kind == "real":
+        v = 2 * u[:n] - 1
+    else:
+        v = u[:n]
+    return np.asarray(scale * v, dtype=complex), state
+
+
+def rearrangement_unique_reference(values, weights):
+    """A rearrangement's (breakpoints, plateaus) by np.unique: one plateau
+    per distinct nonzero modulus, its length the bincount of the weights
+    of the atoms that hold it, in decreasing order of modulus."""
+    mags = np.abs(np.asarray(values, dtype=complex))
+    vals, inverse = np.unique(mags, return_inverse=True)
+    lengths = np.bincount(inverse, weights=np.asarray(weights, dtype=float))
+    keep = vals > 0
+    vals, lengths = vals[keep][::-1], lengths[keep][::-1]
+    return np.concatenate(([0.0], np.cumsum(lengths))), vals
+
+
 def submajorized_at_atoms_reference(rf, weights, tol, mags):
     """Submajorization of g by f at g's atom boundaries by the argsort rule,
     for any atom weights: order g's atoms by decreasing modulus, lay their

@@ -269,6 +269,48 @@ def weight_kinds(rng):
     }
 
 
+def _report_bits(rep):
+    """A report's every value, each array by its bytes."""
+    arrays = (rep.probe_values, rep.l1_norms, rep.linf_norms)
+    return ([None if a is None else a.tobytes() for a in arrays],
+            None if rep.averages is None else [a.values.tobytes() for a in rep.averages],
+            rep.weight_bound, rep.majorized)
+
+
+@pytest.mark.parametrize("lane", ["lifted", "probe_orbit", "kahan"])
+@pytest.mark.parametrize("kind", ["cesaro", "periodic", "lambda_power", "trig_poly"])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_real_multiplier_gives_the_bits_of_its_complex_form(lane, kind, bijective):
+    # a float64 multiplier and the same one as complex128 with imaginary part
+    # +0.0, on f with zeros, negative zeros and real entries: numpy casts
+    # the float to complex in each complex product, and the lifted lane's
+    # sums start at +0.0, so products of real multipliers (whose complex
+    # form may carry -0.0) do not show
+    rng = np.random.default_rng(86)
+    n, cps = 48, (1, 2, 3, 4, 8, 13, 16, 32, 64, 100)
+    pm = rng.permutation(n) if bijective else rng.integers(0, n, n)
+    m = rng.choice([-1.0, 1.0, 0.5, -0.75, 0.0], n)
+    real, cplx = (CompositionOperator(pm, x, unit_space(n)) for x in (m, m + 0j))
+    assert real.multiplier.dtype == np.float64
+    assert cplx.multiplier.dtype == np.complex128
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v[::5], v.imag[::3], v.real[::7] = 0.0, 0.0, -0.0
+    beta = weight_kinds(rng)[kind]
+    if lane == "kahan":  # explicit weights take the Kahan lane
+        beta = WeightSequence.explicit(np.ones(cps[-1]) if beta is None
+                                       else beta.values(cps[-1]))
+    full = lane != "probe_orbit"
+    reports = []
+    for T in (real, cplx):
+        f = MeasurableFunction(v, T.space)
+        kw = dict(probes=(0, 7, 31), store_averages=full, norms=full, majorize=full)
+        if beta is None:
+            reports.append(cesaro(T, f, cps, **kw))
+        else:
+            reports.append(weighted(T, f, beta, cps, **kw))
+    assert _report_bits(reports[0]) == _report_bits(reports[1])
+
+
 def assert_matches_naive(T, f, beta, cps, tol=1e-12):
     step = T.apply_values
     if beta is None:

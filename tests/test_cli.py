@@ -1195,6 +1195,83 @@ def test_full_mode_memory_does_not_grow_with_checkpoints(tmp_path):
     assert peaks[41] - peaks[11] < n_atoms * 16
 
 
+def test_benchmark_shaped_weighted_run_peaks_below_7_5_mib(tmp_path):
+    # the shape of the stream benchmark's weighted-average command: a
+    # measure-preserving signed permutation of 2^16 atoms, a real random
+    # function, a lambda-power weight to 1024 in full mode. The multiplier
+    # is held as float64, the equal weights as one value, the random
+    # function is drawn a block at a time and f's rearrangement takes one
+    # sort; 8.7 MiB under tracemalloc before these.
+    n_atoms = 1 << 16
+    rng = np.random.default_rng(87)
+    cfg = {
+        "schema": 1, "seed": 21, "space": {"atoms": n_atoms},
+        "operator": {"kind": "composition", "map": rng.permutation(n_atoms).tolist(),
+                     "mult_re": rng.choice([-1.0, 1.0], n_atoms).tolist(),
+                     "measure_preserving": True},
+        "function": {"random": {"kind": "real"}},
+        "weight": {"kind": "lambda_power", "lambda_re": float(np.cos(2.0)),
+                   "lambda_im": float(np.sin(2.0))},
+        "checkpoints": {"geometric": 1024}, "probes": [5, 777, 40000], "mode": "full",
+    }
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert cli.main(["weighted-average", path, "--output-dir", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (out / "averages.csv").read_text().splitlines()[2:]
+    assert len(rows) == 11 * 3 and all(r.endswith(",true") for r in rows)
+    assert peak < 7.5 * 2**20
+
+
+# A composition whose mult_re holds -0.0, on f with signed zeros, through the
+# lifted, probe-orbit and Kahan lanes; the digests were recorded while the
+# multiplier was still held as complex (re + 1j * 0.0)
+NEGATIVE_ZERO_MULTIPLIER = {
+    "schema": 1, "seed": 5, "space": {"atoms": 6},
+    "operator": {"kind": "composition", "map": [1, 2, 3, 4, 5, 0],
+                 "mult_re": [-0.0, -1.0, 0.5, -0.0, 1.0, -0.5]},
+    "function": {"re": [1.0, -0.0, 0.0, -2.0, 0.5, 0.0],
+                 "im": [0.0, 0.0, -0.0, 1.0, 0.0, -0.0]},
+    "checkpoints": [1, 2, 3, 5, 8, 16], "probes": [0, 1, 2, 3, 4, 5],
+}
+
+
+@pytest.mark.parametrize("command, changes, digest", [
+    ("average", {},
+     "da4c7aa39886b17f97ecf8d86cf27df819cb61425b05171fa72384334b305508"),
+    ("average", {"mode": "probes"},
+     "26c7618aceb6c9da4712807d44f0e8af130f00cf2a749577d68a2eeb2a5ed96e"),
+    ("weighted-average", {"weight": {"kind": "explicit", "re": [1.0, -1.0] * 8}},
+     "7e2e1b4f82bf076055c2f315fc2f274cfb5e526e1a8f99cf478c587039f28a6c"),
+], ids=["lifted", "probe-orbit", "kahan"])
+def test_negative_zero_multiplier_keeps_its_output(tmp_path, command, changes, digest):
+    path = write_cfg(tmp_path, "cfg.json", _with(NEGATIVE_ZERO_MULTIPLIER, **changes))
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "averages.csv").read_bytes()).hexdigest() == digest
+
+
+def test_nonnegative_random_function_with_a_negative_scale_exits_2(tmp_path, capsys):
+    cfg = _with(README_AVERAGE, function={"random": {"kind": "nonnegative",
+                                                     "scale": -2.0}})
+    out = tmp_path / "out"
+    argv = ["average", write_cfg(tmp_path, "bad.json", cfg), "--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config: function: random: scale: must be >= 0 for kind 'nonnegative'\n"
+    )
+    assert not out.exists()
+    # a negative scale is fine for the other kinds, and 0 for this one
+    for kind, scale in (("complex", -2.0), ("real", -2.0), ("nonnegative", 0.0)):
+        cfg = _with(README_AVERAGE, function={"random": {"kind": kind, "scale": scale}})
+        argv[1] = write_cfg(tmp_path, "ok.json", cfg)
+        assert cli.main(argv) == 0
+
+
 def test_validate_is_empty_for_valid_configs():
     for command, cfg in GOLDEN_CONFIGS.values():
         assert cli.validate(cfg, command) == []

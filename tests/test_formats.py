@@ -52,6 +52,7 @@ from dense import dense
 from oracles import (
     averaging_csv_reference,
     product_csv_reference,
+    random_function_reference,
     rearrangement_csv_reference,
     sweep_csv_reference,
     traces_csv_reference,
@@ -100,6 +101,38 @@ def test_function_from_json_random_is_seed_deterministic():
     assert np.all(c.values.imag == 0.0) and np.max(np.abs(c.values)) <= 3.0
     d = function_from_json({"random": {"kind": "nonnegative"}}, sp, SplitMix64(7))
     assert np.all(d.values.real >= 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 2**14, 2**14 + 1, 100_003])
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, -2.0])
+@pytest.mark.parametrize("kind", ["complex", "real", "nonnegative"])
+def test_random_function_keeps_the_one_shot_bits(kind, scale, n):
+    # drawn a block at a time: the values and the generator's next state are
+    # those of all 2n draws at once
+    seed = 2**64 - 12345
+    want, state = random_function_reference(seed, n, kind, scale)
+    rng = SplitMix64(seed)
+    got = formats._random_values(rng, n, kind, scale)
+    assert got.tobytes() == want.tobytes() and rng.state == state
+    if scale >= 0 or kind != "nonnegative":
+        rng = SplitMix64(seed)
+        f = function_from_json({"random": {"kind": kind, "scale": scale}},
+                               AtomicMeasureSpace.uniform(n), rng)
+        assert f.values.tobytes() == want.tobytes() and rng.state == state
+
+
+def test_random_function_decodes_in_its_own_vector():
+    # 2^16 atoms: the complex result (1 MiB) and one block of draws; the
+    # one-shot formula held 2N draws and the complex temporaries (3.1 MiB)
+    sp = AtomicMeasureSpace.uniform(1 << 16)
+    for kind in ("complex", "real", "nonnegative"):
+        tracemalloc.start()
+        try:
+            function_from_json({"random": {"kind": kind}}, sp, SplitMix64(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 2**20, kind
 
 
 def test_function_from_json_errors():
@@ -253,6 +286,22 @@ def test_operator_from_json_composition_multiplier_keys():
     assert T.measure_preserving
     plain = operator_from_json({"kind": "composition", "map": [1, 0]}, sp)
     assert np.all(plain.multiplier == 1.0)
+
+
+def test_real_composition_multiplier_is_held_as_float64():
+    # without mult_im the multiplier stays real, and -0.0 reads as +0.0, as
+    # in re + 1j * 0.0; with mult_im it is complex
+    sp = AtomicMeasureSpace.uniform(3)
+    spec = {"kind": "composition", "map": [1, 2, 0], "mult_re": [-0.0, -1, 0.5]}
+    T = operator_from_json(spec, sp)
+    assert T.multiplier.dtype == np.float64
+    assert T.multiplier.tobytes() == np.array([0.0, -1.0, 0.5]).tobytes()
+    assert T.multiplier.tobytes() == (np.array([-0.0, -1, 0.5]) + 1j * 0.0).real.tobytes()
+    U = operator_from_json({**spec, "mult_im": [0, 0, 0]}, sp)
+    assert U.multiplier.dtype == np.complex128
+    assert U.multiplier.real.tobytes() == T.multiplier.tobytes()
+    plain = operator_from_json({"kind": "composition", "map": [1, 2, 0]}, sp)
+    assert plain.multiplier.dtype == np.float64 and np.all(plain.multiplier == 1.0)
 
 
 def test_operator_from_json_counterexample_needs_no_space():

@@ -24,6 +24,7 @@ from oracles import (
     distribution_function,
     mu_oracle,
     partial_integral_oracle,
+    rearrangement_unique_reference,
     submajorized_at_atoms_reference,
 )
 
@@ -61,6 +62,20 @@ def test_function_rejects_nonfinite_and_mismatched():
         MeasurableFunction(np.array([1.0, np.nan, 0.0]), sp)
     with pytest.raises(InputError):
         MeasurableFunction(np.array([1.0, 2.0]), sp)
+
+
+def test_uniform_weights_are_one_read_only_value():
+    sp = AtomicMeasureSpace.uniform(5, 0.1, truncated=True)
+    assert sp.weights.strides == (0,) and sp.weights.shape == (5,)
+    with pytest.raises(ValueError):
+        sp.weights[0] = 1.0
+    with pytest.raises(ValueError):
+        sp.weights *= 2.0
+    full = AtomicMeasureSpace(np.full(5, 0.1), truncated=True)
+    assert sp.is_compatible(full) and full.is_compatible(sp)
+    assert sp.total_measure == full.total_measure
+    assert not sp.is_compatible(AtomicMeasureSpace(np.full(5, 0.1)))
+    assert not sp.is_compatible(AtomicMeasureSpace.uniform(5, 0.2, truncated=True))
 
 
 def test_total_measure():
@@ -134,6 +149,34 @@ def test_equimeasurability_randomized():
             k = int(np.sum(r.plateaus > lam))
             d_mu = float(r.breakpoints[k])
             assert abs(d_f - d_mu) <= 1e-12 * max(1.0, w.sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rearrangement_keeps_the_unique_rule_bits(data):
+    # equal weights, among them ones whose run sums round (held as one value
+    # or as a full array), and unequal ones; moduli with ties (of either
+    # sign), zeros, an all-zero f and n = 1
+    n = data.draw(st.integers(1, 64), label="n")
+    kind = data.draw(st.sampled_from(["uniform", "full", "unequal"]), label="w")
+    w0 = data.draw(st.sampled_from([1.0, 0.1, 1 / 3, 7.3, 2.0**-12]), label="w0")
+    if kind == "uniform":
+        space = AtomicMeasureSpace.uniform(n, w0)
+    elif kind == "full":
+        space = AtomicMeasureSpace(np.full(n, w0))
+    else:
+        space = AtomicMeasureSpace(np.array(data.draw(st.lists(
+            st.sampled_from([0.1, 0.5, 1.0, 3.7]), min_size=n, max_size=n))))
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0)
+    v = np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
+    if data.draw(st.booleans(), label="complex"):
+        v = v + 1j * np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
+    if data.draw(st.integers(0, 9), label="zero") == 0:
+        v = np.zeros(n)
+    r = rearrangement(MeasurableFunction(v, space))
+    bp, pl = rearrangement_unique_reference(v, space.weights)
+    assert r.breakpoints.tobytes() == bp.tobytes()
+    assert r.plateaus.tobytes() == pl.tobytes()
 
 
 def test_rearrangement_scaling():

@@ -15,9 +15,13 @@ checkpoints by one of three lanes:
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
-  operator application per step into one running Kahan-compensated sum. A
-  kernel is held in CSR form, so a step costs O(nnz) for its nnz stored
-  entries rather than O(N^2), and its sums do not depend on a BLAS build.
+  operator application per step into one running Kahan-compensated sum,
+  with beta_k read as table[k % p] from a period-p table (a periodic,
+  constant or explicit weight's own). A kernel steps through its row-sum
+  plan (`operators.RowSumPlan`) in the plan's row order on fixed buffers:
+  f is permuted in once and each checkpoint's sum out once. A step costs
+  O(nnz) for its nnz stored entries rather than O(N^2), and its sums do not
+  depend on a BLAS build.
 
 Each checkpoint's average is reduced to its report row (probe values,
 norms and, with `majorize`, the majorization flag) as the lane yields it,
@@ -123,6 +127,17 @@ def _full_orbit(T, f, steps):
             g = T.apply_values(g)
 
 
+def _plan_orbit(plan, f, steps):
+    """T^k f for k < steps in the row order of T's row-sum plan, one step
+    per term into one buffer. Each yielded vector is overwritten by the
+    step that follows it."""
+    g, step = f.values[plan.order], plan.stepper()
+    for k in range(steps):
+        yield g
+        if k + 1 < steps:
+            g = step(g)
+
+
 def _probe_orbit(T, f, probes, steps):
     """(T^k f)_i at the probe atoms i for k < steps, T a composition.
 
@@ -139,16 +154,18 @@ def _probe_orbit(T, f, probes, steps):
             pos = T.point_map[pos]
 
 
-def _kahan_sums(orbit, betas, width, cps):
-    """Running sums of beta_k g_k over the orbit, yielded at each checkpoint.
-    Each yielded array is overwritten by the steps that follow it."""
+def _kahan_sums(orbit, table, width, cps):
+    """Running sums of beta_k g_k over the orbit, beta_k = table[k % p] for
+    a table of p weights (None: every beta_k = 1), yielded at each
+    checkpoint. Each yielded array is overwritten by the steps that follow
+    it."""
     # Kahan state and step buffers, updated in place; total and t swap
     total, comp, y, t = (np.zeros(width, dtype=complex) for _ in range(4))
-    term = np.empty(width, dtype=complex) if betas is not None else None
+    term = np.empty(width, dtype=complex) if table is not None else None
     ptr = 0
     for k, g in enumerate(orbit):
-        if betas is not None:
-            g = np.multiply(betas[k], g, out=term)
+        if table is not None:
+            g = np.multiply(table[k % table.size], g, out=term)
         # Kahan step: the compensation vector carries the lost low bits
         np.subtract(g, comp, out=y)
         np.add(total, y, out=t)
@@ -383,16 +400,21 @@ def _stream(
     if composition and not lane and (beta is None or beta.kind != "explicit"):
         weight_bound, terms = _lifted_weights(beta, cps)
         sums = _lifted_sums(T, f, beta, terms, cps)
-    else:  # the Kahan lanes read every weight
-        betas = weight_bound = None
+    else:  # the Kahan lanes: one application per term
+        table = weight_bound = None
         if beta is not None:
-            betas = beta.values(cps[-1])
-            weight_bound = _weight_bound(betas)
+            table = beta.cycle(cps[-1])
+            weight_bound = _weight_bound(table[: cps[-1]])
         if lane:
             orbit, width = _probe_orbit(T, f, probes, cps[-1]), len(probes)
-        else:
+        elif composition:
             orbit, width = _full_orbit(T, f, cps[-1]), n_atoms
-        sums = _kahan_sums(orbit, betas, width, cps)
+        else:  # a kernel steps in its plan's row order, its sums leave it
+            plan = T.plan()
+            orbit, width = _plan_orbit(plan, f, cps[-1]), n_atoms
+        sums = _kahan_sums(orbit, table, width, cps)
+        if not composition:
+            sums = map(plan.unpermute, sums)
     select = np.array(probes, dtype=np.intp)
 
     if majorize:

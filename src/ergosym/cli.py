@@ -236,7 +236,7 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
         )
         w = plan.get("weight")
         if w is not None and w.kind == "explicit" and cps is not None:
-            attempt("weight", w.values, cps[-1])
+            attempt("weight", w.cycle, cps[-1])
 
     if command == "wiener-wintner":
         plan["lambda_grid"] = need("lambda_grid", formats.value, "positive")

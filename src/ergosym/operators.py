@@ -60,14 +60,14 @@ class KernelOperator:
 
     Only nonzero entries are stored, sorted by (row, column): row i holds
     `data[indptr[i]:indptr[i + 1]]` in columns `indices[...]`. Each kernel
-    thus has exactly one stored form, and no N x N array is kept. An
-    application costs O(nnz): one gather, one product and one
-    `np.add.reduceat` over each row's entries, in a fixed order that does
-    not depend on a BLAS build. Build one from a dense matrix with
-    `KernelOperator(matrix, space)`, from its real and imaginary parts with
-    `KernelOperator.from_parts` (or a few rows at a time with
-    `KernelOperator.from_row_blocks`), or from (row, column, value) triplets
-    with `KernelOperator.from_triplets`.
+    thus has exactly one stored form, and no N x N array is kept. Row sums,
+    and so applications, go through a `RowSumPlan` built on first use: an
+    application costs O(nnz), one gather, one product and one addition per
+    entry slot, in a fixed order that does not depend on a BLAS build.
+    Build one from a dense matrix with `KernelOperator(matrix, space)`, from
+    its real and imaginary parts with `KernelOperator.from_parts` (or a few
+    rows at a time with `KernelOperator.from_row_blocks`), or from (row,
+    column, value) triplets with `KernelOperator.from_triplets`.
     """
 
     def __init__(self, matrix, space: AtomicMeasureSpace):
@@ -147,24 +147,123 @@ class KernelOperator:
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         self.indices = cols
         self.data = data
-        # np.add.reduceat gives an empty row the next row's first entry,
-        # so only rows that hold an entry are reduced
-        starts = self.indptr[:-1]
-        self._filled = np.flatnonzero(self.indptr[1:] > starts)
-        self._starts = starts[self._filled]
+        self._plan = None
 
     def entry_rows(self) -> np.ndarray:
         """The row of each stored entry, aligned with `indices` and `data`."""
         return np.repeat(np.arange(self.space.n_atoms), np.diff(self.indptr))
 
+    def plan(self) -> RowSumPlan:
+        """The kernel's row-sum plan, built on the first call and kept."""
+        if self._plan is None:
+            self._plan = RowSumPlan(self)
+        return self._plan
+
     def row_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-row sums of per-entry values x; 0 on rows without entries."""
-        out = np.zeros(self.space.n_atoms, dtype=x.dtype)
-        out[self._filled] = np.add.reduceat(x, self._starts)
-        return out
+        """Per-row sums of per-entry values x (in CSR order), added in the
+        plan's order; +0 on rows without entries."""
+        return self.plan().row_sums(self, x)
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        return self.row_sums(self.data * v[self.indices])
+        plan = self.plan()
+        return plan.unpermute(plan.stepper()(v[plan.order]))
+
+
+class RowSumPlan:
+    """A kernel's entries laid out for summing its rows one entry slot at a
+    time ("jagged diagonals").
+
+    Rows are ordered by decreasing entry count (a stable sort, so equal
+    counts keep row order), and entry k of each row that has one forms slot
+    k. The rows that hold a k-th entry come first in that order, so slot k
+    covers a prefix of it, m_k rows with m_0 >= m_1 >= ... A buffer P holds
+    slots 1, 2, ..., K - 1, then slot 0, then N - m_0 places that stay +0
+    for the rows without entries. Adding slots 2, 3, ... into slot 1 in
+    turn, then slot 1 into slot 0, leaves the sum of a row with entries
+    a_0, ..., a_(c-1) in column order as
+
+        a_0 + ((... ((a_1 + a_2) + a_3) ...) + a_(c-1)),
+
+    a_0 itself for c = 1 and +0 for c = 0, in the last N places of P. The
+    order holds for rows of any length; it does not follow numpy's pairwise
+    blocking of long reductions. A sum costs one in-place addition per slot
+    after the first: K - 1 numpy calls for K entries in the longest row.
+
+    Vectors in row order are indexed by row position: row `order[i]` sits
+    at position i. The plan holds the entries in P's layout with their
+    columns as row positions, so T steps in row order without permuting:
+    24 bytes per entry and 8 per row.
+    """
+
+    def __init__(self, T: KernelOperator):
+        n, nnz = T.space.n_atoms, T.data.size
+        counts = np.diff(T.indptr)
+        self.order = np.argsort(-counts, kind="stable")
+        filled = np.count_nonzero(counts)
+        m = n - np.cumsum(np.bincount(counts))[:-1]  # m[k] rows hold slot k
+        start = np.cumsum(m) - m - filled  # slot k >= 1 after slots 1..k-1
+        start[:1] = nnz - filled  # slot 0 after them all
+        self._start = start
+        self._head = nnz - filled  # slot 0, then the rows' sums, start here
+        self._width = int(m[1]) if m.size > 1 else 0  # slot 1, at 0
+        self._later = [(int(a), int(c)) for a, c in zip(start[2:], m[2:])]
+        place = self._places(T)
+        self.data = np.empty_like(T.data)
+        self.data[place] = T.data
+        self.cols = np.empty(nnz, dtype=np.intp)
+        self.cols[place] = self._positions()[T.indices]
+
+    def _positions(self) -> np.ndarray:
+        """The row position of each row."""
+        pos = np.empty(self.order.size, dtype=np.intp)
+        pos[self.order] = np.arange(self.order.size)
+        return pos
+
+    def _places(self, T: KernelOperator) -> np.ndarray:
+        """The place in P of each of T's entries, in CSR order."""
+        rows = T.entry_rows()
+        k = np.arange(rows.size) - T.indptr[rows]  # the entry's slot
+        return self._start[k] + self._positions()[rows]
+
+    def row_sums(self, T: KernelOperator, x: np.ndarray) -> np.ndarray:
+        """Per-row sums of T's per-entry values x (in CSR order), in atom
+        order."""
+        P, pairs, out = self._buffer(x.dtype)
+        P[self._places(T)] = x
+        for a, b in pairs:
+            np.add(a, b, out=a)
+        return self.unpermute(out)
+
+    def stepper(self):
+        """A function g -> T g for complex g in row order. Each result is a
+        view of one buffer, overwritten by the next call."""
+        P, pairs, out = self._buffer(complex)
+        entries, data, cols = P[: self.data.size], self.data, self.cols
+
+        def step(g):
+            np.multiply(data, g[cols], out=entries)
+            for x, y in pairs:
+                np.add(x, y, out=x)
+            return out
+
+        return step
+
+    def _buffer(self, dtype):
+        """A zeroed buffer P, the pairs (x, y) of its views for the in-place
+        additions x += y that sum the rows, in order, and the view of the
+        sums. The views are cut once, here."""
+        P = np.zeros(self._head + self.order.size, dtype=dtype)
+        acc = P[: self._width]
+        pairs = [(acc[:m], P[start : start + m]) for start, m in self._later]
+        if self._width:
+            pairs.append((P[self._head : self._head + self._width], acc))
+        return P, pairs, P[self._head :]
+
+    def unpermute(self, r: np.ndarray) -> np.ndarray:
+        """A vector in row order as a new vector in atom order."""
+        out = np.empty_like(r)
+        out[self.order] = r
+        return out
 
 
 class CompositionOperator:

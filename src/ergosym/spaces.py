@@ -35,6 +35,8 @@ EXACT_TOL = 1e-12
 # geometric bracket growth limit in luxemburg_norm; hitting it means the
 # Orlicz evaluator is pathological (never straddles modular value 1)
 _MAX_BRACKET_STEPS = 200
+# atoms whose integrals of f* `submajorization_check` reads at once
+_INTEGRAL_BLOCK = 8192
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -141,11 +143,30 @@ class Rearrangement:
             raise InputError("plateaus must be positive and strictly decreasing")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(pl))):
             raise InputError("rearrangement data must be finite")
+        self._hold(bp, pl)
+
+    @classmethod
+    def _built(cls, bp: np.ndarray, pl: np.ndarray) -> Rearrangement:
+        """A rearrangement of float arrays that meet every check of
+        `__init__` by construction, which are not checked again."""
+        r = cls.__new__(cls)
+        r._hold(bp, pl)
+        return r
+
+    def _hold(self, bp: np.ndarray, pl: np.ndarray) -> None:
         self.breakpoints = bp
         self.plateaus = pl
-        # an integral past float64's range reads as inf; the norms check it
+        # _prefix[i] = pl[0] (bp[1] - bp[0]) + ... + pl[i-1] (bp[i] - bp[i-1]),
+        # the differences, products and sums formed in place in one array.
+        # An integral past float64's range reads as inf; the norms check it.
+        prefix = np.empty(bp.size)
+        prefix[0] = 0.0
+        tail = prefix[1:]
+        np.subtract(bp[1:], bp[:-1], out=tail)
         with np.errstate(over="ignore"):
-            self._prefix = np.concatenate(([0.0], np.cumsum(pl * np.diff(bp))))
+            np.multiply(pl, tail, out=tail)
+            np.cumsum(tail, out=tail)
+        self._prefix = prefix
 
     @property
     def support_measure(self) -> float:
@@ -188,11 +209,23 @@ def rearrangement(f: MeasurableFunction) -> Rearrangement:
     measure of the support. On equal weights w the moduli are sorted in
     place, and a run of c equal ones is a plateau of length w + ... + w
     (c terms, added in order), the sum bincount forms for unequal weights.
+    Without ties, the plateaus are the nonzero sorted moduli read backwards
+    and the breakpoints the running sums of w, so no run is looked for.
     """
     mags, w = np.abs(f.values), f.space.weights
     if w.min() == w.max():
         mags.sort()
-        first = np.flatnonzero(np.concatenate(([True], mags[1:] != mags[:-1])))
+        new = np.not_equal(mags[1:], mags[:-1])
+        if new.all():  # no ties: at most one zero, and it sorts first
+            vals = mags[int(mags[0] == 0) :][::-1]
+            bp = np.empty(vals.size + 1)
+            bp[0], bp[1:] = 0.0, w[0]
+            np.cumsum(bp[1:], out=bp[1:])
+            # increasing by construction; only the sum of w can overflow
+            if not np.isfinite(bp[-1]):
+                raise InputError("rearrangement data must be finite")
+            return Rearrangement._built(bp, vals)
+        first = np.flatnonzero(np.concatenate(([True], new)))
         vals, counts = mags[first], np.diff(first, append=mags.size)
         lengths = np.cumsum(np.full(counts.max(), w[0]))[counts - 1]
     else:
@@ -268,8 +301,13 @@ def submajorization_check(
     rf, w = rearrangement(f), space.weights
     slack = _slack(tol, rf._prefix[-1])
     if w.min() == w.max():
-        # every order of g's atoms puts its boundaries at cumsum(w)
-        return partial(_submajorized_at_atoms, None, w, rf.integrals(np.cumsum(w)), slack)
+        # every order of g's atoms puts its boundaries at cumsum(w); the
+        # integrals of f* there replace them a block at a time
+        int_f = np.cumsum(w)
+        for a in range(0, int_f.size, _INTEGRAL_BLOCK):
+            block = int_f[a : a + _INTEGRAL_BLOCK]
+            block[:] = rf.integrals(block)
+        return partial(_submajorized_at_atoms, None, w, int_f, slack)
     return partial(_submajorized_at_atoms, rf, w, None, slack)
 
 

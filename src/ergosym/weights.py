@@ -178,6 +178,17 @@ class WeightSequence:
                 raise InputError("materialized values exceed the declared bound")
         return cls("explicit", table=v)
 
+    def cycle(self, n: int) -> np.ndarray:
+        """A table t with beta_k = t[k % t.size] for k < n: a periodic or
+        explicit weight's own table, without a copy, and the n values of
+        the other kinds."""
+        if self.kind == "explicit" and n > self.table.size:
+            raise InputError(
+                f"explicit weight list exhausted: need {n} values, have "
+                f"{self.table.size}"
+            )
+        return self.values(n) if self.table is None else self.table
+
     def values(self, n: int) -> np.ndarray:
         """Materialize beta_k for k < n."""
         if n < 0:
@@ -189,12 +200,7 @@ class WeightSequence:
             return self.poly.values(n)
         if self.kind == "lambda_power":
             return unit_powers(self.lam, n)
-        if n > self.table.size:
-            raise InputError(
-                f"explicit weight list exhausted: need {n} values, have "
-                f"{self.table.size}"
-            )
-        return self.table[:n].copy()
+        return self.cycle(n)[:n].copy()
 
 
 def besicovitch_deviation(w: WeightSequence, poly: TrigPolynomial, n: int) -> float:

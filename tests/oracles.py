@@ -188,6 +188,66 @@ def rearrangement_unique_reference(values, weights):
     return np.concatenate(([0.0], np.cumsum(lengths))), vals
 
 
+def reduceat_row_sums_reference(indptr, x):
+    """Per-row sums of per-entry values x (CSR order) as kernels formed them
+    before the row-sum plan: one np.add.reduceat over the rows that hold an
+    entry, 0 elsewhere. reduceat gives an empty row the next row's first
+    entry, so only filled rows are reduced."""
+    indptr = np.asarray(indptr)
+    out = np.zeros(indptr.size - 1, dtype=x.dtype)
+    starts = indptr[:-1]
+    filled = np.flatnonzero(indptr[1:] > starts)
+    if filled.size:
+        out[filled] = np.add.reduceat(x, starts[filled])
+    return out
+
+
+def row_sums_in_order_reference(indptr, x):
+    """Per-row sums of per-entry values x (CSR order) in the documented
+    order a_0 + ((a_1 + a_2) + ... + a_(c-1)), one scalar addition at a
+    time: a_0 itself for one entry, +0 for none."""
+    out = np.zeros(len(indptr) - 1, dtype=x.dtype)
+    for i in range(out.size):
+        a = x[indptr[i] : indptr[i + 1]]
+        if a.size == 1:
+            out[i] = a[0]
+        elif a.size > 1:
+            rest = a[1]
+            for v in a[2:]:
+                rest = rest + v
+            out[i] = a[0] + rest
+    return out
+
+
+def equal_weight_rearrangement_reference(values, weight):
+    """(breakpoints, plateaus, prefix) of the rearrangement of values on
+    atoms of one weight, as formed before the one-sort rule: runs of equal
+    sorted moduli found by flatnonzero, a run of c atoms a plateau of length
+    w + ... + w (c terms, in order), and the prefix integrals by
+    concatenate and cumsum."""
+    mags = np.sort(np.abs(np.asarray(values, dtype=complex)))
+    first = np.flatnonzero(np.concatenate(([True], mags[1:] != mags[:-1])))
+    vals, counts = mags[first], np.diff(first, append=mags.size)
+    lengths = np.cumsum(np.full(counts.max(), float(weight)))[counts - 1]
+    keep = vals > 0
+    vals, lengths = vals[keep][::-1], lengths[keep][::-1]
+    bp = np.concatenate(([0.0], np.cumsum(lengths)))
+    with np.errstate(over="ignore"):
+        prefix = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
+    return bp, vals, prefix
+
+
+def integrals_reference(bp, pl, prefix, s):
+    """Partial integrals of the step function (bp, pl) at s >= 0, with the
+    arithmetic Rearrangement.integrals had when it took s all at once."""
+    if pl.size == 0:
+        return np.zeros_like(s)
+    i = np.clip(np.searchsorted(bp, s, side="right") - 1, 0, pl.size - 1)
+    with np.errstate(over="ignore"):
+        inside = prefix[i] + pl[i] * (s - bp[i])
+    return np.where(s >= bp[-1], prefix[-1], inside)
+
+
 def submajorized_at_atoms_reference(rf, weights, tol, mags):
     """Submajorization of g by f at g's atom boundaries by the argsort rule,
     for any atom weights: order g's atoms by decreasing modulus, lay their

@@ -1,6 +1,7 @@
 """Streaming Cesaro and weighted averaging engines."""
 
 import functools
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -475,6 +476,87 @@ def test_lifted_lane_takes_no_single_steps(monkeypatch, kind):
         assert np.array_equal(full.probe_values[i], a.values[[0, 9]])
     assert np.array_equal(bare.probe_values, full.probe_values)
     assert np.array_equal(bare.l1_norms, full.l1_norms)
+
+
+def sparse_kernel(rng, n):
+    """A DS kernel with rows of 0 to n entries, empty rows among them."""
+    k = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.random((n, 1)))
+    k[rng.integers(n)] = 0.0
+    k /= max(np.max(np.sum(np.abs(k), axis=0)), np.max(np.sum(np.abs(k), axis=1)))
+    return KernelOperator(k, unit_space(n))
+
+
+@pytest.mark.parametrize("kind", ["cesaro", "periodic", "explicit", "lambda_power"])
+def test_kernel_lane_takes_no_operator_applications(monkeypatch, kind):
+    # the kernel lane steps through the row-sum plan in its row order, so it
+    # never calls apply_values, and its averages leave that order
+    rng = np.random.default_rng(86)
+    T = sparse_kernel(rng, 9)
+    f = MeasurableFunction(rng.normal(size=9) + 1j * rng.normal(size=9), T.space)
+    cps = (1, 5, 64, 150)
+    beta = weight_kinds(rng).get(kind)
+    if kind == "explicit":
+        beta = WeightSequence.explicit(rng.normal(size=150) + 1j * rng.normal(size=150))
+    want = naive_weighted_averages(
+        T.apply_values, f.values,
+        np.ones(150) if beta is None else beta.values(150), cps,
+    )
+
+    def refuse(self, v):
+        raise AssertionError("operator application in the kernel lane")
+
+    monkeypatch.setattr(KernelOperator, "apply_values", refuse)
+    run = cesaro if beta is None else functools.partial(weighted, beta=beta)
+    full = run(T, f, checkpoints=cps, probes=(0, 8), majorize=True)
+    bare = run(T, f, checkpoints=cps, probes=(0, 8), store_averages=False, norms=False)
+    for i, (a, b) in enumerate(zip(full.averages, want)):
+        assert np.max(np.abs(a.values - b)) <= 1e-12
+        assert np.array_equal(full.probe_values[i], a.values[[0, 8]])
+    assert np.array_equal(bare.probe_values, full.probe_values)
+
+
+def _kernel_lane_peak(n, horizon, beta, steps=None):
+    """tracemalloc's peak for a weighted run of a fresh 4-entries-per-row
+    kernel on n atoms to `horizon`, cut after `steps` terms; and the bytes
+    of the kernel's row-sum plan."""
+    rng = np.random.default_rng(87)
+    rows = np.repeat(np.arange(n), 4)
+    cols = (rows + np.tile([0, 1, 3, 7], n)) % n
+    space = AtomicMeasureSpace.uniform(n)
+    T = KernelOperator.from_triplets(rows, cols, np.full(rows.size, 0.25), space)
+    f = MeasurableFunction(rng.normal(size=n), space)
+    orbit = averaging._plan_orbit
+    with pytest.MonkeyPatch.context() as mp:
+        if steps is not None:
+            mp.setattr(averaging, "_plan_orbit",
+                       lambda *a: itertools.islice(orbit(*a), steps))
+        tracemalloc.start()
+        try:
+            weighted(T, f, beta, geometric_checkpoints(horizon), probes=(0,),
+                     store_averages=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    plan = T.plan()
+    return peak, sum(a.nbytes for a in (plan.order, plan.data, plan.cols))
+
+
+def test_kernel_lane_memory_does_not_grow_with_the_horizon():
+    # a periodic weight is read from its own table, so the run holds no
+    # n-long table of weights or their moduli (24 bytes per term)
+    beta = WeightSequence.periodic([1.0, -0.5j, 0.25])
+    short, plan = _kernel_lane_peak(64, 1 << 10, beta)
+    long, _ = _kernel_lane_peak(64, 1 << 14, beta)
+    assert long <= short + plan
+
+
+def test_kernel_lane_holds_no_n_long_weight_table():
+    # the weights are set up before the first term and a term allocates the
+    # same at any k, so a run to n = 10^6 cut after 1000 terms shows the
+    # set-up; the 10^6 weights and their moduli would take 24 MB
+    beta = WeightSequence.periodic([1.0, -0.5j, 0.25])
+    peak, _ = _kernel_lane_peak(8, 10**6, beta, steps=1000)
+    assert peak < 2**20
 
 
 # one complex vector on 2^16 atoms

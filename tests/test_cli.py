@@ -448,7 +448,7 @@ def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
 # ------------------------------------------------------------ golden outputs
 
 # SHA-256 of every output file for pinned configs. No CLI computation calls
-# BLAS (kernel operators apply in CSR form, by gathers and np.add.reduceat),
+# BLAS (kernel operators apply through a row-sum plan, by gathers and adds),
 # so the digests do not depend on the BLAS build. A change to any digest is
 # a change to the CLI's deterministic output format or arithmetic.
 README_AVERAGE = {

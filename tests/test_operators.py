@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergosym import (
     AtomicMeasureSpace,
@@ -20,7 +22,11 @@ from ergosym import (
     signed_shift_operator,
 )
 from dense import dense
-from oracles import modulus_sup_oracle
+from oracles import (
+    modulus_sup_oracle,
+    reduceat_row_sums_reference,
+    row_sums_in_order_reference,
+)
 
 
 def unit_space(n):
@@ -70,7 +76,7 @@ def test_apply_kernel_example():
     assert np.allclose(out.values, [7.0, 0.0])
 
 
-# np.add.reduceat would give a row without entries the next row's first one
+# a row without entries reads a place of the row-sum plan that stays +0
 @pytest.mark.parametrize("empty", [(0,), (2,), (4,), (0, 1, 3), (0, 1, 2, 3, 4)])
 def test_kernel_rows_without_entries_apply_to_zero(empty):
     rng = np.random.default_rng(41)
@@ -84,6 +90,51 @@ def test_kernel_rows_without_entries_apply_to_zero(empty):
     rep = ds_certificate(T)
     assert rep.worst_row_sum == pytest.approx(np.max(np.sum(np.abs(k), axis=1)))
     assert rep.worst_column_sum == pytest.approx(np.max(np.sum(np.abs(k), axis=0)))
+
+
+def bits(a):
+    """The bytes of an array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+# component values with both zeros, and sums that round differently by order
+PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -3.25])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    counts=st.integers(1, 14).flatmap(
+        lambda n: st.lists(st.integers(0, min(12, n)), min_size=n, max_size=n)
+    ),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sum_plan_keeps_the_documented_order(counts, real, seed):
+    # sparse kernels with 0-12 entries per row, empty rows among them, and
+    # entries and values with zero components of either sign
+    rng = np.random.default_rng(seed)
+    n = len(counts)
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.concatenate([rng.permutation(n)[:c] for c in counts] + [[]])
+
+    def part(k):
+        return np.where(rng.random(k) < 0.5, rng.choice(PARTS, k), rng.normal(size=k))
+
+    def draw(k):
+        return part(k) if real else part(k) + 1j * part(k)
+
+    T = KernelOperator.from_triplets(rows, cols.astype(np.intp), draw(rows.size),
+                                     unit_space(n))
+    v, x = draw(n), draw(T.data.size)
+    products = T.data * v[T.indices]
+    assert bits(T.apply_values(v)) == bits(row_sums_in_order_reference(T.indptr, products))
+    got = T.row_sums(x)
+    assert bits(got) == bits(row_sums_in_order_reference(T.indptr, x))
+    # numpy's reduceat sums the same way while the entries after a row's
+    # first fill fewer than 8 float64 lanes; the sign of a zero sum may differ
+    short = np.diff(T.indptr) <= (8 if real else 4)
+    want = reduceat_row_sums_reference(T.indptr, x)
+    assert np.array_equal(got[short], want[short])
 
 
 def test_kernel_has_one_csr_form():

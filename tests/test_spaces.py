@@ -22,6 +22,8 @@ from ergosym import (
 from ergosym.spaces import MAJORIZATION_TOL, _slack, submajorization_check
 from oracles import (
     distribution_function,
+    equal_weight_rearrangement_reference,
+    integrals_reference,
     mu_oracle,
     partial_integral_oracle,
     rearrangement_unique_reference,
@@ -197,6 +199,59 @@ def test_rearrangement_invariants_rejected():
         Rearrangement(np.array([1.0, 2.0]), np.array([1.0]))  # must start at 0
     with pytest.raises(InputError):
         Rearrangement(np.array([0.0, 1.0]), np.array([-1.0]))  # negative plateau
+    for bp, pl, message in [
+        ([0.0, 1.0], [1.0, 0.5], "need len"),
+        ([[0.0, 1.0]], [1.0], "need len"),
+        ([], [], "need len"),
+        ([0.0, 1.0, 1.0], [2.0, 1.0], "breakpoints must be strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.0, 1.0], "plateaus must be positive"),
+        ([0.0, 1.0], [0.0], "plateaus must be positive"),
+        ([0.0, np.inf], [1.0], "must be finite"),
+        ([0.0, 1.0], [np.inf], "must be finite"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            Rearrangement(np.array(bp), np.array(pl))
+    # a rearrangement built from f is checked only where it can fail: on
+    # equal weights, a support whose measure overflows float64
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="must be finite"):
+        rearrangement(MeasurableFunction([1.0, 2.0], AtomicMeasureSpace.uniform(2, 1e308)))
+
+
+def bits(a):
+    """The bytes of an array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 64) | st.sampled_from([8191, 8193, 20_000]),
+    w0=st.sampled_from([1.0, 0.1, 1 / 3, 7.3, 2.0**-12]),
+    ties=st.booleans(),
+    zeros=st.integers(0, 2),
+    kind=st.sampled_from(["real", "complex", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equal_weight_rearrangement_keeps_the_run_rule_bits(n, w0, ties, zeros, kind, seed):
+    # with ties or without, with 0, 1 or 2 zeros, all-zero f and n = 1; the
+    # integrals at cumsum(w) as read at once and as the check reads them
+    rng = np.random.default_rng(seed)
+    v = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0], n) if ties else rng.normal(size=n)
+    if kind == "complex":
+        v = v * rng.choice([1.0, 1j, -1j], n) if ties else v + 1j * rng.normal(size=n)
+    v[rng.permutation(n)[:zeros]] = 0.0
+    if kind == "zero":
+        v = np.zeros(n)
+    space = AtomicMeasureSpace.uniform(n, w0)
+    f = MeasurableFunction(v, space)
+    r = rearrangement(f)
+    bp, pl, prefix = equal_weight_rearrangement_reference(v, w0)
+    assert bits(r.breakpoints) == bits(bp)
+    assert bits(r.plateaus) == bits(pl)
+    assert bits(r._prefix) == bits(prefix)
+    s = np.cumsum(space.weights)
+    want = integrals_reference(bp, pl, prefix, s)
+    assert bits(r.integrals(s)) == bits(want)
+    assert bits(submajorization_check(f, space).args[2]) == bits(want)
 
 
 def test_values_at_rejects_negative_and_nan_t():

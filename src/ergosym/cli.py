@@ -97,7 +97,7 @@ class Plan(NamedTuple):
     # (character, step) when f is a character of the rotation: the closed-form
     # oracle applies
     rotation: tuple[int, int] | None = None
-    orlicz: tuple[OrliczFunction, float] | None = None  # (phi, tol)
+    orlicz: OrliczFunction | None = None
     lorentz: LorentzWeight | None = None
 
 
@@ -270,7 +270,7 @@ def _run_norms(args, plan: Plan) -> dict[str, str | Iterator[str]]:
         "L1capLinf": norm(f, "L1capLinf"),
     }
     if plan.orlicz is not None:
-        payload["luxemburg"] = luxemburg_norm(f, *plan.orlicz)
+        payload["luxemburg"] = luxemburg_norm(f, plan.orlicz)
     if plan.lorentz is not None:
         payload["lorentz"] = lorentz_norm(f, plan.lorentz)
     return {plan.output: formats.json_report(payload, plan.seed)}

@@ -389,12 +389,8 @@ def system_from_json(spec) -> PointSystem:
                               read(spec, "weight", "number", 1.0))
 
 
-def orlicz_from_json(spec) -> tuple[OrliczFunction, float]:
-    spec = value(spec, "object")
-    tol = read(spec, "tol", "number", 1e-10)
-    if tol <= 0.0:
-        raise InputError("tol: must be positive")
-    return OrliczFunction.power(read(spec, "power", "number")), tol
+def orlicz_from_json(spec) -> OrliczFunction:
+    return OrliczFunction.power(read(value(spec, "object"), "power", "number"))
 
 
 def lorentz_from_json(spec) -> LorentzWeight:

@@ -501,6 +501,7 @@ GOLDEN_CONFIGS = {
         "schema": 1, "seed": 22,
         "space": {"atoms": 40, "weight": 0.125},
         "function": {"random": {"kind": "complex", "scale": 2.0}},
+        # tol is no longer read: an old config that gives it still runs
         "orlicz": {"power": 2.5, "tol": 1e-12},
         "lorentz": {"knots": [0.0, 1.0, 3.0], "slopes": [2.0, 1.0, 0.25]},
     }),
@@ -834,8 +835,12 @@ def _triplets(**changes):
      "config: weight: terms[0]: exact phases need a reduced denominator below 2^31"),
     ("wiener-wintner", _with(SMALL_SWEEP, system={"order": 8, "step": 2**70}),
      "config: system: step: must be an integer"),
-    ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz={"power": 2, "tol": "x"}),
-     "config: orlicz: tol: must be a finite number"),
+    ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz={"power": "x"}),
+     "config: orlicz: power: must be a finite number"),
+    ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz={"power": 0.5}),
+     "config: orlicz: power Orlicz functions need a finite p >= 1"),
+    ("norms", _with(GOLDEN_CONFIGS["norms"][1], orlicz={}),
+     "config: orlicz: power: missing"),
     ("average", _with(README_AVERAGE, function={"constant": "abc"}),
      "config: function: constant: must be a finite number"),
     ("average", _with(README_AVERAGE, function={"random": {"kind": 3}}),
@@ -884,7 +889,7 @@ def _triplets(**changes):
     "geometric-fractional", "step-fractional", "character-fractional", "lambda-nan",
     "map-missing", "matrix-ragged", "atoms-null", "phase-den-zero", "phase-den-missing",
     "phase-num-missing", "phase-den-2^31", "step-70-bit",
-    "tol-str", "constant-str", "random-kind-int", "mult-too-long", "probes-empty",
+    "power-str", "power-half", "power-missing", "constant-str", "random-kind-int", "mult-too-long", "probes-empty",
     "probes-absent", "output-outside-dir", "triplet-duplicate", "triplet-row-negative",
     "triplet-col-range", "triplet-cols-short", "triplet-data-long",
     "triplet-im-short", "triplet-rows-nested", "triplet-and-matrix",

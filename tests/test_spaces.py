@@ -21,9 +21,12 @@ from ergosym import (
 )
 from ergosym.spaces import MAJORIZATION_TOL, _slack, submajorization_check
 from oracles import (
+    check_orlicz_function,
     distribution_function,
     equal_weight_rearrangement_reference,
     integrals_reference,
+    luxemburg_bisection_oracle,
+    luxemburg_power_reference,
     mu_oracle,
     partial_integral_oracle,
     rearrangement_unique_reference,
@@ -553,33 +556,40 @@ def test_l1pluslinf_between_halves():
 
 
 def test_orlicz_validation():
-    with pytest.raises(InputError):
-        OrliczFunction(lambda u: u + 1.0)  # phi(0) != 0
-    with pytest.raises(InputError):
-        OrliczFunction(lambda u: np.sqrt(u))  # concave, fails midpoint check
+    # the spot checks a callable phi passes before the bisection oracle
+    # takes it
+    with pytest.raises(ValueError, match="vanish at 0"):
+        check_orlicz_function(lambda u: u + 1.0)
+    with pytest.raises(ValueError, match="convexity"):
+        check_orlicz_function(lambda u: np.sqrt(u))
     with pytest.raises(InputError):
         OrliczFunction.power(0.5)
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.0, -1.0, 0.5])
+def test_orlicz_power_rejects_bad_exponents(p):
+    with pytest.raises(InputError, match="p >= 1"):
+        OrliczFunction.power(p)
+
+
 def test_orlicz_positivity_is_checked_on_the_spot_grid():
     # zero on [0, 2] (so zero at 1), positive from 2 on
-    phi = OrliczFunction(lambda u: np.maximum(0.0, u - 2.0) ** 2)
+    phi = lambda u: np.maximum(0.0, u - 2.0) ** 2  # noqa: E731
     # least a with (1/a - 2)^2 <= 1 is a = 1/3
-    assert luxemburg_norm(mk([1.0]), phi, tol=1e-12) == pytest.approx(1 / 3, abs=1e-9)
-    with pytest.raises(InputError):
-        OrliczFunction(lambda u: 0.0 * u)
+    assert luxemburg_bisection_oracle([1.0], [1.0], phi) == pytest.approx(1 / 3, abs=1e-12)
+    with pytest.raises(ValueError, match="positive somewhere"):
+        check_orlicz_function(lambda u: 0.0 * u)
 
 
 def test_orlicz_rejects_negative_values_on_the_spot_grid():
     # convex, zero at 0 and positive from 1/2 on, but phi(1/4) = -1/16
-    with pytest.raises(InputError, match="nonnegative"):
-        OrliczFunction(lambda u: u**2 - u / 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_orlicz_function(lambda u: u**2 - u / 2)
 
 
 def test_luxemburg_reduces_to_l1_for_identity():
     f = mk([3.0, 1.0, 2.0])
-    phi = OrliczFunction.power(1.0)
-    assert luxemburg_norm(f, phi, tol=1e-12) == pytest.approx(6.0, abs=1e-9)
+    assert luxemburg_norm(f, OrliczFunction.power(1.0)) == pytest.approx(6.0, rel=1e-15)
 
 
 def test_luxemburg_square_closed_form():
@@ -587,32 +597,33 @@ def test_luxemburg_square_closed_form():
     f = MeasurableFunction.ones(sp)
     phi = OrliczFunction.power(2.0)
     # modular 4/a^2 = 1 at a = 2
-    assert luxemburg_norm(f, phi, tol=1e-12) == pytest.approx(2.0, abs=1e-9)
+    assert luxemburg_norm(f, phi) == 2.0
 
 
 def test_luxemburg_norm_is_accurate_below_one():
-    # the bracket stops at a width of tol * min(1, hi): relative for a norm
-    # below 1, so a small f keeps the digits of a large one
+    # the moduli are scaled by their max before the power, so a small f
+    # keeps the digits of a large one
     phi = OrliczFunction.power(2.0)
     for k in range(-300, 1):
         c = 10.0**k
         got = luxemburg_norm(mk([c, c]), phi)
-        assert got == pytest.approx(2**0.5 * c, rel=1e-9), c
-
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
-def test_luxemburg_rejects_bad_tolerances(tol):
-    with pytest.raises(InputError, match="tol"):
-        luxemburg_norm(mk([3.0, 1.0, 2.0]), OrliczFunction.power(2.0), tol=tol)
+        assert got == pytest.approx(2**0.5 * c, rel=1e-15), c
 
 
 def test_luxemburg_norm_near_the_float64_maximum():
-    # the bracket grows to float64's max, not to inf, where every f would
-    # be feasible; past that max the norm overflows
+    # no power of a modulus passes float64's range, only the norm itself
     phi = OrliczFunction.power(2.0)
     assert luxemburg_norm(mk([1e308, 5e307]), phi) == pytest.approx(1.25**0.5 * 1e308)
     with pytest.raises(NumericError, match="the Luxemburg norm overflows float64"):
         luxemburg_norm(mk([1.5e308, 1.5e308]), phi)
+
+
+def test_luxemburg_norm_of_weights_whose_sum_overflows():
+    # the modular's sum passes float64's range, the norm sqrt(2e308) does not
+    with np.errstate(over="ignore"):  # the space's total measure overflows
+        f = mk([1.0, 1.0], weights=[1e308, 1e308])
+    got = luxemburg_norm(f, OrliczFunction.power(2.0))
+    assert got == pytest.approx(2**0.5 * 1e154, rel=1e-15)
 
 
 def test_luxemburg_zero_function():
@@ -625,8 +636,8 @@ def test_luxemburg_sqrt_total_measure_growth():
     prev = 0.0
     for m in (1, 4, 9, 25):
         sp = AtomicMeasureSpace(np.ones(m), truncated=True)
-        a = luxemburg_norm(MeasurableFunction.ones(sp), phi, tol=1e-12)
-        assert a == pytest.approx(np.sqrt(m), abs=1e-9)
+        a = luxemburg_norm(MeasurableFunction.ones(sp), phi)
+        assert a == np.sqrt(m)
         assert a > prev
         prev = a
 
@@ -641,9 +652,42 @@ def test_luxemburg_matches_modular_equation_randomized():
         f = mk(v, weights=w)
         if norm(f, "L1") == 0.0:
             continue
-        a = luxemburg_norm(f, phi, tol=1e-12)
+        a = luxemburg_norm(f, phi)
         closed = float(np.sqrt(np.sum(w * np.abs(v) ** 2)))
-        assert a == pytest.approx(closed, abs=1e-9)
+        assert a == pytest.approx(closed, rel=1e-15)
+
+
+ORACLE_TOL = 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs an x87 80-bit long double")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_luxemburg_norm_matches_long_double_and_the_bisection(data):
+    # p in [1, 10]; moduli 10^e for e in [-300, 300], some zero, of either
+    # sign; equal weights or unequal ones
+    n = data.draw(st.integers(1, 24), label="n")
+    p = data.draw(st.sampled_from([1.0, 2.0, 3.0, 10.0]) | st.floats(1.0, 10.0),
+                  label="p")
+    top = data.draw(st.floats(-300.0, 300.0), label="top")
+    spread = data.draw(st.sampled_from([0.0, 1.0, 20.0, 600.0]), label="spread")
+    exps = data.draw(st.lists(st.floats(-spread, 0.0), min_size=n, max_size=n))
+    v = 10.0 ** (top + np.clip(exps, -300.0 - top, 300.0 - top))
+    v[data.draw(st.lists(st.integers(0, n - 1), max_size=n // 2), label="zeros")] = 0.0
+    v *= data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+    if data.draw(st.booleans(), label="equal"):
+        space = AtomicMeasureSpace.uniform(n, data.draw(
+            st.sampled_from([1.0, 0.1, 1 / 3, 7.3, 2.0**-12]), label="w0"))
+    else:
+        space = AtomicMeasureSpace(np.array(data.draw(
+            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n), label="w")))
+    f = MeasurableFunction(v, space)
+    got = luxemburg_norm(f, OrliczFunction.power(p))
+    want = luxemburg_power_reference(v, space.weights, p)
+    assert abs(got - want) <= 1e-15 * want
+    oracle = luxemburg_bisection_oracle(v, space.weights, lambda u: u**p, ORACLE_TOL)
+    assert abs(got - oracle) <= ORACLE_TOL * oracle
 
 
 # -------------------------------------------------------------------- Lorentz

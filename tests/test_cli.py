@@ -614,7 +614,7 @@ GOLDEN_DIGESTS = {
     },
     "norms": {
         "norms.json":
-            "ea8b716ede086fd5d2ff651d64187c85ac6f396ac878b7fe17771d8ae85bb4be",
+            "e118ae831bef72e2a732129c1bd1cfb2a7e94bc1c904cdc2b5fad5eaef69b3e6",
     },
     "readme-average": {
         "averages.csv":

@@ -210,16 +210,8 @@ def _numbers(s: str, idx: int, start: int, stop: int):
     """The list from s[idx] ("[") to s[stop] ("]") of numbers only, the
     first at s[start], as _held holds it. A list that _dtype types is
     scanned at most _SLICE characters at a time into one array, so one
-    slice of Python numbers exists at once; any other is left to _held."""
-    if stop - start <= _SLICE:  # one slice, scanned in place
-        values = _scan(s, idx)[0]
-        dtype = _dtype(s, start, stop, len(values))
-        if dtype is not None:
-            try:
-                return NumberList(np.fromiter(values, dtype, len(values)))
-            except OverflowError:  # an int past int64
-                pass
-        return _held(values)
+    slice of Python numbers exists at once (a short list is one slice);
+    any other is left to _held."""
     n = s.count(",", start, stop) + 1
     dtype = _dtype(s, start, stop, n)
     if dtype is None:

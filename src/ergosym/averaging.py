@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
 from .spaces import MAJORIZATION_TOL, MeasurableFunction, _finite, submajorization_check
-from .weights import WeightSequence
+from .weights import WeightSequence, _max_modulus
 
 # default cap on the last checkpoint, the number of terms averaged per run
 DEFAULT_BUDGET = 1_000_000
@@ -247,7 +247,7 @@ def _segment(op, g, d, pows):
 
 def _weight_bound(betas) -> float:
     """M = max(1, max_k |beta_k|) over the weights given."""
-    return max(1.0, float(np.max(np.abs(betas))))
+    return max(1.0, _max_modulus(betas))
 
 
 def _lifted_weights(beta, cps):

@@ -32,6 +32,8 @@ RENORM_EVERY = 1024
 # exact phases need a reduced denominator below this: residues (num mod den)
 # times (k mod den) then stay below 2^62 in int64
 MAX_PHASE_DEN = 2**31
+# entries of a weight table whose moduli `_max_modulus` holds at once
+_MODULUS_BLOCK = 1 << 14
 
 
 def cycles(phase):
@@ -40,6 +42,14 @@ def cycles(phase):
     in exact integers and pass r / den, divided once."""
     z = np.exp(2j * pi * phase)
     return z if np.ndim(z) else complex(z)
+
+
+def _max_modulus(v: np.ndarray) -> float:
+    """max_k |v_k| over a nonempty array, _MODULUS_BLOCK entries at a time:
+    as exact as one max over all of them, without an n-long array of
+    moduli."""
+    return float(np.max([np.max(np.abs(v[a : a + _MODULUS_BLOCK]))
+                         for a in range(0, v.size, _MODULUS_BLOCK)]))
 
 
 def unit_powers_matrix(lams: np.ndarray, n: int) -> np.ndarray:
@@ -174,7 +184,7 @@ class WeightSequence:
         if bound is not None:
             if not 0 <= bound < np.inf:  # also rejects NaN
                 raise InputError("weight bound must be finite and nonnegative")
-            if np.max(np.abs(v)) > bound + _slack(UNIT_TOL, bound):
+            if _max_modulus(v) > bound + _slack(UNIT_TOL, bound):
                 raise InputError("materialized values exceed the declared bound")
         return cls("explicit", table=v)
 

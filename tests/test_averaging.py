@@ -559,6 +559,15 @@ def test_kernel_lane_holds_no_n_long_weight_table():
     assert peak < 2**20
 
 
+def test_kernel_lane_bounds_an_explicit_list_without_its_moduli():
+    # the weight bound M is a max over the 10^6 weights given, read a block
+    # at a time: the list itself is built before the run, and its 10^6
+    # moduli would take 8 MB
+    beta = WeightSequence.explicit(np.exp(0.1j * np.arange(10**6)), bound=1.0)
+    peak, _ = _kernel_lane_peak(8, 10**6, beta, steps=1000)
+    assert peak < 2**20
+
+
 # one complex vector on 2^16 atoms
 MIB_PER_VECTOR = (1 << 16) * 16 / 2**20
 
@@ -568,8 +577,8 @@ def test_lifted_lane_memory_stays_linear_in_atoms(kind):
     # n = 1e6 terms on 2^16 atoms take well under a second lifted. Holding
     # the log2(n) = 20 powers of T (point map and multiplier) and their block
     # sums would add about 50 MiB; the lane keeps a few vectors (about 10 MiB).
-    # Weighted runs also materialize the n weights once, with their moduli,
-    # for the weight bound M (24 bytes per term).
+    # Weighted runs also materialize the n weights once (16 bytes per term;
+    # the bound allows 24), and read their moduli for M a block at a time.
     n_atoms, horizon = 1 << 16, 10**6
     rng = np.random.default_rng(76)
     T = CompositionOperator(

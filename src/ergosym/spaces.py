@@ -368,10 +368,11 @@ def luxemburg_norm(f: MeasurableFunction, phi: OrliczFunction) -> float:
     phi(u) = u^p, (sum_i w_i |v_i|^p)^(1/p) in closed form.
 
     It is computed as m (sum_i w_i (|v_i| / m)^p)^(1/p) with m = max_i |v_i|,
-    so no power overflows, and one that underflows is negligible beside the
-    term w_i 1 of the largest modulus. A sum past float64's range is taken
-    again with the weights divided by their max. The zero function has norm
-    0; a norm past float64's range raises NumericError.
+    so no power overflows, and one that underflows is lost beside the term
+    w_j of the largest modulus unless the weights span some 300 orders of
+    magnitude. A sum past float64's range is taken again with the weights
+    divided by their max. The zero function has norm 0; a norm past
+    float64's range raises NumericError.
     """
     mags = np.abs(f.values)
     m = float(np.max(mags))

@@ -362,32 +362,51 @@ class OrliczFunction:
         return cls(p)
 
 
+def _pth_root(x: np.ndarray, p: float):
+    """(r, q) with x^(1/p) = r 2^q, r in (1/8, 4), for positive floats x.
+
+    x ** (1/p) would be off by up to |ln x| ulps, as 1/p is rounded. So for
+    x = m 2^k and p = num / den, |k| = q p + i + g / den in integers, with
+    i < p and g = 0 for an integer p, and only (m 2^+-i)^(1/p) and
+    2^(+-g / (den p)) are rounded.
+    """
+    m, k = np.frexp(x)
+    num, den = p.as_integer_ratio()
+    ks = np.arange(k.min(), k.max() + 1)  # at most 2098 exponents
+    k -= ks[0]  # now a row of the tables q, i, g
+    qig = [(q,) + divmod(r, den) for q, r in (divmod(abs(j) * den, num) for j in ks.tolist())]
+    q, i, g = np.array(qig, dtype=np.int64).T * np.sign(ks)
+    np.ldexp(m, i.astype(k.dtype)[k], out=m)
+    m **= 1.0 / p
+    m *= np.exp2(g / den / p)[k]
+    return m, q.astype(k.dtype)[k]
+
+
 @np.errstate(over="ignore")  # an overflow is reported as a NumericError
 def luxemburg_norm(f: MeasurableFunction, phi: OrliczFunction) -> float:
     """Luxemburg norm, the least a with sum_i w_i phi(|v_i| / a) <= 1: for
-    phi(u) = u^p, (sum_i w_i |v_i|^p)^(1/p) in closed form.
+    phi(u) = u^p, (sum_i u_i^p)^(1/p) with u_i = w_i^(1/p) |v_i|.
 
-    It is computed as m (sum_i w_i (|v_i| / m)^p)^(1/p) with m = max_i |v_i|,
-    so no power overflows, and one that underflows is lost beside the term
-    w_j of the largest modulus unless the weights span some 300 orders of
-    magnitude. A sum past float64's range is taken again with the weights
-    divided by their max. The zero function has norm 0; a norm past
-    float64's range raises NumericError.
+    Each u_i is held as a mantissa and a power of two, so no weight and
+    modulus leave float64's range together, and is divided by the largest:
+    each term is at most 1 and the largest is 1, so one that underflows is
+    negligible and the sum cannot overflow. The zero function has norm 0; a
+    norm past float64's range raises NumericError.
     """
-    mags = np.abs(f.values)
-    m = float(np.max(mags))
-    if m == 0.0:
+    u, e = np.frexp(np.abs(f.values))
+    if not u.any():
         return 0.0
-    p, w = phi.p, f.space.weights
-    mags /= m
-    mags **= p
-    mags *= w  # each term is at most its weight, so finite
-    s = float(np.sum(mags))
-    if s == np.inf:
-        top = float(np.max(w))
-        mags /= top
-        s, m = float(np.sum(mags)), m * top ** (1.0 / p)
-    return _finite(m * s ** (1.0 / p), "Luxemburg norm")
+    p = phi.p
+    r, q = _pth_root(f.space.weights, p)
+    u *= r  # in (1/16, 4), or 0 where v_i = 0
+    e += q
+    top = int(np.max(e, where=u > 0, initial=np.iinfo(e.dtype).min))
+    e -= top
+    big = float(np.max(np.ldexp(u, e, out=u)))
+    u /= big
+    u **= p
+    r, q = _pth_root(np.sum(u, keepdims=True), p)  # of a sum in [1, n]
+    return _finite(float(np.ldexp(big * r[0], top + int(q[0]))), "Luxemburg norm")
 
 
 class LorentzWeight:

@@ -601,13 +601,13 @@ def test_luxemburg_square_closed_form():
 
 
 def test_luxemburg_norm_is_accurate_below_one():
-    # the moduli are scaled by their max before the power, so a small f
+    # the terms are scaled by a power of two before the power, so a small f
     # keeps the digits of a large one
     phi = OrliczFunction.power(2.0)
     for k in range(-300, 1):
         c = 10.0**k
         got = luxemburg_norm(mk([c, c]), phi)
-        assert got == pytest.approx(2**0.5 * c, rel=1e-9), c
+        assert got == pytest.approx(2**0.5 * c, rel=1e-15, abs=0.0), c
 
 
 def test_luxemburg_norm_near_the_float64_maximum():
@@ -618,12 +618,19 @@ def test_luxemburg_norm_near_the_float64_maximum():
         luxemburg_norm(mk([1.5e308, 1.5e308]), phi)
 
 
-def test_luxemburg_norm_of_weights_whose_sum_overflows():
-    # the modular's sum passes float64's range, the norm sqrt(2e308) does not
-    with np.errstate(over="ignore"):  # the space's total measure overflows
-        f = mk([1.0, 1.0], weights=[1e308, 1e308])
+@pytest.mark.parametrize("values, weights, want", [
+    # the modular sum_i w_i |v_i|^2 = 2e308 passes float64's range, the norm
+    # sqrt(2e308) does not
+    ([1.0, 1.0], [1e308, 1e308], 2**0.5 * 1e154),
+    # w |v|^2 = [1e-300, 1e-100]: the largest term is the one of the smaller
+    # modulus, whose square 1e-400 alone underflows
+    ([1.0, 1e-200], [1e-300, 1e300], 1e-50),
+], ids=["modular-overflows", "largest-term-of-small-modulus"])
+def test_luxemburg_norm_of_extreme_weights(values, weights, want):
+    with np.errstate(over="ignore"):  # the space's total measure may overflow
+        f = mk(values, weights=weights)
     got = luxemburg_norm(f, OrliczFunction.power(2.0))
-    assert got == pytest.approx(2**0.5 * 1e154, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_luxemburg_zero_function():
@@ -666,7 +673,8 @@ ORACLE_TOL = 1e-12
 @given(data=st.data())
 def test_luxemburg_norm_matches_long_double_and_the_bisection(data):
     # p in [1, 10]; moduli 10^e for e in [-300, 300], some zero, of either
-    # sign; equal weights or unequal ones
+    # sign; equal weights, or unequal ones in [1e-3, 1e3] or spanning
+    # 1e-300 to 1e300
     n = data.draw(st.integers(1, 24), label="n")
     p = data.draw(st.sampled_from([1.0, 2.0, 3.0, 10.0]) | st.floats(1.0, 10.0),
                   label="p")
@@ -680,14 +688,22 @@ def test_luxemburg_norm_matches_long_double_and_the_bisection(data):
         space = AtomicMeasureSpace.uniform(n, data.draw(
             st.sampled_from([1.0, 0.1, 1 / 3, 7.3, 2.0**-12]), label="w0"))
     else:
-        space = AtomicMeasureSpace(np.array(data.draw(
-            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n), label="w")))
+        span = data.draw(st.sampled_from([3.0, 300.0]), label="span")
+        space = AtomicMeasureSpace(10.0 ** np.array(data.draw(
+            st.lists(st.floats(-span, span), min_size=n, max_size=n), label="w")))
     f = MeasurableFunction(v, space)
-    got = luxemburg_norm(f, OrliczFunction.power(p))
     want = luxemburg_power_reference(v, space.weights, p)
-    assert abs(got - want) <= 1e-15 * want
-    oracle = luxemburg_bisection_oracle(v, space.weights, lambda u: u**p, ORACLE_TOL)
-    assert abs(got - oracle) <= ORACLE_TOL * oracle
+    if want == np.inf:
+        with pytest.raises(NumericError, match="the Luxemburg norm overflows float64"):
+            luxemburg_norm(f, OrliczFunction.power(p))
+        return
+    got = luxemburg_norm(f, OrliczFunction.power(p))
+    # below float64's normal range a norm is a multiple of 2^-1074
+    assert abs(got - want) <= 1e-15 * want + 2.0**-1074
+    # the oracle doubles and halves its bracket within the normal range
+    if np.finfo(float).tiny <= want <= np.finfo(float).max / 4:
+        oracle = luxemburg_bisection_oracle(v, space.weights, lambda u: u**p, ORACLE_TOL)
+        assert abs(got - oracle) <= ORACLE_TOL * oracle
 
 
 # -------------------------------------------------------------------- Lorentz

@@ -10,8 +10,8 @@ checkpoints by one of three lanes:
   composition and one shifted sum: a geometric checkpoint list costs
   O(N log n) for N atoms and horizon n, instead of O(N n). Any other gap d
   extends the sum through the binary digits of d, in O(N log d). Only the
-  current power of T is held, and periodic weights are read without an
-  n-long table.
+  current power of T is held, with one spare N-vector for the updates, and
+  periodic weights are read without an n-long table.
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
@@ -23,11 +23,15 @@ checkpoints by one of three lanes:
   O(nnz) for its nnz stored entries rather than O(N^2), and its sums do not
   depend on a BLAS build.
 
-Each checkpoint's average is reduced to its report row (probe values,
-norms and, with `majorize`, the majorization flag) as the lane yields it,
-and is dropped unless `store_averages` keeps it: a run that keeps none
-holds a few N-vectors plus C report rows for C checkpoints. An average or
-its L1 norm that overflows float64 raises NumericError.
+Each running sum is handed, at its checkpoint, to the report's consumers
+in one fixed order: the probe values read total[probes] / n, the L1 and
+Linf norms and then, with `majorize`, the majorization flag each fill one
+float64 moduli buffer from the sum a block at a time, and the average
+a_n = total / n is made only when `store_averages` keeps it. The buffer is
+dropped before the lane moves on, so a run that keeps no average holds
+the lane's few N-vectors and C report rows for C checkpoints, and one
+buffer more only at a checkpoint. An average or its L1 norm that
+overflows float64 raises NumericError.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ import numpy as np
 
 from .errors import BudgetError, CapabilityError, InputError
 from .operators import CompositionOperator, Operator
-from .spaces import MAJORIZATION_TOL, MeasurableFunction, _finite, submajorization_check
+from .spaces import (
+    _BLOCK,
+    MAJORIZATION_TOL,
+    MeasurableFunction,
+    _finite,
+    submajorization_check,
+)
 from .weights import WeightSequence, _max_modulus
 
 # default cap on the last checkpoint, the number of terms averaged per run
@@ -189,15 +199,17 @@ def _compose(a, b):
     return sb[sa], m
 
 
-def _shifted(op, v, scale=None, plus=None):
-    """plus + scale * T^x v for the pair op of T^x (None: 0 and 1)."""
+def _shifted(op, v, scale=None, out=None):
+    """scale * T^x v for the pair op of T^x (None: 1), written into out
+    when given, else into a new vector."""
     s, m = op
-    out = v[s]
+    if out is None:
+        out = v[s]
+    else:  # every index is in range, and mode "raise" would buffer out
+        np.take(v, s, out=out, mode="clip")
     out *= m
     if scale is not None:
         out *= scale
-    if plus is not None:
-        out += plus
     return out
 
 
@@ -218,29 +230,34 @@ def _power(op, e):
         op = _compose(op, op)
 
 
-def _segment(op, g, d, pows):
-    """R_j = sum_{k<d} lam_j^k T^k g for each term j, and T^d g (d >= 1).
+def _segment(op, blocks, d, pows, g=None):
+    """R_j = sum_{k<d} lam_j^k T^k v for each term j, and T^d g (d >= 1).
 
-    pows[j] maps an exponent e to lam_j^e (None for lam_j = 1). The digits
-    of d are read low to high with P = T^e and the block sum A_j = S_e(g),
-    e = 2^i. A set digit turns R_j = S_a(g), a < e, into
-    S_(e+a)(g) = A_j + lam^e P R_j and moves g on by P. Then
-    A_j = S_(2e)(g) = A_j + lam^e P A_j and P = T^(2e) = P P, so only the
-    current power of T is ever held.
+    blocks[j] holds v on entry and is doubled in place, so a caller may
+    hand over a buffer it no longer needs; pows[j] maps an exponent e to
+    lam_j^e (None for lam_j = 1). The digits of d are read low to high with
+    P = T^e and the block sums A_j = S_e(v), e = 2^i. A set digit turns
+    R_j = S_a(v), a < e, into S_(e+a)(v) = A_j + lam^e P R_j and moves g on
+    by P. Then A_j = S_(2e)(v) = A_j + lam^e P A_j and P = T^(2e) = P P, so
+    only the current power of T is ever held. g is read, not written; None
+    is not moved.
     """
-    blocks = [g] * len(pows)
-    sums = [None] * len(pows)
+    sums = [None] * len(blocks)
     e = 1
     while True:
         if d & e:
-            sums = [
-                A if R is None else _shifted(op, R, _at(pw, e), A)
-                for A, R, pw in zip(blocks, sums, pows)
-            ]
-            g = _shifted(op, g)
+            for j, (A, pw) in enumerate(zip(blocks, pows)):
+                if sums[j] is None:  # the top digit takes A itself
+                    sums[j] = A if d < 2 * e else A.copy()
+                else:
+                    sums[j] = _shifted(op, sums[j], _at(pw, e))
+                    sums[j] += A
+            if g is not None:
+                g = _shifted(op, g)
         if d < 2 * e:
             return sums, g
-        blocks = [_shifted(op, A, _at(pw, e), A) for A, pw in zip(blocks, pows)]
+        for A, pw in zip(blocks, pows):
+            A += _shifted(op, A, _at(pw, e))  # A + x has the bits of x + A
         op = _compose(op, op)
         e *= 2
 
@@ -307,15 +324,28 @@ def _lifted_sums(T, f, beta, terms, cps):
     are taken one application at a time, so no segment costs more than
     about 3 min(d, p) applications besides the lifting. Geometric weights
     run the same loop with p = 1, where both runs of single steps are empty.
+
+    One spare N-vector serves the whole run: a doubling writes each new sum
+    into it and keeps the old sum's buffer as the next spare, and a gap of
+    geometric weights doubles its first block in it. A multiplier of -1,
+    +0 and +1 entries (or the default 1.0) has exact products in any order,
+    so T^c f built from T^c has the bits of T^c f stepped to: such a lane
+    keeps no T^c f from one checkpoint to the next, and a gap builds T^c by
+    `_power` as a doubling does. With other multipliers T^c f is kept.
     """
     periodic = beta is not None and beta.kind == "periodic"
     table = beta.table if periodic else None
     p = table.size if periodic else 1
     pows = [pw for _, pw in terms]
     op = (T.point_map, T.multiplier)
+    # T^c f stepped to is kept but for signs and the default 1.0, and needs
+    # a vector of its own when kept or stepped one application at a time
+    keep = T.multiplier.dtype != np.int8 and T.multiplier.strides != (0,)
+    own = keep or periodic
     lift = None
     # every sum starts at zeros, so none holds a negative zero
     sums = [np.zeros(T.space.n_atoms, dtype=complex) for _ in terms]
+    spare = np.empty_like(sums[0])
     # T^c f and the pair of T^c, each None when not at hand
     g, pc, c = f.values, None, 0
 
@@ -327,57 +357,57 @@ def _lifted_sums(T, f, beta, terms, cps):
             g = T.apply_values(g)
         return g
 
-    def periods(g, c, q):
-        """Adds the q whole periods from c to the sums; returns T^(qp) g.
-        Their block sums die here, so none outlives its checkpoint."""
-        blocks, g = _segment(lift, g, q, pows)
-        if periodic:  # the p residue shifts of V
-            last = steps(blocks[0], 0, p - 1)
-            sums[0] += table[p - 1] * last
-        else:
-            for S, pw, R in zip(sums, pows, blocks):
-                S += R if pw is None else pw[c] * R
-        return g
-
     for i, n in enumerate(cps):
         if n == 2 * c and c % p == 0:
             pc = pc or _power(op, c)
-            sums = [_shifted(pc, S, _at(pw, c), S) for S, pw in zip(sums, pows)]
+            for j, pw in enumerate(pows):
+                new = _shifted(pc, sums[j], _at(pw, c), out=spare)
+                new += sums[j]  # the bits of sums[j] + w T^c sums[j]
+                sums[j], spare = new, sums[j]
             g = None
             if i + 1 < len(cps):
                 pc = _compose(pc, pc)
         else:
-            if g is None:
-                g = _shifted(pc, f.values)
+            if g is None:  # T^c f, from T^c
+                pc = pc or _power(op, c)
+                g = _shifted(pc, f.values, out=None if own else spare)
             pc = None
             aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
             g = steps(g, c, aligned)
             c = aligned
             q = (n - c) // p
-            if q:
+            if q:  # V doubled in the spare; its block sums die here
                 lift = lift or _power(op, p)
-                g = periods(g, c, q)
+                if g is not spare:
+                    np.copyto(spare, g)
+                blocks = [spare] + [spare.copy() for _ in pows[1:]]
+                blocks, g = _segment(lift, blocks, q, pows, g if own else None)
+                if periodic:  # the p residue shifts of V
+                    last = steps(blocks[0], 0, p - 1)
+                    sums[0] += table[p - 1] * last
+                else:
+                    for S, pw, R in zip(sums, pows, blocks):
+                        if pw is not None:
+                            np.multiply(pw[c], R, out=R)
+                        S += R  # the bits of S + pw[c] * R
                 c += q * p
             g = steps(g, c, n)  # and after the last whole period
+            if not keep:
+                g = None
         c = n
         yield _combined(terms, sums)
 
 
-def _majorization_rule(f, space, scale, tol=MAJORIZATION_TOL):
-    """(moduli, compare): an average a_n on `space` has a_n / M submajorized
-    by f (M = 1 when scale is None) when compare(moduli(a_n)) holds. f is
-    rearranged once, here. The two steps are apart so that a caller can
-    drop a_n before the comparison, where a run's memory peaks."""
-    inv = 1.0 / (1.0 if scale is None else scale)
-    # |a * 1.0| has the bits of |a|, so M = 1 needs no scaled copy of a_n
-    moduli = np.abs if inv == 1.0 else (lambda a: np.abs(a * inv))
-    return moduli, submajorization_check(f, space, tol)
-
-
-def _norms(a, weights):
-    """The L1 and Linf norms of the average a; its moduli die on return."""
-    mags = np.abs(a)
-    return float(np.sum(weights * mags)), float(np.max(mags))
+def _moduli(total, n, scale, out):
+    """out = |(total / n) * scale|, the moduli of the average a_n = total / n
+    divided by M = 1 / scale, filled a block at a time: the entries have the
+    bits of the whole-vector expression, and no complex N-vector is made."""
+    for a in range(0, out.size, _BLOCK):
+        block = total[a : a + _BLOCK] / n
+        if scale != 1.0:  # |a * 1.0| has the bits of |a|
+            block *= scale
+        np.abs(block, out=out[a : a + _BLOCK])
+    return out
 
 
 # float64 overflow is checked at each checkpoint, so numpy's warnings for it
@@ -415,39 +445,38 @@ def _stream(
         sums = _kahan_sums(orbit, table, width, cps)
         if not composition:
             sums = map(plan.unpermute, sums)
-    select = np.array(probes, dtype=np.intp)
 
-    if majorize:
-        moduli, compare = _majorization_rule(f, T.space, weight_bound)
-    w = T.space.weights
-    probe_rows, l1s, linfs, avgs, flags = [], [], [], [], []
+    # Each running sum goes to the consumers in this order and is dropped;
+    # only a stored average is made as a_n = total / n. The norms and the
+    # flag fill one moduli buffer in turn, gone before the lane moves on.
+    select = slice(None) if lane else np.array(probes, dtype=np.intp)
+    if majorize:  # a_n / M against f
+        compare = submajorization_check(f, T.space, overwrite=True)
+        scale = 1.0 / (weight_bound or 1.0)
+    rows, l1s, linfs, avgs, flags = [], [], [], [], []
     for n, total in zip(cps, sums):
-        a = total / n
-        probe_rows.append(a if lane else a[select])
+        mags = np.empty(n_atoms) if norms or majorize else None
+        rows.append(total[select] / n)
         if norms:
-            l1, linf = _norms(a, w)
-            l1s.append(l1)
-            linfs.append(linf)
-        # a finite L1 norm has finite moduli, so a finite Linf norm and
-        # average: a run with norms scans the average only once it overflows
-        if not (norms and math.isfinite(l1)):
-            _finite(a, f"average at checkpoint {n}")
+            linfs.append(float(np.max(_moduli(total, n, 1.0, mags))))
+            mags *= T.space.weights
+            l1s.append(float(np.sum(mags)))
+        # a finite L1 norm has finite moduli, so a finite Linf norm, sum and
+        # average: a run with norms scans the sum only once it overflows
+        if not (norms and math.isfinite(l1s[-1])):
+            _finite(total, f"average at checkpoint {n}")
             if norms:
-                _finite(l1, f"L1 norm of the average at checkpoint {n}")
+                _finite(l1s[-1], f"L1 norm of the average at checkpoint {n}")
         if store_averages:
-            avgs.append(MeasurableFunction(a, T.space))
-        mags = moduli(a) if majorize else None
-        # unless stored, the average dies before its flag's comparison and
-        # the next segment, and its moduli with the checkpoint
-        del a
+            avgs.append(MeasurableFunction(total / n, T.space))
         if majorize:
-            flags.append(bool(compare(mags)))
+            flags.append(bool(compare(_moduli(total, n, scale, mags))))
         del mags
 
     return AveragingReport(
         checkpoints=cps,
         probes=probes,
-        probe_values=np.array(probe_rows),
+        probe_values=np.array(rows),
         l1_norms=np.array(l1s) if norms else None,
         linf_norms=np.array(linfs) if norms else None,
         averages=tuple(avgs) if store_averages else None,
@@ -515,6 +544,9 @@ def majorization_trace(
             "majorization trace needs retained averages; rerun in full mode"
         )
     space = report.averages[0].space if report.averages else f.space
-    moduli, compare = _majorization_rule(f, space, report.weight_bound, tol)
-    report.majorized = tuple(bool(compare(moduli(a.values))) for a in report.averages)
+    compare = submajorization_check(f, space, tol, overwrite=True)
+    scale = 1.0 / (report.weight_bound or 1.0)
+    report.majorized = tuple(
+        bool(compare(np.abs(a.values * scale))) for a in report.averages
+    )
     return report.majorized

@@ -544,10 +544,14 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
         return KernelOperator.from_triplets(rows, cols, data, space)
     if kind == "composition":
         pm = read(obj, "map", "int_array")
-        re, im = _parts(obj, "mult_", pm.size, np.broadcast_to(1.0, pm.shape))
+        one = np.broadcast_to(1.0, pm.shape)
+        re, im = _parts(obj, "mult_", pm.size, one)
         # a real multiplier stays float64; + 0.0 turns -0.0 into +0.0, the
-        # real part of re + 0j
-        mult = re + 0.0 if im is None else re + 1j * im
+        # real part of re + 0j. The default stays one broadcast 1.0.
+        if im is not None:
+            mult = re + 1j * im
+        else:
+            mult = re if re is one else re + 0.0
         preserving = read(obj, "measure_preserving", "flag", False)
         return CompositionOperator(pm, mult, space, preserving)
     raise InputError(f"kind: unknown {kind!r}")

@@ -274,7 +274,10 @@ class CompositionOperator:
     matching weights within 1e-12. A multiplier given without a complex
     dtype is held as float64: numpy casts it to complex inside each complex
     product, so T f has the bits of the complex multiplier with imaginary
-    part +0.0, at half the memory.
+    part +0.0, at half the memory. One whose entries are all exactly -1, +0
+    or +1 is held as int8 signs, which numpy casts to the same complex
+    values, at an eighth of that; a broadcast one, such as the default 1.0,
+    is kept as it is.
     """
 
     def __init__(
@@ -293,6 +296,11 @@ class CompositionOperator:
             raise InputError("multiplier magnitudes must stay within 1")
         if measure_preserving:
             _check_measure_preserving(pm, space)
+        if mult.dtype == float and mult.strides != (0,):
+            signs = mult.astype(np.int8)  # in range: |mult| <= 1 + DS_TOL
+            # -0.0 == 0, but its sign would be lost
+            if np.array_equal(signs, mult) and not np.signbit(mult[signs == 0]).any():
+                mult = signs
         self.point_map = pm
         self.multiplier = mult
         self.space = space
@@ -336,7 +344,10 @@ def _contraction_sums(T: Operator) -> tuple[float, float]:
         col_mass = np.bincount(T.indices, w[T.entry_rows()] * a, T.space.n_atoms)
         return float(np.max(col_mass / w)), float(np.max(T.row_sums(a)))
     m = np.abs(T.multiplier)
-    col_mass = np.bincount(T.point_map, w * m, T.space.n_atoms)
+    # np.bincount would copy a read-only map, as a decoded one is; np.add.at
+    # reads it in place and adds in the same order
+    col_mass = np.zeros(T.space.n_atoms)
+    np.add.at(col_mass, T.point_map, w * m)
     return float(np.max(col_mass / w)), float(np.max(m))
 
 

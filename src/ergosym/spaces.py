@@ -30,8 +30,10 @@ from .errors import InputError, NumericError
 
 # default tolerance for Hardy-Littlewood partial-integral comparisons
 MAJORIZATION_TOL = 1e-9
-# atoms whose integrals of f* `submajorization_check` reads at once
-_INTEGRAL_BLOCK = 8192
+# entries a blocked loop reads at once: the integrals of f* that
+# `submajorization_check` sets up, and the comparisons and evaluations
+# that would otherwise each build an N-vector
+_BLOCK = 8192
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -57,7 +59,8 @@ class AtomicMeasureSpace:
             raise InputError("atom weights must be positive and finite")
         self.weights = w
         self.truncated = truncated
-        self.total_measure = float(np.sum(w))
+        with np.errstate(over="ignore"):  # a total past float64's range is inf
+            self.total_measure = float(np.sum(w))
 
     @property
     def n_atoms(self) -> int:
@@ -281,15 +284,19 @@ def majorizes(
     g* is affine and that of f* concave, so their difference is convex and
     peaks at an end; it is 0 at s = 0, and past the last s_i g* vanishes.
     """
-    return submajorization_check(f, g.space, tol)(np.abs(g.values))
+    return submajorization_check(f, g.space, tol, overwrite=True)(np.abs(g.values))
 
 
 def submajorization_check(
-    f: MeasurableFunction, space: AtomicMeasureSpace, tol=MAJORIZATION_TOL
+    f: MeasurableFunction, space: AtomicMeasureSpace, tol=MAJORIZATION_TOL,
+    overwrite: bool = False,
 ) -> Callable[[np.ndarray], MajorizationResult]:
     """The comparison `majorizes` makes, as a function of the moduli |g| of
     a g on `space`: a caller comparing many g against one f checks the
-    spaces, rearranges f and scales tol by the whole integral of f* once."""
+    spaces, rearranges f and scales tol by the whole integral of f* once.
+    With `overwrite` the check may sort and sum the moduli it is given in
+    place, so that it holds no N-vector of its own; the caller then no
+    longer reads them."""
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("majorization tolerance must be finite and >= 0")
     _check_comparable(f.space, space)
@@ -299,32 +306,43 @@ def submajorization_check(
         # every order of g's atoms puts its boundaries at cumsum(w); the
         # integrals of f* there replace them a block at a time
         int_f = np.cumsum(w)
-        for a in range(0, int_f.size, _INTEGRAL_BLOCK):
-            block = int_f[a : a + _INTEGRAL_BLOCK]
+        for a in range(0, int_f.size, _BLOCK):
+            block = int_f[a : a + _BLOCK]
             block[:] = rf.integrals(block)
-        return partial(_submajorized_at_atoms, None, w, int_f, slack)
-    return partial(_submajorized_at_atoms, rf, w, None, slack)
+        return partial(_submajorized_at_atoms, None, w, int_f, slack, overwrite)
+    return partial(_submajorized_at_atoms, rf, w, None, slack, overwrite)
 
 
 @np.errstate(over="ignore")  # an integral past float64's range reads as inf
-def _submajorized_at_atoms(rf, weights, int_f, slack, mags) -> MajorizationResult:
+def _submajorized_at_atoms(
+    rf, weights, int_f, slack, overwrite, mags
+) -> MajorizationResult:
     """g against f at g's atom boundaries, for |g| = mags, allowing int g*
-    to pass int f* by `slack`; its temporaries die on return. Either f* = rf,
-    and the boundaries follow the order of decreasing |g|, or weights are
-    all equal and int_f holds int f* at them."""
+    to pass int f* by `slack`. Either f* = rf, and the boundaries follow the
+    order of decreasing |g|, or weights are all equal and int_f holds int f*
+    at them; then only sorted values are read, so ties and the sort do not
+    matter, and with `overwrite` mags itself is sorted, scaled and summed.
+    The two integrals are compared a block at a time."""
     if int_f is None:
         order = np.argsort(mags)[::-1]
         w, desc = weights[order], mags[order]
         int_f = rf.integrals(np.cumsum(w))
-    else:  # only sorted values are read, so ties and the sort do not matter
-        w, desc = weights, np.sort(mags)[::-1]
-    int_g = np.cumsum(w * desc)
-    bad = np.flatnonzero(int_g > int_f + slack)
-    if bad.size == 0:
-        return MajorizationResult(True)
-    i = bad[0]
-    s_i = np.cumsum(w[: i + 1])[-1]  # cumsum adds in order: the bits of s[i]
-    return MajorizationResult(False, float(s_i), float(int_f[i]), float(int_g[i]))
+        int_g = np.cumsum(w * desc)
+    else:
+        w, int_g = weights, mags if overwrite else mags.copy()
+        int_g.sort()
+        int_g = int_g[::-1]
+        int_g *= w
+        np.cumsum(int_g, out=int_g)
+    for a in range(0, int_g.size, _BLOCK):
+        bad = np.flatnonzero(int_g[a : a + _BLOCK] > int_f[a : a + _BLOCK] + slack)
+        if bad.size:
+            i = a + bad[0]
+            s_i = np.cumsum(w[: i + 1])[-1]  # cumsum adds in order: the bits of s[i]
+            return MajorizationResult(
+                False, float(s_i), float(int_f[i]), float(int_g[i])
+            )
+    return MajorizationResult(True)
 
 
 @np.errstate(over="ignore")  # an overflow is reported as a NumericError
@@ -396,8 +414,9 @@ def luxemburg_norm(f: MeasurableFunction, phi: OrliczFunction) -> float:
     u, e = np.frexp(np.abs(f.values))
     if not u.any():
         return 0.0
-    p = phi.p
-    r, q = _pth_root(f.space.weights, p)
+    p, w = phi.p, f.space.weights
+    # the root of equal weights is taken once, of the first
+    r, q = _pth_root(w[:1] if w.min() == w.max() else w, p)
     u *= r  # in (1/16, 4), or 0 where v_i = 0
     e += q
     top = int(np.max(e, where=u > 0, initial=np.iinfo(e.dtype).min))
@@ -461,5 +480,12 @@ def lorentz_norm(f: MeasurableFunction, w: LorentzWeight) -> float:
     raises NumericError.
     """
     r = rearrangement(f)
-    pv = w.evaluate(r.breakpoints)
-    return _finite(float(np.sum(r.plateaus * np.diff(pv))), "Lorentz norm")
+    bp = r.breakpoints
+    pv = np.empty(bp.size)
+    for a in range(0, bp.size, _BLOCK):
+        pv[a : a + _BLOCK] = w.evaluate(bp[a : a + _BLOCK])
+    # the differences phi(t_i) - phi(t_(i-1)) in place: pv[i + 1] is read
+    # before pv[i] is written
+    d = np.subtract(pv[1:], pv[:-1], out=pv[:-1])
+    d *= r.plateaus
+    return _finite(float(np.sum(d)), "Lorentz norm")

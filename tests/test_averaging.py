@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergosym import (
     AtomicMeasureSpace,
@@ -310,6 +312,77 @@ def test_real_multiplier_gives_the_bits_of_its_complex_form(lane, kind, bijectiv
         else:
             reports.append(weighted(T, f, beta, cps, **kw))
     assert _report_bits(reports[0]) == _report_bits(reports[1])
+
+
+# a geometric list, one with power-of-two gaps past 16, and one with gaps of
+# every binary shape
+SIGN_CHECKPOINTS = {
+    "geometric": (1, 2, 4, 8, 16, 32, 64, 100),
+    "dense": (1, 2, 4, 8, 16, 24, 32, 40, 48, 56, 64, 96, 128),
+    "mixed": (3, 5, 12, 24, 25, 31, 62),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sign_multiplier_gives_the_bits_of_its_float64_form(data):
+    # entries -1, +0 and +1 are held as int8 and cast to the same complex
+    # values as their float64 form. A product of signs is exact in any
+    # order, so the powers differ at most in the sign of a zero product, and
+    # the lifted lane, which builds T^c f from T^c for signs but keeps the
+    # T^c f it stepped to for float64, gives the same bytes on every lane
+    n = data.draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pm = rng.permutation(n) if data.draw(st.booleans(), label="bijective") else (
+        rng.integers(0, n, n))
+    levels = data.draw(st.sampled_from([[-1.0, 1.0], [-1.0, 0.0, 1.0]]), label="levels")
+    signs = rng.choice(levels, n)
+    T = CompositionOperator(pm, signs, unit_space(n))
+    F = CompositionOperator(pm, signs, unit_space(n))
+    F.multiplier = signs
+    assert T.multiplier.dtype == np.int8 and F.multiplier.dtype == np.float64
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v[::5], v.imag[::3], v.real[::7] = 0.0, 0.0, -0.0
+    assert T.apply_values(v).tobytes() == F.apply_values(v).tobytes()
+    e = data.draw(st.integers(1, 300), label="power")
+    (s8, m8), (sf, mf) = (averaging._power((X.point_map, X.multiplier), e)
+                          for X in (T, F))
+    assert m8.dtype == np.int8 and s8.tobytes() == sf.tobytes()
+    assert (m8 + 0.0).tobytes() == (mf + 0.0).tobytes()  # + 0.0 clears -0.0
+    cps = SIGN_CHECKPOINTS[data.draw(st.sampled_from(sorted(SIGN_CHECKPOINTS)),
+                                     label="checkpoints")]
+    kind = data.draw(st.sampled_from(
+        ["probe_orbit", "kahan", "cesaro", "lambda_power", "periodic", "trig_poly"]),
+        label="lane")
+    beta = None if kind in ("probe_orbit", "cesaro") else (
+        WeightSequence.explicit(rng.normal(size=cps[-1]) + 1j)
+        if kind == "kahan" else weight_kinds(rng)[kind])
+    full = kind != "probe_orbit"
+    kw = dict(probes=(0, n - 1), store_averages=full, norms=full, majorize=full)
+    reports = [cesaro(X, MeasurableFunction(v, X.space), cps, **kw) if beta is None
+               else weighted(X, MeasurableFunction(v, X.space), beta, cps, **kw)
+               for X in (T, F)]
+    assert _report_bits(reports[0]) == _report_bits(reports[1])
+
+
+def test_explicit_weight_above_one_gives_the_same_rows_stored_or_not():
+    # M is about 2, so each flag compares |a_n| / M, read off the running sum
+    # a block at a time over more than one block, with f; the stored run
+    # scales each kept average instead
+    rng = np.random.default_rng(89)
+    n, cps = 3 * spaces._BLOCK + 5, (1, 2, 3, 7, 16, 40)
+    T = CompositionOperator(rng.permutation(n), rng.choice([-1.0, 1.0], n),
+                            unit_space(n), measure_preserving=True)
+    beta = WeightSequence.explicit(2.0 * np.exp(2j * np.pi * rng.random(cps[-1])),
+                                   bound=2.0)
+    f = MeasurableFunction(rng.normal(size=n), T.space)
+    streamed = weighted(T, f, beta, cps, probes=(0, n - 1), store_averages=False,
+                        majorize=True)
+    stored = weighted(T, f, beta, cps, probes=(0, n - 1))
+    assert streamed.weight_bound == stored.weight_bound > 1.99
+    assert streamed.majorized == majorization_trace(stored, f)
+    for field in ("probe_values", "l1_norms", "linf_norms"):
+        assert getattr(streamed, field).tobytes() == getattr(stored, field).tobytes()
 
 
 def assert_matches_naive(T, f, beta, cps, tol=1e-12):

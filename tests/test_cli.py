@@ -1232,6 +1232,43 @@ def test_benchmark_shaped_weighted_run_peaks_below_7_5_mib(tmp_path):
     assert peak < 7.5 * 2**20
 
 
+def _benchmark_shaped(command):
+    """A config of the shape of the stream benchmark's `command`."""
+    n_atoms = 1 << 16
+    if command == "norms":
+        return {"schema": 1, "seed": 4, "space": {"atoms": n_atoms, "weight": 2.0**-12},
+                "function": {"random": {"kind": "complex", "scale": 2.0}},
+                "orlicz": {"power": 3}, "lorentz": {"capped": 2.5}}
+    rng = np.random.default_rng(88)
+    return {
+        "schema": 1, "seed": 22, "space": {"atoms": n_atoms},
+        "operator": {"kind": "composition", "map": rng.permutation(n_atoms).tolist(),
+                     "mult_re": rng.choice([-1.0, 1.0], n_atoms).tolist(),
+                     "measure_preserving": True},
+        "function": {"random": {"kind": "real"}},
+        "weight": {"kind": "lambda_power", "lambda_re": float(np.cos(1.3)),
+                   "lambda_im": float(np.sin(1.3))},
+        "checkpoints": {"geometric": 1024}, "probes": [3, 4000, 65000], "mode": "full",
+    }
+
+
+@pytest.mark.parametrize("command, mib", [("norms", 4.0), ("weighted-average", 6.0)])
+def test_benchmark_shaped_runs_peak_below_their_pins(tmp_path, command, mib):
+    # norms: the Lorentz norm evaluates phi a block at a time and takes its
+    # differences in place, and the Luxemburg norm takes one root of the
+    # equal weights (5.05 MiB before). weighted-average: no average is
+    # made, the flag sorts and sums one moduli buffer in place, and the
+    # signs are int8 (6.63 MiB before).
+    path = write_cfg(tmp_path, "cfg.json", _benchmark_shaped(command))
+    tracemalloc.start()
+    try:
+        assert cli.main([command, path, "--output-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
+
+
 # A composition whose mult_re holds -0.0, on f with signed zeros, through the
 # lifted, probe-orbit and Kahan lanes; the digests were recorded while the
 # multiplier was still held as complex (re + 1j * 0.0)

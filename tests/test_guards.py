@@ -176,6 +176,15 @@ def test_average_whose_l1_norm_overflows_exits_3(tmp_path, capsys):
     assert err == "error: the L1 norm of the average at checkpoint 1 overflows float64\n"
 
 
+def test_weights_whose_sum_overflows_exit_2(tmp_path, capsys):
+    # the total measure 2e308 is held as inf without numpy's overflow
+    # warning, and the rearrangement refuses the space
+    cfg = {"schema": 1, "space": {"weights": [1e308, 1e308]},
+           "function": {"re": [1e-10, 1e-10]}}
+    code, err, files = _run(tmp_path, capsys, "norms", cfg)
+    assert (code, err, files) == (2, "error: rearrangement data must be finite\n", {})
+
+
 def test_trig_poly_weight_is_not_refused_at_its_coefficient_sum(tmp_path, capsys):
     # |P(k)| of this one term passes |z| by 16384 = one ulp
     cfg = {"schema": 1, "space": {"atoms": 4}, "operator": SHIFT4,

@@ -1,5 +1,8 @@
 """Operator representations, contraction certificates, modulus, adjoints."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from ergosym import (
     pairing,
     signed_shift_operator,
 )
+from ergosym.formats import loads, operator_from_json
 from dense import dense
 from oracles import (
     modulus_sup_oracle,
@@ -266,6 +270,50 @@ def test_ds_implies_majorization():
         T = random_ds_kernel(rng, n)
         f = MeasurableFunction(rng.normal(size=n), T.space)
         assert majorizes(f, apply(T, f))
+
+
+def test_ds_check_reads_a_decoded_map_in_place():
+    # a decoded map is read-only, which np.bincount copied: one N-vector
+    # more than |m|, w |m| and the column masses. Signs held as int8 give
+    # the sums of their float64 form.
+    n = 1 << 16
+    rng = np.random.default_rng(31)
+    cfg = loads(json.dumps({"map": rng.integers(0, n, n).tolist(),
+                            "mult_re": rng.uniform(-1.0, 1.0, n).tolist()}))
+    space = AtomicMeasureSpace.uniform(n, 0.5)
+    T = operator_from_json({"kind": "composition", **cfg}, space)
+    assert not T.point_map.flags.writeable
+    tracemalloc.start()
+    try:
+        rep = ds_certificate(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * 8
+    col = np.bincount(T.point_map.copy(), 0.5 * np.abs(T.multiplier), n) / 0.5
+    assert rep.worst_column_sum == float(np.max(col))
+    signs = rng.choice([-1.0, 0.0, 1.0], n)
+    S = CompositionOperator(T.point_map, signs, space)
+    F = CompositionOperator(T.point_map, signs, space)
+    F.multiplier = signs
+    assert S.multiplier.dtype == np.int8 and ds_certificate(S) == ds_certificate(F)
+
+
+@pytest.mark.parametrize("mult, dtype", [
+    ([-1.0, 0.0, 1.0, 1.0], np.int8),
+    ([1, -1, 0, 1], np.int8),
+    ([-1.0, -0.0, 1.0, 1.0], np.float64),  # int8 holds no -0.0
+    ([-1.0, 0.5, 1.0, 1.0], np.float64),
+    ([1.0, 1.0, 1.0, 1.0 + 1e-13], np.float64),
+    ([1j, -1.0, 1.0, 0.0], np.complex128),
+])
+def test_composition_holds_exact_signs_as_int8(mult, dtype):
+    T = CompositionOperator([1, 2, 3, 0], mult, unit_space(4))
+    assert T.multiplier.dtype == dtype
+    assert np.array_equal(T.multiplier, mult)
+    # a broadcast multiplier, such as the default 1.0, is kept as it is
+    one = np.broadcast_to(1.0, 4)
+    assert CompositionOperator([1, 2, 3, 0], one, unit_space(4)).multiplier is one
 
 
 # -------------------------------------------------------------------- modulus

@@ -9,9 +9,10 @@ checkpoints by one of three lanes:
   T^c with the sum S_c, so a gap equal to c doubles both, with one
   composition and one shifted sum: a geometric checkpoint list costs
   O(N log n) for N atoms and horizon n, instead of O(N n). Any other gap d
-  extends the sum through the binary digits of d, in O(N log d). Only the
-  current power of T is held, with one spare N-vector for the updates, and
-  periodic weights are read without an n-long table.
+  extends the sum through the binary digits of d, in O(N log d), holding
+  one power of T at a time beside what the lane carries, and one spare
+  N-vector for the updates. Periodic weights are read without an n-long
+  table.
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
@@ -192,7 +193,10 @@ def _kahan_sums(orbit, table, width, cps):
 
 
 def _compose(a, b):
-    """The pair of T^(x+y) from the pairs a of T^x and b of T^y."""
+    """The pair of T^(x+y) from the pairs a of T^x and b of T^y; None stands
+    for T^0."""
+    if a is None or b is None:
+        return b if a is None else a
     (sa, ma), (sb, mb) = a, b
     m = mb[sa]
     m *= ma  # products commute bit for bit, complex ones too
@@ -230,17 +234,18 @@ def _power(op, e):
         op = _compose(op, op)
 
 
-def _segment(op, blocks, d, pows, g=None):
-    """R_j = sum_{k<d} lam_j^k T^k v for each term j, and T^d g (d >= 1).
+def _segment(op, blocks, d, pows, g, move):
+    """R_j = sum_{k<d} lam_j^k T^k v for each term j, and g moved on by T^d
+    (d >= 1).
 
     blocks[j] holds v on entry and is doubled in place, so a caller may
     hand over a buffer it no longer needs; pows[j] maps an exponent e to
     lam_j^e (None for lam_j = 1). The digits of d are read low to high with
     P = T^e and the block sums A_j = S_e(v), e = 2^i. A set digit turns
-    R_j = S_a(v), a < e, into S_(e+a)(v) = A_j + lam^e P R_j and moves g on
-    by P. Then A_j = S_(2e)(v) = A_j + lam^e P A_j and P = T^(2e) = P P, so
-    only the current power of T is ever held. g is read, not written; None
-    is not moved.
+    R_j = S_a(v), a < e, into S_(e+a)(v) = A_j + lam^e P R_j and g into
+    move(P, g): `_shifted` moves a vector T^c f, `_compose` the pair of T^c.
+    Then A_j = S_(2e)(v) = A_j + lam^e P A_j and P = T^(2e) = P P, so only
+    the current power of T is ever held.
     """
     sums = [None] * len(blocks)
     e = 1
@@ -252,8 +257,7 @@ def _segment(op, blocks, d, pows, g=None):
                 else:
                     sums[j] = _shifted(op, sums[j], _at(pw, e))
                     sums[j] += A
-            if g is not None:
-                g = _shifted(op, g)
+            g = move(op, g)
         if d < 2 * e:
             return sums, g
         for A, pw in zip(blocks, pows):
@@ -327,26 +331,30 @@ def _lifted_sums(T, f, beta, terms, cps):
 
     One spare N-vector serves the whole run: a doubling writes each new sum
     into it and keeps the old sum's buffer as the next spare, and a gap of
-    geometric weights doubles its first block in it. A multiplier of -1,
-    +0 and +1 entries (or the default 1.0) has exact products in any order,
-    so T^c f built from T^c has the bits of T^c f stepped to: such a lane
-    keeps no T^c f from one checkpoint to the next, and a gap builds T^c by
-    `_power` as a doubling does. With other multipliers T^c f is kept.
+    geometric weights doubles its first block in it. Between checkpoints the
+    lane holds T^c f, stepped to through each gap, or the pair of T^c when
+    the weights are geometric and every multiplier entry is -1, 0 or +1
+    (int8 signs, or one broadcast value such as the default 1.0): products
+    of signs are exact in any order, so T^c f built from T^c into the spare
+    has the bits of the stepped one, and the pair, an index and an int8
+    vector, is smaller. Either is moved on in the gap's O(log d)
+    applications, so a doubling after a gap needs no `_power` for signs.
     """
     periodic = beta is not None and beta.kind == "periodic"
     table = beta.table if periodic else None
     p = table.size if periodic else 1
     pows = [pw for _, pw in terms]
-    op = (T.point_map, T.multiplier)
-    # T^c f stepped to is kept but for signs and the default 1.0, and needs
-    # a vector of its own when kept or stepped one application at a time
-    keep = T.multiplier.dtype != np.int8 and T.multiplier.strides != (0,)
-    own = keep or periodic
+    m = T.multiplier
+    op = (T.point_map, m)
+    pairs = not periodic and (
+        m.dtype == np.int8 or (m.strides == (0,) and m[0] in (-1, 0, 1))
+    )
     lift = None
     # every sum starts at zeros, so none holds a negative zero
     sums = [np.zeros(T.space.n_atoms, dtype=complex) for _ in terms]
     spare = np.empty_like(sums[0])
-    # T^c f and the pair of T^c, each None when not at hand
+    # T^c f and the pair of T^c (for pairs, None at c = 0 is T^0), each None
+    # when not at hand
     g, pc, c = f.values, None, 0
 
     def steps(g, c, stop):
@@ -368,10 +376,10 @@ def _lifted_sums(T, f, beta, terms, cps):
             if i + 1 < len(cps):
                 pc = _compose(pc, pc)
         else:
-            if g is None:  # T^c f, from T^c
-                pc = pc or _power(op, c)
-                g = _shifted(pc, f.values, out=None if own else spare)
-            pc = None
+            if g is None:  # T^c f, from T^c; only read when pairs
+                g = _shifted(pc, f.values, out=spare if pairs else None)
+            if not pairs:
+                pc = None
             aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
             g = steps(g, c, aligned)
             c = aligned
@@ -381,7 +389,11 @@ def _lifted_sums(T, f, beta, terms, cps):
                 if g is not spare:
                     np.copyto(spare, g)
                 blocks = [spare] + [spare.copy() for _ in pows[1:]]
-                blocks, g = _segment(lift, blocks, q, pows, g if own else None)
+                if pairs:
+                    blocks, pc = _segment(lift, blocks, q, pows, pc, _compose)
+                    g = None
+                else:
+                    blocks, g = _segment(lift, blocks, q, pows, g, _shifted)
                 if periodic:  # the p residue shifts of V
                     last = steps(blocks[0], 0, p - 1)
                     sums[0] += table[p - 1] * last
@@ -392,8 +404,6 @@ def _lifted_sums(T, f, beta, terms, cps):
                         S += R  # the bits of S + pw[c] * R
                 c += q * p
             g = steps(g, c, n)  # and after the last whole period
-            if not keep:
-                g = None
         c = n
         yield _combined(terms, sums)
 
@@ -546,7 +556,8 @@ def majorization_trace(
     space = report.averages[0].space if report.averages else f.space
     compare = submajorization_check(f, space, tol, overwrite=True)
     scale = 1.0 / (report.weight_bound or 1.0)
+    mags = np.empty(space.n_atoms)  # a / 1 is exact, so these are |a * scale|
     report.majorized = tuple(
-        bool(compare(np.abs(a.values * scale))) for a in report.averages
+        bool(compare(_moduli(a.values, 1, scale, mags))) for a in report.averages
     )
     return report.majorized

@@ -544,6 +544,9 @@ def operator_from_json(obj, space: AtomicMeasureSpace | None):
         return KernelOperator.from_triplets(rows, cols, data, space)
     if kind == "composition":
         pm = read(obj, "map", "int_array")
+        # np.bincount, which sums ds-check's column masses, would copy a
+        # read-only map, as a NumberList holds it; nothing writes to it
+        pm.flags.writeable = True
         one = np.broadcast_to(1.0, pm.shape)
         re, im = _parts(obj, "mult_", pm.size, one)
         # a real multiplier stays float64; + 0.0 turns -0.0 into +0.0, the

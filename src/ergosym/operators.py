@@ -344,10 +344,7 @@ def _contraction_sums(T: Operator) -> tuple[float, float]:
         col_mass = np.bincount(T.indices, w[T.entry_rows()] * a, T.space.n_atoms)
         return float(np.max(col_mass / w)), float(np.max(T.row_sums(a)))
     m = np.abs(T.multiplier)
-    # np.bincount would copy a read-only map, as a decoded one is; np.add.at
-    # reads it in place and adds in the same order
-    col_mass = np.zeros(T.space.n_atoms)
-    np.add.at(col_mass, T.point_map, w * m)
+    col_mass = np.bincount(T.point_map, w * m, T.space.n_atoms)
     return float(np.max(col_mass / w)), float(np.max(m))
 
 

@@ -329,8 +329,8 @@ def test_sign_multiplier_gives_the_bits_of_its_float64_form(data):
     # entries -1, +0 and +1 are held as int8 and cast to the same complex
     # values as their float64 form. A product of signs is exact in any
     # order, so the powers differ at most in the sign of a zero product, and
-    # the lifted lane, which builds T^c f from T^c for signs but keeps the
-    # T^c f it stepped to for float64, gives the same bytes on every lane
+    # the lifted lane, which carries T^c for signs and builds T^c f from it
+    # but steps T^c f itself for float64, gives the same bytes on every lane
     n = data.draw(st.integers(1, 40), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     pm = rng.permutation(n) if data.draw(st.booleans(), label="bijective") else (
@@ -362,6 +362,29 @@ def test_sign_multiplier_gives_the_bits_of_its_float64_form(data):
     reports = [cesaro(X, MeasurableFunction(v, X.space), cps, **kw) if beta is None
                else weighted(X, MeasurableFunction(v, X.space), beta, cps, **kw)
                for X in (T, F)]
+    assert _report_bits(reports[0]) == _report_bits(reports[1])
+
+
+@pytest.mark.parametrize("value", [0.5, np.exp(0.3j), -1.0, 1.0],
+                         ids=["half", "unit_complex", "minus_one", "one"])
+@pytest.mark.parametrize("kind", ["cesaro", "lambda_power", "trig_poly", "periodic"])
+@pytest.mark.parametrize("shape", sorted(SIGN_CHECKPOINTS))
+def test_broadcast_multiplier_gives_the_bits_of_its_full_form(value, kind, shape):
+    # a broadcast multiplier is held as given. Only a sign lets the lifted
+    # lane build T^c f from T^c; other values, such as the powers of
+    # exp(0.3j) taken by squaring, round otherwise than the T^c f stepped to
+    n = 9
+    rng = np.random.default_rng(93)
+    pm = rng.integers(0, n, n)
+    B = CompositionOperator(pm, np.broadcast_to(value, n), unit_space(n))
+    F = CompositionOperator(pm, np.full(n, value), unit_space(n))
+    assert B.multiplier.strides == (0,) and F.multiplier.strides != (0,)
+    v = MeasurableFunction(rng.normal(size=n) + 1j * rng.normal(size=n), unit_space(n))
+    beta = weight_kinds(rng)[kind]
+    kw = dict(probes=(0, n - 1), majorize=True)
+    cps = SIGN_CHECKPOINTS[shape]
+    reports = [cesaro(X, v, cps, **kw) if beta is None else weighted(X, v, beta, cps, **kw)
+               for X in (B, F)]
     assert _report_bits(reports[0]) == _report_bits(reports[1])
 
 

@@ -273,16 +273,17 @@ def test_ds_implies_majorization():
 
 
 def test_ds_check_reads_a_decoded_map_in_place():
-    # a decoded map is read-only, which np.bincount copied: one N-vector
-    # more than |m|, w |m| and the column masses. Signs held as int8 give
-    # the sums of their float64 form.
+    # a decoded map is held read-only, which np.bincount would copy: one
+    # N-vector more than |m|, w |m| and the column masses. The decoder
+    # hands it over writable. Signs held as int8 give the sums of their
+    # float64 form.
     n = 1 << 16
     rng = np.random.default_rng(31)
     cfg = loads(json.dumps({"map": rng.integers(0, n, n).tolist(),
                             "mult_re": rng.uniform(-1.0, 1.0, n).tolist()}))
     space = AtomicMeasureSpace.uniform(n, 0.5)
     T = operator_from_json({"kind": "composition", **cfg}, space)
-    assert not T.point_map.flags.writeable
+    assert T.point_map.flags.writeable
     tracemalloc.start()
     try:
         rep = ds_certificate(T)

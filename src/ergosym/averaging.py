@@ -11,8 +11,8 @@ checkpoints by one of three lanes:
   O(N log n) for N atoms and horizon n, instead of O(N n). Any other gap d
   extends the sum through the binary digits of d, in O(N log d), holding
   one power of T at a time beside what the lane carries, and one spare
-  N-vector for the updates. Periodic weights are read without an n-long
-  table.
+  N-vector for the updates. A periodic gap is lifted by T^p from whatever
+  residue it starts at, and no n-long table is held while the lane runs.
 - A probe-only run without norms on a composition follows just the probe
   atoms' orbits, so its cost does not grow with the number of atoms.
 - Kernel operators, and explicit weights on any operator, stream: one
@@ -23,6 +23,12 @@ checkpoints by one of three lanes:
   f is permuted in once and each checkpoint's sum out once. A step costs
   O(nnz) for its nnz stored entries rather than O(N^2), and its sums do not
   depend on a BLAS build.
+
+A weighted run reads its weights through one rule for every lane: one
+table t with beta_k = t[k % t.size] (a periodic, constant or explicit
+weight's own, the n values of the other kinds), and from it one bound
+M = max(1, max_(k<n) |beta_k|), a lambda_power's powers on the lifted lane
+and beta_k on the Kahan lanes.
 
 Each running sum is handed, at its checkpoint, to the report's consumers
 in one fixed order: the probe values read total[probes] / n, the L1 and
@@ -266,33 +272,22 @@ def _segment(op, blocks, d, pows, g, move):
         e *= 2
 
 
-def _weight_bound(betas) -> float:
-    """M = max(1, max_k |beta_k|) over the weights given."""
-    return max(1.0, _max_modulus(betas))
-
-
-def _lifted_weights(beta, cps):
-    """(M, terms) for `_lifted_sums`, M None for a Cesaro run.
-
-    terms are (z_j, powers of lam_j) with beta_k = sum_j z_j lam_j^k, the
-    powers at every exponent `_lifted_sums` reads: each segment start and
-    each 2^i below the widest gap. Cesaro and periodic weights give one term
-    with lam = 1 (None). M is the max over all n weights; a periodic table
-    holds them all in its first min(n, p) entries, the other kinds build
-    the n-long table.
+def _lifted_terms(beta, table, cps):
+    """terms (z_j, powers of lam_j) for `_lifted_sums`, with beta_k =
+    sum_j z_j lam_j^k, the powers at every exponent `_lifted_sums` reads:
+    each segment start and each 2^i below the widest gap. Cesaro and periodic
+    weights give one term with lam = 1 (None); a lambda_power reads its
+    powers off `table`, the run's table of its n values.
     """
+    if beta is None or beta.kind == "periodic":
+        return [(1.0, None)]
     n = cps[-1]
-    if beta is None:
-        return None, [(1.0, None)]
-    if beta.kind == "periodic":
-        return _weight_bound(beta.table[:n]), [(1.0, None)]
-    betas = beta.values(n)
     gaps = np.diff((0,) + cps)
     ks = {0, *cps[:-1]} | {1 << i for i in range(int(gaps.max()).bit_length())}
     ks = np.array(sorted(k for k in ks if k < n), dtype=np.int64)
     if beta.kind == "lambda_power":
-        return _weight_bound(betas), [(1.0, dict(zip(ks.tolist(), betas[ks])))]
-    return _weight_bound(betas), [
+        return [(1.0, dict(zip(ks.tolist(), table[ks])))]
+    return [
         (t.coefficient, dict(zip(ks.tolist(), t.powers(ks, n))))
         for t in beta.poly.terms
     ]
@@ -308,12 +303,13 @@ def _combined(terms, sums):
     return total
 
 
-def _lifted_sums(T, f, beta, terms, cps):
+def _lifted_sums(T, f, table, terms, cps):
     """Running sums at each checkpoint for a composition T.
 
     The lane holds one sum per weight term: S_j = sum_(k<c) lam_j^k T^k f
     for geometric weights (Cesaro, lambda_power, trig_poly), or the weighted
-    sum itself for a periodic weight. A gap equal to c doubles:
+    sum itself for a periodic weight, beta_k = table[k % p] (table None for
+    the others). A gap equal to c doubles:
     S_(2c) = S_c + w T^c S_c and T^(2c) = T^c T^c, with w = lam_j^c, or 1
     for a periodic weight whose period p divides c. A geometric checkpoint
     list thus takes one composition and one shifted sum per checkpoint,
@@ -322,12 +318,11 @@ def _lifted_sums(T, f, beta, terms, cps):
 
     Any other gap d extends the sums from T^c f by `_segment`, in
     O(N log d): geometric weights as S_j(c+d) = S_j(c) + lam_j^c R_j(T^c f, d).
-    Periodic weights lift U = T^p: from a multiple c of p, the q = d // p
-    whole periods add sum_(r<p) b_r T^r V with V = sum_(q'<q) U^q' T^c f.
-    The steps up to the next multiple of p and after the last whole period
-    are taken one application at a time, so no segment costs more than
-    about 3 min(d, p) applications besides the lifting. Geometric weights
-    run the same loop with p = 1, where both runs of single steps are empty.
+    Periodic weights lift U = T^p from whatever residue c starts the gap:
+    the q = d // p whole periods add sum_(r<p) b_((c+r) mod p) T^r V with
+    V = sum_(q'<q) U^q' T^c f, in p - 1 applications, and the d mod p steps
+    after the last whole period are taken one application at a time.
+    Geometric weights run the same loop with p = 1, where both are empty.
 
     One spare N-vector serves the whole run: a doubling writes each new sum
     into it and keeps the old sum's buffer as the next spare, and a gap of
@@ -340,8 +335,7 @@ def _lifted_sums(T, f, beta, terms, cps):
     vector, is smaller. Either is moved on in the gap's O(log d)
     applications, so a doubling after a gap needs no `_power` for signs.
     """
-    periodic = beta is not None and beta.kind == "periodic"
-    table = beta.table if periodic else None
+    periodic = table is not None
     p = table.size if periodic else 1
     pows = [pw for _, pw in terms]
     m = T.multiplier
@@ -380,9 +374,6 @@ def _lifted_sums(T, f, beta, terms, cps):
                 g = _shifted(pc, f.values, out=spare if pairs else None)
             if not pairs:
                 pc = None
-            aligned = min(n, -(-c // p) * p)  # single steps up to a whole period
-            g = steps(g, c, aligned)
-            c = aligned
             q = (n - c) // p
             if q:  # V doubled in the spare; its block sums die here
                 lift = lift or _power(op, p)
@@ -394,16 +385,16 @@ def _lifted_sums(T, f, beta, terms, cps):
                     g = None
                 else:
                     blocks, g = _segment(lift, blocks, q, pows, g, _shifted)
-                if periodic:  # the p residue shifts of V
-                    last = steps(blocks[0], 0, p - 1)
-                    sums[0] += table[p - 1] * last
+                if periodic:  # the p residue shifts of V, from residue c
+                    last = steps(blocks[0], c, c + p - 1)
+                    sums[0] += table[(c + p - 1) % p] * last
                 else:
                     for S, pw, R in zip(sums, pows, blocks):
                         if pw is not None:
                             np.multiply(pw[c], R, out=R)
                         S += R  # the bits of S + pw[c] * R
                 c += q * p
-            g = steps(g, c, n)  # and after the last whole period
+            g = steps(g, c, n)  # after the last whole period
         c = n
         yield _combined(terms, sums)
 
@@ -437,14 +428,18 @@ def _stream(
     composition = isinstance(T, CompositionOperator)
     # probe-orbit lane: nothing but the probe atoms is ever read
     lane = composition and not (store_averages or norms or majorize)
+    # one weight rule for every lane: beta_k = table[k % table.size], and
+    # M = max(1, max_(k<n) |beta_k|) read off the table's first n entries
+    table = weight_bound = None
+    if beta is not None:
+        table = beta.cycle(cps[-1])
+        weight_bound = max(1.0, _max_modulus(table[: cps[-1]]))
     if composition and not lane and (beta is None or beta.kind != "explicit"):
-        weight_bound, terms = _lifted_weights(beta, cps)
-        sums = _lifted_sums(T, f, beta, terms, cps)
+        terms = _lifted_terms(beta, table, cps)
+        if beta is None or beta.kind != "periodic":
+            table = None  # n values, read; the lane holds no n-long table
+        sums = _lifted_sums(T, f, table, terms, cps)
     else:  # the Kahan lanes: one application per term
-        table = weight_bound = None
-        if beta is not None:
-            table = beta.cycle(cps[-1])
-            weight_bound = _weight_bound(table[: cps[-1]])
         if lane:
             orbit, width = _probe_orbit(T, f, probes, cps[-1]), len(probes)
         elif composition:
@@ -461,7 +456,7 @@ def _stream(
     # flag fill one moduli buffer in turn, gone before the lane moves on.
     select = slice(None) if lane else np.array(probes, dtype=np.intp)
     if majorize:  # a_n / M against f
-        compare = submajorization_check(f, T.space, overwrite=True)
+        compare = submajorization_check(f, T.space)
         scale = 1.0 / (weight_bound or 1.0)
     rows, l1s, linfs, avgs, flags = [], [], [], [], []
     for n, total in zip(cps, sums):
@@ -554,7 +549,7 @@ def majorization_trace(
             "majorization trace needs retained averages; rerun in full mode"
         )
     space = report.averages[0].space if report.averages else f.space
-    compare = submajorization_check(f, space, tol, overwrite=True)
+    compare = submajorization_check(f, space, tol)
     scale = 1.0 / (report.weight_bound or 1.0)
     mags = np.empty(space.n_atoms)  # a / 1 is exact, so these are |a * scale|
     report.majorized = tuple(

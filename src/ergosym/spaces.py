@@ -284,19 +284,17 @@ def majorizes(
     g* is affine and that of f* concave, so their difference is convex and
     peaks at an end; it is 0 at s = 0, and past the last s_i g* vanishes.
     """
-    return submajorization_check(f, g.space, tol, overwrite=True)(np.abs(g.values))
+    return submajorization_check(f, g.space, tol)(np.abs(g.values))
 
 
 def submajorization_check(
-    f: MeasurableFunction, space: AtomicMeasureSpace, tol=MAJORIZATION_TOL,
-    overwrite: bool = False,
+    f: MeasurableFunction, space: AtomicMeasureSpace, tol=MAJORIZATION_TOL
 ) -> Callable[[np.ndarray], MajorizationResult]:
     """The comparison `majorizes` makes, as a function of the moduli |g| of
     a g on `space`: a caller comparing many g against one f checks the
     spaces, rearranges f and scales tol by the whole integral of f* once.
-    With `overwrite` the check may sort and sum the moduli it is given in
-    place, so that it holds no N-vector of its own; the caller then no
-    longer reads them."""
+    The check may sort, scale and sum the moduli it is handed in place, so
+    that it holds no N-vector of its own: the caller no longer reads them."""
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("majorization tolerance must be finite and >= 0")
     _check_comparable(f.space, space)
@@ -309,19 +307,17 @@ def submajorization_check(
         for a in range(0, int_f.size, _BLOCK):
             block = int_f[a : a + _BLOCK]
             block[:] = rf.integrals(block)
-        return partial(_submajorized_at_atoms, None, w, int_f, slack, overwrite)
-    return partial(_submajorized_at_atoms, rf, w, None, slack, overwrite)
+        return partial(_submajorized_at_atoms, None, w, int_f, slack)
+    return partial(_submajorized_at_atoms, rf, w, None, slack)
 
 
 @np.errstate(over="ignore")  # an integral past float64's range reads as inf
-def _submajorized_at_atoms(
-    rf, weights, int_f, slack, overwrite, mags
-) -> MajorizationResult:
+def _submajorized_at_atoms(rf, weights, int_f, slack, mags) -> MajorizationResult:
     """g against f at g's atom boundaries, for |g| = mags, allowing int g*
     to pass int f* by `slack`. Either f* = rf, and the boundaries follow the
     order of decreasing |g|, or weights are all equal and int_f holds int f*
     at them; then only sorted values are read, so ties and the sort do not
-    matter, and with `overwrite` mags itself is sorted, scaled and summed.
+    matter, and mags itself is sorted, scaled and summed.
     The two integrals are compared a block at a time."""
     if int_f is None:
         order = np.argsort(mags)[::-1]
@@ -329,7 +325,7 @@ def _submajorized_at_atoms(
         int_f = rf.integrals(np.cumsum(w))
         int_g = np.cumsum(w * desc)
     else:
-        w, int_g = weights, mags if overwrite else mags.copy()
+        w, int_g = weights, mags
         int_g.sort()
         int_g = int_g[::-1]
         int_g *= w

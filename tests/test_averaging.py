@@ -574,6 +574,26 @@ def test_lifted_lane_takes_no_single_steps(monkeypatch, kind):
     assert np.array_equal(bare.l1_norms, full.l1_norms)
 
 
+def test_periodic_gaps_lift_from_their_own_residue(monkeypatch):
+    # a gap of d = 32 terms from any c lifts its 3 whole periods of p = 10
+    # from the residue c mod p: p - 1 = 9 single steps for the residues and
+    # d mod p = 2 after the last whole period, none to reach a multiple of p.
+    # No gap doubles: 64 = 2 * 32, but p does not divide 32.
+    rng = np.random.default_rng(93)
+    p, cps = 10, tuple(range(32, 1025, 32))
+    T = random_composition(rng, 16, bijective=True)
+    f = MeasurableFunction(rng.normal(size=16) + 1j * rng.normal(size=16), T.space)
+    beta = WeightSequence.periodic(rng.normal(size=p) + 1j * rng.normal(size=p))
+    want = naive_weighted_averages(T.apply_values, f.values, beta.values(cps[-1]), cps)
+    calls, inner = [], CompositionOperator.apply_values
+    monkeypatch.setattr(CompositionOperator, "apply_values",
+                        lambda self, v: calls.append(None) or inner(self, v))
+    rep = weighted(T, f, beta, cps, probes=(0, 9))
+    assert len(calls) == len(cps) * (p - 1 + 32 % p)
+    for a, b in zip(rep.averages, want):
+        assert np.max(np.abs(a.values - b)) <= 1e-12
+
+
 def sparse_kernel(rng, n):
     """A DS kernel with rows of 0 to n entries, empty rows among them."""
     k = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.random((n, 1)))
@@ -996,12 +1016,10 @@ def test_periodic_weight_bound_keeps_the_bits_of_the_table(kind, horizon):
     rng = np.random.default_rng(84)
     beta = weight_kinds(rng)[kind]
     cps = geometric_checkpoints(horizon)
-    bound, _ = averaging._lifted_weights(beta, cps)
-    assert bound == max(1.0, float(np.max(np.abs(beta.values(horizon)))))
     T = cyclic(8, unit_space(8))
     f = MeasurableFunction(rng.normal(size=8), T.space)
     rep = weighted(T, f, beta, cps, probes=(0,), store_averages=False)
-    assert rep.weight_bound == bound
+    assert rep.weight_bound == max(1.0, float(np.max(np.abs(beta.values(horizon)))))
 
 
 def test_trace_normalization_with_large_weights():

@@ -14,6 +14,12 @@ disagreement beyond tolerance is a consistency failure, not a soft miss.
 The greedy search and the direct formula walk the signed running sums with
 one blocked generator, `_running_totals`. The verdict is read from the
 operator stream alone, which shares no arithmetic with the search.
+
+Memory: the search holds one block of at most BLOCK_CELLS (terms x probes)
+cells, however many stages it runs. The verification holds 25 bytes per
+atom of the window x grid space (the operator's point map, 8, and int8
+signs, 1, and the sampled complex profile, 16) plus one block, and drops
+them before the direct formula, which again holds one block.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ CROSS_TOL = 1e-9
 DEFAULT_MAX_CANDIDATE = 200_000
 # terms k per block of the search and the direct formula
 BLOCK = 4096
-# cap on a block's cells (terms x probes), so fine grids stay bounded
-BLOCK_CELLS = 1 << 20
+# cap on a block's cells (terms x probes, or atoms of a sampled profile),
+# so a block's temporaries stay well under 1 MiB however fine the grid
+BLOCK_CELLS = 1 << 14
 
 
 class StageCheck(NamedTuple):
@@ -217,14 +224,16 @@ def verify_certificate(
 ) -> VerificationResult:
     """Independent verification of a divergence certificate.
 
-    Rebuilds the signed shift on the certificate's grid, streams the Cesaro
-    averages of the sampled profile, and checks every stage inequality at
-    every probe. The streamed values are cross-checked against
-    direct_averages; a deviation beyond tol * max(1, mu(0)), relative to the
-    profile's sup, which bounds every average, raises ConsistencyError, and
-    a window short by more than 1e-9 * max(1, window) WindowError. Returns
-    the verdict with the worst margin per stage (relative to the base
-    thresholds 1 and 1/2).
+    Rebuilds the signed shift on the certificate's grid, samples the profile
+    at the atoms' midpoints a block at a time, streams the Cesaro averages
+    along the probe atoms' orbits, and checks every stage inequality at
+    every probe. It holds 25 bytes per atom (map, signs and profile) plus
+    one block, and drops them before the direct formula runs. The streamed
+    values are cross-checked against direct_averages; a deviation beyond
+    tol * max(1, mu(0)), relative to the profile's sup, which bounds every
+    average, raises ConsistencyError, and a window short by more than
+    1e-9 * max(1, window) WindowError. Returns the verdict with the worst
+    margin per stage (relative to the base thresholds 1 and 1/2).
     """
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("cross-check tolerance must be finite and >= 0")
@@ -239,12 +248,17 @@ def verify_certificate(
         )
     T = signed_shift_operator(bps, cert.grid, window)
     h = 1.0 / cert.grid
-    mids = (np.arange(T.space.n_atoms) + 0.5) * h
-    profile = MeasurableFunction(rearr.values_at(mids), T.space)
+    # mu at the atoms' midpoints, sampled a block at a time into its array
+    values = np.empty(T.space.n_atoms, dtype=complex)
+    for a in range(0, values.size, BLOCK_CELLS):
+        mids = (np.arange(a, min(a + BLOCK_CELLS, values.size)) + 0.5) * h
+        values[a : a + mids.size] = rearr.values_at(mids)
+    profile = MeasurableFunction(values, T.space)
     ts = probe_points(cert.eps, cert.grid)
     probe_atoms = [int(round(t / h - 0.5)) for t in ts]
     report = cesaro(T, profile, checkpoints=bps, probes=probe_atoms,
                     store_averages=False, norms=False)
+    del T, profile, values  # the direct formula holds one block, not these
     streamed = report.probe_values.real
     direct = direct_averages(rearr, bps, ts, bps)
     max_dev = float(np.max(np.abs(report.probe_values - direct)))

@@ -10,6 +10,8 @@ the certificate is necessary and sufficient, not just sufficient.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +21,10 @@ from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite, _slack
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
+# a row-sum plan adds RUN_SLOTS or more later slots of one width, from 2 to
+# RUN_WIDTH entries, in one run
+RUN_SLOTS = 8
+RUN_WIDTH = 2048
 
 
 def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None:
@@ -187,7 +193,9 @@ class RowSumPlan:
     a_0 itself for c = 1 and +0 for c = 0, in the last N places of P. The
     order holds for rows of any length; it does not follow numpy's pairwise
     blocking of long reductions. A sum costs one in-place addition per slot
-    after the first: K - 1 numpy calls for K entries in the longest row.
+    after the first, K - 1 numpy calls for K entries in the longest row,
+    except that a run of RUN_SLOTS or more slots of one width takes two
+    (see `_buffer`): a dense kernel sums its rows in three calls.
 
     Vectors in row order are indexed by row position: row `order[i]` sits
     at position i. The plan holds the entries in P's layout with their
@@ -228,42 +236,73 @@ class RowSumPlan:
     def row_sums(self, T: KernelOperator, x: np.ndarray) -> np.ndarray:
         """Per-row sums of T's per-entry values x (in CSR order), in atom
         order."""
-        P, pairs, out = self._buffer(x.dtype)
+        P, steps, out = self._buffer(x.dtype)
         P[self._places(T)] = x
-        for a, b in pairs:
-            np.add(a, b, out=a)
+        _add_slots(steps)
         return self.unpermute(out)
 
     def stepper(self):
         """A function g -> T g for complex g in row order. Each result is a
         view of one buffer, overwritten by the next call."""
-        P, pairs, out = self._buffer(complex)
+        P, steps, out = self._buffer(complex)
         entries, data, cols = P[: self.data.size], self.data, self.cols
 
         def step(g):
             np.multiply(data, g[cols], out=entries)
-            for x, y in pairs:
-                np.add(x, y, out=x)
+            _add_slots(steps)
             return out
 
         return step
 
     def _buffer(self, dtype):
-        """A zeroed buffer P, the pairs (x, y) of its views for the in-place
-        additions x += y that sum the rows, in order, and the view of the
-        sums. The views are cut once, here."""
+        """A zeroed buffer P, the steps (x, y, run) that sum the rows in
+        order (see `_add_slots`), and the view of the sums. The views are
+        cut once, here.
+
+        Later slots of one width m lie side by side in P, so RUN_SLOTS or
+        more of them, from slot k on, form a (count, m) block, summed as
+        one run. A run needs m >= 2: numpy adds the rows of a block one
+        after another, but sums a single column pairwise. It also needs
+        m <= RUN_WIDTH: a run makes one more pass over m entries than the
+        additions it replaces, which costs more than the calls it saves
+        when the slots are wide and few.
+        """
         P = np.zeros(self._head + self.order.size, dtype=dtype)
         acc = P[: self._width]
-        pairs = [(acc[:m], P[start : start + m]) for start, m in self._later]
+        steps = []
+        for m, slots in groupby(self._later, key=itemgetter(1)):
+            starts = [start for start, _ in slots]
+            if 2 <= m <= RUN_WIDTH and len(starts) >= RUN_SLOTS:
+                a = starts[0]
+                run = P[a : a + len(starts) * m].reshape(-1, m)
+                steps.append((acc[:m], P[a : a + m], run))
+            else:
+                steps.extend((acc[:m], P[start : start + m], None) for start in starts)
         if self._width:
-            pairs.append((P[self._head : self._head + self._width], acc))
-        return P, pairs, P[self._head :]
+            steps.append((P[self._head : self._head + self._width], acc, None))
+        return P, steps, P[self._head :]
 
     def unpermute(self, r: np.ndarray) -> np.ndarray:
         """A vector in row order as a new vector in atom order."""
         out = np.empty_like(r)
         out[self.order] = r
         return out
+
+
+def _add_slots(steps) -> None:
+    """Run a plan's steps (x, y, run): x += y in place, or for a run x +=
+    its slots in order, the first of them y. The run's first row is
+    overwritten by x + y, and one np.add.reduce adds the rows into x, in
+    order: the bits of one addition per slot, in one numpy call. The
+    reduction starts from -0.0, which leaves every value as it is; numpy 2
+    starts an add reduction from +0.0, which turns a first row's -0.0 into
+    +0.0."""
+    for x, y, run in steps:
+        if run is None:
+            np.add(x, y, out=x)
+        else:
+            np.add(x, y, out=y)
+            np.add.reduce(run, axis=0, out=x, initial=-run.dtype.type(0))
 
 
 class CompositionOperator:
@@ -277,7 +316,8 @@ class CompositionOperator:
     part +0.0, at half the memory. One whose entries are all exactly -1, +0
     or +1 is held as int8 signs, which numpy casts to the same complex
     values, at an eighth of that; a broadcast one, such as the default 1.0,
-    is kept as it is.
+    is kept as it is. An int8 multiplier is held as it is, without the
+    float64 round trip.
     """
 
     def __init__(
@@ -286,13 +326,18 @@ class CompositionOperator:
     ):
         n = space.n_atoms
         mult = np.asarray(multiplier)
-        mult = mult.astype(complex if mult.dtype.kind == "c" else float, copy=False)
+        signed = mult.dtype == np.int8
+        if not signed:
+            mult = mult.astype(complex if mult.dtype.kind == "c" else float, copy=False)
         if np.shape(point_map) != (n,) or mult.shape != (n,):
             raise InputError("point map and multiplier must have one entry per atom")
         pm = _index_array(point_map, "map", n)
-        if not np.all(np.isfinite(mult)):
+        if signed:  # |-128| wraps to -128 in int8, so the range is read
+            if mult.min() < -1 or mult.max() > 1:
+                raise InputError("multiplier magnitudes must stay within 1")
+        elif not np.all(np.isfinite(mult)):
             raise InputError("multiplier must be finite")
-        if np.any(np.abs(mult) > 1.0 + DS_TOL):
+        elif np.any(np.abs(mult) > 1.0 + DS_TOL):
             raise InputError("multiplier magnitudes must stay within 1")
         if measure_preserving:
             _check_measure_preserving(pm, space)
@@ -424,6 +469,8 @@ def signed_shift_operator(
     breakpoint n, +1 elsewhere. Atoms whose shift leaves the window get
     multiplier 0 (absorbing edge), which keeps the contraction certificate
     intact. The averages of interest sit on (0, 1) and never reach the edge.
+    The signs are int8, one per unit cell repeated over its atoms: with the
+    point map, the operator holds 9 bytes per atom.
     """
     bps = [int(b) for b in breakpoints]
     if len(bps) == 0 or bps[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
@@ -436,13 +483,14 @@ def signed_shift_operator(
         raise InputError(
             f"window {window} is shorter than the last breakpoint {bps[-1]}"
         )
-    grid = int(grid)
-    n_atoms = int(window) * grid
+    grid, window = int(grid), int(window)
+    n_atoms = window * grid
     space = AtomicMeasureSpace.uniform(n_atoms, 1.0 / grid, truncated=True)
-    cells = np.arange(n_atoms) // grid
-    neg = np.isin(cells, np.asarray(bps) - 1)
-    mult = np.where(neg, -1.0, 1.0)
-    absorbed = np.arange(n_atoms) + grid >= n_atoms
-    mult[absorbed] = 0.0
-    pm = np.where(absorbed, np.arange(n_atoms), np.arange(n_atoms) + grid)
+    signs = np.ones(window, dtype=np.int8)  # one sign per unit cell
+    signs[np.asarray(bps) - 1] = -1
+    mult = np.repeat(signs, grid)
+    # the last cell's shift leaves the window: it is absorbed, in place
+    mult[-grid:] = 0
+    pm = np.arange(grid, n_atoms + grid, dtype=np.intp)
+    pm[-grid:] -= grid
     return CompositionOperator(pm, mult, space)

@@ -92,7 +92,9 @@ class MeasurableFunction:
                 f"function has {v.size} values for a space with "
                 f"{space.n_atoms} atoms"
             )
-        if not np.all(np.isfinite(v)):
+        # read a block at a time: no N-long mask beside the values
+        blocks = (v[a : a + _BLOCK] for a in range(0, v.size, _BLOCK))
+        if not all(np.isfinite(b).all() for b in blocks):
             raise InputError("function values must be finite")
         self.values = v
         self.space = space
@@ -177,8 +179,11 @@ class Rearrangement:
             raise InputError("rearrangement values need t >= 0")
         if self.plateaus.size == 0:
             return np.zeros_like(t)
-        out = self.plateaus[_piece(self.breakpoints, t, self.plateaus.size)]
-        return np.where(t >= self.breakpoints[-1], 0.0, out)
+        bp, pl = self.breakpoints, self.plateaus
+        # a gathered copy (0-d for a scalar t), zeroed past the support in place
+        out = np.asarray(pl[_piece(bp, t, pl.size)])
+        out[t >= bp[-1]] = 0.0
+        return out
 
     def integral(self, s: float) -> float:
         """Partial integral of mu over [0, s) for s > 0, in closed form."""

@@ -48,6 +48,26 @@ def counterexample_sign(breakpoints, k):
     return -1.0 if flips % 2 else 1.0
 
 
+def signed_shift_reference(breakpoints, grid, window):
+    """The signed shift's point map and multiplier as lists, atom by atom.
+
+    Atom i lies in unit cell i // grid and reads atom i + grid, times -1
+    when its cell is n - 1 for a breakpoint n and +1 otherwise. An atom
+    whose shift leaves the window reads itself, times 0, whatever its
+    cell's sign.
+    """
+    n_atoms = window * grid
+    point_map, multiplier = [], []
+    for i in range(n_atoms):
+        if i + grid >= n_atoms:
+            point_map.append(i)
+            multiplier.append(0)
+        else:
+            point_map.append(i + grid)
+            multiplier.append(-1 if i // grid + 1 in breakpoints else 1)
+    return point_map, multiplier
+
+
 def brute_counterexample_average(profile, breakpoints, t, n):
     """(1/n) sum_{k<n} sign_k * profile(t + k) for t in (0, 1).
 

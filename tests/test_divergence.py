@@ -1,5 +1,7 @@
 """Greedy divergence certificates and their independent verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -430,3 +432,35 @@ def test_constructed_operator_is_ds():
     cert = construct_certificate(constant_profile(32), 0.1, 3, grid=10)
     T = signed_shift_operator(cert.breakpoints, cert.grid, window=32)
     assert ds_certificate(T).ds_ok
+
+
+# ------------------------------------------------------------------- memory
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verification_holds_25_bytes_per_atom():
+    # the point map (8 B), the int8 signs (1 B) and the complex profile (16 B)
+    # per atom of window x grid, plus one block of temporaries
+    prof = constant_profile(1 << 22)
+    cert = construct_certificate(prof, 0.1, 10, grid=10)
+    n_atoms = cert.breakpoints[-1] * cert.grid
+    assert n_atoms == 393_650
+    peak = traced_peak(verify_certificate, cert, prof)
+    assert peak < 27 * n_atoms + (1 << 20), peak / n_atoms
+
+
+def test_search_memory_does_not_grow_with_the_stages():
+    # stage 11 walks 78 732 terms to stage 8's 2 916, in blocks of one size
+    prof = constant_profile(1 << 22)
+    peak8 = traced_peak(construct_certificate, prof, 0.1, 8, grid=10)
+    peak11 = traced_peak(construct_certificate, prof, 0.1, 11, grid=10)
+    one_block = 8 * (1 << 14)  # 2^14 cells of float64
+    assert peak11 <= peak8 + one_block, (peak8, peak11)

@@ -26,10 +26,12 @@ from ergosym import (
 )
 from ergosym.formats import loads, operator_from_json
 from dense import dense
+from ergosym import operators
 from oracles import (
     modulus_sup_oracle,
     reduceat_row_sums_reference,
     row_sums_in_order_reference,
+    signed_shift_reference,
 )
 
 
@@ -139,6 +141,71 @@ def test_row_sum_plan_keeps_the_documented_order(counts, real, seed):
     short = np.diff(T.indptr) <= (8 if real else 4)
     want = reduceat_row_sums_reference(T.indptr, x)
     assert np.array_equal(got[short], want[short])
+
+
+def spread(rng, shape):
+    """Values over 16 decades, so that a sum's bits depend on its order."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def test_reduce_adds_the_rows_of_a_block_in_order():
+    # a run's one call: numpy adds the rows of a (511, 512) block one after
+    # another, with the bits of 510 in-place additions
+    rng = np.random.default_rng(43)
+    block = spread(rng, (511, 512)) + 1j * spread(rng, (511, 512))
+    block[0, :4] = [0.0, -0.0, -0.0j, -0.0 - 0.0j]
+    want = block[0].copy()
+    for row in block[1:]:
+        np.add(want, row, out=want)
+    zero = -np.complex128(0)
+    assert bits(np.add.reduce(block, axis=0, initial=zero)) == bits(want)
+
+
+def runs_in(T):
+    return sum(run is not None for _, _, run in T.plan()._buffer(complex)[1])
+
+
+# (entries per row, RUN_SLOTS, RUN_WIDTH or None: the default, runs taken)
+@pytest.mark.parametrize("counts, run_slots, run_width, runs", [
+    ([512] * 512, None, None, 1),  # dense: slots 2..511 in one run
+    ([20] * 3 + [15] * 6 + [2] * 10, 3, None, 2),  # widths 9 and 3
+    ([20] * 3 + [15] * 6 + [2] * 10, None, None, 1),  # 5 slots of width 3
+    ([40, 40] + [3] * 20 + [0] * 3, None, None, 1),  # width 2, not 1
+    ([40] + [3] * 20, 2, None, 0),  # one long row: width 1, summed pairwise
+    ([12] * 5, None, 4, 0),  # wider than RUN_WIDTH
+    ([4, 3, 1, 0, 2, 4] * 200, None, None, 0),  # the stream benchmark's shape
+])
+def test_row_sum_plan_runs_keep_the_documented_order(
+    monkeypatch, counts, run_slots, run_width, runs
+):
+    if run_slots is not None:
+        monkeypatch.setattr(operators, "RUN_SLOTS", run_slots)
+    if run_width is not None:
+        monkeypatch.setattr(operators, "RUN_WIDTH", run_width)
+    rng = np.random.default_rng(len(counts))
+    n = max(len(counts), max(counts))
+    counts = counts + [0] * (n - len(counts))
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.concatenate([np.sort(rng.permutation(n)[:c]) for c in counts])
+
+    def draw(k):  # signed zeros among the values
+        parts = np.where(rng.random((2, k)) < 0.2, rng.choice(PARTS, (2, k)),
+                         spread(rng, (2, k)))
+        return parts[0] + 1j * parts[1]
+
+    T = KernelOperator.from_triplets(rows, cols, draw(rows.size), unit_space(n))
+    assert runs_in(T) == runs
+    # signed powers of two and zeros: every product is exact, so its bits do
+    # not depend on the loop numpy multiplies with (it may fuse a*c - b*d)
+    v = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-30, 31, n)
+    v[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+    v = v + 1j * np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    x = draw(T.data.size)
+    x[: T.indptr[1]] = complex(-0.0, -0.0)  # a row that sums to -0.0
+    products = T.data * v[T.indices]
+    assert bits(T.apply_values(v)) == bits(row_sums_in_order_reference(T.indptr, products))
+    for y in (x, x.real):
+        assert bits(T.row_sums(y)) == bits(row_sums_in_order_reference(T.indptr, y))
 
 
 def test_kernel_has_one_csr_form():
@@ -525,6 +592,43 @@ def test_signed_shift_once_reproduces_phi_on_ones():
     f = MeasurableFunction.ones(T.space)
     out = apply(T, f)
     assert np.allclose(out.values[:5].real, [-1, 1, 1, 1, -1])
+
+
+def signed_shift_cases():
+    rng = np.random.default_rng(47)
+    for grid in range(1, 8):
+        for _ in range(6):
+            window = int(rng.integers(1, 30))
+            k = int(rng.integers(1, window + 1))
+            bps = sorted(rng.choice(window, k, replace=False) + 1)
+            yield bps, grid, window
+        # a breakpoint on the last cell: the absorbed atoms keep 0, in place
+        yield [1, 3], grid, 3
+        yield [3], grid, 3
+        yield [1], grid, 1
+
+
+def test_signed_shift_matches_the_atom_by_atom_reference():
+    for bps, grid, window in signed_shift_cases():
+        T = signed_shift_operator(bps, grid, window)
+        point_map, multiplier = signed_shift_reference(bps, grid, window)
+        assert T.multiplier.dtype == np.int8
+        assert T.point_map.dtype == np.intp
+        assert T.point_map.tolist() == point_map, (bps, grid, window)
+        assert T.multiplier.tolist() == multiplier, (bps, grid, window)
+        last = slice(window * grid - grid, None)
+        assert np.all(T.multiplier[last] == 0)
+        assert np.array_equal(T.point_map[last], np.arange(window * grid)[last])
+
+
+@pytest.mark.parametrize("bad", [2, -2, 127, -128])
+def test_composition_checks_the_range_of_int8_signs(bad):
+    # |-128| is -128 in int8, so the range must be read from the values
+    mult = np.array([1, -1, bad, 0], dtype=np.int8)
+    with pytest.raises(InputError, match="multiplier magnitudes must stay within 1"):
+        CompositionOperator([1, 2, 3, 0], mult, unit_space(4))
+    ok = np.array([1, -1, 0, 1], dtype=np.int8)
+    assert CompositionOperator([1, 2, 3, 0], ok, unit_space(4)).multiplier is ok
 
 
 def test_signed_shift_validation():

@@ -211,12 +211,21 @@ def _compose(a, b):
 
 def _shifted(op, v, scale=None, out=None):
     """scale * T^x v for the pair op of T^x (None: 1), written into out
-    when given, else into a new vector."""
+    when given, else into a new vector of the product's dtype.
+
+    A float64 v read into a complex vector goes in through its real part a
+    block at a time, and the imaginary part is zeroed: v cast to complex,
+    as numpy casts it in a complex product, without an N-long temporary.
+    """
     s, m = op
     if out is None:
-        out = v[s]
-    else:  # every index is in range, and mode "raise" would buffer out
+        out = np.empty(s.size, np.result_type(v, m, 1.0 if scale is None else scale))
+    if out.dtype == v.dtype:  # every index is in range; "raise" would buffer out
         np.take(v, s, out=out, mode="clip")
+    else:
+        for a in range(0, s.size, _BLOCK):
+            out.real[a : a + _BLOCK] = v[s[a : a + _BLOCK]]
+        out.imag = 0.0
     out *= m
     if scale is not None:
         out *= scale

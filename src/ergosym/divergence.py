@@ -16,10 +16,11 @@ one blocked generator, `_running_totals`. The verdict is read from the
 operator stream alone, which shares no arithmetic with the search.
 
 Memory: the search holds one block of at most BLOCK_CELLS (terms x probes)
-cells, however many stages it runs. The verification holds 25 bytes per
-atom of the window x grid space (the operator's point map, 8, and int8
-signs, 1, and the sampled complex profile, 16) plus one block, and drops
-them before the direct formula, which again holds one block.
+cells, however many stages it runs. The verification holds 17 bytes per
+atom of the window x grid space (the operator's point map, 8, its int8
+signs, 1, and the profile sampled as float64, 8, which the probe lane
+casts to complex with imaginary part +0.0) plus one block, and drops them
+before the direct formula, which again holds one block.
 """
 
 from __future__ import annotations
@@ -227,13 +228,14 @@ def verify_certificate(
     Rebuilds the signed shift on the certificate's grid, samples the profile
     at the atoms' midpoints a block at a time, streams the Cesaro averages
     along the probe atoms' orbits, and checks every stage inequality at
-    every probe. It holds 25 bytes per atom (map, signs and profile) plus
-    one block, and drops them before the direct formula runs. The streamed
-    values are cross-checked against direct_averages; a deviation beyond
-    tol * max(1, mu(0)), relative to the profile's sup, which bounds every
-    average, raises ConsistencyError, and a window short by more than
-    1e-9 * max(1, window) WindowError. Returns the verdict with the worst
-    margin per stage (relative to the base thresholds 1 and 1/2).
+    every probe. It holds 17 bytes per atom (map, signs and the float64
+    profile) plus one block, and drops them before the direct formula
+    runs. The streamed values are cross-checked against direct_averages; a
+    deviation beyond tol * max(1, mu(0)), relative to the profile's sup,
+    which bounds every average, raises ConsistencyError, and a window short
+    by more than 1e-9 * max(1, window) WindowError. Returns the verdict
+    with the worst margin per stage (relative to the base thresholds 1 and
+    1/2).
     """
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("cross-check tolerance must be finite and >= 0")
@@ -248,8 +250,9 @@ def verify_certificate(
         )
     T = signed_shift_operator(bps, cert.grid, window)
     h = 1.0 / cert.grid
-    # mu at the atoms' midpoints, sampled a block at a time into its array
-    values = np.empty(T.space.n_atoms, dtype=complex)
+    # mu at the atoms' midpoints, sampled a block at a time into its float64
+    # array, which the probe lane casts to complex
+    values = np.empty(T.space.n_atoms)
     for a in range(0, values.size, BLOCK_CELLS):
         mids = (np.arange(a, min(a + BLOCK_CELLS, values.size)) + 0.5) * h
         values[a : a + mids.size] = rearr.values_at(mids)

@@ -418,14 +418,17 @@ def function_from_json(
     n = space.n_atoms
     form = _function_form(obj)
     if form == "re":
-        return MeasurableFunction(_complex_array(obj, n=n), space)
+        # without im the values stay float64; + 0.0 turns -0.0 into +0.0,
+        # the real part of re + 0j
+        re, im = _parts(obj, n=n)
+        return MeasurableFunction(re + 0.0 if im is None else re + 1j * im, space)
     if form == "ones":
         return MeasurableFunction.ones(space)
     if form == "constant":
         with _under("constant"):
             c = obj["constant"]
             c = _complex(c, "") if isinstance(c, dict) else value(c, "number")
-        return MeasurableFunction(np.full(n, complex(c)), space)
+        return MeasurableFunction(np.full(n, c), space)
     if form == "character":
         c = read(obj, "character", "int") % n
         return MeasurableFunction(cycles(c * np.arange(n) % n / n), space)
@@ -452,10 +455,11 @@ def _random_values(rng: SplitMix64, n: int, kind: str, scale: float) -> np.ndarr
     """A random function's values from 2n draws u: x = u (nonnegative) or
     2u - 1 from the first n, and for complex 2u - 1 as the imaginary part
     from the next n; then scale * x, a complex product for complex and a
-    real one otherwise. Drawn _DRAW_BLOCK at a time into the one complex
-    result: rng.uniforms(a) then rng.uniforms(b) gives the draws and the
-    state of rng.uniforms(a + b)."""
-    v = np.zeros(n, dtype=complex)
+    real one otherwise. Drawn _DRAW_BLOCK at a time into the one result,
+    complex128 for complex and float64 otherwise, whose last n draws only
+    move the generator on: rng.uniforms(a) then rng.uniforms(b) gives the
+    draws and the state of rng.uniforms(a + b)."""
+    v = np.empty(n, dtype=complex if kind == "complex" else float)
     for part in (v.real, v.imag if kind == "complex" else None):
         for lo in range(0, n, _DRAW_BLOCK):
             u = rng.uniforms(min(_DRAW_BLOCK, n - lo))
@@ -465,10 +469,7 @@ def _random_values(rng: SplitMix64, n: int, kind: str, scale: float) -> np.ndarr
                 u *= 2
                 u -= 1
             part[lo:lo + u.size] = u
-    if kind == "complex":
-        np.multiply(scale, v, out=v)
-    else:
-        np.multiply(scale, v.real, out=v.real)
+    np.multiply(scale, v, out=v)
     return v
 
 

@@ -21,7 +21,7 @@ from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite, _slack
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
-# a row-sum plan adds RUN_SLOTS or more later slots of one width, from 2 to
+# a row-sum plan adds RUN_SLOTS or more later slots of one width, up to
 # RUN_WIDTH entries, in one run
 RUN_SLOTS = 8
 RUN_WIDTH = 2048
@@ -194,8 +194,9 @@ class RowSumPlan:
     order holds for rows of any length; it does not follow numpy's pairwise
     blocking of long reductions. A sum costs one in-place addition per slot
     after the first, K - 1 numpy calls for K entries in the longest row,
-    except that a run of RUN_SLOTS or more slots of one width takes two
-    (see `_buffer`): a dense kernel sums its rows in three calls.
+    except that a run of RUN_SLOTS or more slots of one width takes two or
+    three (see `_buffer`): a dense kernel sums its rows in three calls, and
+    one row longer than all others costs no call per entry.
 
     Vectors in row order are indexed by row position: row `order[i]` sits
     at position i. The plan holds the entries in P's layout with their
@@ -261,20 +262,24 @@ class RowSumPlan:
 
         Later slots of one width m lie side by side in P, so RUN_SLOTS or
         more of them, from slot k on, form a (count, m) block, summed as
-        one run. A run needs m >= 2: numpy adds the rows of a block one
-        after another, but sums a single column pairwise. It also needs
-        m <= RUN_WIDTH: a run makes one more pass over m entries than the
-        additions it replaces, which costs more than the calls it saves
-        when the slots are wide and few.
+        one run. A run needs m <= RUN_WIDTH: it makes one more pass over m
+        entries than the additions it replaces, which costs more than the
+        calls it saves when the slots are wide and few. The slots of width
+        1, the longest row's entries past the second-longest row's, form a
+        run held as one column: numpy adds the rows of a block one after
+        another, but sums a single column pairwise, so that run is
+        accumulated in order instead.
         """
         P = np.zeros(self._head + self.order.size, dtype=dtype)
         acc = P[: self._width]
         steps = []
         for m, slots in groupby(self._later, key=itemgetter(1)):
             starts = [start for start, _ in slots]
-            if 2 <= m <= RUN_WIDTH and len(starts) >= RUN_SLOTS:
+            if m <= RUN_WIDTH and len(starts) >= RUN_SLOTS:
                 a = starts[0]
-                run = P[a : a + len(starts) * m].reshape(-1, m)
+                run = P[a : a + len(starts) * m]
+                if m > 1:
+                    run = run.reshape(-1, m)
                 steps.append((acc[:m], P[a : a + m], run))
             else:
                 steps.extend((acc[:m], P[start : start + m], None) for start in starts)
@@ -296,13 +301,19 @@ def _add_slots(steps) -> None:
     order: the bits of one addition per slot, in one numpy call. The
     reduction starts from -0.0, which leaves every value as it is; numpy 2
     starts an add reduction from +0.0, which turns a first row's -0.0 into
-    +0.0."""
+    +0.0. A run of width 1 is one column: np.add.accumulate turns it into
+    its running sums in place, in order and from its first entry as it is,
+    and x reads the last."""
     for x, y, run in steps:
         if run is None:
             np.add(x, y, out=x)
         else:
             np.add(x, y, out=y)
-            np.add.reduce(run, axis=0, out=x, initial=-run.dtype.type(0))
+            if run.ndim == 1:
+                np.add.accumulate(run, out=run)
+                x[0] = run[-1]
+            else:
+                np.add.reduce(run, axis=0, out=x, initial=-run.dtype.type(0))
 
 
 class CompositionOperator:
@@ -444,10 +455,12 @@ def adjoint(T: KernelOperator) -> KernelOperator:
 def pairing(
     f: MeasurableFunction, g: MeasurableFunction
 ) -> complex:
-    """Weighted sesquilinear pairing sum_i w_i f_i conj(g_i)."""
+    """Weighted sesquilinear pairing sum_i w_i f_i conj(g_i), summed as
+    complex values whatever the functions' dtypes."""
     if not f.space.is_compatible(g.space):
         raise InputError("pairing needs a common space")
-    return complex(np.sum(f.space.weights * f.values * np.conj(g.values)))
+    gc = np.conj(g.values.astype(complex, copy=False))
+    return complex(np.sum(f.space.weights * f.values * gc))
 
 
 def adjoint_modulus_commutation(T: KernelOperator, tol: float = DS_TOL) -> bool:

@@ -89,8 +89,10 @@ def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     passes it. Below one period q = 0 and S_n is read as walked.
 
     `fold(k0, x, ends)` receives the terms k0 <= k < k0 + len(x) in order
-    (x may be overwritten) and returns the prefix sums after the first e
-    terms of the block for each offset e in `ends`, one row per offset.
+    (x may be overwritten), complex, with a real factor cast to imaginary
+    part +0.0: the bits of the product of complex factors. It returns the
+    prefix sums after the first e terms of the block for each offset e in
+    `ends`, one row per offset.
     The result has one row per checkpoint. O(m) time and O(block) memory
     beyond the factors and at most C + 1 prefix rows, for C checkpoints.
     """
@@ -109,7 +111,7 @@ def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     for k0 in range(0, m, block):
         size = min(block, m - k0)
         parts = [tile[k0 % length:][:size] for tile, length in tiles]
-        x = parts[0].copy()
+        x = parts[0].astype(complex)  # a copy, a real factor cast to complex
         for part in parts[1:]:
             x *= part
         lo, hi = np.searchsorted(stops, (k0, k0 + size), side="right")
@@ -305,11 +307,11 @@ def _rotation_table(q, qns, resonant, fronts, ns) -> np.ndarray:
     them; the front itself at resonance."""
     if resonant:
         return np.repeat(np.array(fronts)[:, None], len(ns), axis=1)
-    out = np.empty((len(fronts), len(ns)), dtype=complex)
-    for c, (n, qn) in enumerate(zip(ns, qns)):
-        for p, front in enumerate(fronts):
-            out[p, c] = front * (1.0 - qn) / (n * (1.0 - q))
-    return out
+    # front * (1 - q^n) / (n (1 - q)) in Python complex arithmetic, its two
+    # factors formed once per n, and the values stored by one np.array call
+    parts = [(1.0 - qn, n * (1.0 - q)) for n, qn in zip(ns, qns)]
+    rows = [[front * a / b for a, b in parts] for front in fronts]
+    return np.array(rows, dtype=complex).reshape(len(fronts), len(ns))
 
 
 def rotation_oracle(order, character, step, probes, grid_size, checkpoints):

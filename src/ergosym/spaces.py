@@ -83,10 +83,16 @@ class AtomicMeasureSpace:
 
 
 class MeasurableFunction:
-    """Complex-valued function given by one value per atom."""
+    """Function given by one value per atom: float64 values for real input
+    (a bool, integer or float dtype), complex128 otherwise. In each complex
+    operation numpy casts a float64 x to the complex value with real part x
+    and imaginary part +0.0, and |x| = hypot(x, 0): a real function gives
+    the averages, norms and rearrangement of that complex function, at half
+    the memory."""
 
     def __init__(self, values, space: AtomicMeasureSpace):
-        v = np.asarray(values, dtype=complex)
+        v = np.asarray(values)
+        v = v.astype(float if v.dtype.kind in "biuf" else complex, copy=False)
         if v.shape != (space.n_atoms,):
             raise InputError(
                 f"function has {v.size} values for a space with "

@@ -427,3 +427,16 @@ def traces_csv_reference(ts, checkpoints, values, seed):
         for t, v in zip(ts, row):
             lines.append(f"{n},{t!r},{v!r}")
     return "\n".join(lines) + "\n"
+
+
+def rotation_table_reference(q, qns, resonant, fronts, ns):
+    """The rotation closed-form table front (1 - q^n) / (n (1 - q)), as
+    formed before one array held it: one Python complex value and one numpy
+    scalar store per front and n; the front itself at resonance."""
+    if resonant:
+        return np.repeat(np.array(fronts)[:, None], len(ns), axis=1)
+    out = np.empty((len(fronts), len(ns)), dtype=complex)
+    for c, (n, qn) in enumerate(zip(ns, qns)):
+        for p, front in enumerate(fronts):
+            out[p, c] = front * (1.0 - qn) / (n * (1.0 - q))
+    return out

@@ -446,15 +446,15 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_verification_holds_25_bytes_per_atom():
-    # the point map (8 B), the int8 signs (1 B) and the complex profile (16 B)
+def test_verification_holds_17_bytes_per_atom():
+    # the point map (8 B), the int8 signs (1 B) and the float64 profile (8 B)
     # per atom of window x grid, plus one block of temporaries
     prof = constant_profile(1 << 22)
     cert = construct_certificate(prof, 0.1, 10, grid=10)
     n_atoms = cert.breakpoints[-1] * cert.grid
     assert n_atoms == 393_650
     peak = traced_peak(verify_certificate, cert, prof)
-    assert peak < 27 * n_atoms + (1 << 20), peak / n_atoms
+    assert peak < 19 * n_atoms + (1 << 20), peak / n_atoms
 
 
 def test_search_memory_does_not_grow_with_the_stages():

@@ -108,31 +108,37 @@ def test_function_from_json_random_is_seed_deterministic():
 @pytest.mark.parametrize("kind", ["complex", "real", "nonnegative"])
 def test_random_function_keeps_the_one_shot_bits(kind, scale, n):
     # drawn a block at a time: the values and the generator's next state are
-    # those of all 2n draws at once
+    # those of all 2n draws at once; a real kind is held as float64, whose
+    # x + 0j has the bits of the complex reference
     seed = 2**64 - 12345
     want, state = random_function_reference(seed, n, kind, scale)
+    dtype = complex if kind == "complex" else float
     rng = SplitMix64(seed)
     got = formats._random_values(rng, n, kind, scale)
-    assert got.tobytes() == want.tobytes() and rng.state == state
+    assert got.dtype == dtype
+    assert got.astype(complex).tobytes() == want.tobytes() and rng.state == state
     if scale >= 0 or kind != "nonnegative":
         rng = SplitMix64(seed)
         f = function_from_json({"random": {"kind": kind, "scale": scale}},
                                AtomicMeasureSpace.uniform(n), rng)
-        assert f.values.tobytes() == want.tobytes() and rng.state == state
+        assert f.values.dtype == dtype
+        assert f.values.astype(complex).tobytes() == want.tobytes()
+        assert rng.state == state
 
 
 def test_random_function_decodes_in_its_own_vector():
-    # 2^16 atoms: the complex result (1 MiB) and one block of draws; the
-    # one-shot formula held 2N draws and the complex temporaries (3.1 MiB)
+    # 2^16 atoms: the result, complex (1 MiB) or float64 for a real kind
+    # (0.5 MiB), and one block of draws; the one-shot formula held 2N draws
+    # and the complex temporaries (3.1 MiB)
     sp = AtomicMeasureSpace.uniform(1 << 16)
-    for kind in ("complex", "real", "nonnegative"):
+    for kind, limit in (("complex", 1.6), ("real", 1.0), ("nonnegative", 1.0)):
         tracemalloc.start()
         try:
             function_from_json({"random": {"kind": kind}}, sp, SplitMix64(7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * 2**20, kind
+        assert peak < limit * 2**20, kind
 
 
 def test_function_from_json_errors():

@@ -171,9 +171,10 @@ def runs_in(T):
     ([20] * 3 + [15] * 6 + [2] * 10, 3, None, 2),  # widths 9 and 3
     ([20] * 3 + [15] * 6 + [2] * 10, None, None, 1),  # 5 slots of width 3
     ([40, 40] + [3] * 20 + [0] * 3, None, None, 1),  # width 2, not 1
-    ([40] + [3] * 20, 2, None, 0),  # one long row: width 1, summed pairwise
+    ([40] + [3] * 20, 2, None, 1),  # one long row: width 1, accumulated
     ([12] * 5, None, 4, 0),  # wider than RUN_WIDTH
     ([4, 3, 1, 0, 2, 4] * 200, None, None, 0),  # the stream benchmark's shape
+    ([512] + [2, 1, 0] * 200, None, None, 1),  # 510 slots of width 1
 ])
 def test_row_sum_plan_runs_keep_the_documented_order(
     monkeypatch, counts, run_slots, run_width, runs
@@ -206,6 +207,20 @@ def test_row_sum_plan_runs_keep_the_documented_order(
     assert bits(T.apply_values(v)) == bits(row_sums_in_order_reference(T.indptr, products))
     for y in (x, x.real):
         assert bits(T.row_sums(y)) == bits(row_sums_in_order_reference(T.indptr, y))
+
+
+def test_a_row_longer_than_all_others_adds_no_step_per_entry():
+    # its entries past the second-longest row's are one width-1 run, so the
+    # plan's steps do not grow with its length
+    def steps(long):
+        counts = [long] + [2, 1, 0] * 200
+        rows = np.repeat(np.arange(len(counts)), counts)
+        cols = np.concatenate([np.arange(c) for c in counts])
+        T = KernelOperator.from_triplets(rows, cols, np.ones(rows.size),
+                                         unit_space(len(counts)))
+        return len(T.plan()._buffer(complex)[1])
+
+    assert steps(64) == steps(512)
 
 
 def test_kernel_has_one_csr_form():

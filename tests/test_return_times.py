@@ -25,8 +25,10 @@ from ergosym import (
     weighted,
     wiener_wintner_sweep,
 )
+from ergosym import return_times
 from ergosym.return_times import FOLD_BLOCK
-from oracles import product_average_oracle
+from ergosym.weights import cycles
+from oracles import product_average_oracle, rotation_table_reference
 
 
 def character(space, c):
@@ -218,6 +220,28 @@ def test_sweep_matches_rotation_closed_form():
             for ci, n in enumerate(cps):
                 want = rotation_closed_form(rho, Fraction(j, grid), float(omega), n)
                 assert abs(sweep.averages[j, pi_, ci] - want) <= 1e-9
+
+
+def test_rotation_table_keeps_the_scalar_loop_bits():
+    # the benchmark's oracle shape: 128 grid points, 3 probes, 18 checkpoints;
+    # rho = 1/128 makes j = 127 exactly resonant, and j = 0 and 126 its
+    # neighbours
+    order, character_, step, grid = 256, 1, 2, 128
+    probes = (0, 37, 200)
+    cps = geometric_checkpoints(100_000)
+    assert len(cps) == 18
+    rho = Fraction(character_ * step, order)
+    fronts = [cycles(float(Fraction(character_ * w, order) % 1)) for w in probes]
+    oracle, resonant = return_times.rotation_oracle(order, character_, step, probes,
+                                                    grid, cps)
+    assert resonant == [127]
+    for j in range(grid):
+        q, qns, exact = return_times._rotation_powers(rho, Fraction(j, grid), cps)
+        assert exact == (j == 127)
+        want = rotation_table_reference(q, qns, exact, fronts, cps)
+        got = return_times._rotation_table(q, qns, exact, fronts, cps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert oracle[j].tobytes() == want.tobytes()
 
 
 def direct_twisted_sums(tau, values, start, grid, n_max):

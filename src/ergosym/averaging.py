@@ -18,8 +18,8 @@ checkpoints by one of three lanes:
 - Kernel operators, and explicit weights on any operator, stream: one
   operator application per step into one running Kahan-compensated sum,
   with beta_k read as table[k % p] from a period-p table (a periodic,
-  constant or explicit weight's own). A kernel steps through its row-sum
-  plan (`operators.RowSumPlan`) in the plan's row order on fixed buffers:
+  constant or explicit weight's own). A kernel steps in the row order of
+  its one stored layout (see `operators.KernelOperator`) on fixed buffers:
   f is permuted in once and each checkpoint's sum out once. A step costs
   O(nnz) for its nnz stored entries rather than O(N^2), and its sums do not
   depend on a BLAS build.
@@ -76,15 +76,22 @@ def geometric_checkpoints(limit: int) -> tuple[int, ...]:
     return tuple(cps)
 
 
-def _validated_checkpoints(checkpoints) -> tuple[int, ...]:
-    """Checkpoints as ints; integral floats and numpy integers pass."""
-    raw = tuple(checkpoints)
+def _integers(values, name: str) -> tuple[int, ...]:
+    """values as ints; integral floats and numpy integers pass, any other
+    value (1.5, None, NaN, inf, ...) is an InputError."""
+    raw = tuple(values)
     try:
-        cps = tuple(int(n) for n in raw)
-    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, ...
-        cps = None
-    if cps is None or cps != raw:
-        raise InputError("checkpoints must be integers")
+        ints = tuple(int(n) for n in raw)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != raw:
+        raise InputError(f"{name} must be integers")
+    return ints
+
+
+def _validated_checkpoints(checkpoints) -> tuple[int, ...]:
+    """Checkpoints as ints, by `_integers`, strictly increasing from 1."""
+    cps = _integers(checkpoints, "checkpoints")
     if len(cps) == 0:
         raise InputError("need at least one checkpoint")
     if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -135,20 +142,9 @@ class AveragingReport:
         self.majorized = majorized
 
 
-def _full_orbit(T, f, steps):
-    """T^k f for k < steps, one operator application per step."""
-    g = f.values
-    for k in range(steps):
-        yield g
-        if k + 1 < steps:
-            g = T.apply_values(g)
-
-
-def _plan_orbit(plan, f, steps):
-    """T^k f for k < steps in the row order of T's row-sum plan, one step
-    per term into one buffer. Each yielded vector is overwritten by the
-    step that follows it."""
-    g, step = f.values[plan.order], plan.stepper()
+def _orbit(step, g, steps):
+    """g, step(g), step(step(g)), ...: `steps` vectors, one step per term.
+    A kernel's stepper overwrites each yielded vector by the next step."""
     for k in range(steps):
         yield g
         if k + 1 < steps:
@@ -430,7 +426,7 @@ def _stream(
     if not T.space.is_compatible(f.space):
         raise InputError("operator and function live on different spaces")
     n_atoms = T.space.n_atoms
-    probes = tuple(int(p) for p in probes)
+    probes = _integers(probes, "probes")
     if any(p < 0 or p >= n_atoms for p in probes):
         raise InputError("probe atom out of range")
 
@@ -452,13 +448,12 @@ def _stream(
         if lane:
             orbit, width = _probe_orbit(T, f, probes, cps[-1]), len(probes)
         elif composition:
-            orbit, width = _full_orbit(T, f, cps[-1]), n_atoms
-        else:  # a kernel steps in its plan's row order, its sums leave it
-            plan = T.plan()
-            orbit, width = _plan_orbit(plan, f, cps[-1]), n_atoms
+            orbit, width = _orbit(T.apply_values, f.values, cps[-1]), n_atoms
+        else:  # a kernel steps in its row order, its sums leave it
+            orbit, width = _orbit(T.stepper(), f.values[T.order], cps[-1]), n_atoms
         sums = _kahan_sums(orbit, table, width, cps)
         if not composition:
-            sums = map(plan.unpermute, sums)
+            sums = map(T.unpermute, sums)
 
     # Each running sum goes to the consumers in this order and is dropped;
     # only a stored average is made as a_n = total / n. The norms and the

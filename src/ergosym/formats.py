@@ -456,19 +456,20 @@ def _random_values(rng: SplitMix64, n: int, kind: str, scale: float) -> np.ndarr
     2u - 1 from the first n, and for complex 2u - 1 as the imaginary part
     from the next n; then scale * x, a complex product for complex and a
     real one otherwise. Drawn _DRAW_BLOCK at a time into the one result,
-    complex128 for complex and float64 otherwise, whose last n draws only
-    move the generator on: rng.uniforms(a) then rng.uniforms(b) gives the
-    draws and the state of rng.uniforms(a + b)."""
+    complex128 for complex and float64 otherwise; rng.uniforms(a) then
+    rng.uniforms(b) gives the draws and the state of rng.uniforms(a + b).
+    A real kind reads none of the last n draws, so the generator skips
+    them in O(1)."""
     v = np.empty(n, dtype=complex if kind == "complex" else float)
-    for part in (v.real, v.imag if kind == "complex" else None):
+    for part in (v.real, v.imag) if kind == "complex" else (v,):
         for lo in range(0, n, _DRAW_BLOCK):
             u = rng.uniforms(min(_DRAW_BLOCK, n - lo))
-            if part is None:
-                continue  # drawn only to move the generator on
             if kind != "nonnegative":
                 u *= 2
                 u -= 1
             part[lo:lo + u.size] = u
+    if kind != "complex":
+        rng.skip(n)
     np.multiply(scale, v, out=v)
     return v
 

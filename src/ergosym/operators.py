@@ -21,7 +21,7 @@ from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite, _slack
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
-# a row-sum plan adds RUN_SLOTS or more later slots of one width, up to
+# a kernel adds RUN_SLOTS or more later slots of one width, up to
 # RUN_WIDTH entries, in one run
 RUN_SLOTS = 8
 RUN_WIDTH = 2048
@@ -61,15 +61,54 @@ def _check_square(k: np.ndarray, space: AtomicMeasureSpace) -> None:
         raise InputError(f"kernel must be {n}x{n} for this space")
 
 
-class KernelOperator:
-    """Kernel operator (Tf)_i = sum_j K[i, j] f_j, held in CSR form.
+def _row_block_entries(blocks):
+    """(rows, columns, values) of the nonzero entries of each row block
+    (re, im) in turn, sorted by (row, column); a block's temporaries go
+    with it."""
+    first = 0
+    for re, im in blocks:
+        nonzero = re != 0
+        if im is not None:
+            nonzero |= im != 0
+        r, c = np.nonzero(nonzero)  # row-major, so sorted
+        yield r + first, c, re[r, c] + 1j * (0.0 if im is None else im[r, c])
+        first += re.shape[0]
 
-    Only nonzero entries are stored, sorted by (row, column): row i holds
-    `data[indptr[i]:indptr[i + 1]]` in columns `indices[...]`. Each kernel
-    thus has exactly one stored form, and no N x N array is kept. Row sums,
-    and so applications, go through a `RowSumPlan` built on first use: an
-    application costs O(nnz), one gather, one product and one addition per
-    entry slot, in a fixed order that does not depend on a BLAS build.
+
+class KernelOperator:
+    """Kernel operator (Tf)_i = sum_j K[i, j] f_j, held once, in the layout
+    its rows are summed in ("jagged diagonals").
+
+    Only nonzero entries are stored. Rows are ordered by decreasing entry
+    count (a stable sort, so equal counts keep row order): row `order[i]`
+    sits at row position i. Entry k of each row that has one, in column
+    order, forms slot k; the rows that hold a k-th entry come first in that
+    order, so slot k covers a prefix of it, m_k rows with m_0 >= m_1 >= ...
+    `layout` holds slots 1, 2, ..., K - 1, then slot 0, with each entry's
+    column as a row position in `layout_cols`, so T steps in row order
+    without permuting. Row i holds the CSR entries `indptr[i]` to
+    `indptr[i + 1]`, sorted by column, and `place` maps each of them to its
+    place in the layout: 32 bytes per entry and 16 per row, and no N x N
+    array. `data`, `indices` and `entry_rows()` read the entries, their
+    columns and their rows in that CSR order, sorted by (row, column).
+
+    A sum over the rows copies the layout into a buffer P, followed by
+    N - m_0 places that stay +0 for the rows without entries. Adding slots
+    2, 3, ... into slot 1 in turn, then slot 1 into slot 0, leaves the sum
+    of a row with entries a_0, ..., a_(c-1) in column order as
+
+        a_0 + ((... ((a_1 + a_2) + a_3) ...) + a_(c-1)),
+
+    a_0 itself for c = 1 and +0 for c = 0, in the last N places of P. The
+    order holds for rows of any length; it does not follow numpy's pairwise
+    blocking of long reductions, nor a BLAS build. An application costs
+    O(nnz): one gather, one product and one addition per entry, and one
+    in-place addition per slot after the first, K - 1 numpy calls for K
+    entries in the longest row, except that a run of RUN_SLOTS or more
+    slots of one width takes two or three (see `_buffer`): a dense kernel
+    sums its rows in three calls, and one row longer than all others costs
+    no call per entry.
+
     Build one from a dense matrix with `KernelOperator(matrix, space)`, from
     its real and imaginary parts with `KernelOperator.from_parts` (or a few
     rows at a time with `KernelOperator.from_row_blocks`), or from (row,
@@ -99,19 +138,8 @@ class KernelOperator:
         Each entry is formed as in `from_parts`, so the entries have the
         same bits however the rows are split, and the rows never need to
         exist as one N x N array."""
-        rows, cols, data, first = [], [], [], 0
-        for re, im in blocks:
-            nonzero = re != 0
-            if im is not None:
-                nonzero |= im != 0
-            r, c = np.nonzero(nonzero)  # row-major, so sorted
-            rows.append(r + first)
-            cols.append(c)
-            data.append(re[r, c] + 1j * (0.0 if im is None else im[r, c]))
-            first += re.shape[0]
-        return cls._from_sorted(
-            space, np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
-        )
+        rows, cols, data = map(np.concatenate, zip(*_row_block_entries(blocks)))
+        return cls._from_sorted(space, rows, cols, data)
 
     @classmethod
     def from_triplets(cls, rows, cols, data, space: AtomicMeasureSpace):
@@ -135,8 +163,9 @@ class KernelOperator:
                 f"cols[{j}]: entry ({rows[dup[0]]}, {cols[dup[0]]}) is already"
                 f" given at index {i}"
             )
-        keep = data != 0
-        return cls._from_sorted(space, rows[keep], cols[keep], data[keep])
+        keep = data != 0  # the sorted copies go before the layout is made
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+        return cls._from_sorted(space, rows, cols, data)
 
     @classmethod
     def _from_sorted(cls, space, rows, cols, data):
@@ -149,104 +178,60 @@ class KernelOperator:
         if not np.all(np.isfinite(data)):
             raise InputError("kernel entries must be finite")
         n = space.n_atoms
+        counts = np.bincount(rows, minlength=n)
         self.space = space
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        self.indices = cols
-        self.data = data
-        self._plan = None
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.order = np.argsort(-counts, kind="stable")
+        pos = self.unpermute(np.arange(n))  # the row position of each row
+        # entry k of a row sits in slot k, at the row's position
+        self.place = self._slots()[1][np.arange(rows.size) - self.indptr[rows]]
+        self.place += pos[rows]
+        self.layout = np.empty_like(data)
+        self.layout[self.place] = data
+        self.layout_cols = np.empty(rows.size, dtype=np.intp)
+        self.layout_cols[self.place] = pos[cols]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The stored entries, in CSR order."""
+        return self.layout[self.place]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The column of each stored entry, in CSR order."""
+        return self.order[self.layout_cols[self.place]]
 
     def entry_rows(self) -> np.ndarray:
         """The row of each stored entry, aligned with `indices` and `data`."""
         return np.repeat(np.arange(self.space.n_atoms), np.diff(self.indptr))
 
-    def plan(self) -> RowSumPlan:
-        """The kernel's row-sum plan, built on the first call and kept."""
-        if self._plan is None:
-            self._plan = RowSumPlan(self)
-        return self._plan
+    def _slots(self):
+        """The width m[k] of each slot k (m[1] = 0 when no row has two
+        entries) and its start in the layout: slot k >= 1 after slots
+        1..k-1, slot 0 after them all."""
+        counts = np.diff(self.indptr)
+        filled = np.count_nonzero(counts)
+        m = counts.size - np.cumsum(np.bincount(counts, minlength=3))[:-1]
+        start = np.cumsum(m) - m - filled
+        start[:1] = self.indptr[-1] - filled
+        return m, start
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-row sums of per-entry values x (in CSR order), added in the
-        plan's order; +0 on rows without entries."""
-        return self.plan().row_sums(self, x)
-
-    def apply_values(self, v: np.ndarray) -> np.ndarray:
-        plan = self.plan()
-        return plan.unpermute(plan.stepper()(v[plan.order]))
-
-
-class RowSumPlan:
-    """A kernel's entries laid out for summing its rows one entry slot at a
-    time ("jagged diagonals").
-
-    Rows are ordered by decreasing entry count (a stable sort, so equal
-    counts keep row order), and entry k of each row that has one forms slot
-    k. The rows that hold a k-th entry come first in that order, so slot k
-    covers a prefix of it, m_k rows with m_0 >= m_1 >= ... A buffer P holds
-    slots 1, 2, ..., K - 1, then slot 0, then N - m_0 places that stay +0
-    for the rows without entries. Adding slots 2, 3, ... into slot 1 in
-    turn, then slot 1 into slot 0, leaves the sum of a row with entries
-    a_0, ..., a_(c-1) in column order as
-
-        a_0 + ((... ((a_1 + a_2) + a_3) ...) + a_(c-1)),
-
-    a_0 itself for c = 1 and +0 for c = 0, in the last N places of P. The
-    order holds for rows of any length; it does not follow numpy's pairwise
-    blocking of long reductions. A sum costs one in-place addition per slot
-    after the first, K - 1 numpy calls for K entries in the longest row,
-    except that a run of RUN_SLOTS or more slots of one width takes two or
-    three (see `_buffer`): a dense kernel sums its rows in three calls, and
-    one row longer than all others costs no call per entry.
-
-    Vectors in row order are indexed by row position: row `order[i]` sits
-    at position i. The plan holds the entries in P's layout with their
-    columns as row positions, so T steps in row order without permuting:
-    24 bytes per entry and 8 per row.
-    """
-
-    def __init__(self, T: KernelOperator):
-        n, nnz = T.space.n_atoms, T.data.size
-        counts = np.diff(T.indptr)
-        self.order = np.argsort(-counts, kind="stable")
-        filled = np.count_nonzero(counts)
-        m = n - np.cumsum(np.bincount(counts))[:-1]  # m[k] rows hold slot k
-        start = np.cumsum(m) - m - filled  # slot k >= 1 after slots 1..k-1
-        start[:1] = nnz - filled  # slot 0 after them all
-        self._start = start
-        self._head = nnz - filled  # slot 0, then the rows' sums, start here
-        self._width = int(m[1]) if m.size > 1 else 0  # slot 1, at 0
-        self._later = [(int(a), int(c)) for a, c in zip(start[2:], m[2:])]
-        place = self._places(T)
-        self.data = np.empty_like(T.data)
-        self.data[place] = T.data
-        self.cols = np.empty(nnz, dtype=np.intp)
-        self.cols[place] = self._positions()[T.indices]
-
-    def _positions(self) -> np.ndarray:
-        """The row position of each row."""
-        pos = np.empty(self.order.size, dtype=np.intp)
-        pos[self.order] = np.arange(self.order.size)
-        return pos
-
-    def _places(self, T: KernelOperator) -> np.ndarray:
-        """The place in P of each of T's entries, in CSR order."""
-        rows = T.entry_rows()
-        k = np.arange(rows.size) - T.indptr[rows]  # the entry's slot
-        return self._start[k] + self._positions()[rows]
-
-    def row_sums(self, T: KernelOperator, x: np.ndarray) -> np.ndarray:
-        """Per-row sums of T's per-entry values x (in CSR order), in atom
-        order."""
+        """Per-row sums of per-entry values x (in CSR order), in atom order,
+        added in the layout's order; +0 on rows without entries."""
         P, steps, out = self._buffer(x.dtype)
-        P[self._places(T)] = x
+        P[self.place] = x
         _add_slots(steps)
         return self.unpermute(out)
+
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
+        return self.unpermute(self.stepper()(v[self.order]))
 
     def stepper(self):
         """A function g -> T g for complex g in row order. Each result is a
         view of one buffer, overwritten by the next call."""
         P, steps, out = self._buffer(complex)
-        entries, data, cols = P[: self.data.size], self.data, self.cols
+        entries, data, cols = P[: self.layout.size], self.layout, self.layout_cols
 
         def step(g):
             np.multiply(data, g[cols], out=entries)
@@ -270,11 +255,14 @@ class RowSumPlan:
         another, but sums a single column pairwise, so that run is
         accumulated in order instead.
         """
-        P = np.zeros(self._head + self.order.size, dtype=dtype)
-        acc = P[: self._width]
+        widths, start = self._slots()
+        head, width = int(start[0]), int(widths[1])  # slot 0 and the sums; slot 1
+        P = np.zeros(head + self.order.size, dtype=dtype)
+        acc = P[:width]
         steps = []
-        for m, slots in groupby(self._later, key=itemgetter(1)):
-            starts = [start for start, _ in slots]
+        later = zip(start[2:].tolist(), widths[2:].tolist())
+        for m, slots in groupby(later, key=itemgetter(1)):
+            starts = [a for a, _ in slots]
             if m <= RUN_WIDTH and len(starts) >= RUN_SLOTS:
                 a = starts[0]
                 run = P[a : a + len(starts) * m]
@@ -282,10 +270,10 @@ class RowSumPlan:
                     run = run.reshape(-1, m)
                 steps.append((acc[:m], P[a : a + m], run))
             else:
-                steps.extend((acc[:m], P[start : start + m], None) for start in starts)
-        if self._width:
-            steps.append((P[self._head : self._head + self._width], acc, None))
-        return P, steps, P[self._head :]
+                steps.extend((acc[:m], P[a : a + m], None) for a in starts)
+        if width:
+            steps.append((P[head : head + width], acc, None))
+        return P, steps, P[head:]
 
     def unpermute(self, r: np.ndarray) -> np.ndarray:
         """A vector in row order as a new vector in atom order."""
@@ -295,7 +283,7 @@ class RowSumPlan:
 
 
 def _add_slots(steps) -> None:
-    """Run a plan's steps (x, y, run): x += y in place, or for a run x +=
+    """Run a kernel's steps (x, y, run): x += y in place, or for a run x +=
     its slots in order, the first of them y. The run's first row is
     overwritten by x + y, and one np.add.reduce adds the rows into x, in
     order: the bits of one addition per slot, in one numpy call. The

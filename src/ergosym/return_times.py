@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .averaging import DEFAULT_BUDGET, _horizon
+from .averaging import DEFAULT_BUDGET, _horizon, _integers
 from .errors import InputError
 from .operators import _check_measure_preserving, _index_array
 from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite
@@ -160,7 +160,7 @@ def product_average(
         raise InputError("f must live on the first system's space")
     if not system_b.space.is_compatible(g.space):
         raise InputError("g must live on the second system's space")
-    pairs = tuple((int(a), int(b)) for a, b in probes)
+    pairs = tuple((a, b) for a, b in (_integers(p, "probes") for p in probes))
     if not pairs:
         raise InputError("need at least one probe pair")
     ns = np.array(cps, dtype=float)
@@ -227,7 +227,7 @@ def wiener_wintner_sweep(
         raise InputError("f must live on the system's space")
     if grid_size < 1:
         raise InputError("frequency grid needs at least one point")
-    probes = tuple(int(p) for p in probes)
+    probes = _integers(probes, "probes")
     if not probes:
         raise InputError("need at least one probe")
     g = int(grid_size)

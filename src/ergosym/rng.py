@@ -19,6 +19,11 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
+    def skip(self, n: int) -> None:
+        """Move on by n draws in O(1): the state after n draws is
+        state + n gamma mod 2^64."""
+        self.state = (self.state + n * _GAMMA) & _MASK
+
     def uniforms(self, n: int) -> np.ndarray:
         """The next n doubles: top 53 bits of mixed state + k gamma, k = 1..n.
 
@@ -29,7 +34,7 @@ class SplitMix64:
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self.state)
-        self.state = (self.state + n * _GAMMA) & _MASK
+        self.skip(n)
         t = np.empty_like(z)
         np.right_shift(z, np.uint64(30), out=t)
         z ^= t

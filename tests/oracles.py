@@ -210,9 +210,9 @@ def rearrangement_unique_reference(values, weights):
 
 def reduceat_row_sums_reference(indptr, x):
     """Per-row sums of per-entry values x (CSR order) as kernels formed them
-    before the row-sum plan: one np.add.reduceat over the rows that hold an
-    entry, 0 elsewhere. reduceat gives an empty row the next row's first
-    entry, so only filled rows are reduced."""
+    before they summed rows slot by slot: one np.add.reduceat over the rows
+    that hold an entry, 0 elsewhere. reduceat gives an empty row the next
+    row's first entry, so only filled rows are reduced."""
     indptr = np.asarray(indptr)
     out = np.zeros(indptr.size - 1, dtype=x.dtype)
     starts = indptr[:-1]
@@ -237,6 +237,29 @@ def row_sums_in_order_reference(indptr, x):
                 rest = rest + v
             out[i] = a[0] + rest
     return out
+
+
+def row_sum_layout_reference(k):
+    """(order, layout, layout_cols) of the kernel with dense matrix k, built
+    one slot at a time as `KernelOperator` documents them: the rows by
+    decreasing entry count, equal counts in row order; slots 1, 2, ...,
+    then slot 0, each over the rows that hold it in that order; columns as
+    row positions."""
+    k = np.asarray(k, dtype=complex)
+    entries = [np.flatnonzero(row) for row in k]
+    order = sorted(range(len(entries)), key=lambda i: -entries[i].size)
+    pos = np.empty(len(order), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    longest = max((e.size for e in entries), default=0)
+    layout, cols = [], []
+    for slot in [*range(1, longest), 0]:
+        for i in order:
+            if slot < entries[i].size:
+                j = entries[i][slot]
+                layout.append(k[i, j])
+                cols.append(pos[j])
+    return (np.array(order, dtype=np.intp), np.array(layout, dtype=complex),
+            np.array(cols, dtype=np.intp))
 
 
 def equal_weight_rearrangement_reference(values, weight):

@@ -604,7 +604,7 @@ def sparse_kernel(rng, n):
 
 @pytest.mark.parametrize("kind", ["cesaro", "periodic", "explicit", "lambda_power"])
 def test_kernel_lane_takes_no_operator_applications(monkeypatch, kind):
-    # the kernel lane steps through the row-sum plan in its row order, so it
+    # the kernel lane steps the kernel's layout in its row order, so it
     # never calls apply_values, and its averages leave that order
     rng = np.random.default_rng(86)
     T = sparse_kernel(rng, 9)
@@ -634,17 +634,17 @@ def test_kernel_lane_takes_no_operator_applications(monkeypatch, kind):
 def _kernel_lane_peak(n, horizon, beta, steps=None):
     """tracemalloc's peak for a weighted run of a fresh 4-entries-per-row
     kernel on n atoms to `horizon`, cut after `steps` terms; and the bytes
-    of the kernel's row-sum plan."""
+    of the kernel's layout and row order."""
     rng = np.random.default_rng(87)
     rows = np.repeat(np.arange(n), 4)
     cols = (rows + np.tile([0, 1, 3, 7], n)) % n
     space = AtomicMeasureSpace.uniform(n)
     T = KernelOperator.from_triplets(rows, cols, np.full(rows.size, 0.25), space)
     f = MeasurableFunction(rng.normal(size=n), space)
-    orbit = averaging._plan_orbit
+    orbit = averaging._orbit
     with pytest.MonkeyPatch.context() as mp:
         if steps is not None:
-            mp.setattr(averaging, "_plan_orbit",
+            mp.setattr(averaging, "_orbit",
                        lambda *a: itertools.islice(orbit(*a), steps))
         tracemalloc.start()
         try:
@@ -653,8 +653,7 @@ def _kernel_lane_peak(n, horizon, beta, steps=None):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    plan = T.plan()
-    return peak, sum(a.nbytes for a in (plan.order, plan.data, plan.cols))
+    return peak, sum(a.nbytes for a in (T.order, T.layout, T.layout_cols))
 
 
 def test_kernel_lane_memory_does_not_grow_with_the_horizon():

@@ -26,7 +26,7 @@ import ergosym
 from ergosym import cli, rotation_closed_form
 from ergosym.averaging import DEFAULT_BUDGET
 from ergosym.divergence import VerificationResult
-from oracles import naive_averages
+from oracles import naive_averages, row_sum_layout_reference
 
 
 def write_cfg(tmp_path, name, obj):
@@ -448,7 +448,7 @@ def test_consistency_failure_exits_4(tmp_path, monkeypatch, capsys):
 # ------------------------------------------------------------ golden outputs
 
 # SHA-256 of every output file for pinned configs. No CLI computation calls
-# BLAS (kernel operators apply through a row-sum plan, by gathers and adds),
+# BLAS (kernel operators sum their rows slot by slot, by gathers and adds),
 # so the digests do not depend on the BLAS build. A change to any digest is
 # a change to the CLI's deterministic output format or arithmetic.
 README_AVERAGE = {
@@ -960,6 +960,9 @@ def test_dense_kernel_config_decodes_below_one_mib():
     assert np.array_equal(T.entry_rows(), np.nonzero(k)[0])
     assert np.array_equal(T.indices, np.nonzero(k)[1])
     assert np.array_equal(T.data, k[k != 0])
+    order, layout, layout_cols = row_sum_layout_reference(k)
+    assert np.array_equal(T.order, order) and np.array_equal(T.layout_cols, layout_cols)
+    assert np.array_equal(T.layout, layout)
 
 
 # The weighted composition of WEIGHTED as kernel triplets. A kernel's Kahan

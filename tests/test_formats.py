@@ -54,6 +54,7 @@ from oracles import (
     product_csv_reference,
     random_function_reference,
     rearrangement_csv_reference,
+    row_sum_layout_reference,
     sweep_csv_reference,
     traces_csv_reference,
 )
@@ -124,6 +125,23 @@ def test_random_function_keeps_the_one_shot_bits(kind, scale, n):
         assert f.values.dtype == dtype
         assert f.values.astype(complex).tobytes() == want.tobytes()
         assert rng.state == state
+
+
+@pytest.mark.parametrize("kind", ["real", "nonnegative"])
+def test_real_random_function_skips_the_draws_it_does_not_read(monkeypatch, kind):
+    # the imaginary part's n draws are skipped, not drawn: the generator
+    # ends in the state of 2n draws after n of them
+    n = 2**14 + 3
+    drawn = []
+    uniforms = SplitMix64.uniforms
+    monkeypatch.setattr(SplitMix64, "uniforms",
+                        lambda self, k: drawn.append(k) or uniforms(self, k))
+    rng = SplitMix64(7)
+    function_from_json({"random": {"kind": kind}}, AtomicMeasureSpace.uniform(n), rng)
+    assert sum(drawn) == n
+    ref = SplitMix64(7)
+    uniforms(ref, 2 * n)
+    assert rng.state == ref.state
 
 
 def test_random_function_decodes_in_its_own_vector():
@@ -207,6 +225,9 @@ def test_dense_kernel_entries_keep_the_bits_of_the_dense_sum(with_im):
     rows, cols = np.nonzero(full)
     assert np.array_equal(T.entry_rows(), rows) and np.array_equal(T.indices, cols)
     assert np.array_equal(T.data.view(np.uint64), full[rows, cols].view(np.uint64))
+    order, layout, layout_cols = row_sum_layout_reference(full)
+    assert np.array_equal(T.order, order) and np.array_equal(T.layout_cols, layout_cols)
+    assert np.array_equal(T.layout.view(np.uint64), layout.view(np.uint64))
 
 
 def test_dense_kernel_entries_do_not_depend_on_the_row_blocks():
@@ -223,9 +244,11 @@ def test_dense_kernel_entries_do_not_depend_on_the_row_blocks():
         whole = KernelOperator.from_parts(
             np.array(re, dtype=float),
             np.array(im, dtype=float) if "matrix_im" in spec else None, space)
-        assert np.array_equal(T.indptr, whole.indptr)
-        assert np.array_equal(T.indices, whole.indices)
-        assert np.array_equal(T.data.view(np.uint64), whole.data.view(np.uint64))
+        for name in ("indptr", "indices", "order", "place", "layout_cols"):
+            assert np.array_equal(getattr(T, name), getattr(whole, name))
+        for name in ("data", "layout"):
+            assert np.array_equal(getattr(T, name).view(np.uint64),
+                                  getattr(whole, name).view(np.uint64))
 
 
 def _square(n, value=0.5):

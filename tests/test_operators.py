@@ -30,6 +30,7 @@ from ergosym import operators
 from oracles import (
     modulus_sup_oracle,
     reduceat_row_sums_reference,
+    row_sum_layout_reference,
     row_sums_in_order_reference,
     signed_shift_reference,
 )
@@ -82,7 +83,7 @@ def test_apply_kernel_example():
     assert np.allclose(out.values, [7.0, 0.0])
 
 
-# a row without entries reads a place of the row-sum plan that stays +0
+# a row without entries reads a place of the row-sum buffer that stays +0
 @pytest.mark.parametrize("empty", [(0,), (2,), (4,), (0, 1, 3), (0, 1, 2, 3, 4)])
 def test_kernel_rows_without_entries_apply_to_zero(empty):
     rng = np.random.default_rng(41)
@@ -162,7 +163,7 @@ def test_reduce_adds_the_rows_of_a_block_in_order():
 
 
 def runs_in(T):
-    return sum(run is not None for _, _, run in T.plan()._buffer(complex)[1])
+    return sum(run is not None for _, _, run in T._buffer(complex)[1])
 
 
 # (entries per row, RUN_SLOTS, RUN_WIDTH or None: the default, runs taken)
@@ -211,30 +212,61 @@ def test_row_sum_plan_runs_keep_the_documented_order(
 
 def test_a_row_longer_than_all_others_adds_no_step_per_entry():
     # its entries past the second-longest row's are one width-1 run, so the
-    # plan's steps do not grow with its length
+    # kernel's steps do not grow with its length
     def steps(long):
         counts = [long] + [2, 1, 0] * 200
         rows = np.repeat(np.arange(len(counts)), counts)
         cols = np.concatenate([np.arange(c) for c in counts])
         T = KernelOperator.from_triplets(rows, cols, np.ones(rows.size),
                                          unit_space(len(counts)))
-        return len(T.plan()._buffer(complex)[1])
+        return len(T._buffer(complex)[1])
 
     assert steps(64) == steps(512)
 
 
 def test_kernel_has_one_csr_form():
     # a dense matrix and its entries as triplets, shuffled and with explicit
-    # zeros, store the same arrays: nonzeros only, sorted by (row, column)
+    # zeros, store the same arrays: nonzeros only, laid out slot by slot,
+    # and read in CSR order, sorted by (row, column)
     rng = np.random.default_rng(42)
     sp = unit_space(6)
     k = rng.normal(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.4)
     rows, cols = np.divmod(rng.permutation(36), 6)
     T = KernelOperator(k, sp)
     U = KernelOperator.from_triplets(rows, cols, k[rows, cols], sp)
-    for name in ("indptr", "indices", "data"):
+    for name in ("indptr", "order", "place", "layout", "layout_cols", "indices",
+                 "data"):
         assert np.array_equal(getattr(T, name), getattr(U, name))
+    order, layout, layout_cols = row_sum_layout_reference(k)
+    assert np.array_equal(T.order, order) and np.array_equal(T.layout_cols, layout_cols)
+    assert np.array_equal(T.layout, layout)
     assert np.all(T.data != 0) and np.array_equal(dense(T), k)
+
+
+def test_kernel_holds_its_entries_once():
+    # the layout's entries and columns and the CSR-to-layout index take 32
+    # bytes per entry, indptr and the row order 16 per row; a CSR copy of
+    # the entries beside the layout held 48 bytes per entry
+    rng = np.random.default_rng(44)
+    n = 512
+    k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    space = AtomicMeasureSpace.uniform(n)
+    n_big, per_row = 1 << 16, 4
+    rows = np.repeat(np.arange(n_big), per_row)
+    cols = (rows + np.tile([0, 1, 3, 7], n_big)) % n_big
+    data = np.full(rows.size, 0.25 + 0j)
+    big = AtomicMeasureSpace.uniform(n_big)
+    for build, atoms in ((lambda: KernelOperator(k, space), n),
+                         (lambda: KernelOperator.from_triplets(rows, cols, data, big),
+                          n_big)):
+        tracemalloc.start()  # what the kernel holds once it has been applied
+        try:
+            T = build()
+            T.apply_values(np.ones(atoms, dtype=complex))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 32 * T.data.size + 16 * atoms + 2**14
 
 
 @pytest.mark.parametrize("rows, cols, data, message", [

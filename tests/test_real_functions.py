@@ -117,7 +117,7 @@ def report_bytes(rep):
 
 # composition operators: the probe lane (probes only), the lifted lane
 # (doubling on a geometric list, `_segment` on a dense one, and the periodic
-# steps) and the Kahan lane (explicit weights); kernels: the plan's lane
+# steps) and the Kahan lane (explicit weights); kernels: their Kahan lane
 OPERATORS = ("signs", "float", "complex", "broadcast", "kernel-real", "kernel-complex")
 WEIGHTS = (None, "lambda", "lambda-real", "periodic", "periodic-real", "explicit",
            "trig")

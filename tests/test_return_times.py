@@ -509,6 +509,38 @@ def test_fractional_checkpoints_are_rejected(engine):
             run(s, f, cps, 50)
 
 
+PROBE_ENGINES = {
+    "cesaro": lambda s, f, p: cesaro(
+        CompositionOperator(s.tau, np.ones(4), s.space), f, (1, 5), probes=(p,)
+    ).probe_values,
+    "weighted": lambda s, f, p: weighted(
+        CompositionOperator(s.tau, np.ones(4), s.space), f,
+        WeightSequence.constant(1.0), (1, 5), probes=(p,),
+    ).probe_values,
+    "product_average": lambda s, f, p: product_average(
+        s, f, s, f, [(0, p)], (1, 5)
+    ).averages,
+    "wiener_wintner_sweep": lambda s, f, p: wiener_wintner_sweep(
+        s, f, (p,), 4, (1, 5)
+    ).averages,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(PROBE_ENGINES))
+def test_fractional_probes_are_rejected(engine):
+    # probe atoms are read by the checkpoints' rule: 1.9 names no atom, and
+    # was read as atom 1
+    run = PROBE_ENGINES[engine]
+    s = PointSystem.cyclic(4)
+    f = character(s.space, 1)
+    want = run(s, f, 1)
+    for p in (1.0, np.int64(1), np.float64(1.0)):  # integral values pass
+        assert np.array_equal(run(s, f, p), want)
+    for p in (1.9, 0.5, float("nan"), None):
+        with pytest.raises(InputError, match="probes must be integers"):
+            run(s, f, p)
+
+
 def test_product_with_character_second_factor_equals_sweep():
     # second system = rotation by 1/q with g the identity character: the
     # product average at (w, 0) is the sweep entry at lambda = e^{2 pi i/q}

@@ -40,6 +40,16 @@ def test_in_place_mixing_keeps_the_bytes_of_the_block_formula(seed, n):
     assert rng.state == state
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 5, 100_003])
+def test_skip_leaves_the_state_of_the_draws(seed, n):
+    rng = SplitMix64(seed)
+    rng.skip(n)
+    assert rng.state == splitmix64_uniforms_blocked(seed, n)[1]
+    rng.skip(2**70)  # any count: the state wraps mod 2^64
+    assert rng.state == (seed + (n + 2**70) * 0x9E3779B97F4A7C15) % 2**64
+
+
 def test_uniforms_hold_two_arrays_of_n_words_at_most():
     # a work array, a scratch array and the cast's buffer: the block
     # formula held four arrays

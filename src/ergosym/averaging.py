@@ -54,6 +54,8 @@ from .spaces import (
     MAJORIZATION_TOL,
     MeasurableFunction,
     _finite,
+    _integers,
+    _schedule,
     submajorization_check,
 )
 from .weights import WeightSequence, _max_modulus
@@ -64,6 +66,7 @@ DEFAULT_BUDGET = 1_000_000
 
 def geometric_checkpoints(limit: int) -> tuple[int, ...]:
     """Powers of two up to `limit`, with `limit` itself appended."""
+    (limit,) = _integers((limit,), "checkpoint limit")
     if limit < 1:
         raise InputError("checkpoint limit must be at least 1")
     cps = []
@@ -76,32 +79,9 @@ def geometric_checkpoints(limit: int) -> tuple[int, ...]:
     return tuple(cps)
 
 
-def _integers(values, name: str) -> tuple[int, ...]:
-    """values as ints; integral floats and numpy integers pass, any other
-    value (1.5, None, NaN, inf, ...) is an InputError."""
-    raw = tuple(values)
-    try:
-        ints = tuple(int(n) for n in raw)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints is None or ints != raw:
-        raise InputError(f"{name} must be integers")
-    return ints
-
-
-def _validated_checkpoints(checkpoints) -> tuple[int, ...]:
-    """Checkpoints as ints, by `_integers`, strictly increasing from 1."""
-    cps = _integers(checkpoints, "checkpoints")
-    if len(cps) == 0:
-        raise InputError("need at least one checkpoint")
-    if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise InputError("checkpoints must be strictly increasing and >= 1")
-    return cps
-
-
 def _horizon(checkpoints, max_iterations: int) -> tuple[int, ...]:
     """Validated checkpoints whose last one fits the iteration budget."""
-    cps = _validated_checkpoints(checkpoints)
+    cps = _schedule(checkpoints, "checkpoints")
     if cps[-1] > max_iterations:
         raise BudgetError(
             f"last checkpoint {cps[-1]} exceeds the iteration budget {max_iterations}"

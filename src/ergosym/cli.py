@@ -14,9 +14,9 @@ consistency failure.
 each nonempty list of numbers of one type held as one int64 or float64
 array (a `formats.NumberList`), so a config's memory is that of its
 arrays, not of a Python object per number. Each config is decoded once,
-by `_decode`, into a `Plan` that the command's runner executes; `validate`
-is the diagnostics view of the same pass. Every value is read by the
-`formats` decoders.
+by `_decode`, into a dict of the values the command runs on, which its
+runner takes as keyword arguments; `validate` is the diagnostics view of
+the same pass. Every value is read by the `formats` decoders.
 """
 
 from __future__ import annotations
@@ -24,35 +24,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import averaging, divergence, formats
 from .errors import BudgetError, ConsistencyError, InputError, NumericError
 from .formats import atomic_write_chunks, atomic_write_text
-from .operators import Operator, ds_certificate
-from .return_times import (
-    PointSystem,
-    product_average,
-    rotation_oracle,
-    wiener_wintner_sweep,
-)
+from .operators import ds_certificate
+from .return_times import product_average, rotation_oracle, wiener_wintner_sweep
 from .rng import SplitMix64
-from .spaces import (
-    LorentzWeight,
-    MeasurableFunction,
-    OrliczFunction,
-    Rearrangement,
-    lorentz_norm,
-    luxemburg_norm,
-    norm,
-    rearrangement,
-)
-from .weights import WeightSequence
+from .spaces import Rearrangement, lorentz_norm, luxemburg_norm, norm, rearrangement
 
 # config command -> (key under "outputs", default output file name)
 _OUTPUTS = {
@@ -74,31 +57,6 @@ _AUTO_WINDOW_CAP = 1 << 22
 # an element count exceeds what it can address
 _NUMPY_OVERSIZE = ("array is too big", "Maximum allowed dimension exceeded",
                    "Maximum allowed size exceeded")
-
-
-class Plan(NamedTuple):
-    """A config decoded for one command: everything its runner needs."""
-
-    seed: int
-    output: str  # file name under --output-dir
-    operator: Operator | None = None
-    function: MeasurableFunction | None = None
-    second_function: MeasurableFunction | None = None
-    system: PointSystem | None = None
-    second_system: PointSystem | None = None
-    weight: WeightSequence | None = None
-    checkpoints: tuple[int, ...] = ()
-    probes: tuple = ()
-    budget: int = averaging.DEFAULT_BUDGET
-    # "mode": "full" adds the majorized column, decided per checkpoint as the
-    # run streams; "probes" leaves it empty. Neither keeps an average.
-    full: bool = True
-    lambda_grid: int = 0
-    # (character, step) when f is a character of the rotation: the closed-form
-    # oracle applies
-    rotation: tuple[int, int] | None = None
-    orlicz: OrliczFunction | None = None
-    lorentz: LorentzWeight | None = None
 
 
 def load_config(path) -> dict:
@@ -143,10 +101,11 @@ class _Looked(dict):
         return super().get(key, default)
 
 
-def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
+def _decode(cfg: dict, command: str) -> tuple[dict | None, list[str]]:
     """Decode a config for `command` in one pass.
 
-    Returns the plan and no diagnostics, or None and every diagnostic the
+    Returns the plan, a dict from each name the command's runner takes to
+    its value, and no diagnostics, or None and every diagnostic the
     config raises. Which keys a command needs is decided here; every value
     is read by a `formats` decoder, and a top-level key that the command
     never looks up is a diagnostic of its own, after the others. A
@@ -245,7 +204,7 @@ def _decode(cfg: dict, command: str) -> tuple[Plan | None, list[str]]:
             plan["rotation"] = formats.rotation_from_json(cfg["function"], cfg["system"])
 
     diags += [f"{key}: unknown key for {name}" for key in cfg if key not in cfg.looked]
-    return (None, diags) if diags else (Plan(**plan), [])
+    return (None, diags) if diags else (plan, [])
 
 
 def validate(cfg: dict, command: str) -> list[str]:
@@ -253,73 +212,72 @@ def validate(cfg: dict, command: str) -> list[str]:
     return _decode(cfg, command)[1]
 
 
-# Each runner executes a plan and returns its output files: name -> the text
-# of a JSON report, or the iterator of text chunks of a CSV one.
+# Each runner takes a plan's values as keyword arguments, under the names
+# `_decode` gives them, and returns its output files as a dict: name -> the
+# text of a JSON report, or the iterator of text chunks of a CSV one.
 
 
-def _run_rearrange(args, plan: Plan) -> dict[str, str | Iterator[str]]:
-    return {plan.output: formats.rearrangement_csv(rearrangement(plan.function), plan.seed)}
+def _run_rearrange(args, seed, output, function):
+    return {output: formats.rearrangement_csv(rearrangement(function), seed)}
 
 
-def _run_norms(args, plan: Plan) -> dict[str, str | Iterator[str]]:
-    f = plan.function
+def _run_norms(args, seed, output, function, orlicz=None, lorentz=None):
     payload = {
-        "L1": norm(f, "L1"),
-        "Linf": norm(f, "Linf"),
-        "L1plusLinf": norm(f, "L1plusLinf"),
-        "L1capLinf": norm(f, "L1capLinf"),
+        "L1": norm(function, "L1"),
+        "Linf": norm(function, "Linf"),
+        "L1plusLinf": norm(function, "L1plusLinf"),
+        "L1capLinf": norm(function, "L1capLinf"),
     }
-    if plan.orlicz is not None:
-        payload["luxemburg"] = luxemburg_norm(f, plan.orlicz)
-    if plan.lorentz is not None:
-        payload["lorentz"] = lorentz_norm(f, plan.lorentz)
-    return {plan.output: formats.json_report(payload, plan.seed)}
+    if orlicz is not None:
+        payload["luxemburg"] = luxemburg_norm(function, orlicz)
+    if lorentz is not None:
+        payload["lorentz"] = lorentz_norm(function, lorentz)
+    return {output: formats.json_report(payload, seed)}
 
 
-def _run_ds_check(args, plan: Plan) -> dict[str, str | Iterator[str]]:
-    payload = formats.ds_report_payload(ds_certificate(plan.operator))
-    return {plan.output: formats.json_report(payload, plan.seed)}
+def _run_ds_check(args, seed, output, operator):
+    payload = formats.ds_report_payload(ds_certificate(operator))
+    return {output: formats.json_report(payload, seed)}
 
 
-def _run_average(args, plan: Plan) -> dict[str, str | Iterator[str]]:
-    T, f, cps, probes = plan.operator, plan.function, plan.checkpoints, plan.probes
-    # full mode decides each checkpoint's majorized flag as the stream
-    # reaches it; neither mode keeps an average
-    if plan.weight is not None:
-        report = averaging.weighted(
-            T, f, plan.weight, cps, probes, False, plan.budget, majorize=plan.full
-        )
+def _run_average(args, seed, output, operator, function, probes, full, checkpoints,
+                 budget, weight=None):
+    # "mode": "full" decides each checkpoint's majorized flag as the stream
+    # reaches it, "probes" leaves the column empty; neither keeps an average
+    if weight is not None:
+        report = averaging.weighted(operator, function, weight, checkpoints, probes,
+                                    False, budget, majorize=full)
     else:
-        report = averaging.cesaro(
-            T, f, cps, probes, False, plan.budget, majorize=plan.full
-        )
-    return {plan.output: formats.averaging_csv(report, plan.seed)}
+        report = averaging.cesaro(operator, function, checkpoints, probes, False,
+                                  budget, majorize=full)
+    return {output: formats.averaging_csv(report, seed)}
 
 
-def _run_wiener_wintner(args, plan: Plan) -> dict[str, str | Iterator[str]]:
-    probes, grid, cps = plan.probes, plan.lambda_grid, plan.checkpoints
-    sweep = wiener_wintner_sweep(
-        plan.system, plan.function, probes, grid, cps, plan.budget
-    )
-
+def _run_wiener_wintner(args, seed, output, system, function, probes, checkpoints,
+                        budget, lambda_grid, rotation):
+    sweep = wiener_wintner_sweep(system, function, probes, lambda_grid, checkpoints,
+                                 budget)
     oracle = resonant = None
-    if plan.rotation is not None:  # rotation model: emit closed-form oracle columns
-        order = plan.system.space.n_atoms
-        oracle, resonant = rotation_oracle(order, *plan.rotation, probes, grid, cps)
-    return {plan.output: formats.sweep_csv(sweep, plan.seed, oracle, resonant)}
+    # rotation is (character, step) when f is a character of the rotation:
+    # the closed-form oracle columns apply
+    if rotation is not None:
+        oracle, resonant = rotation_oracle(system.space.n_atoms, *rotation, probes,
+                                           lambda_grid, checkpoints)
+    return {output: formats.sweep_csv(sweep, seed, oracle, resonant)}
 
 
-def _run_return_times(args, plan: Plan) -> dict[str, str | Iterator[str]]:
-    report = product_average(
-        plan.system, plan.function, plan.second_system, plan.second_function,
-        plan.probes, plan.checkpoints, plan.budget,
-    )
-    return {plan.output: formats.product_csv(report, plan.seed)}
+def _run_return_times(args, seed, output, system, function, second_system,
+                      second_function, probes, checkpoints, budget):
+    report = product_average(system, function, second_system, second_function,
+                             probes, checkpoints, budget)
+    return {output: formats.product_csv(report, seed)}
 
 
-def _run_counterexample(args, plan: Plan | None) -> dict[str, str | Iterator[str]]:
-    if plan is not None:
-        rearr = rearrangement(plan.function)
+def _run_counterexample(args, seed=0, output=None, function=None):
+    # a profile config's rearrangement, or f = 1 without a config; the
+    # files are certificate.json and traces.csv whatever the config's output
+    if function is not None:
+        rearr = rearrangement(function)
     else:
         # constant profile f = 1, searched in one pass
         if args.window < 0:
@@ -337,7 +295,6 @@ def _run_counterexample(args, plan: Plan | None) -> dict[str, str | Iterator[str
             f"fresh certificate failed verification at stage {result.failed_stage}"
         )
     ts = divergence.probe_points(cert.eps, cert.grid)
-    seed = 0 if plan is None else plan.seed
     return {
         "certificate.json":
             formats.json_report(formats.certificate_payload(cert, result), seed),
@@ -402,7 +359,7 @@ def run(args) -> int:
         first = next(d for d in (out, *out.parents) if d.exists())
     if not first.is_dir():
         raise InputError(f"cannot write {out}: {first} is not a directory")
-    for name, content in _RUNNERS[args.command](args, plan).items():
+    for name, content in _RUNNERS[args.command](args, **(plan or {})).items():
         with _writing(out / name):
             if isinstance(content, str):
                 atomic_write_text(out / name, content)

@@ -15,12 +15,13 @@ The greedy search and the direct formula walk the signed running sums with
 one blocked generator, `_running_totals`. The verdict is read from the
 operator stream alone, which shares no arithmetic with the search.
 
-Memory: the search holds one block of at most BLOCK_CELLS (terms x probes)
-cells, however many stages it runs. The verification holds 17 bytes per
-atom of the window x grid space (the operator's point map, 8, its int8
-signs, 1, and the profile sampled as float64, 8, which the probe lane
-casts to complex with imaginary part +0.0) plus one block, and drops them
-before the direct formula, which again holds one block.
+Memory: the search holds one block of at most `spaces._BLOCK` cells
+(terms x probes), the package's one block size, however many stages it
+runs. The verification holds 17 bytes per atom of the window x grid space
+(the operator's point map, 8, its int8 signs, 1, and the profile sampled
+as float64, 8, which the probe lane casts to complex with imaginary part
++0.0) plus one block, and drops them before the direct formula, which
+again holds one block.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ import numpy as np
 from .averaging import cesaro
 from .errors import BudgetError, ConsistencyError, InputError, WindowError
 from .operators import signed_shift_operator
-from .spaces import MeasurableFunction, Rearrangement, _finite, _slack
+from .spaces import (
+    _BLOCK,
+    MeasurableFunction,
+    Rearrangement,
+    _finite,
+    _integers,
+    _schedule,
+    _slack,
+)
 
 # strict inequalities must clear their threshold by more than this
 STRICT_TOL = 1e-12
@@ -42,11 +51,10 @@ STRICT_TOL = 1e-12
 CROSS_TOL = 1e-9
 # greedy search cap on candidate breakpoints
 DEFAULT_MAX_CANDIDATE = 200_000
-# terms k per block of the search and the direct formula
+# terms k per block of the search and the direct formula; a block also
+# holds at most _BLOCK cells (terms x probes), so its temporaries stay
+# well under 1 MiB however fine the grid
 BLOCK = 4096
-# cap on a block's cells (terms x probes, or atoms of a sampled profile),
-# so a block's temporaries stay well under 1 MiB however fine the grid
-BLOCK_CELLS = 1 << 14
 
 
 class StageCheck(NamedTuple):
@@ -90,9 +98,10 @@ def probe_points(eps: float, grid: int) -> np.ndarray:
     """Cell midpoints of the 1/grid partition lying strictly inside (eps, 1)."""
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie strictly between 0 and 1")
+    (grid,) = _integers((grid,), "grid")
     if grid < 1:
         raise InputError("grid must be a positive integer")
-    mids = (np.arange(int(grid)) + 0.5) / grid
+    mids = (np.arange(grid) + 0.5) / grid
     ts = mids[(mids > eps) & (mids < 1.0)]
     if ts.size == 0:
         raise InputError("no probe cells strictly inside (eps, 1); refine the grid")
@@ -108,7 +117,7 @@ def _running_totals(rearr: Rearrangement, ts, sign_of, k, stop, total):
     order, so every row equals the running total of a term-by-term loop.
     A row past float64's range reads inf; callers check the rows they read.
     """
-    step = max(1, min(BLOCK, BLOCK_CELLS // max(ts.size, 1)))
+    step = max(1, min(BLOCK, _BLOCK // max(ts.size, 1)))
     for k0 in range(k, stop, step):
         ks = np.arange(k0, min(k0 + step, stop))
         rows = sign_of(ks) * rearr.values_at(ts + ks[:, None])
@@ -127,14 +136,10 @@ def direct_averages(rearr: Rearrangement, breakpoints, ts, ns) -> np.ndarray:
     are summed in blocks of consecutive k by `_running_totals`; an average
     that overflows float64 raises NumericError.
     """
-    bps = np.sort(np.array([int(b) for b in breakpoints], dtype=np.int64))
+    bps = np.sort(np.array(_integers(breakpoints, "breakpoints"), dtype=np.int64))
     ts = np.asarray(ts, dtype=float)
-    ns = [int(n) for n in ns]
-    if any(b <= a for a, b in zip(ns, ns[1:])) or (ns and ns[0] < 1):
-        raise InputError("evaluation points n must be strictly increasing, >= 1")
+    ns = _schedule(ns, "evaluation points n")
     out = np.empty((len(ns), ts.size))
-    if not ns:
-        return out
 
     def signs(ks):
         flips = np.searchsorted(bps, ks, side="right") % 2
@@ -165,6 +170,8 @@ def construct_certificate(
     search beyond max_candidate raises BudgetError, and a running sum that
     overflows float64 NumericError.
     """
+    (stages,) = _integers((stages,), "stages")
+    (grid,) = _integers((grid,), "grid")
     if stages < 1:
         raise InputError("need at least one stage")
     if not 0 <= margin < np.inf:  # also rejects NaN
@@ -216,7 +223,7 @@ def construct_certificate(
 
     mode = "unit-cell" if grid == 1 else "full-grid"
     return DivergenceCertificate(
-        float(eps), float(margin), int(grid), mode, tuple(bps), tuple(checks)
+        float(eps), float(margin), grid, mode, tuple(bps), tuple(checks)
     )
 
 
@@ -239,9 +246,9 @@ def verify_certificate(
     """
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("cross-check tolerance must be finite and >= 0")
-    bps = [int(b) for b in cert.breakpoints]
-    if not bps or bps[0] != 1 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-        raise InputError("certificate breakpoints must start at 1 and increase")
+    bps = _schedule(cert.breakpoints, "certificate breakpoints")
+    if bps[0] != 1:
+        raise InputError("certificate breakpoints must start at 1")
     window = bps[-1]
     if rearr.support_measure + _slack(1e-9, window) < window:
         raise WindowError(
@@ -253,8 +260,8 @@ def verify_certificate(
     # mu at the atoms' midpoints, sampled a block at a time into its float64
     # array, which the probe lane casts to complex
     values = np.empty(T.space.n_atoms)
-    for a in range(0, values.size, BLOCK_CELLS):
-        mids = (np.arange(a, min(a + BLOCK_CELLS, values.size)) + 0.5) * h
+    for a in range(0, values.size, _BLOCK):
+        mids = (np.arange(a, min(a + _BLOCK, values.size)) + 0.5) * h
         values[a : a + mids.size] = rearr.values_at(mids)
     profile = MeasurableFunction(values, T.space)
     ts = probe_points(cert.eps, cert.grid)

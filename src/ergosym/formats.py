@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import _validated_checkpoints, geometric_checkpoints
+from .averaging import geometric_checkpoints
 from .errors import InputError
 from .operators import (
     CompositionOperator,
@@ -47,7 +47,8 @@ from .operators import (
 from .return_times import PointSystem
 from .rng import SplitMix64
 from .spaces import (
-    AtomicMeasureSpace, LorentzWeight, MeasurableFunction, OrliczFunction,
+    _BLOCK, AtomicMeasureSpace, LorentzWeight, MeasurableFunction, OrliczFunction,
+    _schedule,
 )
 from .weights import TrigPolynomial, TrigTerm, WeightSequence, cycles
 
@@ -362,7 +363,7 @@ def output_from_json(outputs, key: str, default: str) -> str:
 def checkpoints_from_json(spec) -> tuple[int, ...]:
     if isinstance(spec, dict):
         return geometric_checkpoints(read(spec, "geometric", "int"))
-    return _validated_checkpoints(value(spec, "int_array").tolist())
+    return _schedule(value(spec, "int_array").tolist(), "checkpoints")
 
 
 def probes_from_json(spec, *orders: int) -> tuple:
@@ -447,23 +448,19 @@ def function_from_json(
     return MeasurableFunction(_random_values(rng, n, kind, scale), space)
 
 
-# uniforms drawn at a time for a random function
-_DRAW_BLOCK = 1 << 14
-
-
 def _random_values(rng: SplitMix64, n: int, kind: str, scale: float) -> np.ndarray:
     """A random function's values from 2n draws u: x = u (nonnegative) or
     2u - 1 from the first n, and for complex 2u - 1 as the imaginary part
     from the next n; then scale * x, a complex product for complex and a
-    real one otherwise. Drawn _DRAW_BLOCK at a time into the one result,
+    real one otherwise. Drawn _BLOCK at a time into the one result,
     complex128 for complex and float64 otherwise; rng.uniforms(a) then
     rng.uniforms(b) gives the draws and the state of rng.uniforms(a + b).
     A real kind reads none of the last n draws, so the generator skips
     them in O(1)."""
     v = np.empty(n, dtype=complex if kind == "complex" else float)
     for part in (v.real, v.imag) if kind == "complex" else (v,):
-        for lo in range(0, n, _DRAW_BLOCK):
-            u = rng.uniforms(min(_DRAW_BLOCK, n - lo))
+        for lo in range(0, n, _BLOCK):
+            u = rng.uniforms(min(_BLOCK, n - lo))
             if kind != "nonnegative":
                 u *= 2
                 u -= 1

@@ -17,7 +17,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite, _slack
+from .spaces import (
+    AtomicMeasureSpace,
+    MeasurableFunction,
+    _finite,
+    _integers,
+    _schedule,
+    _slack,
+)
 
 # slack allowed in contraction sums before a certificate fails
 DS_TOL = 1e-12
@@ -55,24 +62,28 @@ def _index_array(x, key: str, n: int) -> np.ndarray:
     return a.astype(np.intp, copy=False)
 
 
-def _check_square(k: np.ndarray, space: AtomicMeasureSpace) -> None:
-    n = space.n_atoms
-    if k.shape != (n, n):
-        raise InputError(f"kernel must be {n}x{n} for this space")
-
-
-def _row_block_entries(blocks):
+def _row_block_entries(blocks, n: int):
     """(rows, columns, values) of the nonzero entries of each row block
     (re, im) in turn, sorted by (row, column); a block's temporaries go
-    with it."""
+    with it. InputError unless each block is 2-d and n wide, with im None
+    or of its shape, and the blocks hold n rows in all."""
+    square = f"kernel must be {n}x{n} for this space"
     first = 0
     for re, im in blocks:
+        re = np.asarray(re, dtype=float)
+        im = None if im is None else np.asarray(im, dtype=float)
+        if re.ndim != 2 or re.shape[1] != n:
+            raise InputError(square)
+        if im is not None and im.shape != re.shape:
+            raise InputError("kernel: im must have the shape of re")
         nonzero = re != 0
         if im is not None:
             nonzero |= im != 0
         r, c = np.nonzero(nonzero)  # row-major, so sorted
         yield r + first, c, re[r, c] + 1j * (0.0 if im is None else im[r, c])
         first += re.shape[0]
+    if first != n:
+        raise InputError(square)
 
 
 class KernelOperator:
@@ -117,7 +128,9 @@ class KernelOperator:
 
     def __init__(self, matrix, space: AtomicMeasureSpace):
         k = np.asarray(matrix, dtype=complex)
-        _check_square(k, space)
+        n = space.n_atoms
+        if k.shape != (n, n):
+            raise InputError(f"kernel must be {n}x{n} for this space")
         rows, cols = np.nonzero(k)  # row-major, so sorted by (row, column)
         self._store(space, rows, cols, k[rows, cols])
 
@@ -126,9 +139,6 @@ class KernelOperator:
         """K = re + 1j im for real N x N arrays re and im (None: 0), formed
         only at the entries where re or im is nonzero: no complex N x N
         array is made, and each entry has the bits of the dense sum."""
-        re = np.asarray(re, dtype=float)
-        _check_square(re, space)
-        im = None if im is None else np.asarray(im, dtype=float)
         return cls.from_row_blocks([(re, im)], space)
 
     @classmethod
@@ -137,8 +147,10 @@ class KernelOperator:
         few whole rows each (im None: 0), that together hold the N rows.
         Each entry is formed as in `from_parts`, so the entries have the
         same bits however the rows are split, and the rows never need to
-        exist as one N x N array."""
-        rows, cols, data = map(np.concatenate, zip(*_row_block_entries(blocks)))
+        exist as one N x N array. Blocks that are not N wide, an im not of
+        its re's shape, or rows that do not add up to N raise InputError."""
+        entries = _row_block_entries(blocks, space.n_atoms)
+        rows, cols, data = map(np.concatenate, zip(*entries))
         return cls._from_sorted(space, rows, cols, data)
 
     @classmethod
@@ -473,18 +485,15 @@ def signed_shift_operator(
     The signs are int8, one per unit cell repeated over its atoms: with the
     point map, the operator holds 9 bytes per atom.
     """
-    bps = [int(b) for b in breakpoints]
-    if len(bps) == 0 or bps[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-        raise InputError("breakpoints must be strictly increasing integers >= 1")
-    if any(int(b) != float(b) for b in np.asarray(breakpoints).tolist()):
-        raise InputError("breakpoints must be integers")
-    if grid < 1 or int(grid) != grid:
+    bps = _schedule(breakpoints, "breakpoints")
+    (grid,) = _integers((grid,), "grid")
+    (window,) = _integers((window,), "window")
+    if grid < 1:
         raise InputError("grid must be a positive integer (atoms per unit cell)")
     if window < bps[-1]:
         raise InputError(
             f"window {window} is shorter than the last breakpoint {bps[-1]}"
         )
-    grid, window = int(grid), int(window)
     n_atoms = window * grid
     space = AtomicMeasureSpace.uniform(n_atoms, 1.0 / grid, truncated=True)
     signs = np.ones(window, dtype=np.int8)  # one sign per unit cell

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .averaging import DEFAULT_BUDGET, _horizon, _integers
+from .averaging import DEFAULT_BUDGET, _horizon
 from .errors import InputError
 from .operators import _check_measure_preserving, _index_array
-from .spaces import AtomicMeasureSpace, MeasurableFunction, _finite
+from .spaces import _BLOCK, AtomicMeasureSpace, MeasurableFunction, _finite, _integers
 from .weights import cycles
 
 if TYPE_CHECKING:
@@ -57,9 +57,9 @@ class PointSystem:
         tau is a bijection, so tau^L(start) == start for the first such L,
         and L is at most the number of atoms. O(L) time and memory.
         """
+        (start,) = _integers((start,), "orbit start")
         if start < 0 or start >= self.space.n_atoms:
             raise InputError("orbit start out of range")
-        start = int(start)
         cycle = [start]
         p = int(self.tau[start])
         while p != start:
@@ -74,16 +74,12 @@ class PointSystem:
         return np.resize(self.cycle(start), n)
 
 
-# terms per traversal block: bounds the working memory of a period walk
-FOLD_BLOCK = 1 << 14
-
-
 def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     """Sums S_n = sum_{k<n} x_k at every checkpoint n, for the sequence
     x_k = prod_i factors[i][k mod len(factors[i])], which repeats with
     `period` P, a multiple of every factor's length.
 
-    Only m = min(n_max, P) terms are walked, in blocks of FOLD_BLOCK, and
+    Only m = min(n_max, P) terms are walked, in blocks of _BLOCK, and
     checkpoint n = q P + r (1 <= r <= P) reads q S_P + S_r: the prefix sums
     are needed only at the sorted residues r, plus P itself once some n
     passes it. Below one period q = 0 and S_n is read as walked.
@@ -105,7 +101,7 @@ def _fold_periodic(factors, period: int, cps, fold) -> np.ndarray:
     m = int(stops[-1])
     # each factor extended by one block, so the terms k0 <= k < k0 + B of
     # a factor of length L are the slice from k0 mod L
-    block = min(FOLD_BLOCK, m)
+    block = min(_BLOCK, m)
     tiles = [(np.resize(v, v.size + block), v.size) for v in factors]
     prefix = []
     for k0 in range(0, m, block):
@@ -225,12 +221,12 @@ def wiener_wintner_sweep(
     cps = _horizon(checkpoints, max_iterations)
     if not system.space.is_compatible(f.space):
         raise InputError("f must live on the system's space")
-    if grid_size < 1:
+    (g,) = _integers((grid_size,), "grid_size")
+    if g < 1:
         raise InputError("frequency grid needs at least one point")
     probes = _integers(probes, "probes")
     if not probes:
         raise InputError("need at least one probe")
-    g = int(grid_size)
     lams = cycles(np.arange(g) / g)
     ns = np.array(cps, dtype=float)
     avgs = np.empty((g, len(probes), len(cps)), dtype=complex)
@@ -342,6 +338,7 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     and exactly e^{2 pi i omega} at resonance q = 1, which is decided in
     integer arithmetic; q^n is drift-free.
     """
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise InputError("closed form needs n >= 1")
     q, qns, resonant = _rotation_powers(rho, lam, [n])

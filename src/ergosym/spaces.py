@@ -30,9 +30,8 @@ from .errors import InputError, NumericError
 
 # default tolerance for Hardy-Littlewood partial-integral comparisons
 MAJORIZATION_TOL = 1e-9
-# entries a blocked loop reads at once: the integrals of f* that
-# `submajorization_check` sets up, and the comparisons and evaluations
-# that would otherwise each build an N-vector
+# entries a blocked pass over an N-vector reads at once, in every module:
+# the pass holds one block of temporaries instead of N-long ones
 _BLOCK = 8192
 _FLOAT_MAX = sys.float_info.max
 
@@ -272,6 +271,31 @@ def _finite(value, what: str):
     if not np.isfinite(value).all():
         raise NumericError(f"the {what} overflows float64")
     return value
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """values as ints; integral floats and numpy integers pass, any other
+    value (1.5, None, NaN, inf, ...) is an InputError. The one integer rule
+    for every count, atom index and time the library takes."""
+    raw = tuple(values)
+    try:
+        ints = tuple(int(n) for n in raw)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != raw:
+        raise InputError(f"{name} must be integers")
+    return ints
+
+
+def _schedule(values, name: str) -> tuple[int, ...]:
+    """values as ints, by `_integers`, nonempty and strictly increasing from
+    1: the one rule for checkpoints, breakpoints and other time schedules."""
+    times = _integers(values, name)
+    if not times:
+        raise InputError(f"{name} must not be empty")
+    if times[0] < 1 or any(b <= a for a, b in zip(times, times[1:])):
+        raise InputError(f"{name} must be strictly increasing and >= 1")
+    return times
 
 
 def _check_comparable(a: AtomicMeasureSpace, b: AtomicMeasureSpace) -> None:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .spaces import _slack
+from .spaces import _BLOCK, _slack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,8 +32,6 @@ RENORM_EVERY = 1024
 # exact phases need a reduced denominator below this: residues (num mod den)
 # times (k mod den) then stay below 2^62 in int64
 MAX_PHASE_DEN = 2**31
-# entries of a weight table whose moduli `_max_modulus` holds at once
-_MODULUS_BLOCK = 1 << 14
 
 
 def cycles(phase):
@@ -45,11 +43,11 @@ def cycles(phase):
 
 
 def _max_modulus(v: np.ndarray) -> float:
-    """max_k |v_k| over a nonempty array, _MODULUS_BLOCK entries at a time:
+    """max_k |v_k| over a nonempty array, _BLOCK entries at a time:
     as exact as one max over all of them, without an n-long array of
     moduli."""
-    return float(np.max([np.max(np.abs(v[a : a + _MODULUS_BLOCK]))
-                         for a in range(0, v.size, _MODULUS_BLOCK)]))
+    return float(np.max([np.max(np.abs(v[a : a + _BLOCK]))
+                         for a in range(0, v.size, _BLOCK)]))
 
 
 def unit_powers_matrix(lams: np.ndarray, n: int) -> np.ndarray:

@@ -343,7 +343,7 @@ def test_budget_exhaustion_exits_3(tmp_path, capsys):
 def test_memory_error_exits_3(tmp_path, monkeypatch, capsys, stage):
     # stands in for a config whose arrays cannot be allocated, while decoding
     # or while running; nothing large is ever requested
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
     if stage == "decode":
@@ -956,7 +956,7 @@ def test_dense_kernel_config_decodes_below_one_mib():
     finally:
         tracemalloc.stop()
     assert diags == [] and peak < 2**20
-    T = plan.operator
+    T = plan["operator"]
     assert np.array_equal(T.entry_rows(), np.nonzero(k)[0])
     assert np.array_equal(T.indices, np.nonzero(k)[1])
     assert np.array_equal(T.data, k[k != 0])

@@ -20,7 +20,7 @@ from ergosym import (
     signed_shift_operator,
     verify_certificate,
 )
-from ergosym import divergence
+from ergosym import divergence, spaces
 from oracles import brute_counterexample_average, greedy_breakpoints
 
 # confirmed by the standalone greedy oracle (see test_frozen_* below)
@@ -462,5 +462,5 @@ def test_search_memory_does_not_grow_with_the_stages():
     prof = constant_profile(1 << 22)
     peak8 = traced_peak(construct_certificate, prof, 0.1, 8, grid=10)
     peak11 = traced_peak(construct_certificate, prof, 0.1, 11, grid=10)
-    one_block = 8 * (1 << 14)  # 2^14 cells of float64
+    one_block = 8 * spaces._BLOCK  # a block of float64 cells
     assert peak11 <= peak8 + one_block, (peak8, peak11)

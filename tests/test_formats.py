@@ -48,6 +48,7 @@ from ergosym.formats import (
     weight_from_json,
 )
 from ergosym.rng import SplitMix64
+from ergosym.spaces import _BLOCK
 from dense import dense
 from oracles import (
     averaging_csv_reference,
@@ -104,7 +105,7 @@ def test_function_from_json_random_is_seed_deterministic():
     assert np.all(d.values.real >= 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 5, 2**14, 2**14 + 1, 100_003])
+@pytest.mark.parametrize("n", [1, 5, _BLOCK, _BLOCK + 1, 2**14, 2**14 + 1, 100_003])
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, -2.0])
 @pytest.mark.parametrize("kind", ["complex", "real", "nonnegative"])
 def test_random_function_keeps_the_one_shot_bits(kind, scale, n):

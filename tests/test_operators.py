@@ -678,6 +678,21 @@ def test_composition_checks_the_range_of_int8_signs(bad):
     assert CompositionOperator([1, 2, 3, 0], ok, unit_space(4)).multiplier is ok
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([(np.ones((2, 3)), None)], "kernel must be 3x3 for this space"),
+    ([(np.ones((3, 4)), None)], "kernel must be 3x3 for this space"),
+    ([(np.ones((2, 3)), None), (np.ones((2, 3)), None)],
+     "kernel must be 3x3 for this space"),
+    ([(np.ones((3, 3)), np.ones((3, 2)))], "kernel: im must have the shape of re"),
+    ([(np.ones(3), None)], "kernel must be 3x3 for this space"),
+    ([], "kernel must be 3x3 for this space"),
+], ids=["two-rows", "four-columns", "four-rows", "im-shape", "1-d", "no-block"])
+def test_row_blocks_must_form_the_kernel(blocks, message):
+    with pytest.raises(InputError) as err:
+        KernelOperator.from_row_blocks(blocks, unit_space(3))
+    assert str(err.value) == message
+
+
 def test_signed_shift_validation():
     with pytest.raises(InputError):
         signed_shift_operator([], grid=1, window=5)

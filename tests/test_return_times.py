@@ -26,7 +26,7 @@ from ergosym import (
     wiener_wintner_sweep,
 )
 from ergosym import return_times
-from ergosym.return_times import FOLD_BLOCK
+from ergosym.spaces import _BLOCK
 from ergosym.weights import cycles
 from oracles import product_average_oracle, rotation_table_reference
 
@@ -275,7 +275,7 @@ def test_sweep_matches_direct_sum_with_exact_phases(grid):
 
 # tracemalloc peak of one product_average or wiener_wintner_sweep call on
 # small orders, whatever the horizon: the period walk holds a few blocks of
-# FOLD_BLOCK terms, and the results C x pairs and G x probes x C values
+# _BLOCK terms, and the results C x pairs and G x probes x C values
 FOLD_PEAK_BOUND = 4 * 2**20
 
 
@@ -342,7 +342,7 @@ def random_values(space, rng):
 def block_horizons():
     """Checkpoints around the traversal's block boundaries, each set ending
     at one of n = B - 1, B, B + 1 and 3B + 7."""
-    b = FOLD_BLOCK
+    b = _BLOCK
     for n in (b - 1, b, b + 1, 3 * b + 7):
         yield tuple(c for c in (1, b // 2, b - 1, b, b + 1, 2 * b) if c < n) + (n,)
 

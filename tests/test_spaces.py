@@ -1,5 +1,7 @@
 """Rearrangements, majorization, and the symmetric-space norms."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,20 @@ from ergosym import (
     MeasurableFunction,
     NumericError,
     OrliczFunction,
+    PointSystem,
     Rearrangement,
+    construct_certificate,
+    direct_averages,
+    geometric_checkpoints,
     lorentz_norm,
     luxemburg_norm,
     majorizes,
     norm,
     rearrangement,
+    rotation_closed_form,
+    signed_shift_operator,
+    verify_certificate,
+    wiener_wintner_sweep,
 )
 from ergosym.spaces import MAJORIZATION_TOL, _slack, submajorization_check
 from oracles import (
@@ -780,3 +790,57 @@ def test_tail_harmonic_profile():
     f = mk([1.0 / i for i in range(1, n + 1)])
     want = 1.0 / (n // 2 + 1)
     assert rearrangement(f).values_at(n / 2) == pytest.approx(want, abs=1e-12)
+
+
+# --------------------------------------------------------------- integer rule
+
+ONES_64 = Rearrangement(np.array([0.0, 64.0]), np.array([1.0]))
+CERT_1_5_17 = construct_certificate(ONES_64, 0.1, 3)
+CYCLE_4 = PointSystem.cyclic(4)
+
+
+def _shift(bps, window):
+    T = signed_shift_operator(bps, 1, window)
+    return T.point_map.tolist(), T.multiplier.tolist()
+
+
+# entry point -> (call on a value, a value that is not an integer, an
+# integer that the call takes)
+INTEGER_RULE_CASES = {
+    "verify_certificate breakpoint": (
+        lambda v: verify_certificate(
+            CERT_1_5_17._replace(breakpoints=(1, v, 17)), ONES_64),
+        2.5, 5),
+    "direct_averages ns": (
+        lambda v: direct_averages(ONES_64, [1, 5], [0.5], [1, v]), 2.5, 2),
+    "rotation_closed_form n": (
+        lambda v: rotation_closed_form(Fraction(1, 4), 0, 0.0, v), 2.5, 2),
+    "geometric_checkpoints limit": (geometric_checkpoints, 2.5, 2),
+    "geometric_checkpoints nan limit": (geometric_checkpoints, float("nan"), 2),
+    "construct_certificate grid": (
+        lambda v: construct_certificate(ONES_64, 0.1, 3, grid=v), 2.5, 2),
+    "construct_certificate stages": (
+        lambda v: construct_certificate(ONES_64, 0.1, v), 2.5, 2),
+    "signed_shift_operator nan breakpoint": (
+        lambda v: _shift([1, v], 8), float("nan"), 5),
+    "signed_shift_operator inf breakpoint": (
+        lambda v: _shift([1, v], 8), float("inf"), 5),
+    "signed_shift_operator window": (
+        lambda v: _shift([1, 2], v), 2.5, 2),
+    "wiener_wintner_sweep grid_size": (
+        lambda v: wiener_wintner_sweep(
+            CYCLE_4, MeasurableFunction.ones(CYCLE_4.space), (0,), v, (1, 5)),
+        2.5, 2),
+    "PointSystem.cycle start": (CYCLE_4.cycle, 1.5, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_RULE_CASES))
+def test_counts_and_schedules_take_integers_only(case):
+    call, fraction, integer = INTEGER_RULE_CASES[case]
+    want = call(integer)
+    for v in (float(integer), np.int64(integer)):  # integral values pass
+        got = call(v)
+        assert type(got) is type(want) and repr(got) == repr(want)
+    with pytest.raises(InputError, match="must be integers"):
+        call(fraction)

@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, CapabilityError, InputError
-from .operators import CompositionOperator, Operator
+from .operators import CompositionOperator, Operator, _gather
 from .spaces import (
     _BLOCK,
     MAJORIZATION_TOL,
@@ -144,7 +144,9 @@ def _probe_orbit(T, f, probes, steps):
         yield prod * f.values[pos]
         if k + 1 < steps:
             prod = prod * T.multiplier[pos]
-            pos = T.point_map[pos]
+            # the positions stay intp, cast in place from an int32 map:
+            # numpy indexes by int32 more slowly
+            pos[:] = T.point_map[pos]
 
 
 def _kahan_sums(orbit, table, width, cps):
@@ -171,7 +173,9 @@ def _kahan_sums(orbit, table, width, cps):
 
 
 # A power T^a of a composition is the composition (s^a, m_a), kept as the
-# pair (point map, multiplier): (T^a v)_i = m_a[i] v[s^a[i]].
+# pair (point map, multiplier): (T^a v)_i = m_a[i] v[s^a[i]]. s^a has the
+# width of T's map, int32 from one block of atoms on, and every read
+# through it goes through `operators._gather`.
 
 
 def _compose(a, b):
@@ -180,28 +184,20 @@ def _compose(a, b):
     if a is None or b is None:
         return b if a is None else a
     (sa, ma), (sb, mb) = a, b
-    m = mb[sa]
+    m = _gather(mb, sa, np.empty(sa.size, mb.dtype))
     m *= ma  # products commute bit for bit, complex ones too
-    return sb[sa], m
+    return _gather(sb, sa, np.empty_like(sb)), m
 
 
 def _shifted(op, v, scale=None, out=None):
     """scale * T^x v for the pair op of T^x (None: 1), written into out
-    when given, else into a new vector of the product's dtype.
-
-    A float64 v read into a complex vector goes in through its real part a
-    block at a time, and the imaginary part is zeroed: v cast to complex,
-    as numpy casts it in a complex product, without an N-long temporary.
-    """
+    when given, else into a new vector of the product's dtype. A float64 v
+    read into a complex vector is cast by `_gather`, without an N-long
+    temporary."""
     s, m = op
     if out is None:
         out = np.empty(s.size, np.result_type(v, m, 1.0 if scale is None else scale))
-    if out.dtype == v.dtype:  # every index is in range; "raise" would buffer out
-        np.take(v, s, out=out, mode="clip")
-    else:
-        for a in range(0, s.size, _BLOCK):
-            out.real[a : a + _BLOCK] = v[s[a : a + _BLOCK]]
-        out.imag = 0.0
+    _gather(v, s, out)
     out *= m
     if scale is not None:
         out *= scale

@@ -17,11 +17,12 @@ operator stream alone, which shares no arithmetic with the search.
 
 Memory: the search holds one block of at most `spaces._BLOCK` cells
 (terms x probes), the package's one block size, however many stages it
-runs. The verification holds 17 bytes per atom of the window x grid space
-(the operator's point map, 8, its int8 signs, 1, and the profile sampled
-as float64, 8, which the probe lane casts to complex with imaginary part
-+0.0) plus one block, and drops them before the direct formula, which
-again holds one block.
+runs. The verification holds 13 bytes per atom of the window x grid space
+(the operator's point map, int32 from one block of atoms on, 4, its int8
+signs, 1, and the profile sampled as float64, 8, which the probe lane
+casts to complex with imaginary part +0.0) plus one block, and drops them
+before the direct formula, which again holds one block. A space under one
+block keeps an intp map, 17 bytes per atom.
 """
 
 from __future__ import annotations
@@ -235,14 +236,14 @@ def verify_certificate(
     Rebuilds the signed shift on the certificate's grid, samples the profile
     at the atoms' midpoints a block at a time, streams the Cesaro averages
     along the probe atoms' orbits, and checks every stage inequality at
-    every probe. It holds 17 bytes per atom (map, signs and the float64
-    profile) plus one block, and drops them before the direct formula
-    runs. The streamed values are cross-checked against direct_averages; a
-    deviation beyond tol * max(1, mu(0)), relative to the profile's sup,
-    which bounds every average, raises ConsistencyError, and a window short
-    by more than 1e-9 * max(1, window) WindowError. Returns the verdict
-    with the worst margin per stage (relative to the base thresholds 1 and
-    1/2).
+    every probe. It holds 13 bytes per atom (the int32 map, signs and the
+    float64 profile; 17 under one block of atoms, where the map is intp)
+    plus one block, and drops them before the direct formula runs. The
+    streamed values are cross-checked against direct_averages; a deviation
+    beyond tol * max(1, mu(0)), relative to the profile's sup, which bounds
+    every average, raises ConsistencyError, and a window short by more
+    than 1e-9 * max(1, window) WindowError. Returns the verdict with the
+    worst margin per stage (relative to the base thresholds 1 and 1/2).
     """
     if not 0 <= tol < np.inf:  # also rejects NaN
         raise InputError("cross-check tolerance must be finite and >= 0")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .spaces import (
+    _BLOCK,
     AtomicMeasureSpace,
     MeasurableFunction,
     _finite,
@@ -51,15 +52,39 @@ def _check_measure_preserving(pm: np.ndarray, space: AtomicMeasureSpace) -> None
         raise InputError("measure-preserving map must match weights")
 
 
+def _index_dtype(size: int, n: int):
+    """The width of `size` indices into range(n): int32 from one block of
+    them on, when n is below 2^31, else intp. Below one block int32 would
+    save under 32 KiB, less than numpy's int32 index paths cost in RSS on
+    their first use."""
+    return np.int32 if size >= _BLOCK and n < 2**31 else np.intp
+
+
 def _index_array(x, key: str, n: int) -> np.ndarray:
-    """x as a 1-d array of atom indices in range(n), or InputError."""
+    """x as a 1-d array of atom indices in range(n), of `_index_dtype`'s
+    width, or InputError."""
     a = np.asarray(x)
     if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
         raise InputError(f"{key}: must be a list of integers")
     bad = np.flatnonzero((a < 0) | (a >= n))
     if bad.size:
         raise InputError(f"{key}[{bad[0]}]: {a[bad[0]]} is not an atom of 0..{n - 1}")
-    return a.astype(np.intp, copy=False)
+    return a.astype(_index_dtype(a.size, n), copy=False)
+
+
+def _gather(v: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = v[s] for in-range indices s, read _BLOCK of them at a time:
+    np.take copies indices that are not intp to intp, so an int32 map is
+    copied one block at a time, never whole ("clip" skips the range check,
+    which would buffer out). A float64 v read into a complex out goes in
+    through its real part and the imaginary part is zeroed: v cast to
+    complex, as numpy casts it in a complex product."""
+    dst = out if out.dtype == v.dtype else out.real
+    for a in range(0, s.size, _BLOCK):
+        np.take(v, s[a : a + _BLOCK], out=dst[a : a + _BLOCK], mode="clip")
+    if dst is not out:
+        out.imag = 0.0
+    return out
 
 
 def _row_block_entries(blocks, n: int):
@@ -99,8 +124,9 @@ class KernelOperator:
     column as a row position in `layout_cols`, so T steps in row order
     without permuting. Row i holds the CSR entries `indptr[i]` to
     `indptr[i + 1]`, sorted by column, and `place` maps each of them to its
-    place in the layout: 32 bytes per entry and 16 per row, and no N x N
-    array. `data`, `indices` and `entry_rows()` read the entries, their
+    place in the layout: 28 bytes per entry (32 below one block of entries,
+    where `place` stays intp; see `_index_dtype`) and 16 per row, and no
+    N x N array. `data`, `indices` and `entry_rows()` read the entries, their
     columns and their rows in that CSR order, sorted by (row, column).
 
     A sum over the rows copies the layout into a buffer P, followed by
@@ -167,41 +193,52 @@ class KernelOperator:
             if a.shape != rows.shape:
                 raise InputError(f"{key}: expected {rows.size} values, got {a.size}")
         order = np.lexsort((cols, rows))  # stable: repeats keep input order
-        rows, cols, data = rows[order], cols[order], data[order]
-        dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        r, c = rows[order], cols[order]
+        dup = np.flatnonzero((r[1:] == r[:-1]) & (c[1:] == c[:-1]))
         if dup.size:
             i, j = order[dup[0]], order[dup[0] + 1]
             raise InputError(
-                f"cols[{j}]: entry ({rows[dup[0]]}, {cols[dup[0]]}) is already"
+                f"cols[{j}]: entry ({r[dup[0]]}, {c[dup[0]]}) is already"
                 f" given at index {i}"
             )
-        keep = data != 0  # the sorted copies go before the layout is made
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-        return cls._from_sorted(space, rows, cols, data)
+        del r, c  # the sorted copies go before the layout is made
+        order = order[(data != 0)[order]]  # zero values are dropped
+        return cls._from_sorted(space, rows, cols, data, order)
 
     @classmethod
-    def _from_sorted(cls, space, rows, cols, data):
-        """An operator from entries already sorted by (row, column)."""
+    def _from_sorted(cls, space, rows, cols, data, order=None):
+        """An operator from entries sorted by (row, column) through order:
+        entry order[r] of rows, cols and data is the r-th (None: entry r)."""
         op = cls.__new__(cls)
-        op._store(space, rows, cols, data)
+        op._store(space, rows, cols, data, order)
         return op
 
-    def _store(self, space, rows, cols, data) -> None:
+    def _store(self, space, rows, cols, data, order=None) -> None:
+        """Lay out the entries, CSR entry r being entry order[r] (None:
+        entry r): they are scattered into the layout through order a block
+        at a time, so no sorted copy of them is made."""
         if not np.all(np.isfinite(data)):
             raise InputError("kernel entries must be finite")
         n = space.n_atoms
-        counts = np.bincount(rows, minlength=n)
+        nnz = rows.size if order is None else order.size
+        counts = np.bincount(rows if order is None else rows[order], minlength=n)
         self.space = space
         self.indptr = np.concatenate(([0], np.cumsum(counts)))
         self.order = np.argsort(-counts, kind="stable")
         pos = self.unpermute(np.arange(n))  # the row position of each row
-        # entry k of a row sits in slot k, at the row's position
-        self.place = self._slots()[1][np.arange(rows.size) - self.indptr[rows]]
-        self.place += pos[rows]
-        self.layout = np.empty_like(data)
-        self.layout[self.place] = data
-        self.layout_cols = np.empty(rows.size, dtype=np.intp)
-        self.layout_cols[self.place] = pos[cols]
+        start = self._slots()[1]
+        self.place = np.empty(nnz, _index_dtype(nnz, nnz))
+        self.layout = np.empty(nnz, data.dtype)
+        self.layout_cols = np.empty(nnz, dtype=np.intp)
+        for a in range(0, nnz, _BLOCK):
+            b = min(a + _BLOCK, nnz)
+            src = slice(a, b) if order is None else order[a:b]
+            r = rows[src]
+            # entry k of a row sits in slot k, at the row's position
+            place = start[np.arange(a, b) - self.indptr[r]] + pos[r]
+            self.place[a:b] = place
+            self.layout[place] = data[src]
+            self.layout_cols[place] = pos[cols[src]]
 
     @property
     def data(self) -> np.ndarray:
@@ -319,16 +356,18 @@ def _add_slots(steps) -> None:
 class CompositionOperator:
     """Weighted composition (Tf)_i = multiplier_i * f[point_map_i].
 
-    Applying T costs one gather per atom, so large windows stay cheap.
-    When declared measure-preserving the point map must be a bijection
-    matching weights within 1e-12. A multiplier given without a complex
-    dtype is held as float64: numpy casts it to complex inside each complex
-    product, so T f has the bits of the complex multiplier with imaginary
-    part +0.0, at half the memory. One whose entries are all exactly -1, +0
-    or +1 is held as int8 signs, which numpy casts to the same complex
-    values, at an eighth of that; a broadcast one, such as the default 1.0,
-    is kept as it is. An int8 multiplier is held as it is, without the
-    float64 round trip.
+    Applying T costs one gather per atom, so large windows stay cheap. The
+    point map is held as int32 from one block of atoms on (see
+    `_index_dtype`), 4 bytes per atom, and read a block at a time by
+    `_gather`; a smaller map stays intp. When declared measure-preserving
+    the point map must be a bijection matching weights within 1e-12. A
+    multiplier given without a complex dtype is held as float64: numpy
+    casts it to complex inside each complex product, so T f has the bits of
+    the complex multiplier with imaginary part +0.0, at half the memory.
+    One whose entries are all exactly -1, +0 or +1 is held as int8 signs,
+    which numpy casts to the same complex values, at an eighth of that; a
+    broadcast one, such as the default 1.0, is kept as it is. An int8
+    multiplier is held as it is, without the float64 round trip.
     """
 
     def __init__(
@@ -363,7 +402,9 @@ class CompositionOperator:
         self.measure_preserving = measure_preserving
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        return self.multiplier * v[self.point_map]
+        g = _gather(v, self.point_map, np.empty(self.point_map.size, v.dtype))
+        m = self.multiplier
+        return np.multiply(m, g, out=g if np.result_type(m, g) == g.dtype else None)
 
 
 Operator = KernelOperator | CompositionOperator
@@ -399,8 +440,11 @@ def _contraction_sums(T: Operator) -> tuple[float, float]:
         a = np.abs(T.data)
         col_mass = np.bincount(T.indices, w[T.entry_rows()] * a, T.space.n_atoms)
         return float(np.max(col_mass / w)), float(np.max(T.row_sums(a)))
+    # np.add.at adds in index order, as np.bincount does, but reads an
+    # int32 or read-only map in place, where np.bincount copies it to intp
     m = np.abs(T.multiplier)
-    col_mass = np.bincount(T.point_map, w * m, T.space.n_atoms)
+    col_mass = np.zeros(T.space.n_atoms)
+    np.add.at(col_mass, T.point_map, w * m)
     return float(np.max(col_mass / w)), float(np.max(m))
 
 
@@ -445,10 +489,9 @@ def adjoint(T: KernelOperator) -> KernelOperator:
     if not isinstance(T, KernelOperator):
         raise InputError("adjoints are provided for kernel operators")
     w = T.space.weights
-    order = np.argsort(T.indices, kind="stable")
-    i, j = T.entry_rows()[order], T.indices[order]
+    i, j = T.entry_rows(), T.indices
     return KernelOperator._from_sorted(
-        T.space, j, i, np.conj(T.data[order]) * (w[i] / w[j])
+        T.space, j, i, np.conj(T.data) * (w[i] / w[j]), np.argsort(j, kind="stable")
     )
 
 
@@ -483,7 +526,8 @@ def signed_shift_operator(
     multiplier 0 (absorbing edge), which keeps the contraction certificate
     intact. The averages of interest sit on (0, 1) and never reach the edge.
     The signs are int8, one per unit cell repeated over its atoms: with the
-    point map, the operator holds 9 bytes per atom.
+    point map, int32 from one block of atoms on, the operator holds 5 bytes
+    per atom (9 below one block, where the map stays intp).
     """
     bps = _schedule(breakpoints, "breakpoints")
     (grid,) = _integers((grid,), "grid")
@@ -501,6 +545,6 @@ def signed_shift_operator(
     mult = np.repeat(signs, grid)
     # the last cell's shift leaves the window: it is absorbed, in place
     mult[-grid:] = 0
-    pm = np.arange(grid, n_atoms + grid, dtype=np.intp)
-    pm[-grid:] -= grid
+    pm = np.arange(n_atoms, dtype=_index_dtype(n_atoms, n_atoms))
+    pm[:-grid] += grid  # the last cell's atoms map to themselves
     return CompositionOperator(pm, mult, space)

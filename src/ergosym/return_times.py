@@ -18,7 +18,14 @@ import numpy as np
 from .averaging import DEFAULT_BUDGET, _horizon
 from .errors import InputError
 from .operators import _check_measure_preserving, _index_array
-from .spaces import _BLOCK, AtomicMeasureSpace, MeasurableFunction, _finite, _integers
+from .spaces import (
+    _BLOCK,
+    AtomicMeasureSpace,
+    MeasurableFunction,
+    _finite,
+    _integers,
+    _schedule,
+)
 from .weights import cycles
 
 if TYPE_CHECKING:
@@ -29,7 +36,8 @@ RESONANCE_TOL = 1e-6
 
 
 class PointSystem:
-    """Atom set with a weight-preserving bijection tau."""
+    """Atom set with a weight-preserving bijection tau, held as int32 from
+    one block of atoms on (see `operators._index_dtype`)."""
 
     def __init__(self, space: AtomicMeasureSpace, tau):
         n = space.n_atoms
@@ -43,6 +51,7 @@ class PointSystem:
     @classmethod
     def cyclic(cls, order: int, step: int = 1, weight: float = 1.0):
         """Cyclic shift i -> i + step (mod order) on uniform atoms."""
+        (order,) = _integers((order,), "order")
         if order < 1:
             raise InputError("cyclic systems need at least one atom")
         space = AtomicMeasureSpace.uniform(order, weight)
@@ -71,6 +80,7 @@ class PointSystem:
         """Atom indices tau^k(start) for k < n: the cycle through `start`
         tiled out to n terms. O(L + n) memory; the averages below read the
         cycle itself instead."""
+        (n,) = _integers((n,), "orbit length")
         return np.resize(self.cycle(start), n)
 
 
@@ -278,11 +288,11 @@ def _rotation_powers(rho, lam, ns):
 
     lam is a rational phase in cycles (Fraction or int), so q's phase a / b
     is exact: q^n takes the phase (n a mod b) / b in Python ints, divided
-    once, and resonance is a == 0.
+    once, and resonance is a == 0. ns are ints, as `_integers` gives them.
     """
     phase = (_as_fraction(lam) + _as_fraction(rho)) % 1
     a, b = phase.numerator, phase.denominator
-    qns = cycles(np.array([int(n) * a % b / b for n in ns])).tolist()
+    qns = cycles(np.array([n * a % b / b for n in ns])).tolist()
     return cycles(float(phase)), qns, a == 0
 
 
@@ -316,6 +326,8 @@ def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
     values to the last bit, and the grid indices where |1 - q| < RESONANCE_TOL."""
     from fractions import Fraction  # not at the top: a launch cost (with decimal)
 
+    checkpoints = _schedule(checkpoints, "checkpoints")
+    (grid_size,) = _integers((grid_size,), "grid_size")
     rho = Fraction(character * step, order)
     fronts = [cycles(float(Fraction(character * w, order) % 1)) for w in probes]
     oracle = np.empty((grid_size, len(fronts), len(checkpoints)), dtype=complex)

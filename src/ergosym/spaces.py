@@ -69,6 +69,7 @@ class AtomicMeasureSpace:
     def uniform(cls, n: int, weight: float = 1.0, truncated: bool = False):
         """n atoms of one weight, held as one float64 broadcast to n entries:
         a read-only view that reads as np.full(n, weight) bit for bit."""
+        (n,) = _integers((n,), "atom count")
         if n <= 0:
             raise InputError("need at least one atom")
         return cls(np.broadcast_to(np.float64(weight), (n,)), truncated)

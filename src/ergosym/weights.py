@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .spaces import _BLOCK, _slack
+from .spaces import _BLOCK, _integers, _slack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -199,6 +199,7 @@ class WeightSequence:
 
     def values(self, n: int) -> np.ndarray:
         """Materialize beta_k for k < n."""
+        (n,) = _integers((n,), "prefix length")
         if n < 0:
             raise InputError("cannot materialize a negative prefix")
         if self.kind == "periodic":

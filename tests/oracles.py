@@ -68,6 +68,17 @@ def signed_shift_reference(breakpoints, grid, window):
     return point_map, multiplier
 
 
+def worst_column_sum_reference(point_map, multiplier, weights):
+    """max_j sum_{i : s(i) = j} w_i |m_i| / w_j for the composition
+    (Tf)_i = m_i f[s(i)], its column masses added atom by atom in index
+    order, in Python floats."""
+    w = [float(x) for x in weights]
+    mass = [0.0] * len(w)
+    for i, j in enumerate(point_map):
+        mass[int(j)] += w[i] * abs(float(multiplier[i]))
+    return max(m / wj for m, wj in zip(mass, w))
+
+
 def brute_counterexample_average(profile, breakpoints, t, n):
     """(1/n) sum_{k<n} sign_k * profile(t + k) for t in (0, 1).
 

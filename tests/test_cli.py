@@ -1272,6 +1272,21 @@ def test_benchmark_shaped_runs_peak_below_their_pins(tmp_path, command, mib):
     assert peak < mib * 2**20
 
 
+def test_benchmark_shaped_weighted_run_peaks_below_4_7_mib(tmp_path):
+    # the composition's map, and with it each power T^c the lifted lane
+    # holds, is int32 and read a block at a time, 4 bytes per atom less for
+    # each map than intp (4.93 MiB with intp maps)
+    path = write_cfg(tmp_path, "cfg.json", _benchmark_shaped("weighted-average"))
+    tracemalloc.start()
+    try:
+        out = str(tmp_path / "out")
+        assert cli.main(["weighted-average", path, "--output-dir", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.7 * 2**20, peak / 2**20
+
+
 # A composition whose mult_re holds -0.0, on f with signed zeros, through the
 # lifted, probe-orbit and Kahan lanes; the digests were recorded while the
 # multiplier was still held as complex (re + 1j * 0.0)

@@ -457,6 +457,18 @@ def test_verification_holds_17_bytes_per_atom():
     assert peak < 19 * n_atoms + (1 << 20), peak / n_atoms
 
 
+def test_verification_holds_13_bytes_per_atom():
+    # from one block of atoms on the point map is int32 (4 B): with the int8
+    # signs (1 B) and the float64 profile (8 B), 13 bytes per atom of window
+    # x grid, plus one block of temporaries (17.7 B/atom with an intp map)
+    prof = constant_profile(1 << 22)
+    cert = construct_certificate(prof, 0.1, 10, grid=10)
+    n_atoms = cert.breakpoints[-1] * cert.grid
+    assert n_atoms == 393_650
+    peak = traced_peak(verify_certificate, cert, prof)
+    assert peak < 14 * n_atoms + (1 << 19), peak / n_atoms
+
+
 def test_search_memory_does_not_grow_with_the_stages():
     # stage 11 walks 78 732 terms to stage 8's 2 916, in blocks of one size
     prof = constant_profile(1 << 22)

@@ -14,6 +14,7 @@ from ergosym import (
     InputError,
     KernelOperator,
     MeasurableFunction,
+    PointSystem,
     adjoint,
     adjoint_modulus_commutation,
     apply,
@@ -25,14 +26,16 @@ from ergosym import (
     signed_shift_operator,
 )
 from ergosym.formats import loads, operator_from_json
+from ergosym.spaces import _BLOCK
 from dense import dense
-from ergosym import operators
+from ergosym import averaging, operators
 from oracles import (
     modulus_sup_oracle,
     reduceat_row_sums_reference,
     row_sum_layout_reference,
     row_sums_in_order_reference,
     signed_shift_reference,
+    worst_column_sum_reference,
 )
 
 
@@ -269,6 +272,37 @@ def test_kernel_holds_its_entries_once():
         assert held <= 32 * T.data.size + 16 * atoms + 2**14
 
 
+def test_triplet_kernel_decodes_in_76_bytes_per_entry():
+    # 2^16 atoms, 4 entries per row, given in shuffled order and decoded
+    # from a loaded config: the entries are scattered into the layout
+    # through their sort order, with int32 rows, columns and places; sorted
+    # copies of intp rows and columns beside them took 105 bytes per entry
+    n, per_row = 1 << 16, 4
+    rng = np.random.default_rng(49)
+    rows = np.repeat(np.arange(n), per_row)
+    cols = (rows + np.tile([0, 1, 3, 7], n)) % n
+    data = rng.uniform(-0.25, 0.25, rows.size)
+    data[::9] = 0.0  # dropped
+    shuffle = rng.permutation(rows.size)
+    rows, cols, data = rows[shuffle], cols[shuffle], data[shuffle]
+    cfg = loads(json.dumps({"kind": "kernel", "rows": rows.tolist(),
+                            "cols": cols.tolist(), "data_re": data.tolist()}))
+    space = AtomicMeasureSpace.uniform(n)
+    tracemalloc.start()
+    try:
+        T = operator_from_json(cfg, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 76 * rows.size, peak / rows.size
+    assert T.place.dtype == np.int32
+    order = np.lexsort((cols, rows))
+    order = order[data[order] != 0]
+    assert np.array_equal(T.entry_rows(), rows[order])
+    assert np.array_equal(T.indices, cols[order])
+    assert T.data.tobytes() == (data[order] + 0j).tobytes()
+
+
 @pytest.mark.parametrize("rows, cols, data, message", [
     ([0, 1, 0], [1, 2, 1], [1.0, 1.0, 0.0], "cols[2]: entry (0, 1) is already given at index 0"),
     ([0, -1], [1, 2], [1.0, 1.0], "rows[1]: -1 is not an atom of 0..2"),
@@ -412,6 +446,50 @@ def test_ds_check_reads_a_decoded_map_in_place():
     F = CompositionOperator(T.point_map, signs, space)
     F.multiplier = signs
     assert S.multiplier.dtype == np.int8 and ds_certificate(S) == ds_certificate(F)
+
+
+@pytest.mark.parametrize("n, width", [(_BLOCK - 1, np.intp), (_BLOCK, np.int32)])
+def test_maps_hold_int32_indices_from_one_block_on(n, width):
+    # a point map, a point system's tau, the signed shift's map, the lifted
+    # lane's powers T^c and a kernel's places are int32 from one block of
+    # entries on, and give the values of intp indices
+    rng = np.random.default_rng(50)
+    pm = rng.permutation(n)
+    mult = rng.choice([-1.0, 0.5, 1.0], n)
+    T = CompositionOperator(pm, mult, unit_space(n))
+    assert T.point_map.dtype == width and np.array_equal(T.point_map, pm)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for x in (v, v.real.copy()):
+        assert T.apply_values(x).tobytes() == (mult * x[pm]).tobytes()
+    s3, m3 = averaging._power((T.point_map, T.multiplier), 3)
+    assert s3.dtype == width and np.array_equal(s3, pm[pm[pm]])
+    assert m3.tobytes() == (mult[pm[pm]] * mult[pm] * mult).tobytes()
+    system = PointSystem(AtomicMeasureSpace.uniform(n), pm)
+    assert system.tau.dtype == width and np.array_equal(system.tau, pm)
+    assert PointSystem.cyclic(n).tau.dtype == width
+    assert signed_shift_operator([1, 2], 1, n).point_map.dtype == width
+    cols = (np.arange(n) + 1) % n
+    K = KernelOperator.from_triplets(np.arange(n), cols, np.ones(n), unit_space(n))
+    assert K.place.dtype == width and np.array_equal(K.indices, cols)
+
+
+@pytest.mark.parametrize("n", [500, _BLOCK + 3])
+def test_ds_check_column_masses_match_the_atom_by_atom_sum(n):
+    # a map that is not a bijection, its columns hit many times: as a
+    # read-only intp map below one block, and as int32 from one block on.
+    # The masses are added in atom order, as the reference adds them.
+    rng = np.random.default_rng(51)
+    pm = rng.integers(0, n // 7, n)
+    pm.flags.writeable = False
+    mult = rng.uniform(-1.0, 1.0, n)
+    w = rng.uniform(0.5, 2.0, n)
+    T = CompositionOperator(pm, mult, AtomicMeasureSpace(w))
+    if n < _BLOCK:
+        assert T.point_map is pm
+    else:
+        assert T.point_map.dtype == np.int32
+    want = worst_column_sum_reference(pm, mult, w)
+    assert ds_certificate(T).worst_column_sum == want
 
 
 @pytest.mark.parametrize("mult, dtype", [

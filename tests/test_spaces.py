@@ -24,11 +24,13 @@ from ergosym import (
     majorizes,
     norm,
     rearrangement,
+    WeightSequence,
     rotation_closed_form,
     signed_shift_operator,
     verify_certificate,
     wiener_wintner_sweep,
 )
+from ergosym.return_times import rotation_oracle
 from ergosym.spaces import MAJORIZATION_TOL, _slack, submajorization_check
 from oracles import (
     check_orlicz_function,
@@ -832,6 +834,16 @@ INTEGER_RULE_CASES = {
             CYCLE_4, MeasurableFunction.ones(CYCLE_4.space), (0,), v, (1, 5)),
         2.5, 2),
     "PointSystem.cycle start": (CYCLE_4.cycle, 1.5, 1),
+    "rotation_oracle checkpoint": (
+        lambda v: rotation_oracle(4, 1, 1, [0], 2, [1, v]), 2.5, 2),
+    "rotation_oracle grid_size": (
+        lambda v: rotation_oracle(4, 1, 1, [0], v, [1, 2]), 2.5, 2),
+    "WeightSequence.values n": (
+        lambda v: WeightSequence.lambda_power(1j).values(v), 2.5, 3),
+    "PointSystem.orbit n": (lambda v: CYCLE_4.orbit(0, v), 2.5, 6),
+    "AtomicMeasureSpace.uniform n": (
+        lambda v: AtomicMeasureSpace.uniform(v).weights, 2.5, 3),
+    "PointSystem.cyclic order": (lambda v: PointSystem.cyclic(v).tau, 4.5, 5),
 }
 
 

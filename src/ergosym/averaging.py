@@ -53,8 +53,9 @@ from .spaces import (
     _BLOCK,
     MAJORIZATION_TOL,
     MeasurableFunction,
+    _atoms,
+    _count,
     _finite,
-    _integers,
     _schedule,
     submajorization_check,
 )
@@ -66,9 +67,7 @@ DEFAULT_BUDGET = 1_000_000
 
 def geometric_checkpoints(limit: int) -> tuple[int, ...]:
     """Powers of two up to `limit`, with `limit` itself appended."""
-    (limit,) = _integers((limit,), "checkpoint limit")
-    if limit < 1:
-        raise InputError("checkpoint limit must be at least 1")
+    limit = _count(limit, "checkpoint limit")
     cps = []
     n = 1
     while n <= limit:
@@ -402,9 +401,7 @@ def _stream(
     if not T.space.is_compatible(f.space):
         raise InputError("operator and function live on different spaces")
     n_atoms = T.space.n_atoms
-    probes = _integers(probes, "probes")
-    if any(p < 0 or p >= n_atoms for p in probes):
-        raise InputError("probe atom out of range")
+    probes = _atoms(probes, "probes", n_atoms)
 
     composition = isinstance(T, CompositionOperator)
     # probe-orbit lane: nothing but the probe atoms is ever read

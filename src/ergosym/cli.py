@@ -277,6 +277,8 @@ def _run_counterexample(args, seed=0, output=None, function=None):
     # a profile config's rearrangement, or f = 1 without a config; the
     # files are certificate.json and traces.csv whatever the config's output
     if function is not None:
+        if args.window:
+            raise InputError("--window applies only to the constant profile")
         rearr = rearrangement(function)
     else:
         # constant profile f = 1, searched in one pass

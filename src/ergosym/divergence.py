@@ -40,8 +40,10 @@ from .spaces import (
     _BLOCK,
     MeasurableFunction,
     Rearrangement,
+    _count,
     _finite,
     _integers,
+    _nonnegative,
     _schedule,
     _slack,
 )
@@ -99,9 +101,7 @@ def probe_points(eps: float, grid: int) -> np.ndarray:
     """Cell midpoints of the 1/grid partition lying strictly inside (eps, 1)."""
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie strictly between 0 and 1")
-    (grid,) = _integers((grid,), "grid")
-    if grid < 1:
-        raise InputError("grid must be a positive integer")
+    grid = _count(grid, "grid")
     mids = (np.arange(grid) + 0.5) / grid
     ts = mids[(mids > eps) & (mids < 1.0)]
     if ts.size == 0:
@@ -171,12 +171,8 @@ def construct_certificate(
     search beyond max_candidate raises BudgetError, and a running sum that
     overflows float64 NumericError.
     """
-    (stages,) = _integers((stages,), "stages")
-    (grid,) = _integers((grid,), "grid")
-    if stages < 1:
-        raise InputError("need at least one stage")
-    if not 0 <= margin < np.inf:  # also rejects NaN
-        raise InputError("margin must be finite and nonnegative")
+    stages, grid = _count(stages, "stages"), _count(grid, "grid")
+    margin = _nonnegative(margin, "margin")
     ts = probe_points(eps, grid)
     if rearr.plateaus.size == 0 or float(rearr.plateaus[-1]) < 1.0 - STRICT_TOL:
         raise InputError("profile must stay >= 1 across its window")
@@ -224,7 +220,7 @@ def construct_certificate(
 
     mode = "unit-cell" if grid == 1 else "full-grid"
     return DivergenceCertificate(
-        float(eps), float(margin), grid, mode, tuple(bps), tuple(checks)
+        float(eps), margin, grid, mode, tuple(bps), tuple(checks)
     )
 
 
@@ -245,8 +241,7 @@ def verify_certificate(
     than 1e-9 * max(1, window) WindowError. Returns the verdict with the
     worst margin per stage (relative to the base thresholds 1 and 1/2).
     """
-    if not 0 <= tol < np.inf:  # also rejects NaN
-        raise InputError("cross-check tolerance must be finite and >= 0")
+    tol = _nonnegative(tol, "cross-check tolerance")
     bps = _schedule(cert.breakpoints, "certificate breakpoints")
     if bps[0] != 1:
         raise InputError("certificate breakpoints must start at 1")

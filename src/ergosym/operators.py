@@ -21,7 +21,9 @@ from .spaces import (
     _BLOCK,
     AtomicMeasureSpace,
     MeasurableFunction,
+    _count,
     _finite,
+    _finite_input,
     _integers,
     _schedule,
     _slack,
@@ -217,8 +219,7 @@ class KernelOperator:
         """Lay out the entries, CSR entry r being entry order[r] (None:
         entry r): they are scattered into the layout through order a block
         at a time, so no sorted copy of them is made."""
-        if not np.all(np.isfinite(data)):
-            raise InputError("kernel entries must be finite")
+        _finite_input("kernel entries", data)
         n = space.n_atoms
         nnz = rows.size if order is None else order.size
         counts = np.bincount(rows if order is None else rows[order], minlength=n)
@@ -383,11 +384,11 @@ class CompositionOperator:
             raise InputError("point map and multiplier must have one entry per atom")
         pm = _index_array(point_map, "map", n)
         if signed:  # |-128| wraps to -128 in int8, so the range is read
-            if mult.min() < -1 or mult.max() > 1:
-                raise InputError("multiplier magnitudes must stay within 1")
-        elif not np.all(np.isfinite(mult)):
-            raise InputError("multiplier must be finite")
-        elif np.any(np.abs(mult) > 1.0 + DS_TOL):
+            too_large = mult.min() < -1 or mult.max() > 1
+        else:
+            _finite_input("multiplier", mult)
+            too_large = np.any(np.abs(mult) > 1.0 + DS_TOL)
+        if too_large:
             raise InputError("multiplier magnitudes must stay within 1")
         if measure_preserving:
             _check_measure_preserving(pm, space)
@@ -530,10 +531,8 @@ def signed_shift_operator(
     per atom (9 below one block, where the map stays intp).
     """
     bps = _schedule(breakpoints, "breakpoints")
-    (grid,) = _integers((grid,), "grid")
+    grid = _count(grid, "grid")
     (window,) = _integers((window,), "window")
-    if grid < 1:
-        raise InputError("grid must be a positive integer (atoms per unit cell)")
     if window < bps[-1]:
         raise InputError(
             f"window {window} is shorter than the last breakpoint {bps[-1]}"

@@ -11,7 +11,7 @@ closed form (finite geometric series), used as the oracle.
 from __future__ import annotations
 
 from math import lcm
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +22,13 @@ from .spaces import (
     _BLOCK,
     AtomicMeasureSpace,
     MeasurableFunction,
+    _atoms,
+    _count,
     _finite,
     _integers,
     _schedule,
 )
 from .weights import cycles
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # |1 - q| below this flags a resonant grid point (slow geometric decay)
 RESONANCE_TOL = 1e-6
@@ -51,9 +50,7 @@ class PointSystem:
     @classmethod
     def cyclic(cls, order: int, step: int = 1, weight: float = 1.0):
         """Cyclic shift i -> i + step (mod order) on uniform atoms."""
-        (order,) = _integers((order,), "order")
-        if order < 1:
-            raise InputError("cyclic systems need at least one atom")
+        order = _count(order, "order")
         space = AtomicMeasureSpace.uniform(order, weight)
         # reduce step in Python ints first: np.arange(order) + step wraps in
         # int64 for a step near 2^63
@@ -66,9 +63,7 @@ class PointSystem:
         tau is a bijection, so tau^L(start) == start for the first such L,
         and L is at most the number of atoms. O(L) time and memory.
         """
-        (start,) = _integers((start,), "orbit start")
-        if start < 0 or start >= self.space.n_atoms:
-            raise InputError("orbit start out of range")
+        (start,) = _atoms((start,), "orbit start", self.space.n_atoms)
         cycle = [start]
         p = int(self.tau[start])
         while p != start:
@@ -80,7 +75,7 @@ class PointSystem:
         """Atom indices tau^k(start) for k < n: the cycle through `start`
         tiled out to n terms. O(L + n) memory; the averages below read the
         cycle itself instead."""
-        (n,) = _integers((n,), "orbit length")
+        n = _count(n, "orbit length", 0)
         return np.resize(self.cycle(start), n)
 
 
@@ -231,9 +226,7 @@ def wiener_wintner_sweep(
     cps = _horizon(checkpoints, max_iterations)
     if not system.space.is_compatible(f.space):
         raise InputError("f must live on the system's space")
-    (g,) = _integers((grid_size,), "grid_size")
-    if g < 1:
-        raise InputError("frequency grid needs at least one point")
+    g = _count(grid_size, "grid_size")
     probes = _integers(probes, "probes")
     if not probes:
         raise InputError("need at least one probe")
@@ -275,25 +268,39 @@ def wiener_wintner_sweep(
     return SweepResult(lams, probes, cps, avgs)
 
 
-def _as_fraction(x) -> Fraction:
-    from fractions import Fraction  # not at the top: a launch cost (with decimal)
+def _phase(x) -> tuple[int, int]:
+    """A rational phase in cycles, a Fraction or an int, as the integer pair
+    (numerator, denominator >= 1); an int x is (x, 1). fractions is imported
+    only for an x that is not an int: a caller holding a Fraction has
+    loaded it already."""
+    if isinstance(x, int):
+        return x, 1
+    from fractions import Fraction
 
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise InputError("rational angles must be Fraction or int")
 
 
-def _rotation_powers(rho, lam, ns):
-    """(q, [q^n for n in ns], exact resonance) for q = lam e^{2 pi i rho}.
+def _phase_powers(a: int, b: int, ns):
+    """(q, [q^n for n in ns], exact resonance) for q = e^{2 pi i a / b},
+    the phase an integer pair with b >= 1, not necessarily reduced.
 
-    lam is a rational phase in cycles (Fraction or int), so q's phase a / b
-    is exact: q^n takes the phase (n a mod b) / b in Python ints, divided
-    once, and resonance is a == 0. ns are ints, as `_integers` gives them.
+    q^n takes the phase (n a mod b) / b in Python ints, divided once, and
+    resonance is a = 0 mod b. Int true division rounds a rational to the
+    nearest double however its pair is reduced, so every value has the bits
+    of the reduced pair's. ns are ints, as `_integers` gives them.
     """
-    phase = (_as_fraction(lam) + _as_fraction(rho)) % 1
-    a, b = phase.numerator, phase.denominator
+    a %= b
     qns = cycles(np.array([n * a % b / b for n in ns])).tolist()
-    return cycles(float(phase)), qns, a == 0
+    return cycles(a / b), qns, a == 0
+
+
+def _rotation_powers(rho, lam, ns):
+    """`_phase_powers` for q = lam e^{2 pi i rho}, rho and lam rational
+    phases in cycles read by `_phase`: q's phase is exact."""
+    (r, s), (u, v) = _phase(rho), _phase(lam)
+    return _phase_powers(r * v + u * s, s * v, ns)
 
 
 def rotation_q(rho, lam):
@@ -323,17 +330,19 @@ def _rotation_table(q, qns, resonant, fronts, ns) -> np.ndarray:
 def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
     """Closed-form sweep of f(w) = e^{2 pi i c w / order} under w -> w + step:
     the oracle, indexed like SweepResult.averages, holding rotation_closed_form's
-    values to the last bit, and the grid indices where |1 - q| < RESONANCE_TOL."""
-    from fractions import Fraction  # not at the top: a launch cost (with decimal)
-
+    values to the last bit, and the grid indices where |1 - q| < RESONANCE_TOL.
+    Every phase is an integer pair: lam_j e^{2 pi i rho} has the phase
+    (c step G + j order) / (order G), c the character and G the grid size."""
     checkpoints = _schedule(checkpoints, "checkpoints")
-    (grid_size,) = _integers((grid_size,), "grid_size")
-    rho = Fraction(character * step, order)
-    fronts = [cycles(float(Fraction(character * w, order) % 1)) for w in probes]
+    order, grid_size = _count(order, "order"), _count(grid_size, "grid_size")
+    character, step = _integers((character, step), "character and step")
+    fronts = [cycles(character * w % order / order)
+              for w in _integers(probes, "probes")]
     oracle = np.empty((grid_size, len(fronts), len(checkpoints)), dtype=complex)
     resonant = []
     for j in range(grid_size):
-        q, qns, exact = _rotation_powers(rho, Fraction(j, grid_size), checkpoints)
+        q, qns, exact = _phase_powers(character * step * grid_size + j * order,
+                                      order * grid_size, checkpoints)
         if abs(1.0 - q) < RESONANCE_TOL:
             resonant.append(j)
         oracle[j] = _rotation_table(q, qns, exact, fronts, checkpoints)
@@ -350,9 +359,7 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     and exactly e^{2 pi i omega} at resonance q = 1, which is decided in
     integer arithmetic; q^n is drift-free.
     """
-    (n,) = _integers((n,), "n")
-    if n < 1:
-        raise InputError("closed form needs n >= 1")
+    n = _count(n, "n")
     q, qns, resonant = _rotation_powers(rho, lam, [n])
     front = cycles(float(omega_phase))
     return complex(_rotation_table(q, qns, resonant, [front], [n])[0, 0])

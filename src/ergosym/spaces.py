@@ -69,9 +69,7 @@ class AtomicMeasureSpace:
     def uniform(cls, n: int, weight: float = 1.0, truncated: bool = False):
         """n atoms of one weight, held as one float64 broadcast to n entries:
         a read-only view that reads as np.full(n, weight) bit for bit."""
-        (n,) = _integers((n,), "atom count")
-        if n <= 0:
-            raise InputError("need at least one atom")
+        n = _count(n, "atom count")
         return cls(np.broadcast_to(np.float64(weight), (n,)), truncated)
 
     def is_compatible(self, other: "AtomicMeasureSpace") -> bool:
@@ -98,10 +96,7 @@ class MeasurableFunction:
                 f"function has {v.size} values for a space with "
                 f"{space.n_atoms} atoms"
             )
-        # read a block at a time: no N-long mask beside the values
-        blocks = (v[a : a + _BLOCK] for a in range(0, v.size, _BLOCK))
-        if not all(np.isfinite(b).all() for b in blocks):
-            raise InputError("function values must be finite")
+        _finite_input("function values", v)
         self.values = v
         self.space = space
 
@@ -116,7 +111,7 @@ class MeasurableFunction:
     @classmethod
     def indicator(cls, space: AtomicMeasureSpace, atoms):
         v = np.zeros(space.n_atoms)
-        v[np.asarray(atoms, dtype=int)] = 1.0
+        v[list(_atoms(atoms, "indicator atoms", space.n_atoms))] = 1.0
         return cls(v, space)
 
     def __mul__(self, c):
@@ -147,8 +142,7 @@ class Rearrangement:
             raise InputError("breakpoints must be strictly increasing")
         if np.any(pl <= 0) or np.any(np.diff(pl) >= 0):
             raise InputError("plateaus must be positive and strictly decreasing")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(pl))):
-            raise InputError("rearrangement data must be finite")
+        _finite_input("rearrangement data", bp, pl)
         self._hold(bp, pl)
 
     @classmethod
@@ -288,6 +282,42 @@ def _integers(values, name: str) -> tuple[int, ...]:
     return ints
 
 
+def _count(n, name: str, least: int = 1) -> int:
+    """n as an int, by `_integers`, and at least `least`: the one rule for
+    every count (least 1) and every size that may be 0 (least 0)."""
+    (n,) = _integers((n,), name)
+    if n < least:
+        raise InputError(f"{name} must be at least {least}")
+    return n
+
+
+def _atoms(values, name: str, n: int) -> tuple[int, ...]:
+    """values as ints, by `_integers`, each an atom of range(n): the one
+    rule for probe, start and indicator atoms."""
+    atoms = _integers(values, name)
+    if not all(0 <= i < n for i in atoms):
+        raise InputError(f"{name} must lie in 0..{n - 1}")
+    return atoms
+
+
+def _nonnegative(x, name: str) -> float:
+    """x as a float, finite and >= 0 (NaN fails): the one rule for every
+    tolerance, margin and bound."""
+    if not 0 <= x < np.inf:  # also rejects NaN
+        raise InputError(f"{name} must be finite and nonnegative")
+    return float(x)
+
+
+def _finite_input(what: str, *arrays) -> None:
+    """InputError unless every entry of the 1-d arrays is finite: the one
+    finiteness rule for input data. Each is read _BLOCK entries at a time,
+    so no mask as long as the input is made."""
+    for a in arrays:
+        blocks = (a[i : i + _BLOCK] for i in range(0, a.size, _BLOCK))
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise InputError(f"{what} must be finite")
+
+
 def _schedule(values, name: str) -> tuple[int, ...]:
     """values as ints, by `_integers`, nonempty and strictly increasing from
     1: the one rule for checkpoints, breakpoints and other time schedules."""
@@ -331,8 +361,7 @@ def submajorization_check(
     spaces, rearranges f and scales tol by the whole integral of f* once.
     The check may sort, scale and sum the moduli it is handed in place, so
     that it holds no N-vector of its own: the caller no longer reads them."""
-    if not 0 <= tol < np.inf:  # also rejects NaN
-        raise InputError("majorization tolerance must be finite and >= 0")
+    tol = _nonnegative(tol, "majorization tolerance")
     _check_comparable(f.space, space)
     rf, w = rearrangement(f), space.weights
     slack = _slack(tol, rf._prefix[-1])
@@ -475,8 +504,7 @@ class LorentzWeight:
             raise InputError("need one slope per knot")
         if kn[0] != 0.0 or np.any(np.diff(kn) <= 0):
             raise InputError("knots must start at 0 and increase strictly")
-        if not (np.all(np.isfinite(kn)) and np.all(np.isfinite(sl))):
-            raise InputError("Lorentz weight data must be finite")
+        _finite_input("Lorentz weight data", kn, sl)
         if np.any(sl < 0) or np.any(np.diff(sl) > 0):
             raise InputError("slopes must be nonnegative and non-increasing")
         self.knots = kn

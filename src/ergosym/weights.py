@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError
-from .spaces import _BLOCK, _integers, _slack
+from .spaces import _BLOCK, _count, _finite_input, _nonnegative, _slack
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,6 +48,24 @@ def _max_modulus(v: np.ndarray) -> float:
     moduli."""
     return float(np.max([np.max(np.abs(v[a : a + _BLOCK]))
                          for a in range(0, v.size, _BLOCK)]))
+
+
+def _unit(z, what: str) -> complex:
+    """z as a complex number of modulus 1 within UNIT_TOL: the one rule for
+    frequencies (NaN fails)."""
+    if not abs(abs(z) - 1.0) <= UNIT_TOL:  # also rejects NaN
+        raise InputError(f"{what} must be unimodular")
+    return complex(z)
+
+
+def _weight_list(vals) -> np.ndarray:
+    """vals as a nonempty 1-d complex array of finite values: the one rule
+    for the lists of periodic, constant, explicit and interpolated weights."""
+    v = np.asarray(vals, dtype=complex)
+    if v.ndim != 1 or v.size == 0:
+        raise InputError("weights need a nonempty 1-d list of values")
+    _finite_input("weight values", v)
+    return v
 
 
 def unit_powers_matrix(lams: np.ndarray, n: int) -> np.ndarray:
@@ -81,8 +99,8 @@ class TrigTerm:
     def __init__(
         self, coefficient: complex, frequency: complex, phase: Fraction | None = None
     ):
-        if abs(abs(frequency) - 1.0) > UNIT_TOL:
-            raise InputError("trig polynomial frequencies must be unimodular")
+        frequency = _unit(frequency, "trig polynomial frequencies")
+        _finite_input("trig polynomial coefficients", np.atleast_1d(coefficient))
         if phase is not None and phase.denominator >= MAX_PHASE_DEN:
             raise InputError("exact phases need a reduced denominator below 2^31")
         self.coefficient = coefficient
@@ -153,14 +171,11 @@ class WeightSequence:
     @classmethod
     def constant(cls, c: complex):
         """beta_k = c, a periodic sequence of period 1."""
-        return cls("periodic", table=np.array([c], dtype=complex))
+        return cls.periodic([c])
 
     @classmethod
     def periodic(cls, vals):
-        v = np.asarray(vals, dtype=complex)
-        if v.ndim != 1 or v.size == 0:
-            raise InputError("periodic weights need a nonempty value list")
-        return cls("periodic", table=v)
+        return cls("periodic", table=_weight_list(vals))
 
     @classmethod
     def trig_poly(cls, poly: TrigPolynomial):
@@ -168,20 +183,15 @@ class WeightSequence:
 
     @classmethod
     def lambda_power(cls, lam: complex):
-        if abs(abs(lam) - 1.0) > UNIT_TOL:
-            raise InputError("lambda_power weights need |lambda| = 1")
-        return cls("lambda_power", lam=complex(lam))
+        return cls("lambda_power", lam=_unit(lam, "lambda_power frequencies"))
 
     @classmethod
     def explicit(cls, vals, bound: float | None = None):
         """Finite list, with an optional declared bound C: every |beta_k|
         must stay within C + 1e-12 * max(1, C)."""
-        v = np.asarray(vals, dtype=complex)
-        if v.ndim != 1 or v.size == 0:
-            raise InputError("explicit weights need a nonempty value list")
+        v = _weight_list(vals)
         if bound is not None:
-            if not 0 <= bound < np.inf:  # also rejects NaN
-                raise InputError("weight bound must be finite and nonnegative")
+            bound = _nonnegative(bound, "weight bound")
             if _max_modulus(v) > bound + _slack(UNIT_TOL, bound):
                 raise InputError("materialized values exceed the declared bound")
         return cls("explicit", table=v)
@@ -199,9 +209,7 @@ class WeightSequence:
 
     def values(self, n: int) -> np.ndarray:
         """Materialize beta_k for k < n."""
-        (n,) = _integers((n,), "prefix length")
-        if n < 0:
-            raise InputError("cannot materialize a negative prefix")
+        n = _count(n, "prefix length", 0)
         if self.kind == "periodic":
             reps = -(-n // self.table.size)
             return np.tile(self.table, reps)[:n]
@@ -214,8 +222,7 @@ class WeightSequence:
 
 def besicovitch_deviation(w: WeightSequence, poly: TrigPolynomial, n: int) -> float:
     """Averaged deviation (1/n) sum_{k<n} |beta_k - P(k)|."""
-    if n < 1:
-        raise InputError("deviation needs n >= 1")
+    n = _count(n, "n")
     return float(np.mean(np.abs(w.values(n) - poly.values(n))))
 
 
@@ -227,9 +234,7 @@ def dft_interpolant(vals) -> TrigPolynomial:
     stored exactly so the interpolant reproduces the source at roundoff
     level over arbitrary horizons.
     """
-    v = np.asarray(vals, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise InputError("interpolation needs a nonempty period of values")
+    v = _weight_list(vals)
     from fractions import Fraction  # not at the top: a launch cost (with decimal)
 
     p = v.size

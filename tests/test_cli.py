@@ -383,6 +383,24 @@ def test_counterexample_negative_window_names_the_flag(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("window", ["3", "100000", "-5"])
+def test_counterexample_window_beside_a_profile_config_exits_2(
+    tmp_path, capsys, window
+):
+    # a profile config's rearrangement sets its own window; --window would
+    # be ignored
+    path = write_cfg(tmp_path, "profile.json", {
+        "schema": 1, "space": {"atoms": 64}, "function": {"ones": True}})
+    out = tmp_path / "out"
+    argv = ["counterexample", path, "--stages", "3", "--output-dir", str(out)]
+    assert cli.main(argv + ["--window", window]) == 2
+    assert capsys.readouterr().err == (
+        "error: --window applies only to the constant profile\n")
+    assert not out.exists()
+    assert cli.main(argv + ["--window", "0"]) == 0  # 0 is the default
+    assert (out / "certificate.json").exists()
+
+
 @pytest.mark.parametrize("flag, value, code", [
     ("--window", str(1 << 63), 2),
     ("--window", str(10**400), 2),
@@ -1167,19 +1185,23 @@ def test_huge_phase_den_runs_in_small_memory(tmp_path):
     assert len((out / "averages.csv").read_text().splitlines()) == 2 + 4 * 3
 
 
-def test_full_mode_memory_does_not_grow_with_checkpoints(tmp_path):
+@pytest.mark.parametrize("mults", [(-1.0, 1.0), (-1.0, 1.0, 0.5)],
+                         ids=["signs", "signs-and-halves"])
+def test_full_mode_memory_does_not_grow_with_checkpoints(tmp_path, mults):
     # A full-mode lambda-power average on 2^16 atoms, to n = 1024 with 11
     # and with 41 checkpoints. Each checkpoint's average (1 MiB) is reduced
     # to its report row and majorization flag and dropped, so the 30 extra
     # checkpoints may not raise the peak by one average. Every gap is a
     # power of two, as in the geometric run, so that each lifted segment
-    # holds as many vectors at its peak.
+    # holds as many vectors at its peak. Signs alone let the lifted lane
+    # carry the pair of T^c through a gap; a multiplier of 0.5 makes it
+    # carry the vector T^c f instead.
     n_atoms = 1 << 16
     rng = np.random.default_rng(85)
     cfg = {
         "schema": 1, "seed": 29, "space": {"atoms": n_atoms},
         "operator": {"kind": "composition", "map": rng.permutation(n_atoms).tolist(),
-                     "mult_re": rng.choice([-1.0, 1.0], n_atoms).tolist(),
+                     "mult_re": rng.choice(list(mults), n_atoms).tolist(),
                      "measure_preserving": True},
         "function": {"random": {"kind": "real"}},
         "weight": {"kind": "lambda_power", "lambda_re": 0.6, "lambda_im": 0.8},
@@ -1481,6 +1503,24 @@ def test_launch_leaves_unused_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_wiener_wintner_run_loads_no_fractions(tmp_path):
+    """The rotation oracle reads its phases as integer pairs, so a sweep
+    with oracle columns, the README's, loads neither fractions nor
+    decimal."""
+    path = write_cfg(tmp_path, "sweep.json", README_SWEEP)
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\nfrom ergosym import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, *sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    argv = ["wiener-wintner", path, "--output-dir", str(tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0"]
+    assert "abs_err" in (tmp_path / "out" / "sweep.csv").read_text()
 
 
 @pytest.mark.parametrize("preset", [

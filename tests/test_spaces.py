@@ -16,7 +16,10 @@ from ergosym import (
     OrliczFunction,
     PointSystem,
     Rearrangement,
+    TrigTerm,
+    besicovitch_deviation,
     construct_certificate,
+    dft_interpolant,
     direct_averages,
     geometric_checkpoints,
     lorentz_norm,
@@ -844,6 +847,19 @@ INTEGER_RULE_CASES = {
     "AtomicMeasureSpace.uniform n": (
         lambda v: AtomicMeasureSpace.uniform(v).weights, 2.5, 3),
     "PointSystem.cyclic order": (lambda v: PointSystem.cyclic(v).tau, 4.5, 5),
+    "rotation_oracle order": (
+        lambda v: rotation_oracle(v, 1, 1, [1], 2, [1, 2]), 4.5, 4),
+    "rotation_oracle character": (
+        lambda v: rotation_oracle(4, v, 1, [1], 2, [1, 2]), 0.5, 1),
+    "rotation_oracle step": (
+        lambda v: rotation_oracle(4, 1, v, [1], 2, [1, 2]), 0.5, 1),
+    "rotation_oracle probe": (
+        lambda v: rotation_oracle(4, 1, 1, [v], 2, [1, 2]), 0.5, 1),
+    "besicovitch_deviation n": (
+        lambda v: besicovitch_deviation(
+            WeightSequence.constant(1.0), dft_interpolant([1.0]), v), 2.5, 3),
+    "MeasurableFunction.indicator atom": (
+        lambda v: MeasurableFunction.indicator(CYCLE_4.space, [v]).values, 1.5, 1),
 }
 
 
@@ -856,3 +872,34 @@ def test_counts_and_schedules_take_integers_only(case):
         assert type(got) is type(want) and repr(got) == repr(want)
     with pytest.raises(InputError, match="must be integers"):
         call(fraction)
+
+
+NAN, INF = float("nan"), float("inf")
+# inputs that break one of the rules, each refused with InputError rather
+# than accepted or left to numpy's or Python's own error
+RULE_ESCAPES = {
+    "orbit of negative length": lambda: CYCLE_4.orbit(0, -1),
+    "oracle on order 0": lambda: rotation_oracle(0, 1, 1, [0], 2, [1, 2]),
+    "oracle on an empty grid": lambda: rotation_oracle(4, 1, 1, [0], 0, [1, 2]),
+    "oracle of a fractional character": (
+        lambda: rotation_oracle(4, 0.5, 1, [0], 2, [1, 2])),
+    "lambda_power of NaN": lambda: WeightSequence.lambda_power(NAN),
+    "trig term of NaN frequency": lambda: TrigTerm(1.0, NAN),
+    "trig term of NaN coefficient": lambda: TrigTerm(NAN, 1.0),
+    "periodic weight of inf": lambda: WeightSequence.periodic([INF]),
+    "constant weight of NaN": lambda: WeightSequence.constant(NAN),
+    "explicit weight of NaN": lambda: WeightSequence.explicit([NAN]),
+    "explicit weight of NaN within a bound": (
+        lambda: WeightSequence.explicit([NAN], bound=1.0)),
+    "interpolant of NaN": lambda: dft_interpolant([1.0, NAN]),
+    "indicator of a fractional atom": (
+        lambda: MeasurableFunction.indicator(CYCLE_4.space, [1.5])),
+    "indicator of a negative atom": (
+        lambda: MeasurableFunction.indicator(CYCLE_4.space, [-1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_ESCAPES))
+def test_each_rule_refuses_what_its_copies_let_through(case):
+    with pytest.raises(InputError):
+        RULE_ESCAPES[case]()

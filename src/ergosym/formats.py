@@ -3,10 +3,13 @@
 `loads` parses a config with json's own scanner, but holds each nonempty
 list of numbers of one type (ints within int64, or floats) as a
 NumberList, one int64 or float64 array, instead of a Python object per
-number; a list of numbers is scanned a slice of text at a time, so no
-more than one slice of Python numbers exists at once. Every decoder below
-reads a NumberList as the list it came from: `value` (the one typed
-reader) and the dense-kernel row reader give the same arrays and the same
+number. Both blocked passes of the loader use the one block size,
+spaces._BLOCK: a list of numbers is scanned a slice of about _BLOCK
+characters at a time, so no more than one slice of Python numbers exists
+at once, and a dense kernel is converted to floats at most _BLOCK
+entries (whole rows, at least one) at a time. Every decoder below reads
+a NumberList as the list it came from: `value` (the one typed reader)
+and the dense-kernel row reader give the same arrays and the same
 messages for either.
 
 Each CSV emitter returns an iterator of text chunks: one per (lambda,
@@ -144,9 +147,9 @@ def _held(items: list):
     return items
 
 
-# the longest slice of a list's text that the loader turns into Python
-# numbers at once
-_SLICE = 32768
+# characters of a list's text (and the rest of the number they end in)
+# that the loader turns into Python numbers at once: the one block size
+_SLICE = _BLOCK
 _FIRST_DIGITS = frozenset("-0123456789")
 # what starts a string, list, object, true, false, null or (-)Infinity
 _NOT_NUMBER = '"[{tfn'
@@ -210,9 +213,10 @@ def _dtype(s: str, start: int, stop: int, n: int):
 def _numbers(s: str, idx: int, start: int, stop: int):
     """The list from s[idx] ("[") to s[stop] ("]") of numbers only, the
     first at s[start], as _held holds it. A list that _dtype types is
-    scanned at most _SLICE characters at a time into one array, so one
-    slice of Python numbers exists at once (a short list is one slice);
-    any other is left to _held."""
+    scanned into one array a slice at a time, each slice _SLICE characters
+    and the rest of the number they end in, so one slice of Python numbers
+    exists at once (a short list is one slice); any other is left to
+    _held."""
     n = s.count(",", start, stop) + 1
     dtype = _dtype(s, start, stop, n)
     if dtype is None:
@@ -355,7 +359,8 @@ def mode_from_json(x) -> bool:
 
 def output_from_json(outputs, key: str, default: str) -> str:
     name = read(value(outputs, "object"), key, "string", default)
-    if name in ("", "..") or Path(name).name != name:  # stays in --output-dir
+    # stays in --output-dir, and the OS can open it (a path holds no NUL)
+    if name in ("", "..") or Path(name).name != name or "\0" in name:
         raise InputError(f"{key}: must be a file name")
     return name
 
@@ -479,10 +484,6 @@ def rotation_from_json(function_spec: dict, system_spec: dict):
     return read(function_spec, "character", "int"), read(system_spec, "step", "int", 1)
 
 
-# rows of a dense kernel converted to floats at a time
-_KERNEL_ROWS = 64
-
-
 def _n_lists_of_n_numbers(x, n: int) -> bool:
     return isinstance(x, list) and len(x) == n and all(
         numbers(r) and len(r) == n for r in x
@@ -490,8 +491,9 @@ def _n_lists_of_n_numbers(x, n: int) -> bool:
 
 
 def _dense_rows(obj: dict, n: int) -> Iterator:
-    """(re, im) float arrays of _KERNEL_ROWS rows at a time from matrix_re
-    and matrix_im (im None when absent), so no N x N array is made.
+    """(re, im) float arrays of max(1, _BLOCK // N) rows at a time (at most
+    _BLOCK entries, or one row when N > _BLOCK) from matrix_re and
+    matrix_im (im None when absent), so no N x N array is made.
 
     InputError, without detail, unless each part is N lists of N finite
     numbers: such a matrix is left to the whole-matrix reader, whose message
@@ -500,10 +502,11 @@ def _dense_rows(obj: dict, n: int) -> Iterator:
     parts = [obj.get("matrix_re")] + ([obj["matrix_im"]] if "matrix_im" in obj else [])
     if not all(_n_lists_of_n_numbers(x, n) for x in parts):
         raise InputError("not N lists of N numbers")
-    for first in range(0, n, _KERNEL_ROWS):
+    rows = max(1, _BLOCK // n)
+    for first in range(0, n, rows):
         try:
             re, *im = (np.array([r.array if isinstance(r, NumberList) else r
-                                 for r in x[first:first + _KERNEL_ROWS]], dtype=float)
+                                 for r in x[first:first + rows]], dtype=float)
                        for x in parts)
         except OverflowError:  # an int past float range
             raise InputError("not finite") from None

@@ -51,6 +51,7 @@ class PointSystem:
     def cyclic(cls, order: int, step: int = 1, weight: float = 1.0):
         """Cyclic shift i -> i + step (mod order) on uniform atoms."""
         order = _count(order, "order")
+        (step,) = _integers((step,), "step")
         space = AtomicMeasureSpace.uniform(order, weight)
         # reduce step in Python ints first: np.arange(order) + step wraps in
         # int64 for a step near 2^63
@@ -161,9 +162,12 @@ def product_average(
         raise InputError("f must live on the first system's space")
     if not system_b.space.is_compatible(g.space):
         raise InputError("g must live on the second system's space")
-    pairs = tuple((a, b) for a, b in (_integers(p, "probes") for p in probes))
-    if not pairs:
-        raise InputError("need at least one probe pair")
+    try:
+        pairs = tuple(_integers(p, "probes") for p in probes)
+    except TypeError:  # probes, or one of its probes, is not iterable
+        pairs = ()
+    if not pairs or any(len(p) != 2 for p in pairs):
+        raise InputError("probes must be a nonempty list of (omega, y) pairs")
     ns = np.array(cps, dtype=float)
     out = np.empty((len(cps), len(pairs)), dtype=complex)
     for col, (wa, yb) in enumerate(pairs):

@@ -872,6 +872,8 @@ def _triplets(**changes):
      "config: probes: missing"),
     ("average", _with(README_AVERAGE, outputs={"averages": "../averages.csv"}),
      "config: outputs: averages: must be a file name"),
+    ("average", _with(README_AVERAGE, outputs={"averages": "a\u0000b.csv"}),
+     "config: outputs: averages: must be a file name"),
     ("average", _with(README_AVERAGE, operator=_triplets(rows=[0, 1, 2, 0], cols=[1, 2, 3, 1])),
      "config: operator: cols[3]: entry (0, 1) is already given at index 0"),
     ("average", _with(README_AVERAGE, operator=_triplets(rows=[0, -1, 2, 3])),
@@ -908,7 +910,7 @@ def _triplets(**changes):
     "map-missing", "matrix-ragged", "atoms-null", "phase-den-zero", "phase-den-missing",
     "phase-num-missing", "phase-den-2^31", "step-70-bit",
     "power-str", "power-half", "power-missing", "constant-str", "random-kind-int", "mult-too-long", "probes-empty",
-    "probes-absent", "output-outside-dir", "triplet-duplicate", "triplet-row-negative",
+    "probes-absent", "output-outside-dir", "output-nul", "triplet-duplicate", "triplet-row-negative",
     "triplet-col-range", "triplet-cols-short", "triplet-data-long",
     "triplet-im-short", "triplet-rows-nested", "triplet-and-matrix",
     "triplet-rows-missing", "map-out-of-range", "dense-wrong-size",

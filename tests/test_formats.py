@@ -187,9 +187,9 @@ def test_operator_from_json_kernel():
 def test_dense_kernel_decodes_without_an_n_by_n_complex_array():
     # a convex combination of 4 permutations on 512 atoms, as the parsed
     # config holds it. Beyond those lists the decode holds at most two
-    # blocks of _KERNEL_ROWS rows as floats (the last one while the next is
-    # converted), their masks of nonzeros and O(nnz) for the entries; the
-    # whole matrix as floats would take 8 N^2 bytes (2 MiB).
+    # blocks of max(1, _BLOCK // N) rows as floats (the last one while the
+    # next is converted), their masks of nonzeros and O(nnz) for the
+    # entries; the whole matrix as floats would take 8 N^2 bytes (2 MiB).
     n = 512
     rng = np.random.default_rng(81)
     k = np.zeros((n, n))
@@ -205,7 +205,7 @@ def test_dense_kernel_decodes_without_an_n_by_n_complex_array():
         tracemalloc.stop()
     nnz = np.count_nonzero(k)
     assert T.data.size == nnz
-    assert peak <= 2 * formats._KERNEL_ROWS * n * (8 + 1) + 96 * nnz + 32 * n
+    assert peak <= 2 * max(1, _BLOCK // n) * n * (8 + 1) + 96 * nnz + 32 * n
     assert np.array_equal(dense(T), k)
 
 

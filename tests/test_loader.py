@@ -306,3 +306,25 @@ def test_a_dense_kernel_config_loads_in_under_4_mib(tmp_path):
     rows = cfg["operator"]["matrix_re"]
     assert all(isinstance(r, NumberList) for r in rows)
     assert np.array_equal(np.array([r.array for r in rows]), kernel)
+
+
+def test_long_number_lists_load_one_block_of_text_at_a_time():
+    # 2^16 ints, 2^16 signs as floats and 2^16 uniforms. Beyond the text
+    # and the three arrays the scan holds one slice at a time: about _BLOCK
+    # characters of text (and its bracketed copy) and the Python numbers
+    # they hold: 35 KB here, where 32 768-character slices would hold 135 KB
+    n = 2**16
+    rng = np.random.default_rng(5)
+    text = json.dumps({"ints": rng.integers(-10**6, 10**6, n).tolist(),
+                       "signs": rng.choice([-1.0, 1.0], n).tolist(),
+                       "uniform": rng.random(n).tolist()})
+    tracemalloc.start()
+    try:
+        got = formats.loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(v.array.nbytes for v in got.values())
+    assert arrays == 3 * 8 * n
+    assert peak - arrays <= 8 * formats._BLOCK, peak - arrays
+    assert_same(got, json.loads(text))

@@ -26,6 +26,7 @@ from ergosym import (
     luxemburg_norm,
     majorizes,
     norm,
+    product_average,
     rearrangement,
     WeightSequence,
     rotation_closed_form,
@@ -847,6 +848,7 @@ INTEGER_RULE_CASES = {
     "AtomicMeasureSpace.uniform n": (
         lambda v: AtomicMeasureSpace.uniform(v).weights, 2.5, 3),
     "PointSystem.cyclic order": (lambda v: PointSystem.cyclic(v).tau, 4.5, 5),
+    "PointSystem.cyclic step": (lambda v: PointSystem.cyclic(4, v).tau, 1.5, 1),
     "rotation_oracle order": (
         lambda v: rotation_oracle(v, 1, 1, [1], 2, [1, 2]), 4.5, 4),
     "rotation_oracle character": (
@@ -896,7 +898,16 @@ RULE_ESCAPES = {
         lambda: MeasurableFunction.indicator(CYCLE_4.space, [1.5])),
     "indicator of a negative atom": (
         lambda: MeasurableFunction.indicator(CYCLE_4.space, [-1])),
+    "product probe pair of one entry": lambda: _product_probes([(0,)]),
+    "product probe pair of three entries": lambda: _product_probes([(0, 1, 2)]),
+    "product probe of a bare int": lambda: _product_probes([0]),
+    "product probes of a bare int": lambda: _product_probes(0),
 }
+
+
+def _product_probes(probes):
+    ones = MeasurableFunction.ones(CYCLE_4.space)
+    return product_average(CYCLE_4, ones, CYCLE_4, ones, probes, (1, 4))
 
 
 @pytest.mark.parametrize("case", sorted(RULE_ESCAPES))

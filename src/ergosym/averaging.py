@@ -79,8 +79,10 @@ def geometric_checkpoints(limit: int) -> tuple[int, ...]:
 
 
 def _horizon(checkpoints, max_iterations: int) -> tuple[int, ...]:
-    """Validated checkpoints whose last one fits the iteration budget."""
+    """Validated checkpoints whose last one fits the iteration budget, a
+    count by `_count`."""
     cps = _schedule(checkpoints, "checkpoints")
+    max_iterations = _count(max_iterations, "max_iterations")
     if cps[-1] > max_iterations:
         raise BudgetError(
             f"last checkpoint {cps[-1]} exceeds the iteration budget {max_iterations}"

@@ -17,6 +17,9 @@ arrays, not of a Python object per number. Each config is decoded once,
 by `_decode`, into a dict of the values the command runs on, which its
 runner takes as keyword arguments; `validate` is the diagnostics view of
 the same pass. Every value is read by the `formats` decoders.
+
+`counterexample` without a profile config searches f = 1 on
+`divergence.CONSTANT_WINDOW` unit cells, as far as its search can reach.
 """
 
 from __future__ import annotations
@@ -47,11 +50,6 @@ _OUTPUTS = {
     "wiener-wintner": ("sweep", "sweep.csv"),
     "return-times": ("product", "product.csv"),
 }
-
-# width of the constant profile for `counterexample` without --window; the
-# greedy search's candidate cap (divergence.DEFAULT_MAX_CANDIDATE) always
-# stops it before the window runs out
-_AUTO_WINDOW_CAP = 1 << 22
 
 # how numpy's ValueError starts when an array's byte size, a dimension or
 # an element count exceeds what it can address
@@ -277,17 +275,10 @@ def _run_counterexample(args, seed=0, output=None, function=None):
     # a profile config's rearrangement, or f = 1 without a config; the
     # files are certificate.json and traces.csv whatever the config's output
     if function is not None:
-        if args.window:
-            raise InputError("--window applies only to the constant profile")
         rearr = rearrangement(function)
-    else:
-        # constant profile f = 1, searched in one pass
-        if args.window < 0:
-            raise InputError("--window must be a number of unit cells >= 0")
-        if args.window >= 1 << 63:
-            raise InputError("--window must be below 2^63 unit cells")
-        width = args.window or _AUTO_WINDOW_CAP
-        rearr = Rearrangement(np.array([0.0, float(width)]), np.array([1.0]))
+    else:  # constant profile f = 1, as wide as the search can reach
+        width = float(divergence.CONSTANT_WINDOW)
+        rearr = Rearrangement(np.array([0.0, width]), np.array([1.0]))
     cert = divergence.construct_certificate(
         rearr, args.eps, args.stages, args.margin, args.grid
     )
@@ -320,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     cx.add_argument("--stages", type=int, default=3)
     cx.add_argument("--margin", type=float, default=0.0)
     cx.add_argument("--grid", type=int, default=10)
-    cx.add_argument("--window", type=int, default=0, help="0 = 2^22 unit cells")
     cx.add_argument("--output-dir", default=".")
     return p
 

@@ -13,7 +13,9 @@ disagreement beyond tolerance is a consistency failure, not a soft miss.
 
 The greedy search and the direct formula walk the signed running sums with
 one blocked generator, `_running_totals`. The verdict is read from the
-operator stream alone, which shares no arithmetic with the search.
+operator stream alone, which shares no arithmetic with the search. The
+constant profile spans CONSTANT_WINDOW unit cells, as far as the search
+reaches, so the candidate cap, not the window, stops a search that runs long.
 
 Memory: the search holds one block of at most `spaces._BLOCK` cells
 (terms x probes), the package's one block size, however many stages it
@@ -54,10 +56,10 @@ STRICT_TOL = 1e-12
 CROSS_TOL = 1e-9
 # greedy search cap on candidate breakpoints
 DEFAULT_MAX_CANDIDATE = 200_000
-# terms k per block of the search and the direct formula; a block also
-# holds at most _BLOCK cells (terms x probes), so its temporaries stay
-# well under 1 MiB however fine the grid
-BLOCK = 4096
+# unit cells of the CLI's constant profile mu = 1: term k of the search
+# reads mu(t + k) with t < 1 and k below the cap, so this window reaches
+# every term the default search may walk, and the cap stops it first
+CONSTANT_WINDOW = DEFAULT_MAX_CANDIDATE + 1
 
 
 class StageCheck(NamedTuple):
@@ -118,7 +120,7 @@ def _running_totals(rearr: Rearrangement, ts, sign_of, k, stop, total):
     order, so every row equals the running total of a term-by-term loop.
     A row past float64's range reads inf; callers check the rows they read.
     """
-    step = max(1, min(BLOCK, _BLOCK // max(ts.size, 1)))
+    step = max(1, _BLOCK // max(ts.size, 1))
     for k0 in range(k, stop, step):
         ks = np.arange(k0, min(k0 + step, stop))
         rows = sign_of(ks) * rearr.values_at(ts + ks[:, None])

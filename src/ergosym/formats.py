@@ -53,7 +53,7 @@ from .spaces import (
     _BLOCK, AtomicMeasureSpace, LorentzWeight, MeasurableFunction, OrliczFunction,
     _schedule,
 )
-from .weights import TrigPolynomial, TrigTerm, WeightSequence, cycles
+from .weights import TrigPolynomial, TrigTerm, WeightSequence, _phase_powers
 
 SCHEMA_VERSION = 1
 
@@ -436,8 +436,8 @@ def function_from_json(
             c = _complex(c, "") if isinstance(c, dict) else value(c, "number")
         return MeasurableFunction(np.full(n, c), space)
     if form == "character":
-        c = read(obj, "character", "int") % n
-        return MeasurableFunction(cycles(c * np.arange(n) % n / n), space)
+        c = read(obj, "character", "int")
+        return MeasurableFunction(_phase_powers(c, n, np.arange(n)), space)
     if form is None:
         raise InputError("needs 're', 'ones', 'constant', 'character' or 'random'")
     if rng is None:
@@ -572,18 +572,14 @@ def weight_from_json(obj) -> WeightSequence:
         bound = read(obj, "bound", "number", None)
         return WeightSequence.explicit(_complex_array(obj), bound)
     if kind == "trig_poly":
-        from fractions import Fraction  # not at the top: a launch cost (with decimal)
-
         terms = []
         for i, t in enumerate(read(obj, "terms", "list", [])):
             with _under(f"terms[{i}]"):
                 t = value(t, "object")
                 z = _complex(t, "z_")
                 if "phase_num" in t or "phase_den" in t:
-                    den = read(t, "phase_den", "int")
-                    if den == 0:
-                        raise InputError("phase_den: must not be 0")
-                    phase = Fraction(read(t, "phase_num", "int"), den)
+                    den = read(t, "phase_den", "int")  # its diagnostic leads
+                    phase = (read(t, "phase_num", "int"), den)
                     terms.append(TrigTerm.from_phase(z, phase))
                 else:
                     terms.append(TrigTerm(z, _complex(t, "lam_", 1.0)))

@@ -5,7 +5,8 @@ it. Product averages (1/n) sum_k f(tau^k w) g(phi^k y) couple two systems
 along paired orbits; the Wiener-Wintner sweep evaluates the twisted
 averages (1/n) sum_k lam^k f(tau^k w) for a whole grid of unimodular lam
 from a single orbit traversal. For rational rotations the sweep has a
-closed form (finite geometric series), used as the oracle.
+closed form (finite geometric series), used as the oracle; its phases are
+integer pairs, their powers taken by `weights._phase_powers`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .spaces import (
     _integers,
     _schedule,
 )
-from .weights import cycles
+from .weights import _phase, _phase_powers, cycles
 
 # |1 - q| below this flags a resonant grid point (slow geometric decay)
 RESONANCE_TOL = 1e-6
@@ -272,39 +273,18 @@ def wiener_wintner_sweep(
     return SweepResult(lams, probes, cps, avgs)
 
 
-def _phase(x) -> tuple[int, int]:
-    """A rational phase in cycles, a Fraction or an int, as the integer pair
-    (numerator, denominator >= 1); an int x is (x, 1). fractions is imported
-    only for an x that is not an int: a caller holding a Fraction has
-    loaded it already."""
-    if isinstance(x, int):
-        return x, 1
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    raise InputError("rational angles must be Fraction or int")
-
-
-def _phase_powers(a: int, b: int, ns):
-    """(q, [q^n for n in ns], exact resonance) for q = e^{2 pi i a / b},
-    the phase an integer pair with b >= 1, not necessarily reduced.
-
-    q^n takes the phase (n a mod b) / b in Python ints, divided once, and
-    resonance is a = 0 mod b. Int true division rounds a rational to the
-    nearest double however its pair is reduced, so every value has the bits
-    of the reduced pair's. ns are ints, as `_integers` gives them.
-    """
-    a %= b
-    qns = cycles(np.array([n * a % b / b for n in ns])).tolist()
-    return cycles(a / b), qns, a == 0
-
-
-def _rotation_powers(rho, lam, ns):
-    """`_phase_powers` for q = lam e^{2 pi i rho}, rho and lam rational
-    phases in cycles read by `_phase`: q's phase is exact."""
+def _rotation_phase(rho, lam) -> tuple[int, int]:
+    """The exact phase of q = lam e^{2 pi i rho} as an integer pair, rho and
+    lam read by `_phase`."""
     (r, s), (u, v) = _phase(rho), _phase(lam)
-    return _phase_powers(r * v + u * s, s * v, ns)
+    return r * v + u * s, s * v
+
+
+def _rotation_powers(num: int, den: int, ns):
+    """(q, [q^n for n in ns], exact resonance) for q = e^{2 pi i num / den}:
+    Python complex numbers from one `_phase_powers` call, and num = 0 mod den."""
+    q, *qns = _phase_powers(num, den, (1, *ns)).tolist()
+    return q, qns, num % den == 0
 
 
 def rotation_q(rho, lam):
@@ -314,7 +294,7 @@ def rotation_q(rho, lam):
     each a Fraction or an int, so resonance q == 1 is decided exactly in
     integer arithmetic.
     """
-    q, _, resonant = _rotation_powers(rho, lam, ())
+    q, _, resonant = _rotation_powers(*_rotation_phase(rho, lam), ())
     return q, resonant
 
 
@@ -340,13 +320,12 @@ def rotation_oracle(order, character, step, probes, grid_size, checkpoints):
     checkpoints = _schedule(checkpoints, "checkpoints")
     order, grid_size = _count(order, "order"), _count(grid_size, "grid_size")
     character, step = _integers((character, step), "character and step")
-    fronts = [cycles(character * w % order / order)
-              for w in _integers(probes, "probes")]
+    fronts = _phase_powers(character, order, _integers(probes, "probes")).tolist()
     oracle = np.empty((grid_size, len(fronts), len(checkpoints)), dtype=complex)
     resonant = []
     for j in range(grid_size):
-        q, qns, exact = _phase_powers(character * step * grid_size + j * order,
-                                      order * grid_size, checkpoints)
+        q, qns, exact = _rotation_powers(character * step * grid_size + j * order,
+                                         order * grid_size, checkpoints)
         if abs(1.0 - q) < RESONANCE_TOL:
             resonant.append(j)
         oracle[j] = _rotation_table(q, qns, exact, fronts, checkpoints)
@@ -364,6 +343,6 @@ def rotation_closed_form(rho, lam, omega_phase: float, n: int) -> complex:
     integer arithmetic; q^n is drift-free.
     """
     n = _count(n, "n")
-    q, qns, resonant = _rotation_powers(rho, lam, [n])
+    q, qns, resonant = _rotation_powers(*_rotation_phase(rho, lam), [n])
     front = cycles(float(omega_phase))
     return complex(_rotation_table(q, qns, resonant, [front], [n])[0, 0])

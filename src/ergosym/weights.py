@@ -9,21 +9,19 @@ Power streams lam^k are materialized by repeated multiplication with the
 magnitude reset to 1 every RENORM_EVERY steps, so |lam^k| cannot drift over
 long horizons. Frequencies with a known rational phase (the DFT case) are
 evaluated through exact integer phase reduction instead, which keeps the
-reproduction error at roundoff level even at k ~ 1e5.
+reproduction error at roundoff level even at k ~ 1e5. A rational phase is
+one reduced integer pair, read by `_phase`, and every power of one in the
+package is taken by `_phase_powers`; no Fraction is built.
 """
 
 from __future__ import annotations
 
-from math import pi
-from typing import TYPE_CHECKING
+from math import gcd, pi
 
 import numpy as np
 
 from .errors import InputError
 from .spaces import _BLOCK, _count, _finite_input, _nonnegative, _slack
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # tolerance for |frequency| == 1 checks
 UNIT_TOL = 1e-12
@@ -36,10 +34,42 @@ MAX_PHASE_DEN = 2**31
 
 def cycles(phase):
     """e^{2 pi i phase}, elementwise; a Python complex for a scalar phase.
-    The package's one phase evaluator: callers reduce a rational phase mod 1
-    in exact integers and pass r / den, divided once."""
+    The package's one phase evaluator; exact phases reach it through
+    `_phase_powers`."""
     z = np.exp(2j * pi * phase)
     return z if np.ndim(z) else complex(z)
+
+
+def _phase(x, den: int = 1) -> tuple[int, int]:
+    """The rational phase x / den in cycles, x an int or a Fraction and den
+    a nonzero int, as the reduced integer pair (num, den >= 1). fractions is
+    imported only for an x that is not an int: a caller holding a Fraction
+    has loaded it already."""
+    if not (isinstance(x, int) and isinstance(den, int)):
+        from fractions import Fraction
+
+        if not (isinstance(x, Fraction) and isinstance(den, int)):
+            raise InputError("rational angles must be Fraction or int")
+        x, den = x.numerator, x.denominator * den
+    if den == 0:
+        raise InputError("phase_den: must not be 0")
+    g = gcd(x, den) if den > 0 else -gcd(x, den)
+    return x // g, den // g
+
+
+def _phase_powers(num: int, den: int, ks) -> np.ndarray:
+    """e^{2 pi i k num / den} at the integer exponents ks (an int64 array,
+    or ints of any size), den >= 1: the one power rule for exact phases.
+    k num mod den is reduced in int64 while den < MAX_PHASE_DEN (residue
+    products stay below 2^62) and in Python ints beyond, then divided by den
+    once: both round the exact quotient to the nearest double, so every
+    value has the bits of the reduced pair's."""
+    num %= den
+    if den >= MAX_PHASE_DEN:
+        return cycles(np.array([int(k) * num % den / den for k in ks], dtype=float))
+    if not isinstance(ks, np.ndarray):  # ints of any size: reduced first
+        ks = np.array([k % den for k in ks], dtype=np.int64)
+    return cycles(ks.astype(np.int64, copy=False) % den * num % den / den)
 
 
 def _max_modulus(v: np.ndarray) -> float:
@@ -94,31 +124,32 @@ def unit_powers(lam: complex, n: int) -> np.ndarray:
 
 class TrigTerm:
     """One term z * lam^k; `phase` is the exact phase of lam in cycles when
-    known (lam = exp(2 pi i phase)), enabling drift-free evaluation."""
+    known (lam = exp(2 pi i num / den)), as the reduced pair (num, den) that
+    `_phase` gives, enabling drift-free evaluation."""
 
-    def __init__(
-        self, coefficient: complex, frequency: complex, phase: Fraction | None = None
-    ):
+    def __init__(self, coefficient: complex, frequency: complex, phase=None):
         frequency = _unit(frequency, "trig polynomial frequencies")
         _finite_input("trig polynomial coefficients", np.atleast_1d(coefficient))
-        if phase is not None and phase.denominator >= MAX_PHASE_DEN:
+        if phase is not None and phase[1] >= MAX_PHASE_DEN:
             raise InputError("exact phases need a reduced denominator below 2^31")
         self.coefficient = coefficient
         self.frequency = frequency
         self.phase = phase
 
     @classmethod
-    def from_phase(cls, coefficient: complex, phase: Fraction):
-        return cls(coefficient, cycles(float(phase % 1)), phase)
+    def from_phase(cls, coefficient: complex, phase):
+        """The term of lam = e^{2 pi i phase}, phase an int or a Fraction, or
+        an integer pair (num, den) as a config gives it."""
+        phase = _phase(*phase) if isinstance(phase, tuple) else _phase(phase)
+        return cls(coefficient, _phase_powers(*phase, (1,))[0], phase)
 
     def powers(self, ks: np.ndarray, n: int) -> np.ndarray:
-        """lam^k at the int64 exponents ks, each below n. An exact phase
-        num/den reduces num * k mod den in integers; a free frequency is read
-        off `unit_powers(lam, n)`, so it keeps the bits of `values(n)`."""
+        """lam^k at the int64 exponents ks, each below n: an exact phase by
+        `_phase_powers`; a free frequency is read off `unit_powers(lam, n)`,
+        so it keeps the bits of `values(n)`."""
         if self.phase is None:
             return unit_powers(self.frequency, n)[ks]
-        num, den = self.phase.numerator, self.phase.denominator
-        return cycles(num % den * (ks % den) % den / den)
+        return _phase_powers(*self.phase, ks)
 
 
 class TrigPolynomial:
@@ -136,7 +167,7 @@ class TrigPolynomial:
         out = np.zeros(n, dtype=complex)
         for t in self.terms:
             if t.phase is not None:
-                period = np.arange(min(n, t.phase.denominator), dtype=np.int64)
+                period = np.arange(min(n, t.phase[1]), dtype=np.int64)
                 out += t.coefficient * np.resize(t.powers(period, n), n)
             else:
                 out += t.coefficient * unit_powers(t.frequency, n)
@@ -235,11 +266,8 @@ def dft_interpolant(vals) -> TrigPolynomial:
     level over arbitrary horizons.
     """
     v = _weight_list(vals)
-    from fractions import Fraction  # not at the top: a launch cost (with decimal)
-
     p = v.size
     coeffs = np.fft.fft(v) / p
-    terms = tuple(
-        TrigTerm.from_phase(complex(coeffs[j]), Fraction(j, p)) for j in range(p)
+    return TrigPolynomial(
+        TrigTerm.from_phase(complex(coeffs[j]), (j, p)) for j in range(p)
     )
-    return TrigPolynomial(terms)

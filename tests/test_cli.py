@@ -358,13 +358,28 @@ def test_memory_error_exits_3(tmp_path, monkeypatch, capsys, stage):
     assert list(tmp_path.iterdir()) == [tmp_path / "m.json"]
 
 
-def test_counterexample_window_too_small_exits_2(tmp_path, capsys):
-    rc = cli.main([
-        "counterexample", "--stages", "3", "--window", "8",
-        "--output-dir", str(tmp_path),
-    ])
+def test_counterexample_profile_too_short_exits_2(tmp_path, capsys):
+    # a 64-atom profile of ones: stage 5 needs terms past t = 64.95
+    path = write_cfg(tmp_path, "profile.json", {
+        "schema": 1, "space": {"atoms": 64}, "function": {"ones": True}})
+    out = tmp_path / "out"
+    rc = cli.main(["counterexample", path, "--stages", "6", "--output-dir", str(out)])
     assert rc == 2
-    assert "too short" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: profile window 64.0 too short: stage 5 needs terms past t = 64.95\n")
+    assert not out.exists()
+
+
+def test_counterexample_takes_no_window_flag(tmp_path, capsys):
+    # the constant profile is as wide as the search can reach, so no flag
+    # sets its width: argparse refuses one, without a traceback
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["counterexample", "--window", "8", "--output-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --window" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("margin", ["nan", "inf"])
@@ -375,47 +390,11 @@ def test_counterexample_nonfinite_margin_exits_2(tmp_path, capsys, margin):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_counterexample_negative_window_names_the_flag(tmp_path, capsys):
-    rc = cli.main(["counterexample", "--window", "-5", "--output-dir", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: --window must be a number of unit cells >= 0\n"
-    )
-
-
-@pytest.mark.parametrize("window", ["3", "100000", "-5"])
-def test_counterexample_window_beside_a_profile_config_exits_2(
-    tmp_path, capsys, window
-):
-    # a profile config's rearrangement sets its own window; --window would
-    # be ignored
-    path = write_cfg(tmp_path, "profile.json", {
-        "schema": 1, "space": {"atoms": 64}, "function": {"ones": True}})
+@pytest.mark.parametrize("flag, value", [("--grid", str(10**30))], ids=["grid-10^30"])
+def test_counterexample_oversize_flag_exits_cleanly(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
-    argv = ["counterexample", path, "--stages", "3", "--output-dir", str(out)]
-    assert cli.main(argv + ["--window", window]) == 2
-    assert capsys.readouterr().err == (
-        "error: --window applies only to the constant profile\n")
-    assert not out.exists()
-    assert cli.main(argv + ["--window", "0"]) == 0  # 0 is the default
-    assert (out / "certificate.json").exists()
-
-
-@pytest.mark.parametrize("flag, value, code", [
-    ("--window", str(1 << 63), 2),
-    ("--window", str(10**400), 2),
-    ("--grid", str(10**30), 3),
-], ids=["window-2^63", "window-10^400", "grid-10^30"])
-def test_counterexample_oversize_flag_exits_cleanly(
-    tmp_path, capsys, flag, value, code
-):
-    out = tmp_path / "out"
-    assert cli.main(["counterexample", flag, value, "--output-dir", str(out)]) == code
-    err = capsys.readouterr().err
-    assert err == {
-        2: "error: --window must be below 2^63 unit cells\n",
-        3: "error: out of memory; reduce the config's sizes\n",
-    }[code]
+    assert cli.main(["counterexample", flag, value, "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "error: out of memory; reduce the config's sizes\n"
     assert not out.exists()
 
 
@@ -1209,6 +1188,10 @@ def test_full_mode_memory_does_not_grow_with_checkpoints(tmp_path, mults):
         "weight": {"kind": "lambda_power", "lambda_re": 0.6, "lambda_im": 0.8},
         "probes": [0, 12345], "mode": "full",
     }
+    # one untraced run first, so that the one-time allocations of a first
+    # weighted-average fall in neither traced peak, whatever ran before
+    path = write_cfg(tmp_path, "cfg.json", _with(cfg, checkpoints={"geometric": 1024}))
+    assert cli.main(["weighted-average", path, "--output-dir", str(tmp_path / "warm")]) == 0
     peaks = {}
     dense_cps = {2**i for i in range(11)} | {*range(16, 64, 8), *range(64, 1025, 32)}
     for cps in ({"geometric": 1024}, sorted(dense_cps)):
@@ -1523,6 +1506,31 @@ def test_wiener_wintner_run_loads_no_fractions(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.split() == ["0"]
     assert "abs_err" in (tmp_path / "out" / "sweep.csv").read_text()
+
+
+@pytest.mark.parametrize("call", ["trig-poly", "dft_interpolant"])
+def test_exact_phases_load_no_fractions(tmp_path, call):
+    """An exact phase is an integer pair from a config's phase_num and
+    phase_den, or from dft_interpolant's j / p, to its powers, so neither
+    the trig-poly golden run nor an interpolant loads fractions or
+    decimal."""
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if call == "trig-poly":
+        command, cfg = GOLDEN_CONFIGS["trig-poly"]
+        argv = [command, write_cfg(tmp_path, "trig.json", cfg),
+                "--output-dir", str(tmp_path / "out")]
+        code = "from ergosym import cli\nrc = cli.main(sys.argv[1:])\n"
+    else:
+        argv = []
+        code = ("from ergosym import dft_interpolant\n"
+                "rc = len(dft_interpolant([1.0, 2.0, 0.5, -1.0]).terms)\n")
+    code = ("import sys\n" + code +
+            "print(rc, *sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0" if call == "trig-poly" else "4"]
 
 
 @pytest.mark.parametrize("preset", [

@@ -229,12 +229,12 @@ def same_outcome(got, want):
 
 # Stage 7 of the constant profile searches k = 485..1456 and crosses at the
 # last of them, 971 terms into the stage. The block sizes put that candidate
-# at the first (1, 971), a middle (1943, the default) or the last (3, 243)
-# term of a block.
+# at the first (1, 971), a middle (1943, or the default 910 = _BLOCK // 9)
+# or the last (3, 243) term of a block.
 @pytest.mark.parametrize("block", [1, 3, 243, 971, 1943, None])
 def test_blocked_search_refuses_at_the_scalar_candidate(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(divergence, "BLOCK", block)
+    if block is not None:  # `block` terms of the 9 probes per block
+        monkeypatch.setattr(divergence, "_BLOCK", block * 9)
     k_cross = ONES_BREAKPOINTS_J6[-1] + 971
     # the window edge at which the crossing candidate is the first refused
     edge = float(probe_points(0.1, 10)[-1]) + k_cross
@@ -269,7 +269,7 @@ def test_blocked_search_refuses_at_the_scalar_candidate(monkeypatch, block):
 @pytest.mark.parametrize("block", [1, 5, None])
 def test_blocked_search_matches_scalar_on_varied_profiles(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(divergence, "BLOCK", block)
+        monkeypatch.setattr(divergence, "_BLOCK", block)
     rng = np.random.default_rng(91)
     cases = [(variant_profile(64), 0.1, 4, 10)]
     for grid in (1, 3, 7):
@@ -298,7 +298,7 @@ def scalar_direct(rearr, bps, ts, ns):
 @pytest.mark.parametrize("block", [3, None])
 def test_blocked_direct_averages_bitwise(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(divergence, "BLOCK", block)
+        monkeypatch.setattr(divergence, "_BLOCK", block)
     rng = np.random.default_rng(92)
     prof = Rearrangement(np.arange(10_001.0),
                          np.sort(1.0 + rng.random(10_000))[::-1])

@@ -6,7 +6,6 @@ import math
 import os
 import stat
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -373,7 +372,7 @@ def test_weight_from_json_trig_poly_exact_phase():
          "terms": [{"z_re": 1.0, "phase_num": 1, "phase_den": 6}]}
     )
     term = w.poly.terms[0]
-    assert term.phase == Fraction(1, 6)
+    assert term.phase == (1, 6)
     assert w.values(7)[6] == pytest.approx(1.0, abs=1e-15)
     v = weight_from_json(
         {"kind": "trig_poly", "terms": [{"z_re": 2.0, "lam_re": -1.0}]}

@@ -236,7 +236,8 @@ def test_rotation_table_keeps_the_scalar_loop_bits():
                                                     grid, cps)
     assert resonant == [127]
     for j in range(grid):
-        q, qns, exact = return_times._rotation_powers(rho, Fraction(j, grid), cps)
+        phase = return_times._rotation_phase(rho, Fraction(j, grid))
+        q, qns, exact = return_times._rotation_powers(*phase, cps)
         assert exact == (j == 127)
         want = rotation_table_reference(q, qns, exact, fronts, cps)
         got = return_times._rotation_table(q, qns, exact, fronts, cps)

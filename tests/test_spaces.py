@@ -18,6 +18,7 @@ from ergosym import (
     Rearrangement,
     TrigTerm,
     besicovitch_deviation,
+    cesaro,
     construct_certificate,
     dft_interpolant,
     direct_averages,
@@ -810,6 +811,13 @@ def _shift(bps, window):
     return T.point_map.tolist(), T.multiplier.tolist()
 
 
+def _budget(max_iterations):
+    T = signed_shift_operator([1, 3], 1, 4)
+    report = cesaro(T, MeasurableFunction.ones(T.space), [1, 2], probes=(0,),
+                    max_iterations=max_iterations)
+    return report.probe_values.tolist()
+
+
 # entry point -> (call on a value, a value that is not an integer, an
 # integer that the call takes)
 INTEGER_RULE_CASES = {
@@ -823,6 +831,8 @@ INTEGER_RULE_CASES = {
         lambda v: rotation_closed_form(Fraction(1, 4), 0, 0.0, v), 2.5, 2),
     "geometric_checkpoints limit": (geometric_checkpoints, 2.5, 2),
     "geometric_checkpoints nan limit": (geometric_checkpoints, float("nan"), 2),
+    "cesaro max_iterations": (_budget, 2.5, 2),
+    "cesaro nan max_iterations": (_budget, float("nan"), 2),
     "construct_certificate grid": (
         lambda v: construct_certificate(ONES_64, 0.1, 3, grid=v), 2.5, 2),
     "construct_certificate stages": (

@@ -220,7 +220,8 @@ def test_dft_reproduction_long_horizon():
 
 def test_dft_phase_stored_exactly():
     poly = dft_interpolant(np.ones(6))
-    assert [t.phase for t in poly.terms] == [Fraction(j, 6) for j in range(6)]
+    assert [t.phase for t in poly.terms] == [
+        (0, 1), (1, 6), (1, 3), (1, 2), (2, 3), (5, 6)]
 
 
 def test_exact_phase_memory_does_not_grow_with_den():

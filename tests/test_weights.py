@@ -16,7 +16,7 @@ from ergosym import (
     dft_interpolant,
     unit_powers_matrix,
 )
-from ergosym.weights import RENORM_EVERY, unit_powers
+from ergosym.weights import RENORM_EVERY, _phase_powers, cycles, unit_powers
 
 
 # ---------------------------------------------------------------- evaluation
@@ -255,6 +255,22 @@ def test_term_powers_are_values_bitwise(term):
     ks = np.array([0, 1, 2, 6, 7, 1023, 1024, 1025, 4096, n - 1], dtype=np.int64)
     want = TrigPolynomial((term,)).values(n)[ks]
     assert np.array_equal(term.powers(ks, n), want)
+
+
+@pytest.mark.parametrize("dens", [(2, 2**31), (2**31, 2**40)], ids=["int64", "python-int"])
+def test_phase_powers_round_the_exact_quotient(dens):
+    # each branch of the one power rule (int64 residues below 2^31, Python
+    # ints beyond) gives the bits of the exact phase k num / den mod 1,
+    # rounded once, for ks as an int64 array and as ints of any size
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        den = int(rng.integers(*dens))
+        num = int(rng.integers(-(2**62), 2**62))
+        ks = rng.integers(0, 2**40, size=16, dtype=np.int64)
+        want = cycles(np.array([float(Fraction(int(k) * num, den) % 1) for k in ks]))
+        assert np.array_equal(_phase_powers(num, den, ks), want)
+        big = [int(k) + 2**70 * den for k in ks]  # same residues, past int64
+        assert np.array_equal(_phase_powers(num, den, big), want)
 
 
 def test_exact_phase_denominator_bound():

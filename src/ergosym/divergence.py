@@ -6,25 +6,27 @@ flips the sign of all later terms, and the greedy search picks the smallest
 n where the running average crosses the next threshold on every probe.
 
 The certificate records the breakpoints and the extremal average per stage.
-Verification rebuilds the operator from scratch, streams the averages
-through the generic averaging engine, checks the inequalities, and
-cross-checks the streamed values against the direct sign-product formula;
-disagreement beyond tolerance is a consistency failure, not a soft miss.
+Verification sums the averages along the probe atoms' orbits of the signed
+shift (`orbit_sums`), whose signs it reads from its own table of one int8
+per unit cell, checks the inequalities, and cross-checks the summed values
+against the direct sign-product formula; disagreement beyond tolerance is a
+consistency failure, not a soft miss.
 
 The greedy search and the direct formula walk the signed running sums with
 one blocked generator, `_running_totals`. The verdict is read from the
-operator stream alone, which shares no arithmetic with the search. The
-constant profile spans CONSTANT_WINDOW unit cells, as far as the search
-reaches, so the candidate cap, not the window, stops a search that runs long.
+shift's orbit sums alone, which share no arithmetic with the search and do
+not read the direct formula's parity rule. The constant profile spans
+CONSTANT_WINDOW unit cells, as far as the search reaches, so the candidate
+cap, not the window, stops a search that runs long.
 
 Memory: the search holds one block of at most `spaces._BLOCK` cells
 (terms x probes), the package's one block size, however many stages it
-runs. The verification holds 13 bytes per atom of the window x grid space
-(the operator's point map, int32 from one block of atoms on, 4, its int8
-signs, 1, and the profile sampled as float64, 8, which the probe lane
-casts to complex with imaginary part +0.0) plus one block, and drops them
-before the direct formula, which again holds one block. A space under one
-block keeps an intp map, 17 bytes per atom.
+runs. The verification sums the n = n_last terms in blocks of B ~ sqrt(n)
+(baby-step giant-step): B Python steps each move every block of every
+probe on by one term, so it holds a few (n / B) x probes arrays, about
+64 bytes per probe and block, and the sign table, one byte per unit cell;
+nothing over the window x grid atoms. The direct formula again holds one
+block.
 """
 
 from __future__ import annotations
@@ -35,12 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .averaging import cesaro
 from .errors import BudgetError, ConsistencyError, InputError, WindowError
-from .operators import signed_shift_operator
 from .spaces import (
     _BLOCK,
-    MeasurableFunction,
     Rearrangement,
     _count,
     _finite,
@@ -101,7 +100,7 @@ class VerificationResult(NamedTuple):
 
 def probe_points(eps: float, grid: int) -> np.ndarray:
     """Cell midpoints of the 1/grid partition lying strictly inside (eps, 1)."""
-    if not 0.0 < eps < 1.0:
+    if not 0.0 < _nonnegative(eps, "eps") < 1.0:
         raise InputError("eps must lie strictly between 0 and 1")
     grid = _count(grid, "grid")
     mids = (np.arange(grid) + 0.5) / grid
@@ -231,17 +230,17 @@ def verify_certificate(
 ) -> VerificationResult:
     """Independent verification of a divergence certificate.
 
-    Rebuilds the signed shift on the certificate's grid, samples the profile
-    at the atoms' midpoints a block at a time, streams the Cesaro averages
-    along the probe atoms' orbits, and checks every stage inequality at
-    every probe. It holds 13 bytes per atom (the int32 map, signs and the
-    float64 profile; 17 under one block of atoms, where the map is intp)
-    plus one block, and drops them before the direct formula runs. The
-    streamed values are cross-checked against direct_averages; a deviation
-    beyond tol * max(1, mu(0)), relative to the profile's sup, which bounds
-    every average, raises ConsistencyError, and a window short by more
-    than 1e-9 * max(1, window) WindowError. Returns the verdict with the
-    worst margin per stage (relative to the base thresholds 1 and 1/2).
+    Sums the Cesaro averages of the signed shift on the certificate's grid
+    along the probe atoms' orbits (`orbit_sums`): the profile is
+    sampled at the visited atoms' midpoints only, the signs come from one
+    int8 per unit cell, and the terms are summed in O(sqrt n) Python steps
+    holding O(sqrt(n) * probes) floats, for n the last breakpoint. Every
+    stage inequality is checked at every probe. The summed values are
+    cross-checked against direct_averages; a deviation beyond
+    tol * max(1, mu(0)), relative to the profile's sup, which bounds every
+    average, raises ConsistencyError, and a window short by more than
+    1e-9 * max(1, window) WindowError. Returns the verdict with the worst
+    margin per stage (relative to the base thresholds 1 and 1/2).
     """
     tol = _nonnegative(tol, "cross-check tolerance")
     bps = _schedule(cert.breakpoints, "certificate breakpoints")
@@ -253,23 +252,19 @@ def verify_certificate(
             f"profile window {rearr.support_measure} shorter than the last "
             f"breakpoint {window}"
         )
-    T = signed_shift_operator(bps, cert.grid, window)
-    h = 1.0 / cert.grid
-    # mu at the atoms' midpoints, sampled a block at a time into its float64
-    # array, which the probe lane casts to complex
-    values = np.empty(T.space.n_atoms)
-    for a in range(0, values.size, _BLOCK):
-        mids = (np.arange(a, min(a + _BLOCK, values.size)) + 0.5) * h
-        values[a : a + mids.size] = rearr.values_at(mids)
-    profile = MeasurableFunction(values, T.space)
-    ts = probe_points(cert.eps, cert.grid)
-    probe_atoms = [int(round(t / h - 0.5)) for t in ts]
-    report = cesaro(T, profile, checkpoints=bps, probes=probe_atoms,
-                    store_averages=False, norms=False)
-    del T, profile, values  # the direct formula holds one block, not these
-    streamed = report.probe_values.real
+    grid = _count(cert.grid, "grid")
+    ts = probe_points(cert.eps, grid)
+    probe_atoms = [int(round(t * grid - 0.5)) for t in ts]
+    # imported here, not at the top: `cli` imports this module for every
+    # command, and loading the lane's code with it adds about 0.1 MiB to
+    # the peak RSS of a wiener-wintner run, which verifies nothing
+    from .orbit_sums import shift_averages
+
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite checks
+        averages = shift_averages(rearr, bps, grid, probe_atoms)
+    streamed = averages.real
     direct = direct_averages(rearr, bps, ts, bps)
-    max_dev = float(np.max(np.abs(report.probe_values - direct)))
+    max_dev = float(np.max(np.abs(averages - direct)))
     if max_dev > _slack(tol, float(rearr.values_at(0.0))):
         raise ConsistencyError(
             f"streamed averages deviate from the direct formula by {max_dev}"

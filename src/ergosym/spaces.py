@@ -301,11 +301,15 @@ def _atoms(values, name: str, n: int) -> tuple[int, ...]:
 
 
 def _nonnegative(x, name: str) -> float:
-    """x as a float, finite and >= 0 (NaN fails): the one rule for every
-    tolerance, margin and bound."""
-    if not 0 <= x < np.inf:  # also rejects NaN
-        raise InputError(f"{name} must be finite and nonnegative")
-    return float(x)
+    """x as a float, a real scalar, finite and >= 0 (NaN fails): the one rule
+    for every tolerance, margin, bound and eps. A string, None, a complex
+    number or an array of more than one entry is an InputError too."""
+    try:
+        if np.ndim(x) == 0 and not np.iscomplexobj(x) and 0 <= x < np.inf:
+            return float(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} must be finite and nonnegative")
 
 
 def _finite_input(what: str, *arrays) -> None:

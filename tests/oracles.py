@@ -4,6 +4,8 @@ Everything here recomputes results from first principles on raw arrays,
 deliberately avoiding the library's own code paths. Slow is fine.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -88,6 +90,18 @@ def brute_counterexample_average(profile, breakpoints, t, n):
     for k in range(n):
         acc += counterexample_sign(breakpoints, k) * profile(t + k)
     return acc / n
+
+
+def exact_counterexample_averages(values, breakpoints, ns):
+    """(1/n) sum_{k<n} sign_k * values[k] at each n of ns, as Fractions: the
+    float terms values[k] = profile(t + k) summed without rounding."""
+    out, acc, k = [], Fraction(0), 0
+    for n in ns:
+        for k in range(k, n):
+            acc += Fraction(counterexample_sign(breakpoints, k)) * Fraction(float(values[k]))
+        k = n
+        out.append(acc / n)
+    return out
 
 
 def greedy_breakpoints(profile, support, eps, stages, grid=10, margin=0.0):

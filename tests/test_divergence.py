@@ -1,6 +1,12 @@
 """Greedy divergence certificates and their independent verification."""
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +26,21 @@ from ergosym import (
     signed_shift_operator,
     verify_certificate,
 )
-from ergosym import divergence, spaces
-from oracles import brute_counterexample_average, greedy_breakpoints
+import ergosym
+from ergosym import cli, divergence, orbit_sums, rearrangement, spaces
+from ergosym.spaces import AtomicMeasureSpace
+from oracles import (
+    brute_counterexample_average,
+    exact_counterexample_averages,
+    greedy_breakpoints,
+)
 
 # confirmed by the standalone greedy oracle (see test_frozen_* below)
 ONES_BREAKPOINTS_J6 = (1, 5, 17, 53, 161, 485)
 VARIANT_BREAKPOINTS = (1, 4, 11, 32)
+# values that are no real number: the one rule for tolerances, margins,
+# bounds and eps refuses them with InputError, as it refuses NaN
+NOT_REAL = ["x", None, 1j, np.array([0.5, 0.5])]
 
 
 def constant_profile(window):
@@ -64,6 +79,9 @@ def test_probe_points_validation():
         probe_points(0.96, 10)  # no midpoint survives the cut
     with pytest.raises(InputError):
         probe_points(0.1, 0)
+    for eps in ["0.5", *NOT_REAL]:  # read by the rule for tolerances
+        with pytest.raises(InputError, match="eps"):
+            probe_points(eps, 3)
 
 
 # -------------------------------------------------------------- construction
@@ -399,7 +417,7 @@ def test_consistency_error_raised_when_tolerance_zeroed():
         verify_certificate(cert, prof, tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9, *NOT_REAL])
 def test_verify_rejects_bad_tolerances(tol):
     prof = constant_profile(32)
     cert = construct_certificate(prof, 0.1, 3, grid=10)
@@ -407,7 +425,7 @@ def test_verify_rejects_bad_tolerances(tol):
         verify_certificate(cert, prof, tol=tol)
 
 
-@pytest.mark.parametrize("margin", [np.nan, np.inf])
+@pytest.mark.parametrize("margin", [np.nan, np.inf, *NOT_REAL])
 def test_construct_rejects_nonfinite_margin(margin):
     with pytest.raises(InputError, match="margin"):
         construct_certificate(constant_profile(8), 0.1, 2, margin=margin)
@@ -434,6 +452,96 @@ def test_constructed_operator_is_ds():
     assert ds_certificate(T).ds_ok
 
 
+# ------------------------------------------------------------ the shift lane
+
+
+def probe_atoms(eps, grid):
+    return [int(round(t * grid - 0.5)) for t in probe_points(eps, grid)]
+
+
+def operator_lane(prof, bps, grid, atoms):
+    """The averages that cesaro streams along the probe atoms' orbits of
+    the signed shift on window x grid atoms, the profile sampled at every
+    atom's midpoint."""
+    T = signed_shift_operator(bps, grid, bps[-1])
+    mids = (np.arange(T.space.n_atoms) + 0.5) * (1.0 / grid)
+    f = MeasurableFunction(prof.values_at(mids), T.space)
+    return cesaro(T, f, bps, probes=atoms, store_averages=False,
+                  norms=False).probe_values
+
+
+def unit_steps(values, weight):
+    """The profile of `values` on atoms of the given weight."""
+    space = AtomicMeasureSpace.uniform(len(values), weight)
+    return rearrangement(MeasurableFunction(np.asarray(values, float), space))
+
+
+@pytest.mark.parametrize("prof, eps, stages, grid", [
+    (constant_profile(1 << 14), 0.1, 9, 10),  # 115 blocks of 115 terms
+    (constant_profile(1 << 14), 0.3, 8, 1),
+    (Rearrangement(np.array([0.0, 4096.0]), np.array([3.0])), 0.1, 8, 7),
+    (unit_steps(np.arange(2, 4098) // 2, 1 / 3), 0.05, 12, 10),
+    (unit_steps(np.arange(1, 200) % 7 + 1, 1 / 4), 0.2, 7, 12),
+], ids=["f=1", "f=1-unit-cell", "f=3", "integer-steps", "small-integers"])
+def test_shift_lane_is_bit_equal_to_the_operator_stream_on_integer_profiles(
+        prof, eps, stages, grid):
+    # integer-valued sums are exact in any order, and each average is the
+    # total as complex128 divided by the int n, as the operator stream forms it
+    cert = construct_certificate(prof, eps, stages, grid=grid)
+    atoms = probe_atoms(eps, grid)
+    got = orbit_sums.shift_averages(prof, cert.breakpoints, grid, atoms)
+    want = operator_lane(prof, cert.breakpoints, grid, atoms)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_shift_lane_error_against_exact_sums_on_random_profiles():
+    # the block sums are compensated inside and across the blocks, so their
+    # error stays within 1.5 times the term-by-term Kahan stream's
+    errs = {"lane": 0.0, "kahan": 0.0}
+    grid = 4
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        prof = unit_steps(rng.uniform(1.0, 2.0, 6000), 1 / 3)
+        bps = construct_certificate(prof, 0.1, 12, grid=grid).breakpoints
+        assert bps[-1] > 900, bps  # 31 blocks of 31 terms and up
+        atoms = probe_atoms(0.1, grid)
+        got = {"lane": orbit_sums.shift_averages(prof, bps, grid, atoms),
+               "kahan": operator_lane(prof, bps, grid, atoms)}
+        for i, p in enumerate(atoms):
+            terms = prof.values_at((p + np.arange(bps[-1]) * grid + 0.5) / grid)
+            exact = exact_counterexample_averages(terms, bps, bps)
+            for key, vals in got.items():
+                assert not vals[:, i].imag.any()
+                err = max(abs(Fraction(float(v)) - e)
+                          for v, e in zip(vals[:, i].real, exact))
+                errs[key] = max(errs[key], float(err))
+    assert 0 < errs["lane"] <= 1.5 * errs["kahan"], errs
+
+
+def _flip(signs, i):
+    signs = signs.copy()
+    signs[i] = -signs[i]
+    return signs
+
+
+@pytest.mark.parametrize("seam, flip", [
+    ("_cell_signs", lambda inner: lambda bps, cells: _flip(inner(bps, cells), 2)),
+    ("_block_starts", lambda inner: lambda own: _flip(inner(own), 1)),
+], ids=["cell-sign", "block-start-sign"])
+def test_a_wrong_sign_in_the_lane_is_a_consistency_error(
+        tmp_path, capsys, monkeypatch, seam, flip):
+    prof = constant_profile(1 << 12)
+    cert = construct_certificate(prof, 0.1, 6, grid=10)  # 22 blocks of 23
+    assert verify_certificate(cert, prof).ok
+    monkeypatch.setattr(orbit_sums, seam, flip(getattr(orbit_sums, seam)))
+    with pytest.raises(ConsistencyError, match="deviate"):
+        verify_certificate(cert, prof)
+    out = tmp_path / "out"
+    assert cli.main(["counterexample", "--stages", "6", "--output-dir", str(out)]) == 4
+    assert "streamed averages deviate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- memory
 
 
@@ -446,27 +554,46 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_verification_holds_17_bytes_per_atom():
-    # the point map (8 B), the int8 signs (1 B) and the float64 profile (8 B)
-    # per atom of window x grid, plus one block of temporaries
+@pytest.mark.parametrize("grid", [10, 100])
+def test_verification_memory_is_bounded_by_probes_and_stages(grid):
+    # the lane holds about eight (J, probes) float64 arrays, J blocks of
+    # B ~ sqrt(n) terms, and the direct formula one block: nothing over the
+    # window x grid atoms, 1 180 970 at grid 10 and 11 809 700 at grid 100
     prof = constant_profile(1 << 22)
-    cert = construct_certificate(prof, 0.1, 10, grid=10)
-    n_atoms = cert.breakpoints[-1] * cert.grid
-    assert n_atoms == 393_650
+    cert = construct_certificate(prof, 0.1, 11, grid=grid)
+    n = cert.breakpoints[-1]
+    assert n == 118_097
+    probes = probe_points(0.1, grid).size
+    blocks = math.isqrt(n - 1) + 1
     peak = traced_peak(verify_certificate, cert, prof)
-    assert peak < 19 * n_atoms + (1 << 20), peak / n_atoms
+    one_block = 8 * spaces._BLOCK  # a block of float64 cells
+    assert peak < 80 * probes * blocks + 6 * one_block, peak / (probes * blocks)
 
 
-def test_verification_holds_13_bytes_per_atom():
-    # from one block of atoms on the point map is int32 (4 B): with the int8
-    # signs (1 B) and the float64 profile (8 B), 13 bytes per atom of window
-    # x grid, plus one block of temporaries (17.7 B/atom with an intp map)
-    prof = constant_profile(1 << 22)
-    cert = construct_certificate(prof, 0.1, 10, grid=10)
-    n_atoms = cert.breakpoints[-1] * cert.grid
-    assert n_atoms == 393_650
-    peak = traced_peak(verify_certificate, cert, prof)
-    assert peak < 14 * n_atoms + (1 << 19), peak / n_atoms
+def _child_peak_kib(argv, out):
+    """The peak RSS in KiB of a child running one CLI command."""
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import resource, sys\nfrom ergosym import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    run = subprocess.run([sys.executable, "-c", code, *argv, "--output-dir", out],
+                         env=env, check=True, capture_output=True, text=True)
+    rc, peak = map(int, run.stdout.split())
+    assert rc == 0, run.stderr
+    return peak // 1024 if sys.platform == "darwin" else peak  # bytes there
+
+
+def test_counterexample_peak_rss_does_not_grow_with_the_grid(tmp_path):
+    # grid 100 has ten times the atoms of grid 10 and ten times the probes;
+    # the verification's arrays grow by the probes alone, about 2 MiB
+    peaks = [
+        _child_peak_kib(["counterexample", "--stages", "11", "--grid", str(g)],
+                        str(tmp_path / f"grid{g}"))
+        for g in (10, 100)
+    ]
+    assert peaks[1] - peaks[0] <= 4 * 1024, peaks
 
 
 def test_search_memory_does_not_grow_with_the_stages():

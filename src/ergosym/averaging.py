@@ -34,11 +34,11 @@ Each running sum is handed, at its checkpoint, to the report's consumers
 in one fixed order: the probe values read total[probes] / n, the L1 and
 Linf norms and then, with `majorize`, the majorization flag each fill one
 float64 moduli buffer from the sum a block at a time, and the average
-a_n = total / n is made only when `store_averages` keeps it. The buffer is
-dropped before the lane moves on, so a run that keeps no average holds
-the lane's few N-vectors and C report rows for C checkpoints, and one
-buffer more only at a checkpoint. An average or its L1 norm that
-overflows float64 raises NumericError.
+a_n = total / n is made only when `store_averages` keeps it. The buffer
+is the bytes of a complex N-vector that the lane yields idle beside the
+sum, so a run that keeps no average holds the lane's few N-vectors and C
+report rows for C checkpoints. An average or its L1 norm that overflows
+float64 raises NumericError.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _probe_orbit(T, f, probes, steps):
 def _kahan_sums(orbit, table, width, cps):
     """Running sums of beta_k g_k over the orbit, beta_k = table[k % p] for
     a table of p weights (None: every beta_k = 1), yielded at each
-    checkpoint. Each yielded array is overwritten by the steps that follow
-    it."""
+    checkpoint beside the idle buffer t. Both are overwritten by the steps
+    that follow."""
     # Kahan state and step buffers, updated in place; total and t swap
     total, comp, y, t = (np.zeros(width, dtype=complex) for _ in range(4))
     term = np.empty(width, dtype=complex) if table is not None else None
@@ -169,7 +169,7 @@ def _kahan_sums(orbit, table, width, cps):
         np.subtract(comp, y, out=comp)
         total, t = t, total
         if k + 1 == cps[ptr]:
-            yield total
+            yield total, t
             ptr += 1
 
 
@@ -222,16 +222,15 @@ def _power(op, e):
         op = _compose(op, op)
 
 
-def _segment(op, blocks, d, pows, g, move):
-    """R_j = sum_{k<d} lam_j^k T^k v for each term j, and g moved on by T^d
-    (d >= 1).
+def _segment(op, blocks, d, pows, g):
+    """R_j = sum_{k<d} lam_j^k T^k v for each term j, and the vector g moved
+    on by T^d (d >= 1; a g of None stays None).
 
     blocks[j] holds v on entry and is doubled in place, so a caller may
     hand over a buffer it no longer needs; pows[j] maps an exponent e to
     lam_j^e (None for lam_j = 1). The digits of d are read low to high with
     P = T^e and the block sums A_j = S_e(v), e = 2^i. A set digit turns
-    R_j = S_a(v), a < e, into S_(e+a)(v) = A_j + lam^e P R_j and g into
-    move(P, g): `_shifted` moves a vector T^c f, `_compose` the pair of T^c.
+    R_j = S_a(v), a < e, into S_(e+a)(v) = A_j + lam^e P R_j and g into P g.
     Then A_j = S_(2e)(v) = A_j + lam^e P A_j and P = T^(2e) = P P, so only
     the current power of T is ever held.
     """
@@ -245,7 +244,8 @@ def _segment(op, blocks, d, pows, g, move):
                 else:
                     sums[j] = _shifted(op, sums[j], _at(pw, e))
                     sums[j] += A
-            g = move(op, g)
+            if g is not None:
+                g = _shifted(op, g)
         if d < 2 * e:
             return sums, g
         for A, pw in zip(blocks, pows):
@@ -308,14 +308,14 @@ def _lifted_sums(T, f, table, terms, cps):
 
     One spare N-vector serves the whole run: a doubling writes each new sum
     into it and keeps the old sum's buffer as the next spare, and a gap of
-    geometric weights doubles its first block in it. Between checkpoints the
-    lane holds T^c f, stepped to through each gap, or the pair of T^c when
-    the weights are geometric and every multiplier entry is -1, 0 or +1
-    (int8 signs, or one broadcast value such as the default 1.0): products
-    of signs are exact in any order, so T^c f built from T^c into the spare
-    has the bits of the stepped one, and the pair, an index and an int8
-    vector, is smaller. Either is moved on in the gap's O(log d)
-    applications, so a doubling after a gap needs no `_power` for signs.
+    geometric weights doubles its first block in it; it is idle at every
+    checkpoint, and yielded beside the sum. Between checkpoints the lane
+    holds T^c f, stepped to through each gap, or the pair of T^c from a
+    doubling on when the weights are geometric and every multiplier entry
+    is -1, 0 or +1 (int8 signs, or one broadcast value such as the default
+    1.0): products of signs are exact in any order, so T^c f built from
+    T^c into the spare has the bits of the stepped one. A gap of signs moves
+    nothing on; T^c is built again by `_power` when next read.
     """
     periodic = table is not None
     p = table.size if periodic else 1
@@ -329,8 +329,7 @@ def _lifted_sums(T, f, table, terms, cps):
     # every sum starts at zeros, so none holds a negative zero
     sums = [np.zeros(T.space.n_atoms, dtype=complex) for _ in terms]
     spare = np.empty_like(sums[0])
-    # T^c f and the pair of T^c (for pairs, None at c = 0 is T^0), each None
-    # when not at hand
+    # T^c f and the pair of T^c, each None when not at hand
     g, pc, c = f.values, None, 0
 
     def steps(g, c, stop):
@@ -352,21 +351,18 @@ def _lifted_sums(T, f, table, terms, cps):
             if i + 1 < len(cps):
                 pc = _compose(pc, pc)
         else:
-            if g is None:  # T^c f, from T^c; only read when pairs
+            if g is None:  # T^c f, from T^c (for pairs, built again after a gap)
+                pc = pc or _power(op, c)
                 g = _shifted(pc, f.values, out=spare if pairs else None)
-            if not pairs:
-                pc = None
+            pc = None  # no pair is held through the gap
             q = (n - c) // p
             if q:  # V doubled in the spare; its block sums die here
                 lift = lift or _power(op, p)
                 if g is not spare:
                     np.copyto(spare, g)
                 blocks = [spare] + [spare.copy() for _ in pows[1:]]
-                if pairs:
-                    blocks, pc = _segment(lift, blocks, q, pows, pc, _compose)
-                    g = None
-                else:
-                    blocks, g = _segment(lift, blocks, q, pows, g, _shifted)
+                # for pairs, T^c f is doubled in the spare, and nothing moves on
+                blocks, g = _segment(lift, blocks, q, pows, None if pairs else g)
                 if periodic:  # the p residue shifts of V, from residue c
                     last = steps(blocks[0], c, c + p - 1)
                     sums[0] += table[(c + p - 1) % p] * last
@@ -378,7 +374,7 @@ def _lifted_sums(T, f, table, terms, cps):
                 c += q * p
             g = steps(g, c, n)  # after the last whole period
         c = n
-        yield _combined(terms, sums)
+        yield _combined(terms, sums), spare
 
 
 def _moduli(total, n, scale, out):
@@ -428,18 +424,19 @@ def _stream(
             orbit, width = _orbit(T.stepper(), f.values[T.order], cps[-1]), n_atoms
         sums = _kahan_sums(orbit, table, width, cps)
         if not composition:
-            sums = map(T.unpermute, sums)
+            sums = ((T.unpermute(total), t) for total, t in sums)
 
     # Each running sum goes to the consumers in this order and is dropped;
     # only a stored average is made as a_n = total / n. The norms and the
-    # flag fill one moduli buffer in turn, gone before the lane moves on.
+    # flag fill one moduli buffer in turn: the first N float64 of the
+    # complex N-vector that the lane yields idle beside the sum.
     select = slice(None) if lane else np.array(probes, dtype=np.intp)
     if majorize:  # a_n / M against f
         compare = submajorization_check(f, T.space)
         scale = 1.0 / (weight_bound or 1.0)
     rows, l1s, linfs, avgs, flags = [], [], [], [], []
-    for n, total in zip(cps, sums):
-        mags = np.empty(n_atoms) if norms or majorize else None
+    for n, (total, idle) in zip(cps, sums):
+        mags = idle.view(float)[:n_atoms]
         rows.append(total[select] / n)
         if norms:
             linfs.append(float(np.max(_moduli(total, n, 1.0, mags))))
@@ -455,7 +452,6 @@ def _stream(
             avgs.append(MeasurableFunction(total / n, T.space))
         if majorize:
             flags.append(bool(compare(_moduli(total, n, scale, mags))))
-        del mags
 
     return AveragingReport(
         checkpoints=cps,

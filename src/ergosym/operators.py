@@ -376,10 +376,14 @@ class CompositionOperator:
         measure_preserving: bool = False,
     ):
         n = space.n_atoms
-        mult = np.asarray(multiplier)
-        signed = mult.dtype == np.int8
-        if not signed:
-            mult = mult.astype(complex if mult.dtype.kind == "c" else float, copy=False)
+        try:  # what numpy cannot read as numbers, such as a string, fails
+            mult = np.asarray(multiplier)
+            signed = mult.dtype == np.int8
+            if not signed:
+                kind = complex if mult.dtype.kind == "c" else float
+                mult = mult.astype(kind, copy=False)
+        except (TypeError, ValueError):
+            raise InputError("multiplier must be a list of numbers") from None
         if np.shape(point_map) != (n,) or mult.shape != (n,):
             raise InputError("point map and multiplier must have one entry per atom")
         pm = _index_array(point_map, "map", n)

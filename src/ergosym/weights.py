@@ -82,17 +82,23 @@ def _max_modulus(v: np.ndarray) -> float:
 
 def _unit(z, what: str) -> complex:
     """z as a complex number of modulus 1 within UNIT_TOL: the one rule for
-    frequencies (NaN fails)."""
-    if not abs(abs(z) - 1.0) <= UNIT_TOL:  # also rejects NaN
-        raise InputError(f"{what} must be unimodular")
-    return complex(z)
+    frequencies (NaN, a string or a list fails)."""
+    try:
+        if abs(abs(z) - 1.0) <= UNIT_TOL:  # also rejects NaN
+            return complex(z)
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"{what} must be unimodular")
 
 
 def _weight_list(vals) -> np.ndarray:
     """vals as a nonempty 1-d complex array of finite values: the one rule
     for the lists of periodic, constant, explicit and interpolated weights."""
-    v = np.asarray(vals, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
+    try:
+        v = np.asarray(vals, dtype=complex)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.ndim != 1 or v.size == 0:
         raise InputError("weights need a nonempty 1-d list of values")
     _finite_input("weight values", v)
     return v

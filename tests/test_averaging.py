@@ -329,7 +329,7 @@ def test_sign_multiplier_gives_the_bits_of_its_float64_form(data):
     # entries -1, +0 and +1 are held as int8 and cast to the same complex
     # values as their float64 form. A product of signs is exact in any
     # order, so the powers differ at most in the sign of a zero product, and
-    # the lifted lane, which carries T^c for signs and builds T^c f from it
+    # the lifted lane, which builds T^c f from T^c for signs
     # but steps T^c f itself for float64, gives the same bytes on every lane
     n = data.draw(st.integers(1, 40), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -406,6 +406,61 @@ def test_explicit_weight_above_one_gives_the_same_rows_stored_or_not():
     assert streamed.majorized == majorization_trace(stored, f)
     for field in ("probe_values", "l1_norms", "linf_norms"):
         assert getattr(streamed, field).tobytes() == getattr(stored, field).tobytes()
+
+
+# Each lane lends the norms and the flag an N-vector that it holds idle at
+# the checkpoint: the lifted lane its spare, a Kahan lane its swap buffer.
+# cases: (multiplier levels, weight, checkpoints), one for each lifted path
+# and for each Kahan lane
+MIXED_GAPS = (3, 5, 6, 12, 24, 25, 31, 62)
+LENDING_CASES = {
+    "geometric signs": ([-1.0, 1.0], "lambda_power", geometric_checkpoints(128)),
+    "dense signs": ([-1.0, 1.0], "lambda_power", SIGN_CHECKPOINTS["dense"]),
+    "float multipliers": ([-1.0, 0.5, 1.0], "lambda_power", MIXED_GAPS),
+    "period 3": ([-1.0, 1.0], "period_3", MIXED_GAPS),
+    "two-term trig_poly": ([-1.0, 1.0], "trig_poly_2", MIXED_GAPS),
+    "cesaro": ([-1.0, 0.0, 1.0], "cesaro", SIGN_CHECKPOINTS["dense"]),
+    "explicit (kahan)": ([-1.0, 0.5, 1.0], "explicit", MIXED_GAPS),
+    "kernel (kahan)": (None, "lambda_power", MIXED_GAPS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENDING_CASES))
+def test_lent_buffer_changes_no_bits(case):
+    # the lent run against one where no consumer borrows (no norms, no flag,
+    # every average kept), at two sizes in one process: a buffer left over
+    # from a run of another size, or a vector the lane still reads, shows
+    levels, kind, cps = LENDING_CASES[case]
+    rng = np.random.default_rng(94)
+    lam = np.exp(2j * np.pi * rng.uniform())
+    beta = {
+        "cesaro": None,
+        "lambda_power": WeightSequence.lambda_power(lam),
+        "period_3": WeightSequence.periodic(rng.normal(size=3) + 1j),
+        "trig_poly_2": WeightSequence.trig_poly(TrigPolynomial((
+            TrigTerm.from_phase(0.5 - 0.25j, Fraction(3, 7)),
+            TrigTerm(0.25 + 0.1j, lam)))),
+        "explicit": WeightSequence.explicit(np.exp(2j * np.pi * rng.random(cps[-1]))),
+    }[kind]
+    for n in ((9, 37) if levels is None else (37, spaces._BLOCK + 11)):
+        if levels is None:
+            T = random_ds_kernel(rng, n)
+        else:
+            T = CompositionOperator(rng.permutation(n), rng.choice(levels, n),
+                                    unit_space(n))
+        f = MeasurableFunction(rng.normal(size=n), T.space)
+        kw = dict(probes=range(n))
+        lent, kept = (
+            cesaro(T, f, cps, **kw, **mode) if beta is None
+            else weighted(T, f, beta, cps, **kw, **mode)
+            for mode in (dict(store_averages=False, norms=True, majorize=True),
+                         dict(store_averages=True, norms=False)))
+        assert lent.probe_values.tobytes() == kept.probe_values.tobytes()
+        want = np.array([a.values for a in kept.averages])
+        assert lent.probe_values.tobytes() == want.tobytes()
+        assert lent.majorized == majorization_trace(kept, f)
+        for which, got in (("L1", lent.l1_norms), ("Linf", lent.linf_norms)):
+            assert got.tolist() == [norm(a, which) for a in kept.averages]
 
 
 def assert_matches_naive(T, f, beta, cps, tol=1e-12):
@@ -716,6 +771,31 @@ def test_lifted_lane_memory_stays_linear_in_atoms(kind):
     assert peak <= bound
     assert np.all(rep.l1_norms <= norm(f, "L1") * (1 + 1e-12))
     assert np.all(rep.linf_norms <= norm(f, "Linf") * (1 + 1e-12))
+
+
+def test_flagged_weighted_run_borrows_its_moduli_buffer():
+    # the shape of the stream benchmark's weighted-average: a signed
+    # permutation of 2^16 atoms, a lambda-power weight to n = 1024 with its
+    # flags, nothing kept. The norms and the flag fill the lane's idle spare
+    # instead of a fresh float64 N-vector: 3.19 MiB above the inputs here,
+    # 3.57 MiB with a fresh buffer (its peak then in `_moduli`)
+    n_atoms = 1 << 16
+    rng = np.random.default_rng(95)
+    T = CompositionOperator(
+        rng.permutation(n_atoms), rng.choice([-1.0, 1.0], n_atoms),
+        AtomicMeasureSpace.uniform(n_atoms), measure_preserving=True,
+    )
+    f = MeasurableFunction(rng.normal(size=n_atoms), T.space)
+    beta = WeightSequence.lambda_power(np.exp(1.3j))
+    tracemalloc.start()
+    try:
+        rep = weighted(T, f, beta, geometric_checkpoints(1024), probes=(0,),
+                       store_averages=False, majorize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.majorized)
+    assert peak < 3.4 * 2**20, peak / 2**20
 
 
 def test_sparse_kernel_memory_is_linear_in_entries():

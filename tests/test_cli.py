@@ -1490,6 +1490,33 @@ def test_launch_leaves_unused_modules_unloaded():
     assert out.split() == []
 
 
+# what `import ergosym.cli` leaves on the heap once numpy and the standard
+# modules it uses are loaded, on Python 3.11 with bytecode cached: 571 774 B
+# (numpy 2.4) before the lifted lane lent its buffer, and 8 KiB more. A
+# command's peak RSS moves with this heap well beyond the bytes added
+# (about 0.1 MiB for 10 KB), and every command pays it
+IMPORT_HEAP_PIN = 571_774 + 8 * 1024
+
+
+def test_import_heap_stays_within_its_pin():
+    src = str(Path(ergosym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    code = ("import argparse, json, pathlib, tracemalloc\n"
+            "import numpy\n"
+            "tracemalloc.start()\n"
+            "import ergosym.cli\n"
+            "print(tracemalloc.get_traced_memory()[0])")
+    for _ in range(2):  # the first run caches the bytecode
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+    heap = int(run.stdout)
+    assert heap > 0
+    if sys.version_info[:2] == (3, 11):  # the Python of the benchmark records
+        assert heap < IMPORT_HEAP_PIN, heap
+
+
 def test_wiener_wintner_run_loads_no_fractions(tmp_path):
     """The rotation oracle reads its phases as integer pairs, so a sweep
     with oracle columns, the README's, loads neither fractions nor

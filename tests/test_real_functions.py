@@ -73,7 +73,7 @@ def operator(kind, rng):
         return KernelOperator.from_triplets(rows, cols, data, space)
     space = AtomicMeasureSpace.uniform(N)
     perm = rng.permutation(N)
-    if kind == "signs":  # int8, carried as the pair of T^c
+    if kind == "signs":  # int8: T^c f is built from the pair of T^c
         mult = rng.choice([-1.0, 0.0, 1.0], N)
     elif kind == "float":
         mult = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], N)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ergosym import (
     AtomicMeasureSpace,
+    CompositionOperator,
     InputError,
     LorentzWeight,
     MeasurableFunction,
@@ -912,6 +913,21 @@ RULE_ESCAPES = {
     "product probe pair of three entries": lambda: _product_probes([(0, 1, 2)]),
     "product probe of a bare int": lambda: _product_probes([0]),
     "product probes of a bare int": lambda: _product_probes(0),
+    # not numbers at all: each was numpy's or Python's own error
+    "lambda_power of a string": lambda: WeightSequence.lambda_power("x"),
+    "lambda_power of None": lambda: WeightSequence.lambda_power(None),
+    "lambda_power of two values": (
+        lambda: WeightSequence.lambda_power(np.array([1.0, 1j]))),
+    "trig term of a string frequency": lambda: TrigTerm(1.0, "x"),
+    "periodic weight of a string": lambda: WeightSequence.periodic("abc"),
+    "periodic weight of a ragged list": (
+        lambda: WeightSequence.periodic([[1.0], [2.0, 3.0]])),
+    "explicit weight of a string": lambda: WeightSequence.explicit("abc"),
+    "interpolant of a string": lambda: dft_interpolant("abc"),
+    "multiplier of a string": (
+        lambda: CompositionOperator([1, 2, 3, 0], "abcd", CYCLE_4.space)),
+    "multiplier of strings": (
+        lambda: CompositionOperator([1, 2, 3, 0], list("abcd"), CYCLE_4.space)),
 }
 
 
